@@ -555,7 +555,8 @@ def allocate(scenario: Scenario, params: AntennaParams,
 
     ``total_bandwidth`` is the spectrum budget; it defaults to the full band
     width.  Raises InfeasibleBand when no sampled center ever meets the
-    access threshold.
+    access threshold, and SingularChannel when every candidate that met it
+    failed to precode.
     """
     if total_bandwidth is None:
         total_bandwidth = band[1] - band[0]
@@ -565,7 +566,7 @@ def allocate(scenario: Scenario, params: AntennaParams,
     best_reward = -np.inf
     best_subchannels: list[tuple[float, float]] | None = None
     prev_best_centers: np.ndarray | None = None
-    ever_accessible = False
+    num_accessible = num_singular = 0
 
     for _ in range(hyper.max_iterations):
         scored = []
@@ -580,7 +581,8 @@ def allocate(scenario: Scenario, params: AntennaParams,
                                                method)
             except SingularChannel:
                 subchannels, reward = [], -np.inf
-            ever_accessible = ever_accessible or accessible
+                num_singular += 1
+            num_accessible += accessible
             scored.append((reward, tuple(centers), subchannels))
         scored.sort(key=lambda item: (-item[0], item[1]))
         elites = scored[:hyper.num_elites]
@@ -593,8 +595,13 @@ def allocate(scenario: Scenario, params: AntennaParams,
         prev_best_centers = np.asarray(elites[0][1])
         proposal = refit_proposal(proposal, np.asarray(pool), hyper, var_floor)
 
-    if not ever_accessible or best_subchannels is None:
+    if num_accessible == 0:
         raise InfeasibleBand(
             "no sampled center frequency met the access threshold")
+    # only candidates with an accessible center reach the precoder
+    if num_singular == num_accessible:
+        raise SingularChannel(
+            f"the {method} precoder failed on all {num_singular} candidates "
+            "that met the access threshold")
     total, rates = _score_subchannels(best_subchannels, scenario, params, method)
     return SubchannelPlan(tuple(best_subchannels), total, tuple(rates))

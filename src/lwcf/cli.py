@@ -58,7 +58,8 @@ def _build_clustering(app: AppConfig, scenario, rng):
     if app.clustering_mode == "kmeans":
         return kmeans_clustering(scenario, app.params, app.band[1],
                                  app.num_clusters, rng)
-    return hierarchical_clustering(scenario, app.params, app.band[1])
+    return hierarchical_clustering(scenario, app.params, app.band[1],
+                                   method=app.precoder)
 
 
 def _out_stream(path: str | None):

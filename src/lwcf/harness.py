@@ -69,6 +69,19 @@ class ExperimentConfig:
             raise ValueError("sweep values must be positive")
         if list(vals) != sorted(vals):
             raise ValueError("sweep values must be sorted ascending")
+        if self.precoder == "zf" and self.clustering == "none":
+            # network-wide zero forcing fails every trial with K > M
+            for value in vals:
+                counts = {"num_aps": self.scenario.num_aps,
+                          "num_ues": self.scenario.num_ues}
+                if self.sweep in counts:
+                    counts[self.sweep] = int(value)
+                if counts["num_ues"] > counts["num_aps"]:
+                    raise ValueError(
+                        f"precoder zf needs num_ues <= num_aps, but sweep "
+                        f"point {self.sweep}={value:g} has "
+                        f"{counts['num_ues']} UEs and {counts['num_aps']} "
+                        f"APs; use precoder mrt or clustering")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
@@ -127,7 +140,8 @@ def _trial_rate(config: ExperimentConfig, value: float,
                                            config.num_clusters, rng)
         else:
             clustering = hierarchical_clustering(scenario, config.params,
-                                                 config.band[1])
+                                                 config.band[1],
+                                                 method=config.precoder)
         if config.allocator == "equal_bandwidth":
             base = equal_bandwidth_baseline(
                 scenario, config.params, hyper.num_subchannels,

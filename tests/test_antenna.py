@@ -136,3 +136,67 @@ def test_link_rss_broadside_stays_defined():
     # evaluation point must be nudged above it instead of raising
     got = link_rss(1e-3, DEFAULT, np.pi / 2, 1e-14, band_upper=200e9)
     assert np.isfinite(got) and got > 0.0
+
+
+def _complex_sinc(z):
+    """sin(z)/z in complex arithmetic, with a series fallback near the origin:
+    the gain kernel's former implementation, kept here as its oracle."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty_like(z)
+    small = np.abs(z) < 1e-6
+    out[small] = 1.0 - z[small] ** 2 / 6.0
+    out[~small] = np.sin(z[~small]) / z[~small]
+    return out
+
+
+def _oracle_gain(p, f, theta):
+    k0 = 2.0 * np.pi * f / SPEED_OF_LIGHT
+    beta = k0 * np.sqrt(1.0 - (p.cutoff_frequency / f) ** 2)
+    z = (-1j * p.attenuation - k0 * np.cos(theta) + beta) * (p.aperture_length / 2.0)
+    return p.radiation_efficiency * p.aperture_length * np.abs(_complex_sinc(z))
+
+
+def _kernel_grid():
+    """Seeded frequencies over the band up to 200 GHz (cutoff edge included)
+    against angles from near endfire to broadside."""
+    rng = np.random.default_rng(2024)
+    cutoff = DEFAULT.cutoff_frequency
+    freqs = np.concatenate([[cutoff * (1.0 + 1e-9), cutoff * (1.0 + 1e-6), 200e9],
+                            rng.uniform(cutoff, 200e9, 61)])
+    angles = np.concatenate([[1e-6, 1e-3, 0.01, np.pi / 2 - 1e-9,
+                              np.pi / 2 - 1e-4, np.pi / 2],
+                             rng.uniform(0.0, np.pi / 2, 58)])
+    return freqs[:, None], angles[None, :]
+
+
+def test_gain_matches_complex_oracle():
+    freqs, angles = _kernel_grid()
+    for eta, alpha in ((1.0, 130.0), (0.6, 1.0), (0.9, 400.0)):
+        p = AntennaParams(eta, 0.15, alpha, DEFAULT.cutoff_frequency)
+        got = gain(p, freqs, angles)
+        want = _oracle_gain(p, freqs, angles)
+        assert got.shape == (64, 64)
+        assert np.max(np.abs(got - want) / want) <= 2e-15
+
+
+def test_gain_lossless_beam_peak_is_exact():
+    # zero attenuation at the beam peak puts z at (or within rounding of) the
+    # origin: the series branch must return eta * L itself, never 0/0
+    angles = np.linspace(0.3, 1.5, 25)
+    for eta in (1.0, 0.8):
+        p = AntennaParams(eta, 0.15, 0.0, 100e9)
+        peaks = peak_frequency(p.cutoff_frequency, angles)
+        assert np.all(gain(p, peaks, angles) == eta * p.aperture_length)
+        for f, theta in zip(peaks, angles):
+            assert gain(p, f, theta) == eta * p.aperture_length
+
+
+def test_gain_grid_raises_no_floating_point_error():
+    freqs, angles = _kernel_grid()
+    lossless = AntennaParams(1.0, 0.15, 0.0, 100e9)
+    peak_angles = np.linspace(0.3, 1.5, 25)
+    with np.errstate(all="raise"):
+        assert np.all(np.isfinite(gain(DEFAULT, freqs, angles)))
+        assert np.all(np.isfinite(gain(lossless, freqs, angles)))
+        at_peak = gain(lossless, peak_frequency(100e9, peak_angles), peak_angles)
+    assert np.all(at_peak == lossless.aperture_length)

@@ -27,7 +27,7 @@ from lwcf.cegmm import (
     validate_plan,
 )
 from lwcf.cegmm import _smooth
-from lwcf.mimo import received_strength_psd
+from lwcf.mimo import SingularChannel, received_strength_psd
 from lwcf.scenario import ScenarioConfig, generate_scenario
 
 PARAMS = AntennaParams(1.0, 0.15, 130.0, 100e9)
@@ -380,6 +380,22 @@ def test_allocate_infeasible_band():
     rng = np.random.default_rng(np.random.SeedSequence((9, 0)))
     with pytest.raises(InfeasibleBand):
         allocate(sc, PARAMS, BAND, "zf", hyper, strict, rng)
+
+
+def test_allocate_reports_singular_channel_not_infeasible_band():
+    """More UEs than APs: centers meet the access threshold, but zero forcing
+    fails on every candidate, so the failure must name the precoder."""
+    sc = make_scenario(num_aps=2, num_ues=3, seed=3)
+    hyper = CeHyperparams(num_samples=10, num_elites=3, max_iterations=2,
+                          grid_step=100e6, num_subchannels=2)
+
+    def rng():
+        return np.random.default_rng(np.random.SeedSequence((9, 0)))
+
+    plan = allocate(sc, PARAMS, BAND, "mrt", hyper, QOS, rng())
+    assert plan.achieved_rate > 0.0          # the band is accessible
+    with pytest.raises(SingularChannel, match="zf precoder failed"):
+        allocate(sc, PARAMS, BAND, "zf", hyper, QOS, rng())
 
 
 def test_allocate_single_subchannel_near_grid_optimum():

@@ -197,6 +197,42 @@ def test_cli_rejects_unknown_override(capsys):
     assert "error:" in err
 
 
+def test_cli_zf_with_more_ues_than_aps_names_the_cause(capsys):
+    # simulate: 2 APs cannot zero-force 3 UEs, but centers are accessible
+    args = ["simulate"]
+    for ov in FAST_OVERRIDES:
+        args += ["--set", ov]
+    args += ["--set", "scenario.num_aps=2", "--set", "scenario.num_ues=3"]
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert "zf precoder failed" in err and "no sampled" not in err
+    # sweep: the 16-AP point cannot serve 20 UEs; rejected before any trial
+    code, out, err = run_cli(["sweep", "--set", "scenario.num_ues=20"], capsys)
+    assert code == 2 and out == ""
+    assert "num_ues <= num_aps" in err
+
+
+def test_cli_hierarchical_clustering_uses_configured_precoder(
+        monkeypatch, capsys):
+    import lwcf.cli
+    real = lwcf.cli.hierarchical_clustering
+    methods = []
+
+    def spy(*args, **kwargs):
+        methods.append(kwargs.get("method"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lwcf.cli, "hierarchical_clustering", spy)
+    for precoder in ("mrt", "zf"):
+        code, _, _ = run_cli(
+            ["cluster", "--set", "clustering.mode=hierarchical",
+             "--set", f"experiment.precoder={precoder}",
+             "--set", "scenario.num_aps=6", "--set", "scenario.num_ues=3"],
+            capsys)
+        assert code == 0
+    assert methods == ["mrt", "zf"]
+
+
 def test_cli_seed_changes_plan(tmp_path, capsys):
     outputs = []
     for seed in ("0", "1"):

@@ -120,6 +120,19 @@ def test_experiment_config_validation():
 # sweeps
 # ---------------------------------------------------------------------------
 
+def test_experiment_config_rejects_zf_with_more_ues_than_aps():
+    # network-wide zero forcing at any sweep point with K > M
+    for kw in (dict(sweep_values=(2.0, 5.0)),                # 5 UEs, 4 APs
+               dict(sweep="num_aps", sweep_values=(1.0, 4.0)),
+               dict(sweep="total_bandwidth", sweep_values=(1e9,),
+                    scenario=scenario_template(num_ues=5))):
+        with pytest.raises(ValueError, match="num_ues <= num_aps"):
+            fast_experiment(**kw)
+        # MRT, and clustering (its rewards fall back to MRT), stay valid
+        fast_experiment(precoder="mrt", **kw)
+        fast_experiment(clustering="kmeans", **kw)
+
+
 def test_run_experiment_layout_and_seeds():
     text = run_experiment(fast_experiment())
     lines = text.strip().split("\n")
@@ -190,6 +203,23 @@ def test_run_experiment_clustered_paths():
         assert fields[4] == clustering
         assert fields[9] == "ok"
         assert float(fields[6]) > 0.0
+
+
+def test_trial_hierarchical_clustering_uses_configured_precoder(monkeypatch):
+    import lwcf.harness
+    real = lwcf.harness.hierarchical_clustering
+    methods = []
+
+    def spy(*args, **kwargs):
+        methods.append(kwargs.get("method"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lwcf.harness, "hierarchical_clustering", spy)
+    for precoder in ("mrt", "zf"):
+        config = fast_experiment(precoder=precoder, clustering="hierarchical")
+        _, status = lwcf.harness._trial_rate(config, 2.0, 0)
+        assert status == "ok"
+    assert methods == ["mrt", "zf"]
 
 
 def test_run_experiment_writes_output_file(tmp_path):
