@@ -1,7 +1,7 @@
 """Spatial-spectral resource allocation for cell-free sub-THz networks
 built on frequency-steered leaky-wave apertures."""
 
-from .antenna import AntennaParams, gain, link_rss, peak_frequency
+from .antenna import AntennaParams, gain, peak_frequency
 from .cegmm import (CeHyperparams, Gmm, InfeasibleBand, QosConfig,
                     SubchannelPlan, allocate, bandwidth_search, bic, em_fit,
                     resolve_overlaps)
@@ -13,14 +13,14 @@ from .config import AppConfig, load_config
 from .harness import (ExperimentConfig, equal_bandwidth_baseline,
                       run_experiment)
 from .mimo import (ChannelMatrix, PrecodingMatrix, SingularChannel,
-                   build_channel, plan_rate, precode, rate_density,
+                   build_channel, precode, rate_density,
                    received_strength_psd, sinr)
 from .scenario import Scenario, ScenarioConfig, generate_scenario, subscenario
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntennaParams", "gain", "link_rss", "peak_frequency",
+    "AntennaParams", "gain", "peak_frequency",
     "CeHyperparams", "Gmm", "InfeasibleBand", "QosConfig", "SubchannelPlan",
     "allocate", "bandwidth_search", "bic", "em_fit", "resolve_overlaps",
     "ClusterPlan", "allocate_clustered", "cluster_subchannel_reward",
@@ -30,6 +30,6 @@ __all__ = [
     "AppConfig", "load_config",
     "ExperimentConfig", "equal_bandwidth_baseline", "run_experiment",
     "ChannelMatrix", "PrecodingMatrix", "SingularChannel", "build_channel",
-    "plan_rate", "precode", "rate_density", "received_strength_psd", "sinr",
+    "precode", "rate_density", "received_strength_psd", "sinr",
     "Scenario", "ScenarioConfig", "generate_scenario", "subscenario",
 ]

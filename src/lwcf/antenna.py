@@ -86,19 +86,3 @@ def peak_frequency(cutoff_frequency: float, angle):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def link_rss(tx_psd: float, params: AntennaParams, angle: float,
-             channel_power: float, band_upper: float) -> float:
-    """Received signal strength of one AP-UE link at its best in-band frequency.
-
-    ``channel_power`` is the squared magnitude of the propagation coefficient
-    evaluated at the same (clamped) peak frequency; the caller supplies it so
-    this function stays free of any path-loss assumption.
-    """
-    if tx_psd < 0.0 or channel_power < 0.0:
-        raise ValueError("tx_psd and channel_power must be nonnegative")
-    f_star = peak_frequency(params.cutoff_frequency, angle)
-    # keep strictly above cutoff so the gain stays defined at broadside
-    f_eval = min(max(f_star, params.cutoff_frequency * (1.0 + 1e-9)), band_upper)
-    return tx_psd * gain(params, f_eval, angle) * channel_power

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antenna import AntennaParams
-from .mimo import SingularChannel, rate_density, received_strength_psd
+from .mimo import (SingularChannel, rate_density, received_strength_psd,
+                   require_zf_shape)
 from .scenario import Scenario
 
 # sub-Hz slack for interval comparisons on ~1e11 Hz magnitudes
@@ -41,6 +42,11 @@ class SubchannelPlan:
     subchannels: tuple[tuple[float, float], ...]   # (center Hz, width Hz)
     achieved_rate: float                           # bit/s
     subchannel_rates: tuple[float, ...] = ()       # bit/s, aligned with subchannels
+
+    @property
+    def total_rate(self) -> float:
+        """The achieved rate under the name ClusterPlan also carries."""
+        return self.achieved_rate
 
 
 @dataclass(frozen=True)
@@ -215,17 +221,19 @@ def bic(gmm: Gmm, values) -> float:
 # plan construction
 # ---------------------------------------------------------------------------
 
-def _edges_ok(scenario: Scenario, params: AntennaParams, lo: float, hi: float,
-              qos: QosConfig) -> bool:
-    """Access threshold and coherence-gap check at the two interval edges."""
+def _edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
+              qos: QosConfig) -> np.ndarray:
+    """One flag per interval of the 1-D edge arrays ``lo``/``hi``: every
+    UE's received PSD is positive and meets the access threshold at both
+    edges, and its edge-to-edge gap stays below the coherence limit."""
     psd_lo = received_strength_psd(scenario, params, lo)
     psd_hi = received_strength_psd(scenario, params, hi)
-    if np.any(psd_lo < qos.min_rx_psd) or np.any(psd_hi < qos.min_rx_psd):
-        return False
-    if np.any(psd_lo <= 0.0) or np.any(psd_hi <= 0.0):
-        return False
-    gap = np.abs(10.0 * np.log10(psd_lo) - 10.0 * np.log10(psd_hi))
-    return bool(np.all(gap < qos.coherence_gap_db))
+    ok = (np.all(psd_lo >= qos.min_rx_psd, axis=1)
+          & np.all(psd_hi >= qos.min_rx_psd, axis=1)
+          & np.all(psd_lo > 0.0, axis=1) & np.all(psd_hi > 0.0, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.abs(10.0 * np.log10(psd_lo) - 10.0 * np.log10(psd_hi))
+    return ok & np.all(gap < qos.coherence_gap_db, axis=1)
 
 
 def _in_band(lo: float, hi: float, band: tuple[float, float],
@@ -265,14 +273,8 @@ def bandwidth_search(center: float, scenario: Scenario, params: AntennaParams,
     for start in range(1, max_steps + 1, block):
         steps = np.arange(start, min(start + block, max_steps + 1))
         widths = steps * grid_step
-        psd_lo = received_strength_psd(scenario, params, center - widths / 2.0)
-        psd_hi = received_strength_psd(scenario, params, center + widths / 2.0)
-        ok = (np.all(psd_lo >= qos.min_rx_psd, axis=1)
-              & np.all(psd_hi >= qos.min_rx_psd, axis=1)
-              & np.all(psd_lo > 0.0, axis=1) & np.all(psd_hi > 0.0, axis=1))
-        with np.errstate(divide="ignore"):
-            gap = np.abs(10.0 * np.log10(psd_lo) - 10.0 * np.log10(psd_hi))
-        ok &= np.all(gap < qos.coherence_gap_db, axis=1)
+        ok = _edges_ok(scenario, params, center - widths / 2.0,
+                       center + widths / 2.0, qos)
         if np.all(ok):
             best = float(widths[-1])
             continue
@@ -310,15 +312,7 @@ def _shrink_to_valid(scenario: Scenario, params: AntennaParams, lo: float,
               & (his <= band[1] + FREQ_TOL))
         idx = np.nonzero(ok)[0]
         if idx.size:
-            psd_lo = received_strength_psd(scenario, params, los[idx])
-            psd_hi = received_strength_psd(scenario, params, his[idx])
-            edge_ok = (np.all(psd_lo >= qos.min_rx_psd, axis=1)
-                       & np.all(psd_hi >= qos.min_rx_psd, axis=1)
-                       & np.all(psd_lo > 0.0, axis=1)
-                       & np.all(psd_hi > 0.0, axis=1))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gap = np.abs(10.0 * np.log10(psd_lo) - 10.0 * np.log10(psd_hi))
-            edge_ok &= np.all(gap < qos.coherence_gap_db, axis=1)
+            edge_ok = _edges_ok(scenario, params, los[idx], his[idx], qos)
             if np.any(edge_ok):
                 j = int(idx[np.argmax(edge_ok)])
                 return float(los[j]), float(his[j])
@@ -436,10 +430,9 @@ def validate_plan(subchannels, band: tuple[float, float], total_bandwidth: float
 def check_coherence(subchannels, scenario: Scenario, params: AntennaParams,
                     qos: QosConfig) -> bool:
     """True when every subchannel passes the edge PSD checks."""
-    return all(
-        _edges_ok(scenario, params, c - w / 2.0, c + w / 2.0, qos)
-        for c, w in subchannels if w > 0.0
-    )
+    edges = [(c - w / 2.0, c + w / 2.0) for c, w in subchannels if w > 0.0]
+    lo, hi = np.array(edges, float).reshape(-1, 2).T
+    return bool(np.all(_edges_ok(scenario, params, lo, hi, qos)))
 
 
 # ---------------------------------------------------------------------------
@@ -542,29 +535,36 @@ def evaluate_candidate(centers, scenario: Scenario, params: AntennaParams,
     return resolved, any_accessible
 
 
-def _score_subchannels(subchannels, scenario, params, method) -> tuple[float, list]:
-    rates = [w * rate_density(scenario, params, c, method) for c, w in subchannels]
-    return float(sum(rates)), rates
+def score_subchannels(subchannels, scenario: Scenario, params: AntennaParams,
+                      method: str) -> SubchannelPlan:
+    """The plan of these subchannels, each rated at its center with the
+    channel and precoder rebuilt there.  Propagates SingularChannel."""
+    rates = tuple(w * rate_density(scenario, params, c, method)
+                  for c, w in subchannels)
+    return SubchannelPlan(tuple(subchannels), float(sum(rates)), rates)
 
 
-def allocate(scenario: Scenario, params: AntennaParams,
-             band: tuple[float, float], method: str, hyper: CeHyperparams,
-             qos: QosConfig, rng: np.random.Generator,
-             total_bandwidth: float | None = None) -> SubchannelPlan:
-    """Cross-entropy search for the rate-maximising subchannel plan.
+def ce_search(score, scenario: Scenario, params: AntennaParams,
+              band: tuple[float, float], method: str, hyper: CeHyperparams,
+              qos: QosConfig, rng: np.random.Generator,
+              total_bandwidth: float | None = None):
+    """The cross-entropy loop shared by every allocator.
 
-    ``total_bandwidth`` is the spectrum budget; it defaults to the full band
-    width.  Raises InfeasibleBand when no sampled center ever meets the
-    access threshold, and SingularChannel when every candidate that met it
-    failed to precode.
+    Each iteration samples candidate centers from the proposal, completes
+    them through ``evaluate_candidate``, scores them with
+    ``score(subchannels) -> (feasible, reward, plan)`` and ranks them by
+    reward, ties by centers; the elites' centers and the previous best
+    centers refit the proposal.  Returns the plan with the strictly greatest
+    ``(feasible, reward)``, earliest in rank order.  A candidate whose score
+    raises SingularChannel ranks last.  Raises as ``allocate`` documents.
     """
     if total_bandwidth is None:
         total_bandwidth = band[1] - band[0]
     var_floor = 1e-6 * (band[1] - band[0]) ** 2
     proposal = initial_proposal(band, hyper.num_samples, hyper.max_components)
 
-    best_reward = -np.inf
-    best_subchannels: list[tuple[float, float]] | None = None
+    best_key: tuple[bool, float] = (False, -np.inf)
+    best_plan = None
     prev_best_centers: np.ndarray | None = None
     num_accessible = num_singular = 0
 
@@ -576,20 +576,20 @@ def allocate(scenario: Scenario, params: AntennaParams,
             subchannels, accessible = evaluate_candidate(
                 centers, scenario, params, band, qos,
                 hyper.grid_step, total_bandwidth)
-            try:
-                reward, _ = _score_subchannels(subchannels, scenario, params,
-                                               method)
-            except SingularChannel:
-                subchannels, reward = [], -np.inf
-                num_singular += 1
             num_accessible += accessible
-            scored.append((reward, tuple(centers), subchannels))
+            try:
+                feasible, reward, plan = score(subchannels)
+            except SingularChannel:
+                feasible, reward, plan = False, -np.inf, None
+                num_singular += 1
+            scored.append((reward, tuple(centers), feasible, plan))
         scored.sort(key=lambda item: (-item[0], item[1]))
+        for reward, _, feasible, plan in scored:
+            if (feasible, reward) > best_key:
+                best_key = (feasible, reward)
+                best_plan = plan
         elites = scored[:hyper.num_elites]
-        if elites[0][0] > best_reward:
-            best_reward = elites[0][0]
-            best_subchannels = elites[0][2]
-        pool = [c for _, centers, _ in elites for c in centers]
+        pool = [c for _, centers, _, _ in elites for c in centers]
         if prev_best_centers is not None:
             pool.extend(prev_best_centers)
         prev_best_centers = np.asarray(elites[0][1])
@@ -603,5 +603,27 @@ def allocate(scenario: Scenario, params: AntennaParams,
         raise SingularChannel(
             f"the {method} precoder failed on all {num_singular} candidates "
             "that met the access threshold")
-    total, rates = _score_subchannels(best_subchannels, scenario, params, method)
-    return SubchannelPlan(tuple(best_subchannels), total, tuple(rates))
+    return best_plan
+
+
+def allocate(scenario: Scenario, params: AntennaParams,
+             band: tuple[float, float], method: str, hyper: CeHyperparams,
+             qos: QosConfig, rng: np.random.Generator,
+             total_bandwidth: float | None = None) -> SubchannelPlan:
+    """Cross-entropy search for the rate-maximising subchannel plan.
+
+    ``total_bandwidth`` is the spectrum budget; it defaults to the full band
+    width.  Raises InfeasibleBand when no sampled center ever meets the
+    access threshold, and SingularChannel when the precoder cannot serve
+    the scenario: at once for zero forcing with more UEs than APs, else
+    when every candidate that met the threshold failed to precode.
+    """
+    if method == "zf":
+        require_zf_shape(scenario.num_ues, scenario.num_aps)
+
+    def score(subchannels):
+        plan = score_subchannels(subchannels, scenario, params, method)
+        return True, plan.total_rate, plan
+
+    return ce_search(score, scenario, params, band, method, hyper, qos, rng,
+                     total_bandwidth)

@@ -15,13 +15,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .cegmm import InfeasibleBand, allocate
-from .cluster_alloc import (allocate_clustered, greedy_assign,
-                            write_cluster_plan_csv)
-from .clustering import (hierarchical_clustering, kmeans_clustering,
-                         write_clustering_csv)
+from .cegmm import InfeasibleBand
+from .cluster_alloc import ClusterPlan, write_cluster_plan_csv
+from .clustering import write_clustering_csv
 from .config import AppConfig, load_config
-from .harness import equal_bandwidth_baseline, run_experiment, write_plan_csv
+from .harness import (build_clustering, equal_bandwidth_baseline,
+                      run_experiment, run_trial, write_plan_csv)
 from .mimo import SingularChannel
 from .scenario import generate_scenario
 
@@ -54,14 +53,6 @@ def _worker_rng(app: AppConfig) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((app.base_seed, 0)))
 
 
-def _build_clustering(app: AppConfig, scenario, rng):
-    if app.clustering_mode == "kmeans":
-        return kmeans_clustering(scenario, app.params, app.band[1],
-                                 app.num_clusters, rng)
-    return hierarchical_clustering(scenario, app.params, app.band[1],
-                                   method=app.precoder)
-
-
 def _out_stream(path: str | None):
     if path is None:
         return nullcontext(sys.stdout)
@@ -69,38 +60,17 @@ def _out_stream(path: str | None):
 
 
 def _cmd_simulate(app: AppConfig, out) -> None:
-    scenario = generate_scenario(app.scenario)
-    rng = _worker_rng(app)
-    hyper = app.hyper
-    if app.allocator == "fixed_gmm":
-        hyper = replace(hyper, max_components=1)
-    budget = app.scenario.total_bandwidth
-    if app.clustering_mode == "none":
-        if app.allocator == "equal_bandwidth":
-            plan = equal_bandwidth_baseline(scenario, app.params,
-                                            hyper.num_subchannels, app.band,
-                                            budget, app.precoder)
-        else:
-            plan = allocate(scenario, app.params, app.band, app.precoder,
-                            hyper, app.qos, rng, total_bandwidth=budget)
-        write_plan_csv(plan, out)
-        print(f"total_rate_bps={plan.achieved_rate:.6g}", file=sys.stderr)
-        return
-    clustering = _build_clustering(app, scenario, rng)
-    if app.allocator == "equal_bandwidth":
-        base = equal_bandwidth_baseline(scenario, app.params,
-                                        hyper.num_subchannels, app.band,
-                                        budget, app.precoder)
-        cplan = greedy_assign(base.subchannels, clustering,
-                              app.qos.min_cluster_avg_rate, scenario,
-                              app.params, app.precoder)
+    plan = run_trial(generate_scenario(app.scenario), app.params, app.band,
+                     app.hyper, app.qos, app.scenario.total_bandwidth,
+                     app.precoder, app.allocator, app.clustering_mode,
+                     app.num_clusters, _worker_rng(app))
+    if isinstance(plan, ClusterPlan):
+        write_cluster_plan_csv(plan, out)
+        suffix = f" feasible={plan.feasible}"
     else:
-        cplan = allocate_clustered(scenario, app.params, app.band,
-                                   app.precoder, hyper, app.qos, clustering,
-                                   rng, total_bandwidth=budget)
-    write_cluster_plan_csv(cplan, out)
-    print(f"total_rate_bps={cplan.total_rate:.6g} feasible={cplan.feasible}",
-          file=sys.stderr)
+        write_plan_csv(plan, out)
+        suffix = ""
+    print(f"total_rate_bps={plan.total_rate:.6g}{suffix}", file=sys.stderr)
 
 
 def _cmd_sweep(app: AppConfig, out_path: str | None) -> None:
@@ -118,7 +88,9 @@ def _cmd_cluster(app: AppConfig, out) -> None:
     if app.clustering_mode == "none":
         raise ValueError("clustering.mode is 'none'; set kmeans or hierarchical")
     scenario = generate_scenario(app.scenario)
-    clustering = _build_clustering(app, scenario, _worker_rng(app))
+    clustering = build_clustering(app.clustering_mode, scenario, app.params,
+                                  app.band, app.num_clusters, app.precoder,
+                                  _worker_rng(app))
     write_clustering_csv(clustering, out)
     print(f"clusters={clustering.num_clusters} "
           f"converged={clustering.converged}", file=sys.stderr)

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antenna import AntennaParams
-from .cegmm import (CeHyperparams, InfeasibleBand, QosConfig,
-                    evaluate_candidate, initial_proposal, refit_proposal,
-                    sample_gmm)
+from .cegmm import CeHyperparams, QosConfig, ce_search
 from .clustering import Clustering
 from .mimo import SingularChannel, build_channel, precode, sinr
 from .scenario import Scenario, subscenario
@@ -148,52 +146,18 @@ def allocate_clustered(scenario: Scenario, params: AntennaParams,
                        total_bandwidth: float | None = None) -> ClusterPlan:
     """Cross-entropy search scored through the greedy cluster assignment.
 
-    Sampling, elite selection, proposal refitting and the access-threshold
-    bookkeeping match the cluster-free allocator step for step, so with a
-    single all-AP cluster and a zero rate floor the two return the same
-    plan for the same generator state.  The best plan ever seen wins,
-    feasible plans strictly before infeasible ones.
+    The search is ``cegmm.ce_search``, the loop of the cluster-free
+    allocator, so with a single all-AP cluster and a zero rate floor the two
+    return the same plan for the same generator state.  The best plan ever
+    seen wins, feasible plans strictly before infeasible ones.
     """
-    if total_bandwidth is None:
-        total_bandwidth = band[1] - band[0]
-    var_floor = 1e-6 * (band[1] - band[0]) ** 2
-    proposal = initial_proposal(band, hyper.num_samples, hyper.max_components)
+    def score(subchannels):
+        plan = greedy_assign(subchannels, clustering, qos.min_cluster_avg_rate,
+                             scenario, params, method)
+        return plan.feasible, plan.total_rate, plan
 
-    best_key: tuple[bool, float] = (False, -np.inf)
-    best_plan: ClusterPlan | None = None
-    prev_best_centers: np.ndarray | None = None
-    ever_accessible = False
-
-    for _ in range(hyper.max_iterations):
-        scored = []
-        for _ in range(hyper.num_samples):
-            centers = np.sort(sample_gmm(proposal, hyper.num_subchannels, rng,
-                                         band=band))
-            subchannels, accessible = evaluate_candidate(
-                centers, scenario, params, band, qos,
-                hyper.grid_step, total_bandwidth)
-            plan = greedy_assign(subchannels, clustering,
-                                 qos.min_cluster_avg_rate, scenario, params,
-                                 method)
-            ever_accessible = ever_accessible or accessible
-            scored.append((plan.total_rate, tuple(centers), plan))
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        elites = scored[:hyper.num_elites]
-        for reward, _, plan in scored:
-            key = (plan.feasible, reward)
-            if key > best_key:
-                best_key = key
-                best_plan = plan
-        pool = [c for _, centers, _ in elites for c in centers]
-        if prev_best_centers is not None:
-            pool.extend(prev_best_centers)
-        prev_best_centers = np.asarray(elites[0][1])
-        proposal = refit_proposal(proposal, np.asarray(pool), hyper, var_floor)
-
-    if not ever_accessible or best_plan is None:
-        raise InfeasibleBand(
-            "no sampled center frequency met the access threshold")
-    return best_plan
+    return ce_search(score, scenario, params, band, method, hyper, qos, rng,
+                     total_bandwidth)
 
 
 def write_cluster_plan_csv(plan: ClusterPlan, fp) -> None:

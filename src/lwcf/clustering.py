@@ -172,8 +172,9 @@ def _eval_frequency(params: AntennaParams, angle: float, band_upper: float) -> f
 
 def rss_matrix(scenario: Scenario, params: AntennaParams,
                band_upper: float) -> np.ndarray:
-    """Per-link received strength (num_ues, num_aps) at each link's own
-    clamped peak frequency.  Matches a linkwise ``link_rss`` evaluation."""
+    """Per-link received strength (num_ues, num_aps): transmit PSD times
+    aperture gain times free-space power gain, each link evaluated at its
+    own peak frequency clamped into (cutoff, band_upper]."""
     if scenario.num_ues == 0:
         return np.zeros((0, scenario.num_aps))
     f_eval = np.clip(peak_frequency(params.cutoff_frequency, scenario.angles),

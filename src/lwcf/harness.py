@@ -19,10 +19,10 @@ import numpy as np
 
 from .antenna import AntennaParams
 from .cegmm import (CeHyperparams, InfeasibleBand, QosConfig, SubchannelPlan,
-                    allocate)
-from .cluster_alloc import allocate_clustered, greedy_assign
-from .clustering import hierarchical_clustering, kmeans_clustering
-from .mimo import SingularChannel, rate_density
+                    allocate, score_subchannels)
+from .cluster_alloc import ClusterPlan, allocate_clustered, greedy_assign
+from .clustering import Clustering, hierarchical_clustering, kmeans_clustering
+from .mimo import SingularChannel, require_zf_shape
 from .scenario import ScenarioConfig, generate_scenario
 
 SWEEP_VARIABLES = ("num_aps", "num_ues", "total_bandwidth")
@@ -76,12 +76,12 @@ class ExperimentConfig:
                           "num_ues": self.scenario.num_ues}
                 if self.sweep in counts:
                     counts[self.sweep] = int(value)
-                if counts["num_ues"] > counts["num_aps"]:
+                try:
+                    require_zf_shape(counts["num_ues"], counts["num_aps"])
+                except SingularChannel as exc:
                     raise ValueError(
-                        f"precoder zf needs num_ues <= num_aps, but sweep "
-                        f"point {self.sweep}={value:g} has "
-                        f"{counts['num_ues']} UEs and {counts['num_aps']} "
-                        f"APs; use precoder mrt or clustering")
+                        f"sweep point {self.sweep}={value:g}: {exc}; use "
+                        f"precoder mrt or clustering") from exc
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
@@ -103,62 +103,73 @@ def equal_bandwidth_baseline(scenario, params: AntennaParams, num_tiles: int,
     tile = total_bandwidth / num_tiles
     subchannels = tuple((band[0] + guard + (i + 0.5) * tile, tile)
                         for i in range(num_tiles))
-    rates = [w * rate_density(scenario, params, c, method)
-             for c, w in subchannels]
-    return SubchannelPlan(subchannels, float(sum(rates)), tuple(rates))
+    return score_subchannels(subchannels, scenario, params, method)
+
+
+def build_clustering(mode: str, scenario, params: AntennaParams,
+                     band: tuple[float, float], num_clusters: int,
+                     precoder: str, rng: np.random.Generator) -> Clustering:
+    """AP clusters of one drop: k-means for ``mode`` 'kmeans', otherwise the
+    hierarchical merge scored with the configured precoder."""
+    if mode == "kmeans":
+        return kmeans_clustering(scenario, params, band[1], num_clusters, rng)
+    return hierarchical_clustering(scenario, params, band[1], method=precoder)
+
+
+def run_trial(scenario, params: AntennaParams, band: tuple[float, float],
+              hyper: CeHyperparams, qos: QosConfig, total_bandwidth: float,
+              precoder: str, allocator: str, clustering: str,
+              num_clusters: int, rng: np.random.Generator
+              ) -> SubchannelPlan | ClusterPlan:
+    """One allocation on one drop, as a sweep trial and ``lwcf simulate``
+    run it.
+
+    ``fixed_gmm`` is the adaptive search with the proposal pinned to one
+    mixture component; ``equal_bandwidth`` splits the budget into
+    ``hyper.num_subchannels`` equal tiles.  Clustering 'none' gives a
+    SubchannelPlan, 'kmeans' and 'hierarchical' a ClusterPlan.
+    """
+    if allocator == "fixed_gmm":
+        hyper = replace(hyper, max_components=1)
+    if clustering == "none":
+        if allocator == "equal_bandwidth":
+            return equal_bandwidth_baseline(scenario, params,
+                                            hyper.num_subchannels, band,
+                                            total_bandwidth, precoder)
+        return allocate(scenario, params, band, precoder, hyper, qos, rng,
+                        total_bandwidth=total_bandwidth)
+    clusters = build_clustering(clustering, scenario, params, band,
+                                num_clusters, precoder, rng)
+    if allocator == "equal_bandwidth":
+        base = equal_bandwidth_baseline(scenario, params,
+                                        hyper.num_subchannels, band,
+                                        total_bandwidth, precoder)
+        return greedy_assign(base.subchannels, clusters,
+                             qos.min_cluster_avg_rate, scenario, params,
+                             precoder)
+    return allocate_clustered(scenario, params, band, precoder, hyper, qos,
+                              clusters, rng, total_bandwidth=total_bandwidth)
 
 
 def _trial_rate(config: ExperimentConfig, value: float,
                 trial: int) -> tuple[float | None, str]:
     """Run one (sweep value, trial) cell; returns (rate or None, status)."""
-    seed = config.base_seed + trial
     overrides = {config.sweep: (int(value) if config.sweep != "total_bandwidth"
                                 else float(value)),
-                 "seed": seed}
+                 "seed": config.base_seed + trial}
     sc_cfg = replace(config.scenario, **overrides)
     scenario = generate_scenario(sc_cfg)
     rng = np.random.default_rng(np.random.SeedSequence((config.base_seed, trial)))
-    hyper = config.hyper
-    if config.allocator == "fixed_gmm":
-        hyper = replace(hyper, max_components=1)
-    budget = sc_cfg.total_bandwidth
-
     try:
-        if config.clustering == "none":
-            if config.allocator == "equal_bandwidth":
-                plan = equal_bandwidth_baseline(
-                    scenario, config.params, hyper.num_subchannels,
-                    config.band, budget, config.precoder)
-            else:
-                plan = allocate(scenario, config.params, config.band,
-                                config.precoder, hyper, config.qos, rng,
-                                total_bandwidth=budget)
-            return plan.achieved_rate, "ok"
-        if config.clustering == "kmeans":
-            clustering = kmeans_clustering(scenario, config.params,
-                                           config.band[1],
-                                           config.num_clusters, rng)
-        else:
-            clustering = hierarchical_clustering(scenario, config.params,
-                                                 config.band[1],
-                                                 method=config.precoder)
-        if config.allocator == "equal_bandwidth":
-            base = equal_bandwidth_baseline(
-                scenario, config.params, hyper.num_subchannels,
-                config.band, budget, config.precoder)
-            cplan = greedy_assign(base.subchannels, clustering,
-                                  config.qos.min_cluster_avg_rate, scenario,
-                                  config.params, config.precoder)
-        else:
-            cplan = allocate_clustered(scenario, config.params, config.band,
-                                       config.precoder, hyper, config.qos,
-                                       clustering, rng,
-                                       total_bandwidth=budget)
-        return cplan.total_rate, "ok"
+        plan = run_trial(scenario, config.params, config.band,
+                         config.hyper, config.qos, sc_cfg.total_bandwidth,
+                         config.precoder, config.allocator, config.clustering,
+                         config.num_clusters, rng)
     except InfeasibleBand:
         return None, "infeasible_band"
     except SingularChannel:
         return None, "singular_channel"
+    return plan.total_rate, "ok"
 
 
 def _run_cell(args) -> tuple[int, int, float | None, str, float]:

@@ -59,6 +59,15 @@ def build_channel(scenario: Scenario, params: AntennaParams,
     return ChannelMatrix(np.sqrt(g) * amp * phase, float(frequency))
 
 
+def require_zf_shape(num_ues: int, num_aps: int) -> None:
+    """Raise SingularChannel unless zero forcing can null K UEs with M APs,
+    which takes K <= M whatever the channel."""
+    if num_ues > num_aps:
+        raise SingularChannel(
+            f"the zf precoder failed: zero forcing needs num_ues <= num_aps, "
+            f"got K={num_ues} UEs and M={num_aps} APs")
+
+
 def precode(channel: ChannelMatrix, method: str) -> PrecodingMatrix:
     """Unit-norm precoding columns for 'mrt' or 'zf'.
 
@@ -73,8 +82,7 @@ def precode(channel: ChannelMatrix, method: str) -> PrecodingMatrix:
     if method == "mrt":
         f = h.conj().T
     else:
-        if k > m:
-            raise SingularChannel(f"zero forcing needs K <= M, got K={k} M={m}")
+        require_zf_shape(k, m)
         gram = h @ h.conj().T
         cond = np.linalg.cond(gram)
         if not np.isfinite(cond) or cond > MAX_ZF_CONDITION:
@@ -130,17 +138,3 @@ def rate_density(scenario: Scenario, params: AntennaParams, frequency: float,
     precoder = precode(channel, method)
     gamma = sinr(channel, precoder, scenario.tx_psd, scenario.noise_psd)
     return float(np.sum(np.log2(1.0 + gamma)))
-
-
-def plan_rate(subchannels, scenario: Scenario, params: AntennaParams,
-              method: str) -> float:
-    """Total rate of a list of (center, width) subchannels, bit/s.
-
-    The channel and precoder are rebuilt at every subchannel center; widths
-    of zero contribute nothing.
-    """
-    total = 0.0
-    for center, width in subchannels:
-        if width > 0.0:
-            total += width * rate_density(scenario, params, center, method)
-    return total

@@ -68,12 +68,6 @@ class Scenario:
         return self.ue_positions.shape[0]
 
 
-def link_distance(ap_position, ue_position, elev_diff: float) -> float:
-    """3-D distance between an AP and a UE separated by ``elev_diff`` in height."""
-    planar = np.asarray(ap_position, float) - np.asarray(ue_position, float)
-    return float(np.hypot(np.linalg.norm(planar), elev_diff))
-
-
 def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, *key)))
 

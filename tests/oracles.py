@@ -1,0 +1,46 @@
+"""Scalar reference implementations for the tests.
+
+``link_rss`` and ``link_distance`` evaluate one AP-UE link at a time; the
+tests check the vectorised ``clustering.rss_matrix`` and the distances of
+``scenario.generate_scenario`` against them.  ``plan_rate`` totals a
+subchannel list one ``rate_density`` call at a time.
+"""
+
+import numpy as np
+
+from lwcf.antenna import gain, peak_frequency
+from lwcf.mimo import rate_density
+
+
+def link_rss(tx_psd, params, angle, channel_power, band_upper):
+    """Received signal strength of one AP-UE link at its best in-band frequency.
+
+    ``channel_power`` is the squared magnitude of the propagation coefficient
+    evaluated at the same (clamped) peak frequency; the caller supplies it so
+    this function stays free of any path-loss assumption.
+    """
+    if tx_psd < 0.0 or channel_power < 0.0:
+        raise ValueError("tx_psd and channel_power must be nonnegative")
+    f_star = peak_frequency(params.cutoff_frequency, angle)
+    # keep strictly above cutoff so the gain stays defined at broadside
+    f_eval = min(max(f_star, params.cutoff_frequency * (1.0 + 1e-9)), band_upper)
+    return tx_psd * gain(params, f_eval, angle) * channel_power
+
+
+def link_distance(ap_position, ue_position, elev_diff):
+    """3-D distance between an AP and a UE separated by ``elev_diff`` in height."""
+    planar = np.asarray(ap_position, float) - np.asarray(ue_position, float)
+    return float(np.hypot(np.linalg.norm(planar), elev_diff))
+
+
+def plan_rate(subchannels, scenario, params, method):
+    """Total rate of a list of (center, width) subchannels, bit/s.
+
+    The channel and precoder are rebuilt at every subchannel center; widths
+    of zero contribute nothing.
+    """
+    total = 0.0
+    for center, width in subchannels:
+        if width > 0.0:
+            total += width * rate_density(scenario, params, center, method)
+    return total

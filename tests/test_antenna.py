@@ -7,9 +7,9 @@ from lwcf.antenna import (
     SPEED_OF_LIGHT,
     AntennaParams,
     gain,
-    link_rss,
     peak_frequency,
 )
+from oracles import link_rss
 
 DEFAULT = AntennaParams(
     radiation_efficiency=1.0,

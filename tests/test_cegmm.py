@@ -398,6 +398,53 @@ def test_allocate_reports_singular_channel_not_infeasible_band():
         allocate(sc, PARAMS, BAND, "zf", hyper, QOS, rng())
 
 
+def test_allocate_counts_zf_failures_at_every_candidate(monkeypatch):
+    """K <= M passes the shape rule, but with no Gram condition accepted
+    zero forcing fails at every accessible candidate; the search must count
+    those failures and name the precoder, not report an inaccessible band."""
+    import lwcf.mimo
+    sc = make_scenario(num_aps=6, num_ues=3, seed=3)
+    hyper = CeHyperparams(num_samples=10, num_elites=3, max_iterations=2,
+                          grid_step=100e6, num_subchannels=2)
+
+    def rng():
+        return np.random.default_rng(np.random.SeedSequence((9, 0)))
+
+    assert allocate(sc, PARAMS, BAND, "zf", hyper, QOS, rng()).achieved_rate > 0.0
+    monkeypatch.setattr(lwcf.mimo, "MAX_ZF_CONDITION", 0.0)
+    with pytest.raises(SingularChannel,
+                       match=r"zf precoder failed on all \d+ candidates"):
+        allocate(sc, PARAMS, BAND, "zf", hyper, QOS, rng())
+
+
+def test_allocate_zf_with_more_ues_than_aps_fails_before_searching(
+        monkeypatch):
+    """K > M rules zero forcing out from the shapes alone, so the failure
+    comes before any candidate is sampled or any received PSD evaluated."""
+    import lwcf.cegmm
+    real = lwcf.cegmm.received_strength_psd
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lwcf.cegmm, "received_strength_psd", spy)
+    sc = make_scenario(num_aps=2, num_ues=3, seed=3)
+    hyper = CeHyperparams(num_samples=10, num_elites=3, max_iterations=2,
+                          grid_step=100e6, num_subchannels=2)
+    rng = np.random.default_rng(np.random.SeedSequence((9, 0)))
+    state = rng.bit_generator.state
+    with pytest.raises(SingularChannel,
+                       match="zf precoder failed.*K=3 UEs and M=2 APs"):
+        allocate(sc, PARAMS, BAND, "zf", hyper, QOS, rng)
+    assert len(calls) == 0
+    assert rng.bit_generator.state == state
+    # the spy does see the search when the precoder can serve the drop
+    allocate(sc, PARAMS, BAND, "mrt", hyper, QOS, rng)
+    assert len(calls) > 0
+
+
 def test_allocate_single_subchannel_near_grid_optimum():
     """With one subchannel the optimiser should land near the best of a
     coarse center scan that uses the same width rule."""

@@ -23,7 +23,8 @@ from lwcf.cluster_alloc import (
 )
 from lwcf.clustering import Clustering, kmeans_clustering
 from lwcf.mimo import SingularChannel, rate_density
-from lwcf.scenario import Scenario, ScenarioConfig, generate_scenario, link_distance
+from lwcf.scenario import Scenario, ScenarioConfig, generate_scenario
+from oracles import link_distance
 
 PARAMS = AntennaParams(1.0, 0.15, 130.0, 100e9)
 BAND = (100e9, 200e9)

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from lwcf.antenna import AntennaParams, link_rss, peak_frequency
+from lwcf.antenna import AntennaParams, peak_frequency
 from lwcf.clustering import (
     Clustering,
     affinity_propagation,
@@ -20,12 +20,8 @@ from lwcf.clustering import (
     write_clustering_csv,
 )
 from lwcf.mimo import build_channel, freespace_amplitude, precode, sinr
-from lwcf.scenario import (
-    Scenario,
-    ScenarioConfig,
-    generate_scenario,
-    link_distance,
-)
+from lwcf.scenario import Scenario, ScenarioConfig, generate_scenario
+from oracles import link_distance, link_rss
 
 PARAMS = AntennaParams(1.0, 0.15, 130.0, 100e9)
 BAND_UPPER = 200e9

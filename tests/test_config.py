@@ -214,15 +214,15 @@ def test_cli_zf_with_more_ues_than_aps_names_the_cause(capsys):
 
 def test_cli_hierarchical_clustering_uses_configured_precoder(
         monkeypatch, capsys):
-    import lwcf.cli
-    real = lwcf.cli.hierarchical_clustering
+    import lwcf.harness
+    real = lwcf.harness.hierarchical_clustering
     methods = []
 
     def spy(*args, **kwargs):
         methods.append(kwargs.get("method"))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(lwcf.cli, "hierarchical_clustering", spy)
+    monkeypatch.setattr(lwcf.harness, "hierarchical_clustering", spy)
     for precoder in ("mrt", "zf"):
         code, _, _ = run_cli(
             ["cluster", "--set", "clustering.mode=hierarchical",
@@ -231,6 +231,24 @@ def test_cli_hierarchical_clustering_uses_configured_precoder(
             capsys)
         assert code == 0
     assert methods == ["mrt", "zf"]
+
+
+@pytest.mark.parametrize("mode", ["none", "kmeans"])
+def test_cli_simulate_reproduces_sweep_trial_zero(mode, capsys):
+    """Same geometry seed, optimiser stream and sweep point: ``simulate``
+    and trial 0 of ``sweep`` run the same trial."""
+    sets = FAST_OVERRIDES + ["scenario.seed=7", "experiment.base_seed=7",
+                             "experiment.trials=2", f"clustering.mode={mode}"]
+    args = [a for ov in sets for a in ("--set", ov)]
+    code, _, err = run_cli(["simulate"] + args, capsys)
+    assert code == 0
+    simulated = err.split("total_rate_bps=")[1].split()[0]
+    code, out, _ = run_cli(["sweep"] + args, capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    (row,) = [r for r in rows if r[0] == "4" and r[1] == "0"]
+    assert row[4] == mode and row[9] == "ok"
+    assert row[6] == simulated
 
 
 def test_cli_seed_changes_plan(tmp_path, capsys):

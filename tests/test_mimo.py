@@ -9,13 +9,13 @@ from lwcf.mimo import (
     SingularChannel,
     build_channel,
     freespace_amplitude,
-    plan_rate,
     precode,
     rate_density,
     received_strength_psd,
     sinr,
 )
 from lwcf.scenario import ScenarioConfig, generate_scenario
+from oracles import plan_rate
 
 PARAMS = AntennaParams(1.0, 0.15, 130.0, 100e9)
 

@@ -7,9 +7,9 @@ from lwcf.scenario import (
     Scenario,
     ScenarioConfig,
     generate_scenario,
-    link_distance,
     subscenario,
 )
+from oracles import link_distance
 
 
 def make_config(**kw):
