@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antenna import AntennaParams
+from .antenna import AntennaParams, envelope_ratio
 from .mimo import (SingularChannel, rate_density, received_strength_psd,
                    require_zf_shape)
 from .scenario import Scenario
@@ -221,11 +221,15 @@ def bic(gmm: Gmm, values) -> float:
 # plan construction
 # ---------------------------------------------------------------------------
 
-def _edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
-              qos: QosConfig) -> np.ndarray:
-    """One flag per interval of the 1-D edge arrays ``lo``/``hi``: every
-    UE's received PSD is positive and meets the access threshold at both
-    edges, and its edge-to-edge gap stays below the coherence limit."""
+# Slack of the envelope certificates in ``_edges_ok``: relative on PSDs and
+# absolute on dB gaps, far above the ~1e-15 rounding of either gain kernel.
+ENVELOPE_REL_TOL = 1e-12
+ENVELOPE_DB_TOL = 1e-9
+
+
+def _exact_edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
+                    qos: QosConfig) -> np.ndarray:
+    """The checks of ``_edges_ok`` on the exact PSDs of every interval."""
     psd_lo = received_strength_psd(scenario, params, lo)
     psd_hi = received_strength_psd(scenario, params, hi)
     ok = (np.all(psd_lo >= qos.min_rx_psd, axis=1)
@@ -234,6 +238,46 @@ def _edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
     with np.errstate(divide="ignore", invalid="ignore"):
         gap = np.abs(10.0 * np.log10(psd_lo) - 10.0 * np.log10(psd_hi))
     return ok & np.all(gap < qos.coherence_gap_db, axis=1)
+
+
+def _edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
+              qos: QosConfig) -> np.ndarray:
+    """One flag per interval of the 1-D edge arrays ``lo``/``hi``: every
+    UE's received PSD is positive and meets the access threshold at both
+    edges, and its edge-to-edge gap stays below the coherence limit.
+
+    The flags are those of the exact PSDs, but most intervals are decided
+    from the sin-free envelope env <= psd <= rho env alone, with
+    eps = ``ENVELOPE_REL_TOL`` and delta = ``ENVELOPE_DB_TOL`` covering
+    rounding.  An interval is good when every UE has env (1 - eps) >= thr
+    at both edges and |gap_env| + 10 log10 rho + delta < limit; it is bad
+    when some UE has rho env (1 + eps) < thr at an edge or
+    |gap_env| - 10 log10 rho - delta >= limit.  Every other interval is
+    decided by the exact PSDs.  Without attenuation, or when 10 log10 rho
+    reaches the coherence limit, the envelope could decide nothing and
+    every interval takes the exact path.
+    """
+    rho = envelope_ratio(params)
+    slack_db = 10.0 * np.log10(rho) + ENVELOPE_DB_TOL
+    if not slack_db < qos.coherence_gap_db:
+        return _exact_edges_ok(scenario, params, lo, hi, qos)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    env_lo = received_strength_psd(scenario, params, lo, envelope=True)
+    env_hi = received_strength_psd(scenario, params, hi, envelope=True)
+    thr = qos.min_rx_psd
+    low = np.minimum(env_lo, env_hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.abs(10.0 * np.log10(env_lo) - 10.0 * np.log10(env_hi))
+    ok = np.all((low * (1.0 - ENVELOPE_REL_TOL) >= thr) & (low > 0.0)
+                & (gap + slack_db < qos.coherence_gap_db), axis=1)
+    bad = np.any((rho * (1.0 + ENVELOPE_REL_TOL) * low < thr)
+                 | (gap - slack_db >= qos.coherence_gap_db), axis=1)
+    unsure = np.flatnonzero(~ok & ~bad)
+    if unsure.size:
+        ok[unsure] = _exact_edges_ok(scenario, params, lo[unsure], hi[unsure],
+                                     qos)
+    return ok
 
 
 def _in_band(lo: float, hi: float, band: tuple[float, float],
@@ -256,7 +300,9 @@ def bandwidth_search(center: float, scenario: Scenario, params: AntennaParams,
 
     Edge PSDs are evaluated in vectorised blocks of grid steps, which is
     equivalent to stepwise growth because the scan still stops at the first
-    violating step.
+    violating step.  ``_edges_ok`` decides each step from the sin-free gain
+    envelope when its bracket env <= psd <= rho env settles the checks, and
+    from the exact PSDs otherwise, so the width is that of the exact checks.
     """
     # steps that keep the interval in-band (and strictly above cutoff)
     room = min(center - band[0],
@@ -337,8 +383,13 @@ def resolve_overlaps(candidates, scenario: Scenario, params: AntennaParams,
     items.sort(key=lambda iv: iv[0])
     touched: list[bool] = [False] * len(items)
 
+    rss_cache: dict[tuple[float, float], float] = {}
+
     def rss_of(iv) -> float:
-        return _center_rss(scenario, params, (iv[0] + iv[1]) / 2.0)
+        key = (iv[0], iv[1])
+        if key not in rss_cache:
+            rss_cache[key] = _center_rss(scenario, params, (iv[0] + iv[1]) / 2.0)
+        return rss_cache[key]
 
     # pairwise truncation until disjoint
     while True:

@@ -106,7 +106,7 @@ def sinr(channel: ChannelMatrix, precoder: PrecodingMatrix,
 
 
 def received_strength_psd(scenario: Scenario, params: AntennaParams,
-                          frequency) -> np.ndarray:
+                          frequency, envelope: bool = False) -> np.ndarray:
     """Per-UE received signal strength PSD in W/Hz.
 
     Incoherent sum of the per-AP contributions q_k * G(f, theta) * |h|^2,
@@ -118,17 +118,21 @@ def received_strength_psd(scenario: Scenario, params: AntennaParams,
     inverse, which would zero out every coherence-limited bandwidth.)
 
     ``frequency`` may be a scalar (returns shape (K,)) or a 1-D array
-    (returns shape (F, K)).
+    (returns shape (F, K)).  With ``envelope`` set every gain is replaced
+    by its sin-free envelope (``antenna.gain``); the weights of the AP sum
+    are positive, so the result brackets the PSD as env <= psd <= rho env
+    UE by UE, with rho = ``antenna.envelope_ratio(params)``.
     """
     f = np.asarray(frequency, dtype=float)
     if f.ndim == 0:
-        g = gain(params, f, scenario.angles)
+        g = gain(params, f, scenario.angles, envelope)
         amp2 = freespace_amplitude(f, scenario.distances) ** 2
         return scenario.tx_psd * np.sum(g * amp2, axis=1)
-    g = gain(params, f[:, None, None], scenario.angles[None, :, :])
-    amp2 = freespace_amplitude(f[:, None, None],
-                               scenario.distances[None, :, :]) ** 2
-    return scenario.tx_psd[None, :] * np.sum(g * amp2, axis=2)
+    g = gain(params, f[:, None, None], scenario.angles[None, :, :], envelope)
+    # |h|^2 = (c / 4 pi f)^2 d^-2: the frequency factor leaves the AP sum
+    g *= scenario.distances[None, :, :] ** -2.0
+    free2 = (SPEED_OF_LIGHT / (4.0 * np.pi * f)) ** 2
+    return (scenario.tx_psd[None, :] * free2[:, None]) * np.sum(g, axis=2)
 
 
 def rate_density(scenario: Scenario, params: AntennaParams, frequency: float,

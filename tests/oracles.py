@@ -3,13 +3,15 @@
 ``link_rss`` and ``link_distance`` evaluate one AP-UE link at a time; the
 tests check the vectorised ``clustering.rss_matrix`` and the distances of
 ``scenario.generate_scenario`` against them.  ``plan_rate`` totals a
-subchannel list one ``rate_density`` call at a time.
+subchannel list one ``rate_density`` call at a time.  ``edges_ok_exact``
+is the edge predicate of ``cegmm._edges_ok`` decided from the exact PSDs
+alone, without the envelope certificates.
 """
 
 import numpy as np
 
 from lwcf.antenna import gain, peak_frequency
-from lwcf.mimo import rate_density
+from lwcf.mimo import rate_density, received_strength_psd
 
 
 def link_rss(tx_psd, params, angle, channel_power, band_upper):
@@ -44,3 +46,16 @@ def plan_rate(subchannels, scenario, params, method):
         if width > 0.0:
             total += width * rate_density(scenario, params, center, method)
     return total
+
+
+def edges_ok_exact(scenario, params, lo, hi, qos):
+    """Per interval: every UE's exact received PSD is positive and meets the
+    access threshold at both edges, and its edge gap is below the limit."""
+    psd_lo = received_strength_psd(scenario, params, lo)
+    psd_hi = received_strength_psd(scenario, params, hi)
+    ok = (np.all(psd_lo >= qos.min_rx_psd, axis=1)
+          & np.all(psd_hi >= qos.min_rx_psd, axis=1)
+          & np.all(psd_lo > 0.0, axis=1) & np.all(psd_hi > 0.0, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.abs(10.0 * np.log10(psd_lo) - 10.0 * np.log10(psd_hi))
+    return ok & np.all(gap < qos.coherence_gap_db, axis=1)

@@ -6,6 +6,7 @@ import pytest
 from lwcf.antenna import (
     SPEED_OF_LIGHT,
     AntennaParams,
+    envelope_ratio,
     gain,
     peak_frequency,
 )
@@ -200,3 +201,33 @@ def test_gain_grid_raises_no_floating_point_error():
         assert np.all(np.isfinite(gain(lossless, freqs, angles)))
         at_peak = gain(lossless, peak_frequency(100e9, peak_angles), peak_angles)
     assert np.all(at_peak == lossless.aperture_length)
+
+
+def test_gain_envelope_brackets_gain():
+    """e <= g exactly and g <= rho e to rounding, from just above cutoff to
+    the 200 GHz band edge and from near endfire to broadside."""
+    freqs, angles = _kernel_grid()
+    for alpha in (1.0, 3.0, 10.0, 130.0, 500.0):
+        p = AntennaParams(0.9, 0.15, alpha, DEFAULT.cutoff_frequency)
+        g = gain(p, freqs, angles)
+        e = gain(p, freqs, angles, envelope=True)
+        rho = envelope_ratio(p)
+        b = alpha * p.aperture_length / 2.0
+        assert rho == pytest.approx(1.0 / np.tanh(b), rel=1e-14)
+        assert np.all(e > 0.0)
+        assert np.all(e <= g)
+        assert np.all(g <= rho * e * (1.0 + 4.0 * np.finfo(float).eps))
+        if alpha == 1.0:
+            # sin^2 a sweeps through 1 on the grid: the bound is attained
+            assert np.max(g / e) >= rho * (1.0 - 1e-6)
+    # at the defaults (b = 9.75) the bracket is ~7e-9 wide
+    assert envelope_ratio(DEFAULT) - 1.0 == pytest.approx(6.8e-9, rel=0.01)
+
+
+def test_gain_envelope_needs_attenuation():
+    lossless = AntennaParams(1.0, 0.15, 0.0, 100e9)
+    assert envelope_ratio(lossless) == np.inf
+    with pytest.raises(ValueError, match="positive attenuation"):
+        gain(lossless, 150e9, 0.8, envelope=True)
+    with pytest.raises(ValueError, match="positive attenuation"):
+        gain(lossless, np.array([120e9, 150e9]), 0.8, envelope=True)

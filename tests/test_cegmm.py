@@ -26,9 +26,10 @@ from lwcf.cegmm import (
     sample_gmm,
     validate_plan,
 )
-from lwcf.cegmm import _smooth
+from lwcf.cegmm import _edges_ok, _smooth
 from lwcf.mimo import SingularChannel, received_strength_psd
 from lwcf.scenario import ScenarioConfig, generate_scenario
+from oracles import edges_ok_exact
 
 PARAMS = AntennaParams(1.0, 0.15, 130.0, 100e9)
 BAND = (100e9, 200e9)
@@ -299,6 +300,99 @@ def test_resolved_plans_pass_the_same_checks_as_fresh_ones():
         out = resolve_overlaps(cands, sc, PARAMS, BAND, QOS, 50e6, 1e9)
         validate_plan(out, BAND, 1e9, PARAMS.cutoff_frequency)
         assert check_coherence(out, sc, PARAMS, QOS)
+
+
+def spy_edge_psds(monkeypatch):
+    """Record (envelope, number of frequencies) of every received-PSD call
+    the allocator module makes."""
+    import lwcf.cegmm
+    real = lwcf.cegmm.received_strength_psd
+    calls = []
+
+    def spy(scenario, params, frequency, envelope=False):
+        calls.append((envelope, int(np.size(frequency))))
+        return real(scenario, params, frequency, envelope)
+
+    monkeypatch.setattr(lwcf.cegmm, "received_strength_psd", spy)
+    return calls
+
+
+def random_intervals(seed, n=300):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(100.5e9, 199e9, n)
+    hi = np.minimum(lo + 10 ** rng.uniform(6.0, 10.0, n), BAND[1])
+    return lo, hi
+
+
+def test_edges_ok_matches_exact_oracle_on_random_intervals(monkeypatch):
+    """The envelope certificates decide every random interval alone, and
+    decide it as the exact PSDs do, for threshold and gap failures alike."""
+    calls = spy_edge_psds(monkeypatch)
+    for seed in range(3):
+        sc = make_scenario(seed=seed)
+        lo, hi = random_intervals(seed)
+        # a threshold at the median edge PSD fails about half the edges
+        median = float(np.median(received_strength_psd(sc, PARAMS, lo)))
+        for qos in (QOS, QosConfig(median, 0.5), QosConfig(median, 3.0)):
+            want = edges_ok_exact(sc, PARAMS, lo, hi, qos)
+            assert 0 < want.sum() < want.size
+            got = _edges_ok(sc, PARAMS, lo, hi, qos)
+            assert got.dtype == bool and np.array_equal(got, want)
+    assert calls and all(envelope for envelope, _ in calls)
+
+
+def test_edges_ok_ambiguous_intervals_take_the_exact_path(monkeypatch):
+    """A threshold or a coherence limit set exactly on an edge PSD or an
+    edge gap cannot be decided from the envelope: the exact PSDs decide,
+    on either side of the tie."""
+    calls = spy_edge_psds(monkeypatch)
+    sc = make_scenario(seed=1)
+    lo, hi = np.array([150e9]), np.array([150.3e9])
+    psd = np.concatenate([received_strength_psd(sc, PARAMS, lo),
+                          received_strength_psd(sc, PARAMS, hi)])
+    edge = float(np.min(psd))
+    gap = float(np.max(np.abs(np.diff(10.0 * np.log10(psd), axis=0))))
+    assert 0.0 < gap < 0.5
+    cases = [(QosConfig(edge, 0.5), True),
+             (QosConfig(np.nextafter(edge, np.inf), 0.5), False),
+             (QosConfig(0.0, gap), False),
+             (QosConfig(0.0, np.nextafter(gap, np.inf)), True)]
+    got, exact, paths = [], [], []
+    for qos, _ in cases:
+        exact.append(bool(edges_ok_exact(sc, PARAMS, lo, hi, qos)[0]))
+        calls.clear()
+        got.append(_edges_ok(sc, PARAMS, lo, hi, qos).tolist())
+        paths.append(list(calls))
+    assert exact == [expected for _, expected in cases]
+    assert got == [[flag] for flag in exact]
+    # two envelope PSD calls, then the exact ones for the undecided interval
+    assert all(p == [(True, 1), (True, 1), (False, 1), (False, 1)]
+               for p in paths)
+
+
+def test_edges_ok_without_a_useful_envelope_is_exact(monkeypatch):
+    """No attenuation, or a bracket as wide as the coherence limit (rho is
+    ~13 at 1 rad/m), sends every interval down the exact path; with a limit
+    beyond the bracket the envelope is used again."""
+    calls = spy_edge_psds(monkeypatch)
+    sc = make_scenario(seed=0)
+    lo, hi = random_intervals(5, n=60)
+    for attenuation, qos, uses_envelope in (
+            (0.0, QOS, False), (1.0, QOS, False),
+            (1.0, QosConfig(QOS.min_rx_psd, 20.0), True)):
+        params = AntennaParams(1.0, 0.15, attenuation, 100e9)
+        calls.clear()
+        got = _edges_ok(sc, params, lo, hi, qos)
+        assert np.array_equal(got, edges_ok_exact(sc, params, lo, hi, qos))
+        assert any(envelope for envelope, _ in calls) == uses_envelope
+
+
+def test_edges_ok_empty_input():
+    sc = make_scenario(seed=0)
+    empty = np.array([])
+    for params in (PARAMS, AntennaParams(1.0, 0.15, 0.0, 100e9)):
+        got = _edges_ok(sc, params, empty, empty, QOS)
+        assert got.shape == (0,) and got.dtype == bool
 
 
 # ---------------------------------------------------------------------------
