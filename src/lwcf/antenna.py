@@ -52,9 +52,9 @@ def gain(params: AntennaParams, frequency, angle, envelope: bool = False):
     """
     f = np.asarray(frequency, dtype=float)
     theta = np.asarray(angle, dtype=float)
-    if np.any(f <= params.cutoff_frequency):
+    if (f <= params.cutoff_frequency).any():
         raise ValueError("frequency must exceed the waveguide cutoff")
-    if np.any(theta <= 0.0) or np.any(theta > np.pi / 2.0):
+    if (theta <= 0.0).any() or (theta > np.pi / 2.0).any():
         raise ValueError("angle must lie in (0, pi/2]")
     if envelope and params.attenuation == 0.0:
         raise ValueError("the gain envelope needs positive attenuation")
@@ -93,6 +93,17 @@ def envelope_ratio(params: AntennaParams) -> float:
     if b == 0.0:
         return np.inf
     return float(np.sqrt(1.0 + 1.0 / np.sinh(b) ** 2))
+
+
+def envelope_peak(params: AntennaParams) -> float:
+    """eta L sinh b / b: the envelope of ``gain`` at a = 0, which is its
+    maximum over frequency for every angle (reached at ``peak_frequency``).
+    Needs positive attenuation."""
+    b = params.attenuation * params.aperture_length / 2.0
+    if b == 0.0:
+        raise ValueError("the gain envelope needs positive attenuation")
+    return float(params.radiation_efficiency * params.aperture_length
+                 * np.sinh(b) / b)
 
 
 def peak_frequency(cutoff_frequency: float, angle):

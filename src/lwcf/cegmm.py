@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antenna import AntennaParams, envelope_ratio
+from .antenna import (SPEED_OF_LIGHT, AntennaParams, envelope_peak,
+                      envelope_ratio, gain, peak_frequency)
 from .mimo import (SingularChannel, rate_density, received_strength_psd,
                    require_zf_shape)
 from .scenario import Scenario
@@ -240,29 +241,139 @@ def _exact_edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
     return ok & np.all(gap < qos.coherence_gap_db, axis=1)
 
 
+@dataclass(frozen=True)
+class _EdgeConstants:
+    """What the envelope tiers of ``_edges_ok`` need of one (scenario,
+    params, qos); callers that check many blocks build it once."""
+
+    rho: float               # antenna.envelope_ratio
+    slack_db: float          # 10 log10 rho + ENVELOPE_DB_TOL
+    weights: np.ndarray      # (K, M) d^-2 of the AP sum
+    peak_freq: np.ndarray    # (K, M) where each link's envelope peaks
+    peak_terms: np.ndarray   # (K, M) d^-2 times the envelope at its peak
+    scale: np.ndarray        # (K,) tx_psd (c / 4 pi)^2
+    min_bound: float         # a lower PSD bound at or above it clears thr
+    max_ratio: float         # an upper/lower ratio below it clears the gap
+    round_scale: float       # pi L u / (c b), u = 2^-53, see _hull_ok
+
+
+def _edge_constants(scenario: Scenario, params: AntennaParams,
+                    qos: QosConfig) -> _EdgeConstants | None:
+    """None when the envelope can decide nothing: without attenuation, or
+    when 10 log10 rho + delta reaches the coherence limit."""
+    rho = envelope_ratio(params)
+    slack_db = 10.0 * np.log10(rho) + ENVELOPE_DB_TOL
+    if not slack_db < qos.coherence_gap_db:
+        return None
+    weights = scenario.distances ** -2.0
+    eps = ENVELOPE_REL_TOL
+    b = params.attenuation * params.aperture_length / 2.0
+    return _EdgeConstants(
+        rho=rho, slack_db=slack_db, weights=weights,
+        peak_freq=peak_frequency(params.cutoff_frequency, scenario.angles),
+        peak_terms=envelope_peak(params) * weights,
+        scale=scenario.tx_psd * (SPEED_OF_LIGHT / (4.0 * np.pi)) ** 2,
+        min_bound=qos.min_rx_psd / (1.0 - eps),
+        max_ratio=(10.0 ** ((qos.coherence_gap_db - slack_db) / 10.0)
+                   * (1.0 - eps) / (1.0 + eps)),
+        round_scale=(np.pi * params.aperture_length * np.finfo(float).eps
+                     / (2.0 * SPEED_OF_LIGHT * b)))
+
+
+def _envelope_hull(scenario: Scenario, params: AntennaParams,
+                   consts: _EdgeConstants, f1, f2):
+    """Per-UE bounds (lower, upper), each of shape (H, K), on the envelope
+    PSD over every frequency hull [f1[h], f2[h]].
+
+    Each link's envelope term is unimodal in frequency with its peak at
+    ``consts.peak_freq``, so over a hull it is at least its smaller
+    endpoint value, and at most its larger one, or its peak value when the
+    peak lies inside.  The d^-2 weights are positive and (c / 4 pi f)^2
+    falls with f, which carries the bounds to the PSD.
+    """
+    f1 = np.asarray(f1, dtype=float)
+    f2 = np.asarray(f2, dtype=float)
+    ends = gain(params, np.concatenate([f1, f2])[:, None, None],
+                scenario.angles, envelope=True)
+    ends *= consts.weights
+    at_f1, at_f2 = ends[:f1.size], ends[f1.size:]
+    terms = np.empty((2,) + at_f1.shape)
+    np.minimum(at_f1, at_f2, out=terms[0])
+    np.maximum(at_f1, at_f2, out=terms[1])
+    inside = ((consts.peak_freq >= f1[:, None, None])
+              & (consts.peak_freq <= f2[:, None, None]))
+    np.copyto(terms[1], consts.peak_terms, where=inside)
+    low, high = terms.sum(axis=3) * consts.scale
+    return low / (f2 * f2)[:, None], high / (f1 * f1)[:, None]
+
+
+def _hull_ok(scenario: Scenario, params: AntennaParams,
+             consts: _EdgeConstants, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """True when the envelope hulls of the lower and the upper edges
+    certify every interval of the block good.
+
+    The bounds hold for the true envelope.  The computed envelope and
+    gain differ from the true ones by the rounding of a, relatively at
+    most ~pi L u f (1/s + 4) / (c b) with u the unit roundoff and
+    s = sqrt(1 - (fc/f)^2): beta = k0 s loses digits as s -> 0, so the
+    error grows without bound at cutoff (~1e-9 at 1e-3 Hz above it at the
+    defaults).  Blocks where it could exceed eps/4, at the defaults those
+    whose lowest edge lies within 3-11 MHz of cutoff, are left to the
+    per-interval tiers.
+    """
+    f1 = [float(lo.min()), float(hi.min())]
+    f2 = [float(lo.max()), float(hi.max())]
+    s2 = 1.0 - (params.cutoff_frequency / min(f1)) ** 2
+    if not (s2 > 0.0 and consts.round_scale * max(f2) * (s2 ** -0.5 + 4.0)
+            <= ENVELOPE_REL_TOL / 4.0):
+        return False
+    lower, upper = _envelope_hull(scenario, params, consts, f1, f2)
+    # upper < lower * max_ratio also needs lower > 0
+    return bool((lower >= consts.min_bound).all()
+                and (upper < lower[::-1] * consts.max_ratio).all())
+
+
 def _edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
-              qos: QosConfig) -> np.ndarray:
+              qos: QosConfig,
+              consts: _EdgeConstants | None = None) -> np.ndarray:
     """One flag per interval of the 1-D edge arrays ``lo``/``hi``: every
     UE's received PSD is positive and meets the access threshold at both
     edges, and its edge-to-edge gap stays below the coherence limit.
 
-    The flags are those of the exact PSDs, but most intervals are decided
-    from the sin-free envelope env <= psd <= rho env alone, with
-    eps = ``ENVELOPE_REL_TOL`` and delta = ``ENVELOPE_DB_TOL`` covering
-    rounding.  An interval is good when every UE has env (1 - eps) >= thr
-    at both edges and |gap_env| + 10 log10 rho + delta < limit; it is bad
-    when some UE has rho env (1 + eps) < thr at an edge or
-    |gap_env| - 10 log10 rho - delta >= limit.  Every other interval is
-    decided by the exact PSDs.  Without attenuation, or when 10 log10 rho
-    reaches the coherence limit, the envelope could decide nothing and
-    every interval takes the exact path.
+    The flags are those of the exact PSDs, decided in three tiers from the
+    sin-free envelope env <= psd <= rho env, with eps = ``ENVELOPE_REL_TOL``
+    and delta = ``ENVELOPE_DB_TOL`` covering rounding:
+
+    1. Hull (blocks of two or more intervals).  Per link, a(f) =
+       (beta - k0 cos theta) L/2 strictly increases with f (da/df is
+       proportional to 1/n - cos theta > 0, n = sqrt(1 - (fc/f)^2)), so
+       each envelope term eta L sinh b / sqrt(a^2 + b^2) is unimodal with
+       its peak at ``antenna.peak_frequency``.  The envelope at the
+       extreme lower and upper edges (4 frequencies) then bounds every
+       UE's PSD as L <= env <= U over all lower edges and over all upper
+       edges (``_envelope_hull``).  The whole block is good when every
+       L (1 - eps) >= thr and 10 log10 of max(U_lo/L_hi, U_hi/L_lo)
+       (1 + eps)/(1 - eps), plus 10 log10 rho + delta, is below the limit.
+    2. Envelope, per interval.  An interval is good when every UE has
+       env (1 - eps) >= thr at both edges and |gap_env| + 10 log10 rho +
+       delta < limit; it is bad when some UE has rho env (1 + eps) < thr
+       at an edge or |gap_env| - 10 log10 rho - delta >= limit.
+    3. Exact.  The exact PSDs decide every other interval.
+
+    Without attenuation, or when 10 log10 rho reaches the coherence limit,
+    the envelope could decide nothing and every interval takes the exact
+    path.  ``consts`` is ``_edge_constants(scenario, params, qos)``, which
+    callers that check many blocks build once; it is built here if None.
     """
-    rho = envelope_ratio(params)
-    slack_db = 10.0 * np.log10(rho) + ENVELOPE_DB_TOL
-    if not slack_db < qos.coherence_gap_db:
+    if consts is None:
+        consts = _edge_constants(scenario, params, qos)
+    if consts is None:
         return _exact_edges_ok(scenario, params, lo, hi, qos)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    if lo.size > 1 and _hull_ok(scenario, params, consts, lo, hi):
+        return np.ones(lo.size, dtype=bool)
+    rho, slack_db = consts.rho, consts.slack_db
     env_lo = received_strength_psd(scenario, params, lo, envelope=True)
     env_hi = received_strength_psd(scenario, params, hi, envelope=True)
     thr = qos.min_rx_psd
@@ -298,11 +409,16 @@ def bandwidth_search(center: float, scenario: Scenario, params: AntennaParams,
     fails.  The access threshold at the center itself is the caller's
     responsibility.
 
-    Edge PSDs are evaluated in vectorised blocks of grid steps, which is
+    Edges are checked in vectorised blocks of 32 grid steps, which is
     equivalent to stepwise growth because the scan still stops at the first
-    violating step.  ``_edges_ok`` decides each step from the sin-free gain
-    envelope when its bracket env <= psd <= rho env settles the checks, and
-    from the exact PSDs otherwise, so the width is that of the exact checks.
+    violating step.  ``_edges_ok`` settles a block in three tiers: the hull
+    tier certifies the whole block good from the gain envelope at its four
+    extreme edge frequencies (each link's envelope is unimodal in
+    frequency, so it is bounded between a block's extreme edges); failing
+    that, each step is decided from the envelope bracket
+    env <= psd <= rho env at its own edges, and a step neither bracket
+    settles from the exact PSDs.  The width is that of the exact checks.
+    The constants of those tiers are built once per call.
     """
     # steps that keep the interval in-band (and strictly above cutoff)
     room = min(center - band[0],
@@ -316,11 +432,12 @@ def bandwidth_search(center: float, scenario: Scenario, params: AntennaParams,
     max_steps = int(np.floor((limit + FREQ_TOL / 2.0) / grid_step))
     best = 0.0
     block = 32
+    consts = _edge_constants(scenario, params, qos)
     for start in range(1, max_steps + 1, block):
         steps = np.arange(start, min(start + block, max_steps + 1))
         widths = steps * grid_step
         ok = _edges_ok(scenario, params, center - widths / 2.0,
-                       center + widths / 2.0, qos)
+                       center + widths / 2.0, qos, consts)
         if np.all(ok):
             best = float(widths[-1])
             continue
@@ -347,6 +464,7 @@ def _shrink_to_valid(scenario: Scenario, params: AntennaParams, lo: float,
     mid = (lo + hi) / 2.0
     max_steps = int(np.ceil(width / grid_step - 1e-9))
     block = 32
+    consts = _edge_constants(scenario, params, qos)
     for start in range(0, max_steps + 1, block):
         steps = np.arange(start, min(start + block, max_steps + 1))
         half = np.maximum(width / 2.0 - steps * (grid_step / 2.0), 0.0)
@@ -358,7 +476,8 @@ def _shrink_to_valid(scenario: Scenario, params: AntennaParams, lo: float,
               & (his <= band[1] + FREQ_TOL))
         idx = np.nonzero(ok)[0]
         if idx.size:
-            edge_ok = _edges_ok(scenario, params, los[idx], his[idx], qos)
+            edge_ok = _edges_ok(scenario, params, los[idx], his[idx], qos,
+                                consts)
             if np.any(edge_ok):
                 j = int(idx[np.argmax(edge_ok)])
                 return float(los[j]), float(his[j])

@@ -6,6 +6,7 @@ import pytest
 from lwcf.antenna import (
     SPEED_OF_LIGHT,
     AntennaParams,
+    envelope_peak,
     envelope_ratio,
     gain,
     peak_frequency,
@@ -231,3 +232,34 @@ def test_gain_envelope_needs_attenuation():
         gain(lossless, 150e9, 0.8, envelope=True)
     with pytest.raises(ValueError, match="positive attenuation"):
         gain(lossless, np.array([120e9, 150e9]), 0.8, envelope=True)
+
+
+def test_gain_envelope_is_unimodal_in_frequency():
+    """a(f) = (beta - k0 cos theta) L/2 increases strictly with f, so each
+    link's envelope rises up to ``peak_frequency`` and falls after it: the
+    property the hull tier of ``cegmm._edges_ok`` rests on.  Checked on a
+    dense grid from just above cutoff to twice the band, to rounding."""
+    rng = np.random.default_rng(11)
+    angles = np.concatenate([rng.uniform(1e-3, np.pi / 2.0, 40),
+                             [1e-3, 0.3, np.pi / 2.0]])
+    freqs = np.linspace(DEFAULT.cutoff_frequency + 20e6, 400e9, 20001)
+    for alpha in (3.0, 130.0, 500.0):
+        p = AntennaParams(0.9, 0.15, alpha, DEFAULT.cutoff_frequency)
+        e = gain(p, freqs[:, None], angles[None, :], envelope=True)
+        peak = peak_frequency(p.cutoff_frequency, angles)[None, :]
+        step = np.diff(e, axis=0)
+        tol = 1e-13 * e[1:]
+        rising = freqs[1:, None] <= peak
+        falling = freqs[:-1, None] >= peak
+        assert rising.any() and falling.any()
+        assert np.all(step[rising] >= -tol[rising])
+        assert np.all(step[falling] <= tol[falling])
+        # the peak value is the maximum over frequency for every angle
+        top = envelope_peak(p)
+        assert np.all(e <= top * (1.0 + 1e-15))
+        inner = angles < np.pi / 2.0
+        at_peak = gain(p, peak_frequency(p.cutoff_frequency, angles[inner]),
+                       angles[inner], envelope=True)
+        assert np.allclose(at_peak, top, rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError, match="positive attenuation"):
+        envelope_peak(AntennaParams(1.0, 0.15, 0.0, 100e9))

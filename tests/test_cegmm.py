@@ -10,6 +10,8 @@ import pytest
 
 from lwcf.antenna import AntennaParams
 from lwcf.cegmm import (
+    ENVELOPE_REL_TOL,
+    FREQ_TOL,
     CeHyperparams,
     Gmm,
     InfeasibleBand,
@@ -26,7 +28,8 @@ from lwcf.cegmm import (
     sample_gmm,
     validate_plan,
 )
-from lwcf.cegmm import _edges_ok, _smooth
+from lwcf.cegmm import (_edge_constants, _edges_ok, _envelope_hull, _hull_ok,
+                        _smooth)
 from lwcf.mimo import SingularChannel, received_strength_psd
 from lwcf.scenario import ScenarioConfig, generate_scenario
 from oracles import edges_ok_exact
@@ -395,6 +398,131 @@ def test_edges_ok_empty_input():
         assert got.shape == (0,) and got.dtype == bool
 
 
+def test_envelope_hull_bounds_the_envelope_psd():
+    """Over a frequency hull [f1, f2] every UE's envelope PSD lies within
+    the hull bounds (L, U) to eps, for random hulls of 1 MHz to 2 GHz from
+    just above cutoff to the band top and for hulls built to straddle a
+    link's peak frequency, where a link's envelope peaks inside the hull.
+    Hulls start 20 MHz above cutoff: nearer, rounding of the computed
+    envelope can exceed eps and ``_hull_ok`` does not use the bounds."""
+    eps = ENVELOPE_REL_TOL
+    low_end = PARAMS.cutoff_frequency + 20e6
+    interior_peaks = 0
+    for seed in range(3):
+        sc = make_scenario(seed=seed)
+        consts = _edge_constants(sc, PARAMS, QOS)
+        rng = np.random.default_rng(40 + seed)
+        width = 10 ** rng.uniform(6.0, np.log10(2e9), 40)
+        f1 = rng.uniform(low_end, BAND[1] - width)
+        f2 = f1 + width
+        peaks = consts.peak_freq[(consts.peak_freq > low_end + 1e9)
+                                 & (consts.peak_freq < BAND[1] - 1e9)]
+        assert peaks.size >= 3
+        peak = rng.choice(peaks, 20)
+        width = 10 ** rng.uniform(6.0, 9.0, 20)
+        below = rng.uniform(0.05, 0.95, 20) * width
+        f1 = np.concatenate([f1, peak - below])
+        f2 = np.concatenate([f2, peak - below + width])
+        lower, upper = _envelope_hull(sc, PARAMS, consts, f1, f2)
+        assert lower.shape == upper.shape == (f1.size, sc.num_ues)
+        for h in range(f1.size):
+            grid = np.linspace(f1[h], f2[h], 257)
+            env = received_strength_psd(sc, PARAMS, grid, envelope=True)
+            assert np.all(env >= lower[h] * (1.0 - eps))
+            assert np.all(env <= upper[h] * (1.0 + eps))
+            interior_peaks += int(np.sum(env.max(axis=0)
+                                         > np.maximum(env[0], env[-1])))
+    # some UE PSDs peak strictly inside their hull, so endpoint values
+    # alone could not have bounded them
+    assert interior_peaks >= 5
+
+
+def stepwise_width(center, sc, qos, step, cap):
+    """One grid step at a time until the exact-PSD oracle rejects a step;
+    also returns the number of steps the band and the cap allow."""
+    room = min(center - BAND[0], BAND[1] - center,
+               center - PARAMS.cutoff_frequency - 2.0 * FREQ_TOL)
+    max_steps = int(np.floor((min(2.0 * room, cap) + FREQ_TOL / 2.0) / step))
+    widths = np.arange(1, max_steps + 1) * step
+    ok = edges_ok_exact(sc, PARAMS, center - widths / 2.0,
+                        center + widths / 2.0, qos)
+    best = 0.0
+    for width, good in zip(widths, ok):
+        if not good:
+            break
+        best = float(width)
+    return best, max_steps
+
+
+def test_bandwidth_search_equals_stepwise_exact_scan():
+    """Widths equal a one-step-at-a-time scan with the exact-PSD oracle
+    when the access threshold ends the searches, when a 0.5 dB coherence
+    gap does, and when neither does and they run to the last step."""
+    step, cap = 10e6, 10e9
+    ends = {"threshold": 0, "gap": 0, "max_steps": 0}
+    for seed in range(3):
+        sc = make_scenario(seed=seed, num_aps=8, num_ues=4)
+        centers = np.random.default_rng(100 + seed).uniform(101e9, 199e9, 12)
+        center_psd = received_strength_psd(sc, PARAMS, centers).min(axis=1)
+        for center, psd in zip(centers, center_psd):
+            settings = {"threshold": QosConfig(psd * 10 ** -0.02, 40.0),
+                        "gap": QosConfig(0.0, 0.5),
+                        "max_steps": QosConfig(0.0, 40.0)}
+            for name, qos in settings.items():
+                got = bandwidth_search(float(center), sc, PARAMS, BAND, qos,
+                                       step, max_bandwidth=cap)
+                want, max_steps = stepwise_width(center, sc, qos, step, cap)
+                assert got == want
+                if name == "max_steps":
+                    assert got == max_steps * step
+                    ends[name] += 1
+                elif got < max_steps * step:
+                    # the next step fails for the reason this setting targets
+                    edges = center + np.array([-1.0, 1.0]) * (got + step) / 2
+                    p = received_strength_psd(sc, PARAMS, edges)
+                    gap = np.abs(np.diff(10.0 * np.log10(p), axis=0))
+                    if name == "threshold":
+                        assert np.any(p < qos.min_rx_psd)
+                    else:
+                        assert np.any(gap >= qos.coherence_gap_db)
+                    ends[name] += 1
+    assert ends["threshold"] >= 5 and ends["gap"] >= 20
+    assert ends["max_steps"] == 36
+
+
+def test_certified_blocks_make_no_per_interval_psd_call(monkeypatch):
+    """A block the hull certifies is settled from four envelope
+    frequencies: no per-interval envelope or exact PSD is computed."""
+    sc = make_scenario(seed=1, num_aps=8, num_ues=4)
+    loose = QosConfig(0.0, 40.0)
+    widths = np.arange(1, 33) * 10e6
+    lo, hi = 150e9 - widths / 2.0, 150e9 + widths / 2.0
+    assert _hull_ok(sc, PARAMS, _edge_constants(sc, PARAMS, loose), lo, hi)
+    calls = spy_edge_psds(monkeypatch)
+    assert np.all(_edges_ok(sc, PARAMS, lo, hi, loose))
+    # 1000 steps: 31 full blocks and one of 8, every one certified
+    got = bandwidth_search(150e9, sc, PARAMS, BAND, loose, 10e6,
+                           max_bandwidth=10e9)
+    assert got == 10e9
+    assert calls == []
+
+
+def test_hull_leaves_blocks_at_the_cutoff_to_the_other_tiers():
+    """Within a few MHz of cutoff the rounding of the computed envelope
+    can exceed eps, so the hull certifies no block reaching down there and
+    the per-interval tiers decide, still as the exact oracle does."""
+    sc = make_scenario(seed=0)
+    loose = QosConfig(0.0, 40.0)
+    consts = _edge_constants(sc, PARAMS, loose)
+    for lowest, certified in ((FREQ_TOL, False), (1e6, False), (50e6, True)):
+        lo = PARAMS.cutoff_frequency + lowest + np.arange(32) * 5e6
+        hi = lo + 2e9
+        assert _hull_ok(sc, PARAMS, consts, lo, hi) == certified
+        want = edges_ok_exact(sc, PARAMS, lo, hi, loose)
+        assert np.all(want)
+        assert np.array_equal(_edges_ok(sc, PARAMS, lo, hi, loose), want)
+
+
 # ---------------------------------------------------------------------------
 # plan validation helpers
 # ---------------------------------------------------------------------------
@@ -435,6 +563,24 @@ def test_evaluate_candidate_filters_and_flags():
     subs, accessible = evaluate_candidate(
         [150e9], sc, PARAMS, BAND, strict, 50e6, 10e9)
     assert subs == [] and not accessible
+
+
+def test_straggler_clipped_onto_the_cutoff_is_skipped():
+    """A mixture with no in-band mass leaves ``sample_gmm`` stragglers
+    clipped onto the band's lower edge, which is the cutoff itself; the
+    candidate skips them without evaluating the gain there, and they do
+    not count as accessible."""
+    assert BAND[0] == PARAMS.cutoff_frequency
+    far_below = Gmm(np.array([1.0]), np.array([10e9]), np.array([1e12]))
+    centers = sample_gmm(far_below, 4, np.random.default_rng(0), band=BAND)
+    assert np.all(centers == PARAMS.cutoff_frequency)
+    sc = make_scenario(seed=1)
+    assert evaluate_candidate(centers, sc, PARAMS, BAND, QOS, 50e6,
+                              10e9) == ([], False)
+    # next to an accessible center the straggler changes nothing
+    mixed = np.append(centers[:1], 150e9)
+    assert (evaluate_candidate(mixed, sc, PARAMS, BAND, QOS, 50e6, 10e9)
+            == evaluate_candidate([150e9], sc, PARAMS, BAND, QOS, 50e6, 10e9))
 
 
 def test_allocate_deterministic_and_valid():
