@@ -116,12 +116,13 @@ def _log_norm_pdf(x: np.ndarray, mean, var) -> np.ndarray:
     return -0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var)
 
 
-def _component_log_density(gmm: Gmm, values: np.ndarray) -> np.ndarray:
+def _component_log_density(weights, means: np.ndarray, variances: np.ndarray,
+                           values: np.ndarray) -> np.ndarray:
     """Log of weight_l * N(x | mean_l, var_l), shape (n, components)."""
     x = np.asarray(values, float)[:, None]
     with np.errstate(divide="ignore"):
-        logw = np.log(np.asarray(gmm.weights, float))[None, :]
-    return logw + _log_norm_pdf(x, gmm.means[None, :], gmm.variances[None, :])
+        logw = np.log(np.asarray(weights, float))[None, :]
+    return logw + _log_norm_pdf(x, means[None, :], variances[None, :])
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -133,7 +134,9 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 def gmm_log_likelihood(gmm: Gmm, values) -> float:
     """Total log likelihood of the values under the mixture."""
-    return float(np.sum(_logsumexp(_component_log_density(gmm, values), axis=1)))
+    log_comp = _component_log_density(gmm.weights, gmm.means, gmm.variances,
+                                      values)
+    return float(np.sum(_logsumexp(log_comp, axis=1)))
 
 
 def sample_gmm(gmm: Gmm, n: int, rng: np.random.Generator,
@@ -184,8 +187,7 @@ def em_fit(values, num_components: int, init: Gmm, var_floor: float = 0.0,
 
     ll_prev = -np.inf
     for _ in range(max_iter):
-        gmm = Gmm(weights, means, variances)
-        log_comp = _component_log_density(gmm, x)
+        log_comp = _component_log_density(weights, means, variances, x)
         log_mix = _logsumexp(log_comp, axis=1)
         ll = float(np.sum(log_mix))
         if history is not None:
@@ -254,7 +256,7 @@ class _EdgeConstants:
     scale: np.ndarray        # (K,) tx_psd (c / 4 pi)^2
     min_bound: float         # a lower PSD bound at or above it clears thr
     max_ratio: float         # an upper/lower ratio below it clears the gap
-    round_scale: float       # pi L u / (c b), u = 2^-53, see _hull_ok
+    round_scale: float       # pi L u / (c b), u = 2^-53, see _EdgeTable
 
 
 def _edge_constants(scenario: Scenario, params: AntennaParams,
@@ -280,57 +282,73 @@ def _edge_constants(scenario: Scenario, params: AntennaParams,
                      / (2.0 * SPEED_OF_LIGHT * b)))
 
 
-def _envelope_hull(scenario: Scenario, params: AntennaParams,
-                   consts: _EdgeConstants, f1, f2):
-    """Per-UE bounds (lower, upper), each of shape (H, K), on the envelope
-    PSD over every frequency hull [f1[h], f2[h]].
+TABLE_CELL = 40e6    # Hz, cell width of ``_EdgeTable``
+TABLE_CHUNK = 32     # cells built at a time, which bounds the temporaries
 
-    Each link's envelope term is unimodal in frequency with its peak at
-    ``consts.peak_freq``, so over a hull it is at least its smaller
-    endpoint value, and at most its larger one, or its peak value when the
-    peak lies inside.  The d^-2 weights are positive and (c / 4 pi f)^2
-    falls with f, which carries the bounds to the PSD.
+
+@dataclass(frozen=True)
+class _EdgeTable:
+    """Envelope PSD bounds per UE on uniform frequency cells from just
+    above cutoff to the band top, for one (scenario, params, qos).
+
+    Each link's envelope term is unimodal in frequency (see ``_edges_ok``),
+    so over a cell it lies between its smaller edge value and its larger
+    one, or its peak value when ``consts.peak_freq`` lies inside; positive
+    d^-2 weights and the falling (c / 4 pi f)^2 carry this to the PSD.  A
+    cell never certifies (upper = inf, lower = 0) when a lower bound misses
+    ``consts.min_bound``, or when the computed envelope in it may be off by
+    more than eps / 4: the rounding of a is relatively at most
+    ~pi L u f (1/s + 4) / (c b), u the unit roundoff, s = sqrt(1 - (fc/f)^2),
+    so it grows without bound at cutoff (3-11 MHz above it at the defaults).
     """
-    f1 = np.asarray(f1, dtype=float)
-    f2 = np.asarray(f2, dtype=float)
-    ends = gain(params, np.concatenate([f1, f2])[:, None, None],
-                scenario.angles, envelope=True)
-    ends *= consts.weights
-    at_f1, at_f2 = ends[:f1.size], ends[f1.size:]
-    terms = np.empty((2,) + at_f1.shape)
-    np.minimum(at_f1, at_f2, out=terms[0])
-    np.maximum(at_f1, at_f2, out=terms[1])
-    inside = ((consts.peak_freq >= f1[:, None, None])
-              & (consts.peak_freq <= f2[:, None, None]))
-    np.copyto(terms[1], consts.peak_terms, where=inside)
-    low, high = terms.sum(axis=3) * consts.scale
-    return low / (f2 * f2)[:, None], high / (f1 * f1)[:, None]
+
+    consts: _EdgeConstants
+    edges: np.ndarray     # (C + 1,) cell edges, Hz
+    upper: np.ndarray     # (K, C + 1) upper bound; cell C is unusable
+    lower_r: np.ndarray   # (K, C + 1) lower bound times consts.max_ratio
+
+    def certified(self, lo, hi) -> np.ndarray:
+        """True for each interval the cells of its two edges certify good.
+        Cell c holds the frequencies in (edges[c], edges[c + 1]]; one
+        outside the table gets cell -1 or C, both the unusable last one."""
+        i = np.searchsorted(self.edges, lo) - 1
+        j = np.searchsorted(self.edges, hi) - 1
+        up, low = self.upper, self.lower_r
+        return ((up.take(i, axis=1) < low.take(j, axis=1)).all(axis=0)
+                & (up.take(j, axis=1) < low.take(i, axis=1)).all(axis=0))
 
 
-def _hull_ok(scenario: Scenario, params: AntennaParams,
-             consts: _EdgeConstants, lo: np.ndarray, hi: np.ndarray) -> bool:
-    """True when the envelope hulls of the lower and the upper edges
-    certify every interval of the block good.
-
-    The bounds hold for the true envelope.  The computed envelope and
-    gain differ from the true ones by the rounding of a, relatively at
-    most ~pi L u f (1/s + 4) / (c b) with u the unit roundoff and
-    s = sqrt(1 - (fc/f)^2): beta = k0 s loses digits as s -> 0, so the
-    error grows without bound at cutoff (~1e-9 at 1e-3 Hz above it at the
-    defaults).  Blocks where it could exceed eps/4, at the defaults those
-    whose lowest edge lies within 3-11 MHz of cutoff, are left to the
-    per-interval tiers.
-    """
-    f1 = [float(lo.min()), float(hi.min())]
-    f2 = [float(lo.max()), float(hi.max())]
-    s2 = 1.0 - (params.cutoff_frequency / min(f1)) ** 2
-    if not (s2 > 0.0 and consts.round_scale * max(f2) * (s2 ** -0.5 + 4.0)
-            <= ENVELOPE_REL_TOL / 4.0):
-        return False
-    lower, upper = _envelope_hull(scenario, params, consts, f1, f2)
-    # upper < lower * max_ratio also needs lower > 0
-    return bool((lower >= consts.min_bound).all()
-                and (upper < lower[::-1] * consts.max_ratio).all())
+def _edge_table(scenario: Scenario, params: AntennaParams,
+                band: tuple[float, float], qos: QosConfig) -> _EdgeTable | None:
+    """The ``_EdgeTable`` up to ``band[1]``; None as ``_edge_constants``."""
+    consts = _edge_constants(scenario, params, qos)
+    if consts is None:
+        return None
+    first = params.cutoff_frequency + TABLE_CELL
+    cells = max(int(np.ceil((band[1] - first) / TABLE_CELL)), 0)
+    edges = np.linspace(first, max(band[1], first), cells + 1)
+    lower, upper = np.empty((2, scenario.num_ues, cells + 1))
+    for c0 in range(0, cells, TABLE_CHUNK):
+        f = edges[c0:c0 + TABLE_CHUNK + 1]
+        ends = gain(params, f[:, None, None], scenario.angles, envelope=True)
+        ends *= consts.weights
+        low = np.minimum(ends[:-1], ends[1:])
+        high = np.maximum(ends[:-1], ends[1:])
+        inside = ((consts.peak_freq >= f[:-1, None, None])
+                  & (consts.peak_freq <= f[1:, None, None]))
+        np.copyto(high, consts.peak_terms, where=inside)
+        lower[:, c0:c0 + f.size - 1] = (low.sum(axis=2) * consts.scale
+                                        / (f[1:] * f[1:])[:, None]).T
+        upper[:, c0:c0 + f.size - 1] = (high.sum(axis=2) * consts.scale
+                                        / (f[:-1] * f[:-1])[:, None]).T
+    s2 = 1.0 - (params.cutoff_frequency / edges[:-1]) ** 2
+    usable = np.append((consts.round_scale * edges[1:] * (s2 ** -0.5 + 4.0)
+                        <= ENVELOPE_REL_TOL / 4.0)
+                       & (lower[:, :-1] >= consts.min_bound).all(axis=0), False)
+    upper[:, ~usable] = np.inf
+    lower *= consts.max_ratio
+    lower[:, ~usable] = 0.0
+    return _EdgeTable(consts, edges, upper, lower)
 
 
 def _edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
@@ -340,30 +358,28 @@ def _edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
     UE's received PSD is positive and meets the access threshold at both
     edges, and its edge-to-edge gap stays below the coherence limit.
 
-    The flags are those of the exact PSDs, decided in three tiers from the
+    The flags are those of the exact PSDs, decided in tiers from the
     sin-free envelope env <= psd <= rho env, with eps = ``ENVELOPE_REL_TOL``
     and delta = ``ENVELOPE_DB_TOL`` covering rounding:
 
-    1. Hull (blocks of two or more intervals).  Per link, a(f) =
-       (beta - k0 cos theta) L/2 strictly increases with f (da/df is
-       proportional to 1/n - cos theta > 0, n = sqrt(1 - (fc/f)^2)), so
-       each envelope term eta L sinh b / sqrt(a^2 + b^2) is unimodal with
-       its peak at ``antenna.peak_frequency``.  The envelope at the
-       extreme lower and upper edges (4 frequencies) then bounds every
-       UE's PSD as L <= env <= U over all lower edges and over all upper
-       edges (``_envelope_hull``).  The whole block is good when every
-       L (1 - eps) >= thr and 10 log10 of max(U_lo/L_hi, U_hi/L_lo)
-       (1 + eps)/(1 - eps), plus 10 log10 rho + delta, is below the limit.
-    2. Envelope, per interval.  An interval is good when every UE has
-       env (1 - eps) >= thr at both edges and |gap_env| + 10 log10 rho +
-       delta < limit; it is bad when some UE has rho env (1 + eps) < thr
-       at an edge or |gap_env| - 10 log10 rho - delta >= limit.
+    1. Table, in the callers that scan many steps, before they call here.
+       Per link, a(f) = (beta - k0 cos theta) L/2 strictly increases with
+       f (da/df is proportional to 1/n - cos theta > 0, n = sqrt(1 -
+       (fc/f)^2)), so each envelope term eta L sinh b / sqrt(a^2 + b^2) is
+       unimodal with its peak at ``antenna.peak_frequency``.  An
+       ``_EdgeTable`` thus bounds every UE's envelope PSD on each frequency
+       cell, and an interval whose edge cells' bounds pass tier 2's good
+       test is good.
+    2. Envelope, per interval.  Good when every UE has env (1 - eps) >= thr
+       at both edges and |gap_env| + 10 log10 rho + delta < limit; bad when
+       some UE has rho env (1 + eps) < thr at an edge or |gap_env| -
+       10 log10 rho - delta >= limit.
     3. Exact.  The exact PSDs decide every other interval.
 
     Without attenuation, or when 10 log10 rho reaches the coherence limit,
     the envelope could decide nothing and every interval takes the exact
     path.  ``consts`` is ``_edge_constants(scenario, params, qos)``, which
-    callers that check many blocks build once; it is built here if None.
+    callers that check many intervals build once; it is built here if None.
     """
     if consts is None:
         consts = _edge_constants(scenario, params, qos)
@@ -371,8 +387,6 @@ def _edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
         return _exact_edges_ok(scenario, params, lo, hi, qos)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if lo.size > 1 and _hull_ok(scenario, params, consts, lo, hi):
-        return np.ones(lo.size, dtype=bool)
     rho, slack_db = consts.rho, consts.slack_db
     env_lo = received_strength_psd(scenario, params, lo, envelope=True)
     env_hi = received_strength_psd(scenario, params, hi, envelope=True)
@@ -399,8 +413,8 @@ def _in_band(lo: float, hi: float, band: tuple[float, float],
 
 def bandwidth_search(center: float, scenario: Scenario, params: AntennaParams,
                      band: tuple[float, float], qos: QosConfig,
-                     grid_step: float,
-                     max_bandwidth: float | None = None) -> float:
+                     grid_step: float, max_bandwidth: float | None = None,
+                     table: _EdgeTable | None = None) -> float:
     """Widest symmetric bandwidth around ``center`` that keeps the edges valid.
 
     Grows in ``grid_step`` increments and stops at the first grid step whose
@@ -409,16 +423,17 @@ def bandwidth_search(center: float, scenario: Scenario, params: AntennaParams,
     fails.  The access threshold at the center itself is the caller's
     responsibility.
 
-    Edges are checked in vectorised blocks of 32 grid steps, which is
-    equivalent to stepwise growth because the scan still stops at the first
-    violating step.  ``_edges_ok`` settles a block in three tiers: the hull
-    tier certifies the whole block good from the gain envelope at its four
-    extreme edge frequencies (each link's envelope is unimodal in
-    frequency, so it is bounded between a block's extreme edges); failing
-    that, each step is decided from the envelope bracket
-    env <= psd <= rho env at its own edges, and a step neither bracket
-    settles from the exact PSDs.  The width is that of the exact checks.
-    The constants of those tiers are built once per call.
+    Steps are decided in vectorised chunks, which is equivalent to stepwise
+    growth because the scan still stops at the first violating step, in
+    three tiers.  (1) Table: ``table.certified`` looks steps up in chunks
+    that double from 64, up to the first step it does not certify; a
+    certified step is good under the exact checks, as the bounds of its
+    edge cells hold for the envelope at every edge in them (``_EdgeTable``)
+    and clear the envelope tier's margins.  From there ``_edges_ok`` takes
+    blocks of 16, then 32 steps: (2) the envelope bracket
+    env <= psd <= rho env decides what it can, and (3) the exact PSDs
+    decide the rest.  The width is that of the exact checks.  ``table`` is
+    ``_edge_table(scenario, params, band, qos)``, built here if None.
     """
     # steps that keep the interval in-band (and strictly above cutoff)
     room = min(center - band[0],
@@ -430,21 +445,29 @@ def bandwidth_search(center: float, scenario: Scenario, params: AntennaParams,
     # absolute fudge well under FREQ_TOL so float noise cannot add a step
     # that would push an edge onto the cutoff itself
     max_steps = int(np.floor((limit + FREQ_TOL / 2.0) / grid_step))
-    best = 0.0
-    block = 32
-    consts = _edge_constants(scenario, params, qos)
-    for start in range(1, max_steps + 1, block):
-        steps = np.arange(start, min(start + block, max_steps + 1))
-        widths = steps * grid_step
+    if table is None:
+        table = _edge_table(scenario, params, band, qos)
+    done, chunk = 0, 64    # leading steps the table certifies
+    while table is not None and done < max_steps:
+        widths = np.arange(done + 1, min(done + chunk, max_steps) + 1) * grid_step
+        good = table.certified(center - widths / 2.0, center + widths / 2.0)
+        if not good.all():
+            done += int(good.argmin())
+            break
+        done += good.size
+        chunk *= 2
+    best = done * grid_step
+    consts = None if table is None else table.consts
+    start, block = done + 1, 16
+    while start <= max_steps:
+        widths = np.arange(start, min(start + block, max_steps + 1)) * grid_step
         ok = _edges_ok(scenario, params, center - widths / 2.0,
                        center + widths / 2.0, qos, consts)
-        if np.all(ok):
-            best = float(widths[-1])
-            continue
-        first_bad = int(np.argmax(~ok))
-        if first_bad > 0:
-            best = float(widths[first_bad - 1])
-        return best
+        if not ok.all():
+            first_bad = int(np.argmax(~ok))
+            return float(widths[first_bad - 1]) if first_bad else best
+        best = float(widths[-1])
+        start, block = start + block, 32
     return best
 
 
@@ -456,15 +479,19 @@ def _center_rss(scenario: Scenario, params: AntennaParams,
 
 def _shrink_to_valid(scenario: Scenario, params: AntennaParams, lo: float,
                      hi: float, band: tuple[float, float], qos: QosConfig,
-                     grid_step: float) -> tuple[float, float] | None:
+                     grid_step: float,
+                     table: _EdgeTable | None = None) -> tuple[float, float] | None:
     """Symmetrically shrink ``[lo, hi]`` until its edges pass the in-band and
     edge-PSD checks; None if it vanishes first.  Scans shrink amounts in
-    vectorised blocks, equivalent to half-grid-step stepwise shrinking."""
+    vectorised blocks, equivalent to half-grid-step stepwise shrinking.
+    With a ``table`` from ``_edge_table``, only the steps before the first
+    one it certifies go to ``_edges_ok``."""
     width = hi - lo
     mid = (lo + hi) / 2.0
     max_steps = int(np.ceil(width / grid_step - 1e-9))
     block = 32
-    consts = _edge_constants(scenario, params, qos)
+    consts = (_edge_constants(scenario, params, qos) if table is None
+              else table.consts)
     for start in range(0, max_steps + 1, block):
         steps = np.arange(start, min(start + block, max_steps + 1))
         half = np.maximum(width / 2.0 - steps * (grid_step / 2.0), 0.0)
@@ -475,19 +502,22 @@ def _shrink_to_valid(scenario: Scenario, params: AntennaParams, lo: float,
               & (los > params.cutoff_frequency + FREQ_TOL)
               & (his <= band[1] + FREQ_TOL))
         idx = np.nonzero(ok)[0]
-        if idx.size:
-            edge_ok = _edges_ok(scenario, params, los[idx], his[idx], qos,
-                                consts)
-            if np.any(edge_ok):
-                j = int(idx[np.argmax(edge_ok)])
-                return float(los[j]), float(his[j])
+        edge_ok = (np.zeros(idx.size, dtype=bool) if table is None
+                   else table.certified(los[idx], his[idx]))
+        n = int(edge_ok.argmax()) if edge_ok.any() else idx.size
+        if n:
+            edge_ok[:n] = _edges_ok(scenario, params, los[idx[:n]],
+                                    his[idx[:n]], qos, consts)
+        if np.any(edge_ok):
+            j = int(idx[np.argmax(edge_ok)])
+            return float(los[j]), float(his[j])
     return None
 
 
 def resolve_overlaps(candidates, scenario: Scenario, params: AntennaParams,
                      band: tuple[float, float], qos: QosConfig,
-                     grid_step: float,
-                     total_bandwidth: float) -> list[tuple[float, float]]:
+                     grid_step: float, total_bandwidth: float,
+                     table: _EdgeTable | None = None) -> list[tuple[float, float]]:
     """Make the candidate subchannels disjoint and fit the spectrum budget.
 
     Contested spectrum goes to the interval with the larger total received
@@ -497,6 +527,7 @@ def resolve_overlaps(candidates, scenario: Scenario, params: AntennaParams,
     until it fits.  Any interval whose edges moved is re-validated against
     the edge constraints and shrunk further if needed, so the output plan
     satisfies the same edge checks as freshly searched bandwidths.
+    ``table`` is passed on to ``_shrink_to_valid``.
     """
     items = [[c - w / 2.0, c + w / 2.0] for c, w in candidates if w > 0.0]
     items.sort(key=lambda iv: iv[0])
@@ -566,7 +597,7 @@ def resolve_overlaps(candidates, scenario: Scenario, params: AntennaParams,
         lo, hi = iv
         if moved:
             fixed = _shrink_to_valid(scenario, params, lo, hi, band, qos,
-                                     grid_step)
+                                     grid_step, table)
             if fixed is None:
                 continue
             lo, hi = fixed
@@ -680,12 +711,16 @@ def refit_proposal(previous: Gmm, elite_values: np.ndarray,
 def evaluate_candidate(centers, scenario: Scenario, params: AntennaParams,
                        band: tuple[float, float], qos: QosConfig,
                        grid_step: float, total_bandwidth: float,
+                       table: _EdgeTable | None = None,
                        ) -> tuple[list[tuple[float, float]], bool]:
     """Complete sampled centers into a disjoint feasible subchannel list.
 
     Returns the list and a flag telling whether at least one center met the
-    access threshold (used for band feasibility accounting).
+    access threshold (used for band feasibility accounting).  ``table`` is
+    ``_edge_table(scenario, params, band, qos)``, built here if None.
     """
+    if table is None:
+        table = _edge_table(scenario, params, band, qos)
     provisional = []
     any_accessible = False
     for center in sorted(float(c) for c in centers):
@@ -697,11 +732,12 @@ def evaluate_candidate(centers, scenario: Scenario, params: AntennaParams,
             continue
         any_accessible = True
         width = bandwidth_search(center, scenario, params, band, qos,
-                                 grid_step, max_bandwidth=total_bandwidth)
+                                 grid_step, max_bandwidth=total_bandwidth,
+                                 table=table)
         if width > 0.0:
             provisional.append((center, width))
     resolved = resolve_overlaps(provisional, scenario, params, band,
-                                qos, grid_step, total_bandwidth)
+                                qos, grid_step, total_bandwidth, table)
     return resolved, any_accessible
 
 
@@ -732,6 +768,7 @@ def ce_search(score, scenario: Scenario, params: AntennaParams,
         total_bandwidth = band[1] - band[0]
     var_floor = 1e-6 * (band[1] - band[0]) ** 2
     proposal = initial_proposal(band, hyper.num_samples, hyper.max_components)
+    table = _edge_table(scenario, params, band, qos)
 
     best_key: tuple[bool, float] = (False, -np.inf)
     best_plan = None
@@ -745,7 +782,7 @@ def ce_search(score, scenario: Scenario, params: AntennaParams,
                                          band=band))
             subchannels, accessible = evaluate_candidate(
                 centers, scenario, params, band, qos,
-                hyper.grid_step, total_bandwidth)
+                hyper.grid_step, total_bandwidth, table)
             num_accessible += accessible
             try:
                 feasible, reward, plan = score(subchannels)

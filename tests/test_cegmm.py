@@ -28,7 +28,7 @@ from lwcf.cegmm import (
     sample_gmm,
     validate_plan,
 )
-from lwcf.cegmm import (_edge_constants, _edges_ok, _envelope_hull, _hull_ok,
+from lwcf.cegmm import (TABLE_CELL, _edge_constants, _edge_table, _edges_ok,
                         _smooth)
 from lwcf.mimo import SingularChannel, received_strength_psd
 from lwcf.scenario import ScenarioConfig, generate_scenario
@@ -305,6 +305,41 @@ def test_resolved_plans_pass_the_same_checks_as_fresh_ones():
         assert check_coherence(out, sc, PARAMS, QOS)
 
 
+def test_resolve_overlaps_with_a_table_equals_without(monkeypatch):
+    """The table only skips edge checks: colliding candidates under a tight
+    budget resolve to the same plan with it and without it, and with it
+    most re-validated intervals need no received-PSD call."""
+    import lwcf.cegmm
+    sc = make_scenario(seed=2)
+    table = _edge_table(sc, PARAMS, BAND, QOS)
+    rng = np.random.default_rng(9)
+    shrinks = []
+    real = lwcf.cegmm._shrink_to_valid
+
+    def spy(*args):
+        calls.clear()
+        out = real(*args)
+        shrinks.append((args[7] is not None, len(calls)))
+        return out
+
+    monkeypatch.setattr(lwcf.cegmm, "_shrink_to_valid", spy)
+    calls = spy_edge_psds(monkeypatch)
+    for _ in range(10):
+        base = float(rng.uniform(110e9, 180e9))
+        cands = []
+        for c in (base, base + 0.2e9, base + 0.5e9, base + 9e9):
+            w = bandwidth_search(float(c), sc, PARAMS, BAND, QOS, 50e6)
+            if w > 0.0:
+                cands.append((float(c), w))
+        want = resolve_overlaps(cands, sc, PARAMS, BAND, QOS, 50e6, 1e9)
+        assert resolve_overlaps(cands, sc, PARAMS, BAND, QOS, 50e6, 1e9,
+                                table) == want
+    with_table = [n for given, n in shrinks if given]
+    assert len(with_table) * 2 == len(shrinks) >= 20
+    assert all(n for given, n in shrinks if not given)
+    assert with_table.count(0) > len(with_table) / 2
+
+
 def spy_edge_psds(monkeypatch):
     """Record (envelope, number of frequencies) of every received-PSD call
     the allocator module makes."""
@@ -398,43 +433,45 @@ def test_edges_ok_empty_input():
         assert got.shape == (0,) and got.dtype == bool
 
 
-def test_envelope_hull_bounds_the_envelope_psd():
-    """Over a frequency hull [f1, f2] every UE's envelope PSD lies within
-    the hull bounds (L, U) to eps, for random hulls of 1 MHz to 2 GHz from
-    just above cutoff to the band top and for hulls built to straddle a
-    link's peak frequency, where a link's envelope peaks inside the hull.
-    Hulls start 20 MHz above cutoff: nearer, rounding of the computed
-    envelope can exceed eps and ``_hull_ok`` does not use the bounds."""
+def table_bounds(table):
+    """Per-cell (lower, upper) envelope PSD bounds, shapes (K, C), and
+    which cells are usable."""
+    usable = np.isfinite(table.upper[:, :-1]).all(axis=0)
+    return (table.lower_r[:, :-1] / table.consts.max_ratio,
+            table.upper[:, :-1], usable)
+
+
+def test_edge_table_bounds_the_envelope_psd():
+    """On a 33-point grid inside every usable cell, from just above cutoff
+    to the band top, every UE's envelope PSD lies within that cell's
+    bounds to eps, at 130 rad/m and at 13 rad/m, where a link's envelope
+    is ten times narrower.  The cells include those that hold a link's
+    peak frequency, and cells where a UE's PSD peaks strictly inside."""
     eps = ENVELOPE_REL_TOL
-    low_end = PARAMS.cutoff_frequency + 20e6
+    loose = QosConfig(0.0, 40.0)
+    weak = AntennaParams(1.0, 0.15, 13.0, 100e9)
     interior_peaks = 0
-    for seed in range(3):
+    for params, seed in [(p, seed) for p in (PARAMS, weak) for seed in range(3)]:
         sc = make_scenario(seed=seed)
-        consts = _edge_constants(sc, PARAMS, QOS)
-        rng = np.random.default_rng(40 + seed)
-        width = 10 ** rng.uniform(6.0, np.log10(2e9), 40)
-        f1 = rng.uniform(low_end, BAND[1] - width)
-        f2 = f1 + width
-        peaks = consts.peak_freq[(consts.peak_freq > low_end + 1e9)
-                                 & (consts.peak_freq < BAND[1] - 1e9)]
-        assert peaks.size >= 3
-        peak = rng.choice(peaks, 20)
-        width = 10 ** rng.uniform(6.0, 9.0, 20)
-        below = rng.uniform(0.05, 0.95, 20) * width
-        f1 = np.concatenate([f1, peak - below])
-        f2 = np.concatenate([f2, peak - below + width])
-        lower, upper = _envelope_hull(sc, PARAMS, consts, f1, f2)
-        assert lower.shape == upper.shape == (f1.size, sc.num_ues)
-        for h in range(f1.size):
-            grid = np.linspace(f1[h], f2[h], 257)
-            env = received_strength_psd(sc, PARAMS, grid, envelope=True)
-            assert np.all(env >= lower[h] * (1.0 - eps))
-            assert np.all(env <= upper[h] * (1.0 + eps))
-            interior_peaks += int(np.sum(env.max(axis=0)
-                                         > np.maximum(env[0], env[-1])))
-    # some UE PSDs peak strictly inside their hull, so endpoint values
-    # alone could not have bounded them
-    assert interior_peaks >= 5
+        table = _edge_table(sc, params, BAND, loose)
+        lower, upper, usable = table_bounds(table)
+        edges = table.edges
+        assert edges[0] == params.cutoff_frequency + TABLE_CELL
+        assert edges[-1] == BAND[1] and usable.mean() > 0.99
+        assert np.allclose(np.diff(edges), TABLE_CELL, rtol=1e-6, atol=0)
+        grid = edges[:-1, None] + np.outer(np.diff(edges),
+                                           np.linspace(0.0, 1.0, 33))
+        env = received_strength_psd(sc, params, grid.ravel(), envelope=True)
+        env = env.reshape(grid.shape + (sc.num_ues,))[usable]  # (C, 33, K)
+        assert np.all(env >= lower.T[usable][:, None, :] * (1.0 - eps))
+        assert np.all(env <= upper.T[usable][:, None, :] * (1.0 + eps))
+        peak_cells = np.searchsorted(edges, table.consts.peak_freq) - 1
+        peak_cells = peak_cells[(peak_cells >= 0) & (peak_cells < usable.size)]
+        assert np.unique(peak_cells[usable[peak_cells]]).size >= 5
+        interior_peaks += int(np.sum(env.max(axis=1)
+                                     > np.maximum(env[:, 0], env[:, -1])))
+    # PSD values at a cell's edges alone could not have bounded these
+    assert interior_peaks >= 20
 
 
 def stepwise_width(center, sc, qos, step, cap):
@@ -491,36 +528,109 @@ def test_bandwidth_search_equals_stepwise_exact_scan():
 
 
 def test_certified_blocks_make_no_per_interval_psd_call(monkeypatch):
-    """A block the hull certifies is settled from four envelope
-    frequencies: no per-interval envelope or exact PSD is computed."""
+    """A 1000-step search that the table certifies throughout computes no
+    per-interval envelope or exact PSD."""
     sc = make_scenario(seed=1, num_aps=8, num_ues=4)
     loose = QosConfig(0.0, 40.0)
-    widths = np.arange(1, 33) * 10e6
-    lo, hi = 150e9 - widths / 2.0, 150e9 + widths / 2.0
-    assert _hull_ok(sc, PARAMS, _edge_constants(sc, PARAMS, loose), lo, hi)
+    table = _edge_table(sc, PARAMS, BAND, loose)
+    widths = np.arange(1, 1001) * 10e6
+    assert np.all(table.certified(150e9 - widths / 2.0, 150e9 + widths / 2.0))
     calls = spy_edge_psds(monkeypatch)
-    assert np.all(_edges_ok(sc, PARAMS, lo, hi, loose))
-    # 1000 steps: 31 full blocks and one of 8, every one certified
-    got = bandwidth_search(150e9, sc, PARAMS, BAND, loose, 10e6,
-                           max_bandwidth=10e9)
-    assert got == 10e9
+    for given in (None, table):
+        got = bandwidth_search(150e9, sc, PARAMS, BAND, loose, 10e6,
+                               max_bandwidth=10e9, table=given)
+        assert got == 10e9
     assert calls == []
 
 
-def test_hull_leaves_blocks_at_the_cutoff_to_the_other_tiers():
-    """Within a few MHz of cutoff the rounding of the computed envelope
-    can exceed eps, so the hull certifies no block reaching down there and
-    the per-interval tiers decide, still as the exact oracle does."""
+def test_table_leaves_steps_at_the_cutoff_to_the_other_tiers():
+    """The rounding of the computed envelope can exceed eps near cutoff:
+    cells inside that guard never certify, and frequencies below the first
+    cell fall in the unusable one.  Searches centred within 50 MHz of
+    cutoff still give the widths of the exact scan."""
     sc = make_scenario(seed=0)
     loose = QosConfig(0.0, 40.0)
-    consts = _edge_constants(sc, PARAMS, loose)
-    for lowest, certified in ((FREQ_TOL, False), (1e6, False), (50e6, True)):
+    table = _edge_table(sc, PARAMS, BAND, loose)
+    for lowest in (FREQ_TOL, 1e6, 50e6):
         lo = PARAMS.cutoff_frequency + lowest + np.arange(32) * 5e6
         hi = lo + 2e9
-        assert _hull_ok(sc, PARAMS, consts, lo, hi) == certified
+        assert np.array_equal(table.certified(lo, hi), lo > table.edges[0])
         want = edges_ok_exact(sc, PARAMS, lo, hi, loose)
         assert np.all(want)
         assert np.array_equal(_edges_ok(sc, PARAMS, lo, hi, loose), want)
+    # at 13 rad/m the guard reaches ~0.5 GHz above cutoff
+    weak = AntennaParams(1.0, 0.15, 13.0, 100e9)
+    weak_table = _edge_table(sc, weak, BAND, loose)
+    _, _, usable = table_bounds(weak_table)
+    cell_lo = weak_table.edges[:-1]
+    near = cell_lo < weak.cutoff_frequency + 0.3e9
+    far = cell_lo > weak.cutoff_frequency + 1e9
+    assert near.sum() >= 5 and not usable[near].any() and usable[far].all()
+    for offset in (2e6, 5e6, 20e6, 50e6):
+        center = PARAMS.cutoff_frequency + offset
+        for qos in (loose, QosConfig(0.0, 0.5)):
+            got = bandwidth_search(center, sc, PARAMS, BAND, qos, 1e6,
+                                   max_bandwidth=10e9)
+            want, max_steps = stepwise_width(center, sc, qos, 1e6, 10e9)
+            assert got == want and max_steps >= 1
+
+
+def test_steps_on_cell_edges_and_at_the_band_top_equal_the_exact_scan():
+    """An edge on a stored cell edge belongs to the cell below it, whose
+    bounds hold there; a search that runs to the band top looks its last
+    step up in the last cell.  Both give the widths of the exact scan."""
+    step = 10e6
+    sc = make_scenario(seed=2, num_aps=8, num_ues=4)
+    loose, gap = QosConfig(0.0, 40.0), QosConfig(0.0, 0.5)
+    table = _edge_table(sc, PARAMS, BAND, loose)
+    lower, upper, _ = table_bounds(table)
+    # in [2^37, 2^38) Hz multiples of 5 MHz add and subtract exactly
+    for k in (1000, 1500, 2200):
+        edge = table.edges[k]
+        psd = received_strength_psd(sc, PARAMS, edge, envelope=True)
+        assert np.all(lower[:, k - 1] <= psd) and np.all(psd <= upper[:, k - 1])
+        for s in (1, 7, 40):
+            center = edge + s * step / 2.0
+            assert center - s * step / 2.0 == edge
+            assert table.certified([edge], [center + s * step / 2.0])[0]
+            for qos in (loose, gap):
+                got = bandwidth_search(center, sc, PARAMS, BAND, qos, step,
+                                       max_bandwidth=10e9)
+                assert got == stepwise_width(center, sc, qos, step, 10e9)[0]
+    center = BAND[1] - 50 * step
+    assert table.certified([center - 50 * step], [BAND[1]])[0]
+    assert np.searchsorted(table.edges, BAND[1]) - 1 == table.edges.size - 2
+    for qos in (loose, gap):
+        want, max_steps = stepwise_width(center, sc, qos, step, 10e9)
+        assert bandwidth_search(center, sc, PARAMS, BAND, qos, step,
+                                max_bandwidth=10e9) == want
+    assert want == max_steps * step == 100 * step
+
+
+def test_edge_table_build_is_chunked(monkeypatch):
+    """Building the table for the default drop (32 APs, 10 UEs) keeps its
+    temporaries to a few cells at a time; in one piece they take ~25 MB."""
+    import tracemalloc
+
+    import lwcf.cegmm
+    from lwcf.config import load_config
+    from lwcf.scenario import generate_scenario as generate
+
+    app = load_config()
+    sc = generate(app.scenario)
+    assert (sc.num_aps, sc.num_ues) == (32, 10)
+
+    def peak_mb():
+        tracemalloc.start()
+        try:
+            _edge_table(sc, app.params, app.band, app.qos)
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    assert peak_mb() < 4.0
+    monkeypatch.setattr(lwcf.cegmm, "TABLE_CHUNK", 10 ** 6)
+    assert peak_mb() > 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +710,30 @@ def test_allocate_deterministic_and_valid():
     assert check_coherence(plan.subchannels, sc, PARAMS, QOS)
     assert plan.achieved_rate == pytest.approx(sum(plan.subchannel_rates),
                                                rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_allocate_equals_the_exact_path(monkeypatch, seed):
+    """With no envelope constants every edge decision takes the exact
+    path, and the plan is the same, field for field, as with the table."""
+    import lwcf.cegmm
+
+    sc = make_scenario(num_aps=8, num_ues=4, seed=seed)
+    hyper = CeHyperparams(num_samples=10, num_elites=3, max_iterations=2,
+                          grid_step=10e6, num_subchannels=3)
+
+    def plan():
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+        return allocate(sc, PARAMS, BAND, "zf", hyper, QOS, rng,
+                        total_bandwidth=10e9)
+
+    with_table = plan()
+    assert with_table.subchannels
+    monkeypatch.setattr(lwcf.cegmm, "_edge_constants", lambda *args: None)
+    calls = spy_edge_psds(monkeypatch)
+    exact = plan()
+    assert calls and not any(envelope for envelope, _ in calls)
+    assert exact == with_table
 
 
 def test_allocate_respects_budget():

@@ -211,6 +211,31 @@ def test_allocate_clustered_plans_are_valid():
             assert plan2.avg_rates[z] >= 1.0
 
 
+@pytest.mark.parametrize("seed", [21, 22])
+def test_allocate_clustered_equals_the_exact_path(monkeypatch, seed):
+    """With no envelope constants every edge decision takes the exact
+    path, and the cluster plan is the same, field for field, as with the
+    table."""
+    import lwcf.cegmm
+
+    sc = make_scenario(num_aps=8, num_ues=4, seed=seed)
+    hyper = CeHyperparams(num_samples=10, num_elites=3, max_iterations=2,
+                          grid_step=10e6, num_subchannels=3)
+    clustering = kmeans_clustering(sc, PARAMS, BAND[1], 2,
+                                   np.random.default_rng(seed))
+
+    def plan():
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+        return allocate_clustered(sc, PARAMS, BAND, "zf", hyper, QOS,
+                                  clustering, rng, total_bandwidth=10e9)
+
+    with_table = plan()
+    assert with_table.total_rate > 0.0
+    monkeypatch.setattr(lwcf.cegmm, "_edge_constants", lambda *args: None)
+    exact = plan()
+    assert exact == with_table
+
+
 def test_allocate_clustered_deterministic():
     sc = make_scenario(seed=7)
     hyper = CeHyperparams(num_samples=10, num_elites=4, max_iterations=2,
