@@ -485,15 +485,18 @@ def _shrink_to_valid(scenario: Scenario, params: AntennaParams, lo: float,
     edge-PSD checks; None if it vanishes first.  Scans shrink amounts in
     vectorised blocks, equivalent to half-grid-step stepwise shrinking.
     With a ``table`` from ``_edge_table``, only the steps before the first
-    one it certifies go to ``_edges_ok``."""
+    one it certifies go to ``_edges_ok``; without one, step 0 is checked on
+    its own before the blocks, since it nearly always passes."""
     width = hi - lo
     mid = (lo + hi) / 2.0
     max_steps = int(np.ceil(width / grid_step - 1e-9))
     block = 32
     consts = (_edge_constants(scenario, params, qos) if table is None
               else table.consts)
-    for start in range(0, max_steps + 1, block):
-        steps = np.arange(start, min(start + block, max_steps + 1))
+    first = block if table is not None else 1
+    starts = [0, *range(first, max_steps + 1, block)]
+    for start, stop in zip(starts, starts[1:] + [max_steps + 1]):
+        steps = np.arange(start, stop)
         half = np.maximum(width / 2.0 - steps * (grid_step / 2.0), 0.0)
         los = mid - half
         his = mid + half

@@ -15,14 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antenna import AntennaParams, gain, peak_frequency
-from .mimo import SingularChannel, build_channel, freespace_amplitude, precode, sinr
-from .scenario import Scenario, subscenario
+from .mimo import (SingularChannel, build_channel, freespace_amplitude,
+                   precoder_rows, sinr_rows)
+from .scenario import Scenario
 
 KMEANS_TOL = 1e-6          # m, centroid movement threshold
 KMEANS_MAX_ITER = 100
 AFFINITY_DAMPING = 0.5
 AFFINITY_MAX_ITER = 200
 AFFINITY_STABLE_ITERS = 20
+SCORE_CHUNK = 4            # UEs precoded at a time: bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -184,17 +186,24 @@ def rss_matrix(scenario: Scenario, params: AntennaParams,
             * gain(params, f_eval, scenario.angles) * amp * amp)
 
 
+def strongest_aps(scenario: Scenario, params: AntennaParams,
+                  band_upper: float) -> np.ndarray:
+    """Each UE's strongest AP by ``rss_matrix``, ties to the lowest index."""
+    return np.argmax(rss_matrix(scenario, params, band_upper),
+                     axis=1).astype(np.intp)
+
+
 def associate_ues(scenario: Scenario, params: AntennaParams, clusters,
-                  band_upper: float) -> tuple[np.ndarray, np.ndarray]:
+                  band_upper: float, ue_to_ap: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Attach every UE to its strongest AP and to that AP's cluster.
 
     Ties go to the lowest AP index; the association itself never depends on
-    the cluster labels.
+    the cluster labels.  ``ue_to_ap`` (``strongest_aps``) is computed here
+    when None.
     """
-    if scenario.num_ues == 0:
-        return (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
-    rss = rss_matrix(scenario, params, band_upper)
-    ue_to_ap = np.argmax(rss, axis=1).astype(np.intp)
+    if ue_to_ap is None:
+        ue_to_ap = strongest_aps(scenario, params, band_upper)
     ap_to_cluster = np.empty(scenario.num_aps, dtype=np.intp)
     for z, members in enumerate(clusters):
         for ap in members:
@@ -202,59 +211,100 @@ def associate_ues(scenario: Scenario, params: AntennaParams, clusters,
     return ue_to_ap, ap_to_cluster[ue_to_ap]
 
 
+def channel_stack(scenario: Scenario, params: AntennaParams,
+                  band_upper: float, ue_to_ap: np.ndarray) -> np.ndarray:
+    """The drop's channels (K, K, M) at every UE's scoring frequency.
+
+    ``stack[k]`` is the full channel at the clamped peak frequency of UE k's
+    link to its serving AP ``ue_to_ap[k]``; a cluster's channels are the
+    slice ``stack[np.ix_(served, served, members)]``.
+    """
+    k_ues, m_aps = scenario.distances.shape
+    stack = np.empty((k_ues, k_ues, m_aps), dtype=complex)
+    for k in range(k_ues):
+        f_eval = _eval_frequency(params, scenario.angles[k, ue_to_ap[k]],
+                                 band_upper)
+        stack[k] = build_channel(scenario, params, f_eval).entries
+    return stack
+
+
+def _own_sinrs(h: np.ndarray, method: str, tx_psd: np.ndarray,
+               noise_psd: float, first: int) -> np.ndarray:
+    """SINR of UE ``first + n`` under channel slice ``h[n]`` (n, S, Mc),
+    each slice precoded on its own: a slice that cannot zero-force (too few
+    APs, ill conditioned, collapsed column) falls back to maximum ratio."""
+    try:
+        rows, failed = precoder_rows(h, method)
+    except SingularChannel:
+        rows, failed = precoder_rows(h, "mrt")
+    if failed.any():
+        rows[failed] = precoder_rows(h[failed], "mrt")[0]
+    gammas = sinr_rows(h, rows, tx_psd, noise_psd)
+    n = np.arange(h.shape[0])
+    return gammas[n, first + n]
+
+
 def per_ap_spectral_efficiency(cluster, scenario: Scenario,
                                params: AntennaParams, method: str,
                                band_upper: float,
-                               ue_to_ap: np.ndarray | None = None) -> float:
+                               ue_to_ap: np.ndarray | None = None,
+                               stack: np.ndarray | None = None) -> float:
     """Sum spectral efficiency of the cluster's UEs divided by its AP count.
 
     Each UE's SINR is taken from the intra-cluster channel alone at the
-    clamped peak frequency of its serving AP.  A singular zero-forcing
-    channel falls back to maximum-ratio scoring rather than failing, since
-    this quantity only ranks candidate clusters.
+    clamped peak frequency of its serving AP.  A UE whose zero-forcing
+    channel is singular falls back to maximum-ratio scoring, that UE alone,
+    rather than failing, since this quantity only ranks candidate clusters;
+    a collapsed maximum-ratio column still raises SingularChannel.
+
+    The channels are sliced out of ``stack`` (``channel_stack`` of the same
+    ``ue_to_ap``; both are built here when None) and precoded
+    ``SCORE_CHUNK`` UEs at a time as (chunk, S, Mc) stacks; the scores
+    equal, bit for bit, a per-UE build, precode and SINR.
     """
     members = sorted(int(a) for a in cluster)
     if not members:
         raise ValueError("empty cluster")
     if ue_to_ap is None:
-        rss = rss_matrix(scenario, params, band_upper)
-        ue_to_ap = np.argmax(rss, axis=1).astype(np.intp)
+        ue_to_ap = strongest_aps(scenario, params, band_upper)
     member_set = set(members)
     served = [k for k in range(scenario.num_ues) if int(ue_to_ap[k]) in member_set]
     if not served:
         return 0.0
-    sub = subscenario(scenario, members, served)
+    if stack is None:
+        stack = channel_stack(scenario, params, band_upper, ue_to_ap)
+    tx_psd = scenario.tx_psd[served]
     total = 0.0
-    for local_k, global_k in enumerate(served):
-        angle = scenario.angles[global_k, ue_to_ap[global_k]]
-        f_eval = _eval_frequency(params, angle, band_upper)
-        channel = build_channel(sub, params, f_eval)
-        try:
-            prec = precode(channel, method)
-        except SingularChannel:
-            prec = precode(channel, "mrt")
-        gamma = sinr(channel, prec, sub.tx_psd, sub.noise_psd)[local_k]
-        total += np.log2(1.0 + gamma)
+    for first in range(0, len(served), SCORE_CHUNK):
+        chunk = served[first:first + SCORE_CHUNK]
+        h = stack[np.ix_(chunk, served, members)]
+        for gamma in _own_sinrs(h, method, tx_psd, scenario.noise_psd, first):
+            total += np.log2(1.0 + gamma)
     return float(total / len(members))
 
 
 def merge_void_clusters(clusters, scenario: Scenario, params: AntennaParams,
-                        band_upper: float, method: str = "zf"):
+                        band_upper: float, method: str = "zf",
+                        ue_to_ap: np.ndarray | None = None,
+                        stack: np.ndarray | None = None):
     """Fold every cluster that serves no UE into a serving cluster.
 
     Void clusters are handled in ascending index order; each joins the
     serving cluster whose merged per-AP spectral efficiency is largest.
     When no cluster serves anyone there is nothing to merge into and the
-    input is returned unchanged.
+    input is returned unchanged.  ``ue_to_ap`` and ``stack`` are as in
+    ``per_ap_spectral_efficiency`` (built here when None).
     """
     if scenario.num_ues == 0:
         return [tuple(sorted(int(a) for a in c)) for c in clusters]
-    rss = rss_matrix(scenario, params, band_upper)
-    ue_to_ap = np.argmax(rss, axis=1).astype(np.intp)
+    if ue_to_ap is None:
+        ue_to_ap = strongest_aps(scenario, params, band_upper)
     served_aps = set(int(a) for a in ue_to_ap)
     items = [tuple(sorted(int(a) for a in c)) for c in clusters]
     if not any(set(c) & served_aps for c in items):
         return list(items)
+    if stack is None:
+        stack = channel_stack(scenario, params, band_upper, ue_to_ap)
     while True:
         void_idx = next((i for i, c in enumerate(items)
                          if not set(c) & served_aps), None)
@@ -263,7 +313,7 @@ def merge_void_clusters(clusters, scenario: Scenario, params: AntennaParams,
         void = items.pop(void_idx)
         scores = [per_ap_spectral_efficiency(tuple(sorted(c + void)), scenario,
                                              params, method, band_upper,
-                                             ue_to_ap)
+                                             ue_to_ap, stack)
                   for c in items]
         best = int(np.argmax(scores))
         items[best] = tuple(sorted(items[best] + void))
@@ -271,7 +321,9 @@ def merge_void_clusters(clusters, scenario: Scenario, params: AntennaParams,
 
 
 def hierarchical_merge(clusters, scenario: Scenario, params: AntennaParams,
-                       band_upper: float, method: str = "zf"):
+                       band_upper: float, method: str = "zf",
+                       ue_to_ap: np.ndarray | None = None,
+                       stack: np.ndarray | None = None):
     """Greedily merge cluster pairs while per-AP spectral efficiency grows.
 
     A pair qualifies when the merged score strictly exceeds the per-AP
@@ -281,15 +333,29 @@ def hierarchical_merge(clusters, scenario: Scenario, params: AntennaParams,
     Joint precoding never hurts the pooled users, so at ordinary distances
     this folds the partition down aggressively; only clusters whose mutual
     links are negligible stay apart.
+
+    Scores are memoised by the sorted AP tuple, so each cluster is scored
+    once: after a merge only the pairs with the new cluster cost a score.
+    ``ue_to_ap`` and ``stack`` are as in ``per_ap_spectral_efficiency``
+    (built here when None).
     """
     items = [tuple(sorted(int(a) for a in c)) for c in clusters]
     if scenario.num_ues == 0:
         items.sort(key=lambda c: c[0])
         return items
-    rss = rss_matrix(scenario, params, band_upper)
-    ue_to_ap = np.argmax(rss, axis=1).astype(np.intp)
-    scores = [per_ap_spectral_efficiency(c, scenario, params, method,
-                                         band_upper, ue_to_ap) for c in items]
+    if ue_to_ap is None:
+        ue_to_ap = strongest_aps(scenario, params, band_upper)
+    if stack is None:
+        stack = channel_stack(scenario, params, band_upper, ue_to_ap)
+    memo: dict[tuple[int, ...], float] = {}
+
+    def score_of(members: tuple[int, ...]) -> float:
+        if members not in memo:
+            memo[members] = per_ap_spectral_efficiency(
+                members, scenario, params, method, band_upper, ue_to_ap, stack)
+        return memo[members]
+
+    scores = [score_of(c) for c in items]
     while len(items) > 1:
         best_gain = 0.0
         best_pair = None
@@ -298,8 +364,7 @@ def hierarchical_merge(clusters, scenario: Scenario, params: AntennaParams,
         for i in range(len(items)):
             for j in range(i + 1, len(items)):
                 merged = tuple(sorted(items[i] + items[j]))
-                score = per_ap_spectral_efficiency(merged, scenario, params,
-                                                   method, band_upper, ue_to_ap)
+                score = score_of(merged)
                 size_i, size_j = len(items[i]), len(items[j])
                 joint = ((scores[i] * size_i + scores[j] * size_j)
                          / (size_i + size_j))
@@ -321,9 +386,10 @@ def hierarchical_merge(clusters, scenario: Scenario, params: AntennaParams,
 
 
 def _build(scenario: Scenario, params: AntennaParams, clusters,
-           band_upper: float, converged: bool) -> Clustering:
+           band_upper: float, converged: bool,
+           ue_to_ap: np.ndarray | None = None) -> Clustering:
     ue_to_ap, ue_to_cluster = associate_ues(scenario, params, clusters,
-                                            band_upper)
+                                            band_upper, ue_to_ap)
     return Clustering(tuple(tuple(c) for c in clusters), ue_to_ap,
                       ue_to_cluster, converged)
 
@@ -331,11 +397,16 @@ def _build(scenario: Scenario, params: AntennaParams, clusters,
 def hierarchical_clustering(scenario: Scenario, params: AntennaParams,
                             band_upper: float, method: str = "zf") -> Clustering:
     """Full propagation-aware pipeline: seed clusters, absorb the user-less
-    ones, merge while the per-AP score improves, then re-associate."""
+    ones, merge while the per-AP score improves, then re-associate.  The
+    association and the channel stack are computed once per drop."""
     seeds, converged = affinity_propagation(scenario.ap_positions)
-    merged = merge_void_clusters(seeds, scenario, params, band_upper, method)
-    merged = hierarchical_merge(merged, scenario, params, band_upper, method)
-    return _build(scenario, params, merged, band_upper, converged)
+    ue_to_ap = strongest_aps(scenario, params, band_upper)
+    stack = channel_stack(scenario, params, band_upper, ue_to_ap)
+    merged = merge_void_clusters(seeds, scenario, params, band_upper, method,
+                                 ue_to_ap, stack)
+    merged = hierarchical_merge(merged, scenario, params, band_upper, method,
+                                ue_to_ap, stack)
+    return _build(scenario, params, merged, band_upper, converged, ue_to_ap)
 
 
 def kmeans_clustering(scenario: Scenario, params: AntennaParams,

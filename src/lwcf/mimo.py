@@ -68,41 +68,80 @@ def require_zf_shape(num_ues: int, num_aps: int) -> None:
             f"got K={num_ues} UEs and M={num_aps} APs")
 
 
+def precoder_rows(h: np.ndarray, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm 'mrt' or 'zf' precoders of a stack of channels (N, K, M).
+
+    Returns ``(rows, failed)``.  ``rows[n]`` is the transpose of the
+    precoding columns of ``h[n]``: row k steers UE k.  ``failed[n]`` marks a
+    zero-forcing slice whose Gram condition number exceeds
+    ``MAX_ZF_CONDITION`` (or is not finite), or whose precoding column
+    collapsed to zero; the rows of a failed slice are meaningless.  Raises
+    SingularChannel for zero forcing with more UEs than APs, and when a
+    maximum-ratio column collapses.  This is the one zero-forcing rule:
+    ``precode`` is its one-slice case.  Each slice goes through the same
+    per-matrix BLAS/LAPACK calls and memory layouts as a lone channel, so a
+    stacked slice and a lone channel give the same bits.
+    """
+    if method not in PRECODER_METHODS:
+        raise ValueError(f"unknown precoding method {method!r}")
+    k, m = h.shape[-2:]
+    rows = h.conj()
+    if method == "mrt":
+        failed = np.zeros(h.shape[0], dtype=bool)
+    else:
+        require_zf_shape(k, m)
+        gram = h @ rows.swapaxes(-1, -2)
+        # a condition number that is NaN or infinite fails too
+        failed = ~(np.linalg.cond(gram) <= MAX_ZF_CONDITION)
+        # F = H^H Gram^{-1}  via  Gram^T F^T = conj(H), solved into the rows
+        if failed.any():
+            ok = ~failed
+            rows[ok] = np.linalg.solve(gram[ok].swapaxes(-1, -2), rows[ok])
+        else:
+            rows = np.linalg.solve(gram.swapaxes(-1, -2), rows)
+    norms = np.linalg.norm(rows, axis=-1)
+    collapsed = norms < 1e-300
+    if collapsed.any():
+        if method == "mrt":
+            raise SingularChannel("precoding column collapsed to zero")
+        collapsed = collapsed.any(axis=-1)
+        failed |= collapsed
+        norms[collapsed] = 1.0
+    rows /= norms[..., None]
+    return rows, failed
+
+
 def precode(channel: ChannelMatrix, method: str) -> PrecodingMatrix:
     """Unit-norm precoding columns for 'mrt' or 'zf'.
 
     Zero forcing solves against the Gram matrix rather than forming an
     explicit inverse, and rejects channels with condition number above
-    ``MAX_ZF_CONDITION`` or more UEs than APs.
+    ``MAX_ZF_CONDITION``, more UEs than APs, or a collapsed column (see
+    ``precoder_rows``).
     """
-    if method not in PRECODER_METHODS:
-        raise ValueError(f"unknown precoding method {method!r}")
-    h = channel.entries
-    k, m = h.shape
-    if method == "mrt":
-        f = h.conj().T
-    else:
-        require_zf_shape(k, m)
-        gram = h @ h.conj().T
-        cond = np.linalg.cond(gram)
-        if not np.isfinite(cond) or cond > MAX_ZF_CONDITION:
-            raise SingularChannel(f"channel Gram condition {cond:.3e}")
-        # F = H^H Gram^{-1}  via  Gram^T F^T = conj(H)
-        f = np.linalg.solve(gram.T, h.conj()).T
-    norms = np.linalg.norm(f, axis=0)
-    if np.any(norms < 1e-300):
-        raise SingularChannel("precoding column collapsed to zero")
-    return PrecodingMatrix(f / norms, method)
+    rows, failed = precoder_rows(channel.entries[None], method)
+    if failed[0]:
+        raise SingularChannel(
+            f"zero forcing failed: Gram condition above {MAX_ZF_CONDITION:g} "
+            "or a precoding column collapsed to zero")
+    return PrecodingMatrix(rows[0].T, method)
+
+
+def sinr_rows(h: np.ndarray, rows: np.ndarray, tx_psd: np.ndarray,
+              noise_psd: float) -> np.ndarray:
+    """Per-UE SINR (..., K) of channels h (..., K, M) under the precoder
+    rows of ``precoder_rows`` (..., K, M); leading axes are a stack."""
+    cross = h @ rows.swapaxes(-1, -2)                   # (..., K, K)
+    power = np.abs(cross) ** 2
+    signal = tx_psd * np.diagonal(power, axis1=-2, axis2=-1)
+    interference = power @ tx_psd - signal
+    return signal / (interference + noise_psd)
 
 
 def sinr(channel: ChannelMatrix, precoder: PrecodingMatrix,
          tx_psd: np.ndarray, noise_psd: float) -> np.ndarray:
     """Per-UE SINR for the given channel/precoder pair."""
-    cross = channel.entries @ precoder.columns          # (K, K)
-    power = np.abs(cross) ** 2
-    signal = tx_psd * np.diag(power)
-    interference = power @ tx_psd - signal
-    return signal / (interference + noise_psd)
+    return sinr_rows(channel.entries, precoder.columns.T, tx_psd, noise_psd)
 
 
 def received_strength_psd(scenario: Scenario, params: AntennaParams,

@@ -29,7 +29,7 @@ from lwcf.cegmm import (
     validate_plan,
 )
 from lwcf.cegmm import (TABLE_CELL, _edge_constants, _edge_table, _edges_ok,
-                        _smooth)
+                        _shrink_to_valid, _smooth)
 from lwcf.mimo import SingularChannel, received_strength_psd
 from lwcf.scenario import ScenarioConfig, generate_scenario
 from oracles import edges_ok_exact
@@ -338,6 +338,53 @@ def test_resolve_overlaps_with_a_table_equals_without(monkeypatch):
     assert len(with_table) * 2 == len(shrinks) >= 20
     assert all(n for given, n in shrinks if not given)
     assert with_table.count(0) > len(with_table) / 2
+
+
+def stepwise_shrink(sc, lo, hi, step):
+    """One half-step shrink at a time until the edges are in band and pass
+    the exact-PSD oracle: the kept interval and its step, or (None, None)
+    if the interval vanishes first."""
+    width, mid = hi - lo, (lo + hi) / 2.0
+    for s in range(int(np.ceil(width / step - 1e-9)) + 1):
+        half = max(width / 2.0 - s * (step / 2.0), 0.0)
+        a, b = mid - half, mid + half
+        if (b - a > FREQ_TOL and a >= BAND[0] - FREQ_TOL
+                and a > PARAMS.cutoff_frequency + FREQ_TOL
+                and b <= BAND[1] + FREQ_TOL
+                and edges_ok_exact(sc, PARAMS, np.array([a]), np.array([b]),
+                                   QOS)[0]):
+            return (a, b), s
+    return None, None
+
+
+def test_shrink_without_a_table_checks_step_zero_alone(monkeypatch):
+    """Without a table the first ``_edges_ok`` call holds step 0 alone and
+    the later ones at most 32 steps; with the table or without, the kept
+    step is the first one a stepwise exact scan accepts."""
+    import lwcf.cegmm
+    sc = make_scenario(seed=1, num_aps=8, num_ues=4)
+    table = _edge_table(sc, PARAMS, BAND, QOS)
+    real = lwcf.cegmm._edges_ok
+    sizes = []
+
+    def spy(scenario, params, lo, hi, qos, consts=None):
+        sizes.append(len(lo))
+        return real(scenario, params, lo, hi, qos, consts)
+
+    monkeypatch.setattr(lwcf.cegmm, "_edges_ok", spy)
+    step = 50e6
+    kept = []
+    for lo, hi in zip(*random_intervals(5, n=60)):
+        want, at = stepwise_shrink(sc, lo, hi, step)
+        sizes.clear()
+        assert _shrink_to_valid(sc, PARAMS, lo, hi, BAND, QOS, step) == want
+        # every random interval has step 0 in band
+        assert sizes[0] == 1 and all(n <= 32 for n in sizes[1:])
+        assert _shrink_to_valid(sc, PARAMS, lo, hi, BAND, QOS, step,
+                                table) == want
+        kept.append(at)
+    assert kept.count(0) >= 5
+    assert sum(at is not None and at > 32 for at in kept) >= 5
 
 
 def spy_edge_psds(monkeypatch):

@@ -5,11 +5,16 @@ import io
 import numpy as np
 import pytest
 
+import lwcf.clustering
+import lwcf.mimo
 from lwcf.antenna import AntennaParams, peak_frequency
 from lwcf.clustering import (
+    SCORE_CHUNK,
     Clustering,
+    _own_sinrs,
     affinity_propagation,
     associate_ues,
+    channel_stack,
     hierarchical_clustering,
     hierarchical_merge,
     kmeans_clusters,
@@ -17,11 +22,13 @@ from lwcf.clustering import (
     merge_void_clusters,
     per_ap_spectral_efficiency,
     rss_matrix,
+    strongest_aps,
     write_clustering_csv,
 )
-from lwcf.mimo import build_channel, freespace_amplitude, precode, sinr
+from lwcf.mimo import (ChannelMatrix, SingularChannel, build_channel,
+                       freespace_amplitude, precode, sinr)
 from lwcf.scenario import Scenario, ScenarioConfig, generate_scenario
-from oracles import link_distance, link_rss
+from oracles import link_distance, link_rss, per_ap_se_per_ue
 
 PARAMS = AntennaParams(1.0, 0.15, 130.0, 100e9)
 BAND_UPPER = 200e9
@@ -228,6 +235,90 @@ def test_per_ap_se_mrt_fallback_on_singular_channel():
     assert np.isfinite(got) and got > 0.0
 
 
+def test_per_ap_se_equals_per_ue_oracle_bit_for_bit():
+    """Stacked scores equal one build, precode and SINR per UE exactly, on
+    random clusters under both precoders, K > M clusters included."""
+    rng = np.random.default_rng(11)
+    wide = wide_chunked = 0
+    for num_aps, num_ues, seed in ((24, 10, 0), (12, 8, 1), (6, 8, 2),
+                                   (64, 20, 3)):
+        sc = make_scenario(num_aps=num_aps, num_ues=num_ues, seed=seed)
+        ue_to_ap = strongest_aps(sc, PARAMS, BAND_UPPER)
+        stack = channel_stack(sc, PARAMS, BAND_UPPER, ue_to_ap)
+        for _ in range(15):
+            size = int(rng.integers(1, num_aps + 1))
+            cluster = tuple(rng.choice(num_aps, size, replace=False).tolist())
+            served = int(np.isin(ue_to_ap, cluster).sum())
+            wide += served > size
+            for method in ("zf", "mrt"):
+                want = per_ap_se_per_ue(cluster, sc, PARAMS, method,
+                                        BAND_UPPER)
+                assert per_ap_spectral_efficiency(
+                    cluster, sc, PARAMS, method, BAND_UPPER) == want
+                assert per_ap_spectral_efficiency(
+                    cluster, sc, PARAMS, method, BAND_UPPER, ue_to_ap,
+                    stack) == want
+            wide_chunked += served > max(size, SCORE_CHUNK)
+    assert wide >= 5 and wide_chunked >= 1
+
+
+def test_per_ap_se_colocated_ues_match_the_oracle():
+    """Two co-located UEs make zero forcing singular on every slice: each
+    UE is scored under maximum ratio, exactly as the per-UE oracle does."""
+    sc = manual_scenario([[0, 0], [50, 0], [90, 0]],
+                         [[7, 0], [7, 0], [60, 0]])
+    scores = {}
+    for method in ("zf", "mrt"):
+        scores[method] = per_ap_spectral_efficiency((0, 1, 2), sc, PARAMS,
+                                                    method, BAND_UPPER)
+        assert scores[method] == per_ap_se_per_ue((0, 1, 2), sc, PARAMS,
+                                                  method, BAND_UPPER)
+    assert scores["zf"] == scores["mrt"] > 0.0
+
+
+def test_own_sinrs_fall_back_per_slice_and_raise_on_mrt_collapse():
+    """A slice that cannot zero-force takes maximum ratio, its neighbours
+    keep zero forcing; a slice whose maximum-ratio column collapses raises."""
+    sc = make_scenario(num_aps=8, num_ues=3, seed=6)
+    good = build_channel(sc, PARAMS, 150e9).entries
+    twin = good.copy()
+    twin[2] = twin[0]
+    h = np.stack([good, twin, good])
+    got = _own_sinrs(h, "zf", sc.tx_psd, sc.noise_psd, 0)
+    good_h, twin_h = ChannelMatrix(good, 150e9), ChannelMatrix(twin, 150e9)
+    zf = sinr(good_h, precode(good_h, "zf"), sc.tx_psd, sc.noise_psd)
+    mrt = sinr(twin_h, precode(twin_h, "mrt"), sc.tx_psd, sc.noise_psd)
+    assert got.tolist() == [zf[0], mrt[1], zf[2]]
+    dead = good.copy()
+    dead[1] = 0.0
+    with pytest.raises(SingularChannel, match="collapsed"):
+        _own_sinrs(np.stack([good, dead]), "zf", sc.tx_psd, sc.noise_psd, 0)
+
+
+def test_per_ap_se_falls_back_slice_by_slice(monkeypatch):
+    """With the ZF condition bound between the slices' condition numbers,
+    only some UEs of one precoded chunk fall back to maximum ratio, and the
+    score still equals the per-UE oracle."""
+    sc = make_scenario(num_aps=12, num_ues=8, seed=4)
+    ue_to_ap = strongest_aps(sc, PARAMS, BAND_UPPER)
+    stack = channel_stack(sc, PARAMS, BAND_UPPER, ue_to_ap)
+    cluster = tuple(range(12))
+    served = np.flatnonzero(np.isin(ue_to_ap, cluster))
+    assert served.size > SCORE_CHUNK
+    h = stack[np.ix_(served, served, cluster)]
+    conds = np.linalg.cond(h @ h.conj().swapaxes(-1, -2))
+    bound = float(np.median(conds[:SCORE_CHUNK]))
+    first_chunk = conds[:SCORE_CHUNK] > bound
+    assert first_chunk.any() and not first_chunk.all()
+    monkeypatch.setattr(lwcf.mimo, "MAX_ZF_CONDITION", bound)
+    want = per_ap_se_per_ue(cluster, sc, PARAMS, "zf", BAND_UPPER)
+    got = per_ap_spectral_efficiency(cluster, sc, PARAMS, "zf", BAND_UPPER)
+    assert got == want
+    monkeypatch.setattr(lwcf.mimo, "MAX_ZF_CONDITION", 1e12)
+    assert per_ap_spectral_efficiency(cluster, sc, PARAMS, "zf",
+                                      BAND_UPPER) != want
+
+
 # ---------------------------------------------------------------------------
 # void folding and hierarchical merging
 # ---------------------------------------------------------------------------
@@ -310,6 +401,44 @@ def test_hierarchical_merge_gain_rule_matches_pair_scan():
         i, j = best_pair
         first_merge = tuple(sorted(clusters[i] + clusters[j]))
         assert any(set(first_merge) <= set(c) for c in out)
+
+
+def test_hierarchical_merge_scores_each_cluster_once(monkeypatch):
+    """Only pairs with the newly merged cluster cost a score: the calls are
+    the initial scores plus the distinct merged tuples, none repeated."""
+    sc = make_scenario(num_aps=12, num_ues=6, seed=5)
+    real = lwcf.clustering.per_ap_spectral_efficiency
+    scored = []
+
+    def spy(cluster, *args):
+        scored.append(tuple(cluster))
+        return real(cluster, *args)
+
+    monkeypatch.setattr(lwcf.clustering, "per_ap_spectral_efficiency", spy)
+    n = 12
+    out = hierarchical_merge([(a,) for a in range(n)], sc, PARAMS, BAND_UPPER)
+    merges = n - len(out)
+    assert merges >= 3
+    assert len(set(scored)) == len(scored)
+    # round one scores every pair; after merge t only the new cluster's
+    # pairs with the n - t - 1 others are new
+    pairs = n * (n - 1) // 2 + sum(n - t - 1 for t in range(1, merges + 1))
+    assert len(scored) == n + pairs
+
+
+def test_hierarchical_clustering_equals_per_ue_scoring(monkeypatch):
+    """The pipeline returns the same clusters when every score comes from
+    the per-UE oracle instead of the stacked scorer."""
+    drops = [make_scenario(num_aps=m, num_ues=k, seed=seed)
+             for m, k, seed in ((12, 5, 0), (16, 8, 1), (24, 6, 2),
+                                (10, 12, 3))]
+    want = [(hierarchical_clustering(sc, PARAMS, BAND_UPPER, method).clusters)
+            for sc in drops for method in ("zf", "mrt")]
+    monkeypatch.setattr(lwcf.clustering, "per_ap_spectral_efficiency",
+                        lambda *args: per_ap_se_per_ue(*args[:6]))
+    got = [(hierarchical_clustering(sc, PARAMS, BAND_UPPER, method).clusters)
+           for sc in drops for method in ("zf", "mrt")]
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ from lwcf.mimo import (
     build_channel,
     freespace_amplitude,
     precode,
+    precoder_rows,
     rate_density,
     received_strength_psd,
     sinr,
+    sinr_rows,
 )
 from lwcf.scenario import ScenarioConfig, generate_scenario
-from oracles import plan_rate
+from oracles import plan_rate, precode_2d, sinr_2d
 
 PARAMS = AntennaParams(1.0, 0.15, 130.0, 100e9)
 
@@ -83,6 +85,49 @@ def test_zero_forcing_rejects_duplicated_ue():
     entries[1] = entries[0]          # two UEs with identical channels
     with pytest.raises(SingularChannel):
         precode(ChannelMatrix(entries, h.frequency), "zf")
+
+
+def test_precode_and_sinr_equal_the_matrix_oracles_bit_for_bit():
+    """``precode``/``sinr`` (one-slice stacks) and every slice of a stacked
+    ``precoder_rows``/``sinr_rows`` equal the one-matrix formulas exactly."""
+    for seed, (m, k) in enumerate([(16, 4), (8, 8), (32, 10), (5, 3)]):
+        sc = make_scenario(num_aps=m, num_ues=k, seed=seed)
+        freqs = np.linspace(110e9, 190e9, 5)
+        h = np.stack([build_channel(sc, PARAMS, f).entries for f in freqs])
+        for method in ("mrt", "zf"):
+            rows, failed = precoder_rows(h, method)
+            assert not failed.any()
+            gammas = sinr_rows(h, rows, sc.tx_psd, sc.noise_psd)
+            for n, f in enumerate(freqs):
+                channel = ChannelMatrix(h[n].copy(), f)
+                want = precode_2d(channel, method)
+                got = precode(channel, method)
+                assert np.array_equal(got.columns, want.columns)
+                assert np.array_equal(rows[n].T, want.columns)
+                gamma = sinr_2d(channel, want, sc.tx_psd, sc.noise_psd)
+                assert np.array_equal(sinr(channel, got, sc.tx_psd,
+                                           sc.noise_psd), gamma)
+                assert np.array_equal(gammas[n], gamma)
+
+
+def test_precoder_rows_flags_failed_slices():
+    """A singular zero-forcing slice is flagged and leaves the others
+    intact; K > M and a collapsed maximum-ratio column raise."""
+    sc = make_scenario(num_aps=8, num_ues=3, seed=3)
+    good = build_channel(sc, PARAMS, 150e9).entries
+    twin = good.copy()
+    twin[1] = twin[0]                 # two UEs with identical channels
+    rows, failed = precoder_rows(np.stack([good, twin, good]), "zf")
+    assert failed.tolist() == [False, True, False]
+    assert np.array_equal(rows[2], precoder_rows(good[None], "zf")[0][0])
+    dead = good.copy()
+    dead[2] = 0.0
+    assert precoder_rows(np.stack([good, dead]), "zf")[1].tolist() == [
+        False, True]
+    with pytest.raises(SingularChannel, match="collapsed"):
+        precoder_rows(np.stack([good, dead]), "mrt")
+    with pytest.raises(SingularChannel, match="K=3 UEs and M=2 APs"):
+        precoder_rows(good[None, :, :2], "zf")
 
 
 def test_unknown_method_rejected():
