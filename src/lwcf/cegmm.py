@@ -243,43 +243,14 @@ def _exact_edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
     return ok & np.all(gap < qos.coherence_gap_db, axis=1)
 
 
-@dataclass(frozen=True)
-class _EdgeConstants:
-    """What the envelope tiers of ``_edges_ok`` need of one (scenario,
-    params, qos); callers that check many blocks build it once."""
-
-    rho: float               # antenna.envelope_ratio
-    slack_db: float          # 10 log10 rho + ENVELOPE_DB_TOL
-    weights: np.ndarray      # (K, M) d^-2 of the AP sum
-    peak_freq: np.ndarray    # (K, M) where each link's envelope peaks
-    peak_terms: np.ndarray   # (K, M) d^-2 times the envelope at its peak
-    scale: np.ndarray        # (K,) tx_psd (c / 4 pi)^2
-    min_bound: float         # a lower PSD bound at or above it clears thr
-    max_ratio: float         # an upper/lower ratio below it clears the gap
-    round_scale: float       # pi L u / (c b), u = 2^-53, see _EdgeTable
-
-
-def _edge_constants(scenario: Scenario, params: AntennaParams,
-                    qos: QosConfig) -> _EdgeConstants | None:
-    """None when the envelope can decide nothing: without attenuation, or
-    when 10 log10 rho + delta reaches the coherence limit."""
+def _envelope_slack(params: AntennaParams,
+                    qos: QosConfig) -> tuple[float, float] | None:
+    """(rho, 10 log10 rho + ENVELOPE_DB_TOL), rho = ``envelope_ratio``; None
+    when the envelope can decide nothing, as the dB slack reaches the
+    coherence limit (rho is infinite without attenuation)."""
     rho = envelope_ratio(params)
     slack_db = 10.0 * np.log10(rho) + ENVELOPE_DB_TOL
-    if not slack_db < qos.coherence_gap_db:
-        return None
-    weights = scenario.distances ** -2.0
-    eps = ENVELOPE_REL_TOL
-    b = params.attenuation * params.aperture_length / 2.0
-    return _EdgeConstants(
-        rho=rho, slack_db=slack_db, weights=weights,
-        peak_freq=peak_frequency(params.cutoff_frequency, scenario.angles),
-        peak_terms=envelope_peak(params) * weights,
-        scale=scenario.tx_psd * (SPEED_OF_LIGHT / (4.0 * np.pi)) ** 2,
-        min_bound=qos.min_rx_psd / (1.0 - eps),
-        max_ratio=(10.0 ** ((qos.coherence_gap_db - slack_db) / 10.0)
-                   * (1.0 - eps) / (1.0 + eps)),
-        round_scale=(np.pi * params.aperture_length * np.finfo(float).eps
-                     / (2.0 * SPEED_OF_LIGHT * b)))
+    return (rho, slack_db) if slack_db < qos.coherence_gap_db else None
 
 
 TABLE_CELL = 40e6    # Hz, cell width of ``_EdgeTable``
@@ -290,22 +261,25 @@ TABLE_CHUNK = 32     # cells built at a time, which bounds the temporaries
 class _EdgeTable:
     """Envelope PSD bounds per UE on uniform frequency cells from just
     above cutoff to the band top, for one (scenario, params, qos).
+    ``ce_search`` builds one per search with ``_edge_table`` and hands it
+    down; everywhere else ``table=None`` means no lookups.
 
     Each link's envelope term is unimodal in frequency (see ``_edges_ok``),
     so over a cell it lies between its smaller edge value and its larger
-    one, or its peak value when ``consts.peak_freq`` lies inside; positive
+    one, or its peak value when its peak frequency lies inside; positive
     d^-2 weights and the falling (c / 4 pi f)^2 carry this to the PSD.  A
     cell never certifies (upper = inf, lower = 0) when a lower bound misses
-    ``consts.min_bound``, or when the computed envelope in it may be off by
-    more than eps / 4: the rounding of a is relatively at most
-    ~pi L u f (1/s + 4) / (c b), u the unit roundoff, s = sqrt(1 - (fc/f)^2),
-    so it grows without bound at cutoff (3-11 MHz above it at the defaults).
+    the access threshold (with eps slack), or when the computed envelope in
+    it may be off by more than eps / 4: the rounding of a is relatively at
+    most ~pi L u f (1/s + 4) / (c b), u the unit roundoff, s = sqrt(1 -
+    (fc/f)^2), so it grows without bound at cutoff (3-11 MHz above it at
+    the defaults).
     """
 
-    consts: _EdgeConstants
     edges: np.ndarray     # (C + 1,) cell edges, Hz
     upper: np.ndarray     # (K, C + 1) upper bound; cell C is unusable
-    lower_r: np.ndarray   # (K, C + 1) lower bound times consts.max_ratio
+    lower_r: np.ndarray   # (K, C + 1) lower bound times the largest
+                          # upper/lower ratio that clears the gap
 
     def certified(self, lo, hi) -> np.ndarray:
         """True for each interval the cells of its two edges certify good.
@@ -320,10 +294,16 @@ class _EdgeTable:
 
 def _edge_table(scenario: Scenario, params: AntennaParams,
                 band: tuple[float, float], qos: QosConfig) -> _EdgeTable | None:
-    """The ``_EdgeTable`` up to ``band[1]``; None as ``_edge_constants``."""
-    consts = _edge_constants(scenario, params, qos)
-    if consts is None:
+    """The ``_EdgeTable`` up to ``band[1]``; None when the envelope can
+    decide nothing (``_envelope_slack``).  Only ``ce_search`` builds one."""
+    slack = _envelope_slack(params, qos)
+    if slack is None:
         return None
+    eps = ENVELOPE_REL_TOL
+    weights = scenario.distances ** -2.0
+    peak_freq = peak_frequency(params.cutoff_frequency, scenario.angles)
+    peak_terms = envelope_peak(params) * weights
+    scale = scenario.tx_psd * (SPEED_OF_LIGHT / (4.0 * np.pi)) ** 2
     first = params.cutoff_frequency + TABLE_CELL
     cells = max(int(np.ceil((band[1] - first) / TABLE_CELL)), 0)
     edges = np.linspace(first, max(band[1], first), cells + 1)
@@ -331,29 +311,32 @@ def _edge_table(scenario: Scenario, params: AntennaParams,
     for c0 in range(0, cells, TABLE_CHUNK):
         f = edges[c0:c0 + TABLE_CHUNK + 1]
         ends = gain(params, f[:, None, None], scenario.angles, envelope=True)
-        ends *= consts.weights
+        ends *= weights
         low = np.minimum(ends[:-1], ends[1:])
         high = np.maximum(ends[:-1], ends[1:])
-        inside = ((consts.peak_freq >= f[:-1, None, None])
-                  & (consts.peak_freq <= f[1:, None, None]))
-        np.copyto(high, consts.peak_terms, where=inside)
-        lower[:, c0:c0 + f.size - 1] = (low.sum(axis=2) * consts.scale
+        inside = ((peak_freq >= f[:-1, None, None])
+                  & (peak_freq <= f[1:, None, None]))
+        np.copyto(high, peak_terms, where=inside)
+        lower[:, c0:c0 + f.size - 1] = (low.sum(axis=2) * scale
                                         / (f[1:] * f[1:])[:, None]).T
-        upper[:, c0:c0 + f.size - 1] = (high.sum(axis=2) * consts.scale
+        upper[:, c0:c0 + f.size - 1] = (high.sum(axis=2) * scale
                                         / (f[:-1] * f[:-1])[:, None]).T
+    b = params.attenuation * params.aperture_length / 2.0
     s2 = 1.0 - (params.cutoff_frequency / edges[:-1]) ** 2
-    usable = np.append((consts.round_scale * edges[1:] * (s2 ** -0.5 + 4.0)
-                        <= ENVELOPE_REL_TOL / 4.0)
-                       & (lower[:, :-1] >= consts.min_bound).all(axis=0), False)
+    rounding = (np.pi * params.aperture_length * np.finfo(float).eps
+                / (2.0 * SPEED_OF_LIGHT * b) * edges[1:] * (s2 ** -0.5 + 4.0))
+    min_bound = qos.min_rx_psd / (1.0 - eps)   # a bound >= it clears thr
+    usable = np.append((rounding <= eps / 4.0)
+                       & (lower[:, :-1] >= min_bound).all(axis=0), False)
     upper[:, ~usable] = np.inf
-    lower *= consts.max_ratio
+    lower *= (10.0 ** ((qos.coherence_gap_db - slack[1]) / 10.0)
+              * (1.0 - eps) / (1.0 + eps))
     lower[:, ~usable] = 0.0
-    return _EdgeTable(consts, edges, upper, lower)
+    return _EdgeTable(edges, upper, lower)
 
 
 def _edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
-              qos: QosConfig,
-              consts: _EdgeConstants | None = None) -> np.ndarray:
+              qos: QosConfig) -> np.ndarray:
     """One flag per interval of the 1-D edge arrays ``lo``/``hi``: every
     UE's received PSD is positive and meets the access threshold at both
     edges, and its edge-to-edge gap stays below the coherence limit.
@@ -362,9 +345,9 @@ def _edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
     sin-free envelope env <= psd <= rho env, with eps = ``ENVELOPE_REL_TOL``
     and delta = ``ENVELOPE_DB_TOL`` covering rounding:
 
-    1. Table, in the callers that scan many steps, before they call here.
-       Per link, a(f) = (beta - k0 cos theta) L/2 strictly increases with
-       f (da/df is proportional to 1/n - cos theta > 0, n = sqrt(1 -
+    1. Table, in the callers handed one by ``ce_search``, before they call
+       here.  Per link, a(f) = (beta - k0 cos theta) L/2 strictly increases
+       with f (da/df is proportional to 1/n - cos theta > 0, n = sqrt(1 -
        (fc/f)^2)), so each envelope term eta L sinh b / sqrt(a^2 + b^2) is
        unimodal with its peak at ``antenna.peak_frequency``.  An
        ``_EdgeTable`` thus bounds every UE's envelope PSD on each frequency
@@ -376,18 +359,16 @@ def _edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
        10 log10 rho - delta >= limit.
     3. Exact.  The exact PSDs decide every other interval.
 
-    Without attenuation, or when 10 log10 rho reaches the coherence limit,
-    the envelope could decide nothing and every interval takes the exact
-    path.  ``consts`` is ``_edge_constants(scenario, params, qos)``, which
-    callers that check many intervals build once; it is built here if None.
+    Without attenuation, or when 10 log10 rho reaches the coherence limit
+    (``_envelope_slack``), the envelope could decide nothing and every
+    interval takes the exact path.
     """
-    if consts is None:
-        consts = _edge_constants(scenario, params, qos)
-    if consts is None:
+    slack = _envelope_slack(params, qos)
+    if slack is None:
         return _exact_edges_ok(scenario, params, lo, hi, qos)
+    rho, slack_db = slack
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    rho, slack_db = consts.rho, consts.slack_db
     env_lo = received_strength_psd(scenario, params, lo, envelope=True)
     env_hi = received_strength_psd(scenario, params, hi, envelope=True)
     thr = qos.min_rx_psd
@@ -433,7 +414,8 @@ def bandwidth_search(center: float, scenario: Scenario, params: AntennaParams,
     blocks of 16, then 32 steps: (2) the envelope bracket
     env <= psd <= rho env decides what it can, and (3) the exact PSDs
     decide the rest.  The width is that of the exact checks.  ``table`` is
-    ``_edge_table(scenario, params, band, qos)``, built here if None.
+    the ``_EdgeTable`` that ``ce_search`` builds for the search; None means
+    no lookups, and every step goes to ``_edges_ok``.
     """
     # steps that keep the interval in-band (and strictly above cutoff)
     room = min(center - band[0],
@@ -445,8 +427,6 @@ def bandwidth_search(center: float, scenario: Scenario, params: AntennaParams,
     # absolute fudge well under FREQ_TOL so float noise cannot add a step
     # that would push an edge onto the cutoff itself
     max_steps = int(np.floor((limit + FREQ_TOL / 2.0) / grid_step))
-    if table is None:
-        table = _edge_table(scenario, params, band, qos)
     done, chunk = 0, 64    # leading steps the table certifies
     while table is not None and done < max_steps:
         widths = np.arange(done + 1, min(done + chunk, max_steps) + 1) * grid_step
@@ -457,12 +437,11 @@ def bandwidth_search(center: float, scenario: Scenario, params: AntennaParams,
         done += good.size
         chunk *= 2
     best = done * grid_step
-    consts = None if table is None else table.consts
     start, block = done + 1, 16
     while start <= max_steps:
         widths = np.arange(start, min(start + block, max_steps + 1)) * grid_step
         ok = _edges_ok(scenario, params, center - widths / 2.0,
-                       center + widths / 2.0, qos, consts)
+                       center + widths / 2.0, qos)
         if not ok.all():
             first_bad = int(np.argmax(~ok))
             return float(widths[first_bad - 1]) if first_bad else best
@@ -471,30 +450,21 @@ def bandwidth_search(center: float, scenario: Scenario, params: AntennaParams,
     return best
 
 
-def _center_rss(scenario: Scenario, params: AntennaParams,
-                center: float) -> float:
-    """Total received signal strength over UEs at a center frequency."""
-    return float(np.sum(received_strength_psd(scenario, params, center)))
-
-
 def _shrink_to_valid(scenario: Scenario, params: AntennaParams, lo: float,
                      hi: float, band: tuple[float, float], qos: QosConfig,
                      grid_step: float,
                      table: _EdgeTable | None = None) -> tuple[float, float] | None:
     """Symmetrically shrink ``[lo, hi]`` until its edges pass the in-band and
     edge-PSD checks; None if it vanishes first.  Scans shrink amounts in
-    vectorised blocks, equivalent to half-grid-step stepwise shrinking.
-    With a ``table`` from ``_edge_table``, only the steps before the first
-    one it certifies go to ``_edges_ok``; without one, step 0 is checked on
-    its own before the blocks, since it nearly always passes."""
+    vectorised blocks, equivalent to half-grid-step stepwise shrinking:
+    step 0 on its own, since it nearly always passes, then 32 steps at a
+    time.  With the ``table`` of ``ce_search``, only the steps of a block
+    before the first one it certifies go to ``_edges_ok``; None means no
+    lookups."""
     width = hi - lo
     mid = (lo + hi) / 2.0
     max_steps = int(np.ceil(width / grid_step - 1e-9))
-    block = 32
-    consts = (_edge_constants(scenario, params, qos) if table is None
-              else table.consts)
-    first = block if table is not None else 1
-    starts = [0, *range(first, max_steps + 1, block)]
+    starts = [0, *range(1, max_steps + 1, 32)]
     for start, stop in zip(starts, starts[1:] + [max_steps + 1]):
         steps = np.arange(start, stop)
         half = np.maximum(width / 2.0 - steps * (grid_step / 2.0), 0.0)
@@ -510,7 +480,7 @@ def _shrink_to_valid(scenario: Scenario, params: AntennaParams, lo: float,
         n = int(edge_ok.argmax()) if edge_ok.any() else idx.size
         if n:
             edge_ok[:n] = _edges_ok(scenario, params, los[idx[:n]],
-                                    his[idx[:n]], qos, consts)
+                                    his[idx[:n]], qos)
         if np.any(edge_ok):
             j = int(idx[np.argmax(edge_ok)])
             return float(los[j]), float(his[j])
@@ -530,7 +500,8 @@ def resolve_overlaps(candidates, scenario: Scenario, params: AntennaParams,
     until it fits.  Any interval whose edges moved is re-validated against
     the edge constraints and shrunk further if needed, so the output plan
     satisfies the same edge checks as freshly searched bandwidths.
-    ``table`` is passed on to ``_shrink_to_valid``.
+    ``table`` (the ``_EdgeTable`` of ``ce_search``, or None for no lookups)
+    is passed on to ``_shrink_to_valid``.
     """
     items = [[c - w / 2.0, c + w / 2.0] for c, w in candidates if w > 0.0]
     items.sort(key=lambda iv: iv[0])
@@ -539,9 +510,11 @@ def resolve_overlaps(candidates, scenario: Scenario, params: AntennaParams,
     rss_cache: dict[tuple[float, float], float] = {}
 
     def rss_of(iv) -> float:
+        """Total received signal PSD over UEs at the interval's center."""
         key = (iv[0], iv[1])
         if key not in rss_cache:
-            rss_cache[key] = _center_rss(scenario, params, (iv[0] + iv[1]) / 2.0)
+            rss_cache[key] = float(np.sum(received_strength_psd(
+                scenario, params, (iv[0] + iv[1]) / 2.0)))
         return rss_cache[key]
 
     # pairwise truncation until disjoint
@@ -720,10 +693,9 @@ def evaluate_candidate(centers, scenario: Scenario, params: AntennaParams,
 
     Returns the list and a flag telling whether at least one center met the
     access threshold (used for band feasibility accounting).  ``table`` is
-    ``_edge_table(scenario, params, band, qos)``, built here if None.
+    the ``_EdgeTable`` of ``ce_search``, passed on to ``bandwidth_search``
+    and ``resolve_overlaps``; None means no lookups.
     """
-    if table is None:
-        table = _edge_table(scenario, params, band, qos)
     provisional = []
     any_accessible = False
     for center in sorted(float(c) for c in centers):
@@ -760,7 +732,8 @@ def ce_search(score, scenario: Scenario, params: AntennaParams,
     """The cross-entropy loop shared by every allocator.
 
     Each iteration samples candidate centers from the proposal, completes
-    them through ``evaluate_candidate``, scores them with
+    them through ``evaluate_candidate`` with the search's one
+    ``_EdgeTable``, built here, scores them with
     ``score(subchannels) -> (feasible, reward, plan)`` and ranks them by
     reward, ties by centers; the elites' centers and the previous best
     centers refit the proposal.  Returns the plan with the strictly greatest

@@ -16,7 +16,7 @@ import numpy as np
 from .antenna import AntennaParams
 from .cegmm import CeHyperparams, QosConfig, ce_search
 from .clustering import Clustering
-from .mimo import SingularChannel, build_channel, precode, sinr
+from .mimo import SingularChannel, rate_density
 from .scenario import Scenario, subscenario
 
 
@@ -54,19 +54,16 @@ def cluster_subchannel_reward(cluster_aps, cluster_ues, center: float,
                               params: AntennaParams, method: str) -> float:
     """Rate of one subchannel when owned exclusively by one cluster.
 
-    Width times the summed spectral efficiency of the cluster's UEs over the
-    intra-cluster channel; other clusters do not interfere because spectrum
-    ownership is exclusive.  Propagates SingularChannel.
+    Width times ``mimo.rate_density`` on the cluster's sub-scenario; other
+    clusters do not interfere because spectrum ownership is exclusive.
+    Propagates SingularChannel.
     """
     aps = sorted(int(a) for a in cluster_aps)
     ues = sorted(int(u) for u in cluster_ues)
     if width <= 0.0 or not ues:
         return 0.0
-    sub = subscenario(scenario, aps, ues)
-    channel = build_channel(sub, params, center)
-    precoder = precode(channel, method)
-    gammas = sinr(channel, precoder, sub.tx_psd, sub.noise_psd)
-    return float(width * np.sum(np.log2(1.0 + gammas)))
+    return width * rate_density(subscenario(scenario, aps, ues), params,
+                                center, method)
 
 
 def _safe_reward(cluster_aps, cluster_ues, center, width, scenario, params,

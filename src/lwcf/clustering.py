@@ -17,7 +17,7 @@ import numpy as np
 from .antenna import AntennaParams, gain, peak_frequency
 from .mimo import (SingularChannel, build_channel, freespace_amplitude,
                    precoder_rows, sinr_rows)
-from .scenario import Scenario
+from .scenario import Scenario, subscenario
 
 KMEANS_TOL = 1e-6          # m, centroid movement threshold
 KMEANS_MAX_ITER = 100
@@ -258,9 +258,10 @@ def per_ap_spectral_efficiency(cluster, scenario: Scenario,
     a collapsed maximum-ratio column still raises SingularChannel.
 
     The channels are sliced out of ``stack`` (``channel_stack`` of the same
-    ``ue_to_ap``; both are built here when None) and precoded
-    ``SCORE_CHUNK`` UEs at a time as (chunk, S, Mc) stacks; the scores
-    equal, bit for bit, a per-UE build, precode and SINR.
+    ``ue_to_ap``; both are built here when None, the stack for the served
+    UEs alone) and precoded ``SCORE_CHUNK`` UEs at a time as (chunk, S, Mc)
+    stacks; the scores equal, bit for bit, a per-UE build, precode and
+    SINR.
     """
     members = sorted(int(a) for a in cluster)
     if not members:
@@ -271,13 +272,17 @@ def per_ap_spectral_efficiency(cluster, scenario: Scenario,
     served = [k for k in range(scenario.num_ues) if int(ue_to_ap[k]) in member_set]
     if not served:
         return 0.0
-    if stack is None:
-        stack = channel_stack(scenario, params, band_upper, ue_to_ap)
+    if stack is None:    # rows and columns of the served UEs only
+        all_aps = range(scenario.num_aps)
+        stack = channel_stack(subscenario(scenario, all_aps, served), params,
+                              band_upper, ue_to_ap[served])
+        rows = np.arange(len(served))
+    else:
+        rows = np.asarray(served)
     tx_psd = scenario.tx_psd[served]
     total = 0.0
     for first in range(0, len(served), SCORE_CHUNK):
-        chunk = served[first:first + SCORE_CHUNK]
-        h = stack[np.ix_(chunk, served, members)]
+        h = stack[np.ix_(rows[first:first + SCORE_CHUNK], rows, members)]
         for gamma in _own_sinrs(h, method, tx_psd, scenario.noise_psd, first):
             total += np.log2(1.0 + gamma)
     return float(total / len(members))

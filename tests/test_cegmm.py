@@ -8,8 +8,9 @@ exhaustive scan on a small deployment.
 import numpy as np
 import pytest
 
-from lwcf.antenna import AntennaParams
+from lwcf.antenna import AntennaParams, envelope_ratio, peak_frequency
 from lwcf.cegmm import (
+    ENVELOPE_DB_TOL,
     ENVELOPE_REL_TOL,
     FREQ_TOL,
     CeHyperparams,
@@ -28,8 +29,8 @@ from lwcf.cegmm import (
     sample_gmm,
     validate_plan,
 )
-from lwcf.cegmm import (TABLE_CELL, _edge_constants, _edge_table, _edges_ok,
-                        _shrink_to_valid, _smooth)
+from lwcf.cegmm import (TABLE_CELL, _edge_table, _edges_ok, _shrink_to_valid,
+                        _smooth)
 from lwcf.mimo import SingularChannel, received_strength_psd
 from lwcf.scenario import ScenarioConfig, generate_scenario
 from oracles import edges_ok_exact
@@ -202,11 +203,14 @@ def brute_bandwidth(center, sc, step, cap=None):
 
 def test_bandwidth_search_matches_stepwise_reference():
     sc = make_scenario(seed=1)
+    table = _edge_table(sc, PARAMS, BAND, QOS)
     rng = np.random.default_rng(2)
     checked_positive = 0
     for _ in range(12):
         center = float(rng.uniform(105e9, 195e9))
-        got = bandwidth_search(center, sc, PARAMS, BAND, QOS, 50e6)
+        got = bandwidth_search(center, sc, PARAMS, BAND, QOS, 50e6,
+                               table=table)
+        assert bandwidth_search(center, sc, PARAMS, BAND, QOS, 50e6) == got
         want = brute_bandwidth(center, sc, 50e6)
         assert got == pytest.approx(want, abs=1e-3)
         if want > 0.0:
@@ -218,15 +222,17 @@ def test_bandwidth_search_matches_stepwise_reference():
 
 def test_bandwidth_search_budget_cap():
     sc = make_scenario(seed=1)
+    table = _edge_table(sc, PARAMS, BAND, QOS)
     rng = np.random.default_rng(4)
     for _ in range(8):
         center = float(rng.uniform(110e9, 190e9))
         free = bandwidth_search(center, sc, PARAMS, BAND, QOS, 50e6)
         if free < 200e6:
             continue
-        capped = bandwidth_search(center, sc, PARAMS, BAND, QOS, 50e6,
-                                  max_bandwidth=100e6)
-        assert capped == pytest.approx(100e6, abs=1e-3)
+        for t in (table, None):
+            capped = bandwidth_search(center, sc, PARAMS, BAND, QOS, 50e6,
+                                      max_bandwidth=100e6, table=t)
+            assert capped == pytest.approx(100e6, abs=1e-3)
 
 
 def test_resolve_keeps_disjoint_candidates():
@@ -359,17 +365,18 @@ def stepwise_shrink(sc, lo, hi, step):
 
 def test_shrink_without_a_table_checks_step_zero_alone(monkeypatch):
     """Without a table the first ``_edges_ok`` call holds step 0 alone and
-    the later ones at most 32 steps; with the table or without, the kept
-    step is the first one a stepwise exact scan accepts."""
+    the later ones at most 32 steps, and with the table the blocks are the
+    same; with the table or without, the kept step is the first one a
+    stepwise exact scan accepts."""
     import lwcf.cegmm
     sc = make_scenario(seed=1, num_aps=8, num_ues=4)
     table = _edge_table(sc, PARAMS, BAND, QOS)
     real = lwcf.cegmm._edges_ok
     sizes = []
 
-    def spy(scenario, params, lo, hi, qos, consts=None):
+    def spy(scenario, params, lo, hi, qos):
         sizes.append(len(lo))
-        return real(scenario, params, lo, hi, qos, consts)
+        return real(scenario, params, lo, hi, qos)
 
     monkeypatch.setattr(lwcf.cegmm, "_edges_ok", spy)
     step = 50e6
@@ -380,8 +387,10 @@ def test_shrink_without_a_table_checks_step_zero_alone(monkeypatch):
         assert _shrink_to_valid(sc, PARAMS, lo, hi, BAND, QOS, step) == want
         # every random interval has step 0 in band
         assert sizes[0] == 1 and all(n <= 32 for n in sizes[1:])
+        sizes.clear()
         assert _shrink_to_valid(sc, PARAMS, lo, hi, BAND, QOS, step,
                                 table) == want
+        assert sizes[:1] in ([], [1]) and all(n <= 32 for n in sizes)
         kept.append(at)
     assert kept.count(0) >= 5
     assert sum(at is not None and at > 32 for at in kept) >= 5
@@ -480,12 +489,15 @@ def test_edges_ok_empty_input():
         assert got.shape == (0,) and got.dtype == bool
 
 
-def table_bounds(table):
+def table_bounds(table, params, qos):
     """Per-cell (lower, upper) envelope PSD bounds, shapes (K, C), and
-    which cells are usable."""
+    which cells are usable, of the table of (params, qos)."""
+    eps = ENVELOPE_REL_TOL
+    slack_db = 10.0 * np.log10(envelope_ratio(params)) + ENVELOPE_DB_TOL
+    max_ratio = (10.0 ** ((qos.coherence_gap_db - slack_db) / 10.0)
+                 * (1.0 - eps) / (1.0 + eps))
     usable = np.isfinite(table.upper[:, :-1]).all(axis=0)
-    return (table.lower_r[:, :-1] / table.consts.max_ratio,
-            table.upper[:, :-1], usable)
+    return table.lower_r[:, :-1] / max_ratio, table.upper[:, :-1], usable
 
 
 def test_edge_table_bounds_the_envelope_psd():
@@ -501,7 +513,7 @@ def test_edge_table_bounds_the_envelope_psd():
     for params, seed in [(p, seed) for p in (PARAMS, weak) for seed in range(3)]:
         sc = make_scenario(seed=seed)
         table = _edge_table(sc, params, BAND, loose)
-        lower, upper, usable = table_bounds(table)
+        lower, upper, usable = table_bounds(table, params, loose)
         edges = table.edges
         assert edges[0] == params.cutoff_frequency + TABLE_CELL
         assert edges[-1] == BAND[1] and usable.mean() > 0.99
@@ -512,7 +524,8 @@ def test_edge_table_bounds_the_envelope_psd():
         env = env.reshape(grid.shape + (sc.num_ues,))[usable]  # (C, 33, K)
         assert np.all(env >= lower.T[usable][:, None, :] * (1.0 - eps))
         assert np.all(env <= upper.T[usable][:, None, :] * (1.0 + eps))
-        peak_cells = np.searchsorted(edges, table.consts.peak_freq) - 1
+        peak_freq = peak_frequency(params.cutoff_frequency, sc.angles)
+        peak_cells = np.searchsorted(edges, peak_freq) - 1
         peak_cells = peak_cells[(peak_cells >= 0) & (peak_cells < usable.size)]
         assert np.unique(peak_cells[usable[peak_cells]]).size >= 5
         interior_peaks += int(np.sum(env.max(axis=1)
@@ -541,11 +554,14 @@ def stepwise_width(center, sc, qos, step, cap):
 def test_bandwidth_search_equals_stepwise_exact_scan():
     """Widths equal a one-step-at-a-time scan with the exact-PSD oracle
     when the access threshold ends the searches, when a 0.5 dB coherence
-    gap does, and when neither does and they run to the last step."""
+    gap does, and when neither does and they run to the last step; with
+    the edge table of each setting and without lookups alike."""
     step, cap = 10e6, 10e9
     ends = {"threshold": 0, "gap": 0, "max_steps": 0}
+    looked_up = {name: 0 for name in ends}
     for seed in range(3):
         sc = make_scenario(seed=seed, num_aps=8, num_ues=4)
+        tables = {}
         centers = np.random.default_rng(100 + seed).uniform(101e9, 199e9, 12)
         center_psd = received_strength_psd(sc, PARAMS, centers).min(axis=1)
         for center, psd in zip(centers, center_psd):
@@ -553,10 +569,17 @@ def test_bandwidth_search_equals_stepwise_exact_scan():
                         "gap": QosConfig(0.0, 0.5),
                         "max_steps": QosConfig(0.0, 40.0)}
             for name, qos in settings.items():
+                if name == "threshold" or name not in tables:
+                    tables[name] = _edge_table(sc, PARAMS, BAND, qos)
+                table = tables[name]
                 got = bandwidth_search(float(center), sc, PARAMS, BAND, qos,
-                                       step, max_bandwidth=cap)
+                                       step, max_bandwidth=cap, table=table)
+                assert bandwidth_search(float(center), sc, PARAMS, BAND, qos,
+                                        step, max_bandwidth=cap) == got
                 want, max_steps = stepwise_width(center, sc, qos, step, cap)
                 assert got == want
+                looked_up[name] += bool(table.certified(
+                    [center - step / 2.0], [center + step / 2.0])[0])
                 if name == "max_steps":
                     assert got == max_steps * step
                     ends[name] += 1
@@ -572,6 +595,8 @@ def test_bandwidth_search_equals_stepwise_exact_scan():
                     ends[name] += 1
     assert ends["threshold"] >= 5 and ends["gap"] >= 20
     assert ends["max_steps"] == 36
+    # the searches' own tables settle their first steps by lookup
+    assert min(looked_up.values()) >= 30
 
 
 def test_certified_blocks_make_no_per_interval_psd_call(monkeypatch):
@@ -583,10 +608,9 @@ def test_certified_blocks_make_no_per_interval_psd_call(monkeypatch):
     widths = np.arange(1, 1001) * 10e6
     assert np.all(table.certified(150e9 - widths / 2.0, 150e9 + widths / 2.0))
     calls = spy_edge_psds(monkeypatch)
-    for given in (None, table):
-        got = bandwidth_search(150e9, sc, PARAMS, BAND, loose, 10e6,
-                               max_bandwidth=10e9, table=given)
-        assert got == 10e9
+    got = bandwidth_search(150e9, sc, PARAMS, BAND, loose, 10e6,
+                           max_bandwidth=10e9, table=table)
+    assert got == 10e9
     assert calls == []
 
 
@@ -594,7 +618,8 @@ def test_table_leaves_steps_at_the_cutoff_to_the_other_tiers():
     """The rounding of the computed envelope can exceed eps near cutoff:
     cells inside that guard never certify, and frequencies below the first
     cell fall in the unusable one.  Searches centred within 50 MHz of
-    cutoff still give the widths of the exact scan."""
+    cutoff still give the widths of the exact scan, with their table and
+    without lookups."""
     sc = make_scenario(seed=0)
     loose = QosConfig(0.0, 40.0)
     table = _edge_table(sc, PARAMS, BAND, loose)
@@ -608,29 +633,34 @@ def test_table_leaves_steps_at_the_cutoff_to_the_other_tiers():
     # at 13 rad/m the guard reaches ~0.5 GHz above cutoff
     weak = AntennaParams(1.0, 0.15, 13.0, 100e9)
     weak_table = _edge_table(sc, weak, BAND, loose)
-    _, _, usable = table_bounds(weak_table)
+    _, _, usable = table_bounds(weak_table, weak, loose)
     cell_lo = weak_table.edges[:-1]
     near = cell_lo < weak.cutoff_frequency + 0.3e9
     far = cell_lo > weak.cutoff_frequency + 1e9
     assert near.sum() >= 5 and not usable[near].any() and usable[far].all()
+    gap = QosConfig(0.0, 0.5)
+    tables = [(loose, table), (gap, _edge_table(sc, PARAMS, BAND, gap))]
     for offset in (2e6, 5e6, 20e6, 50e6):
         center = PARAMS.cutoff_frequency + offset
-        for qos in (loose, QosConfig(0.0, 0.5)):
-            got = bandwidth_search(center, sc, PARAMS, BAND, qos, 1e6,
-                                   max_bandwidth=10e9)
+        for qos, qos_table in tables:
             want, max_steps = stepwise_width(center, sc, qos, 1e6, 10e9)
-            assert got == want and max_steps >= 1
+            assert max_steps >= 1
+            for t in (qos_table, None):
+                assert bandwidth_search(center, sc, PARAMS, BAND, qos, 1e6,
+                                        max_bandwidth=10e9, table=t) == want
 
 
 def test_steps_on_cell_edges_and_at_the_band_top_equal_the_exact_scan():
     """An edge on a stored cell edge belongs to the cell below it, whose
     bounds hold there; a search that runs to the band top looks its last
-    step up in the last cell.  Both give the widths of the exact scan."""
+    step up in the last cell.  Both give the widths of the exact scan, as
+    do the same searches without lookups."""
     step = 10e6
     sc = make_scenario(seed=2, num_aps=8, num_ues=4)
     loose, gap = QosConfig(0.0, 40.0), QosConfig(0.0, 0.5)
     table = _edge_table(sc, PARAMS, BAND, loose)
-    lower, upper, _ = table_bounds(table)
+    tables = [(loose, table), (gap, _edge_table(sc, PARAMS, BAND, gap))]
+    lower, upper, _ = table_bounds(table, PARAMS, loose)
     # in [2^37, 2^38) Hz multiples of 5 MHz add and subtract exactly
     for k in (1000, 1500, 2200):
         edge = table.edges[k]
@@ -640,17 +670,20 @@ def test_steps_on_cell_edges_and_at_the_band_top_equal_the_exact_scan():
             center = edge + s * step / 2.0
             assert center - s * step / 2.0 == edge
             assert table.certified([edge], [center + s * step / 2.0])[0]
-            for qos in (loose, gap):
-                got = bandwidth_search(center, sc, PARAMS, BAND, qos, step,
-                                       max_bandwidth=10e9)
-                assert got == stepwise_width(center, sc, qos, step, 10e9)[0]
+            for qos, qos_table in tables:
+                want = stepwise_width(center, sc, qos, step, 10e9)[0]
+                for t in (qos_table, None):
+                    assert bandwidth_search(center, sc, PARAMS, BAND, qos,
+                                            step, max_bandwidth=10e9,
+                                            table=t) == want
     center = BAND[1] - 50 * step
     assert table.certified([center - 50 * step], [BAND[1]])[0]
     assert np.searchsorted(table.edges, BAND[1]) - 1 == table.edges.size - 2
-    for qos in (loose, gap):
+    for qos, qos_table in tables:
         want, max_steps = stepwise_width(center, sc, qos, step, 10e9)
-        assert bandwidth_search(center, sc, PARAMS, BAND, qos, step,
-                                max_bandwidth=10e9) == want
+        for t in (qos_table, None):
+            assert bandwidth_search(center, sc, PARAMS, BAND, qos, step,
+                                    max_bandwidth=10e9, table=t) == want
     assert want == max_steps * step == 100 * step
 
 
@@ -710,16 +743,22 @@ def test_check_coherence_flags_wide_interval():
 
 def test_evaluate_candidate_filters_and_flags():
     sc = make_scenario(seed=1)
+    table = _edge_table(sc, PARAMS, BAND, QOS)
+    centers = [90e9, 150e9, 210e9]
     subs, accessible = evaluate_candidate(
-        [90e9, 150e9, 210e9], sc, PARAMS, BAND, QOS, 50e6, 10e9)
+        centers, sc, PARAMS, BAND, QOS, 50e6, 10e9, table=table)
     assert accessible
     for c, w in subs:
         assert BAND[0] < c < BAND[1] and w > 0.0
+    assert evaluate_candidate(centers, sc, PARAMS, BAND, QOS, 50e6,
+                              10e9) == (subs, accessible)
     # an unreachable access threshold drops every center
     strict = QosConfig(min_rx_psd=1.0, coherence_gap_db=0.5)
-    subs, accessible = evaluate_candidate(
-        [150e9], sc, PARAMS, BAND, strict, 50e6, 10e9)
-    assert subs == [] and not accessible
+    strict_table = _edge_table(sc, PARAMS, BAND, strict)
+    for t in (strict_table, None):
+        subs, accessible = evaluate_candidate(
+            [150e9], sc, PARAMS, BAND, strict, 50e6, 10e9, table=t)
+        assert subs == [] and not accessible
 
 
 def test_straggler_clipped_onto_the_cutoff_is_skipped():
@@ -732,12 +771,15 @@ def test_straggler_clipped_onto_the_cutoff_is_skipped():
     centers = sample_gmm(far_below, 4, np.random.default_rng(0), band=BAND)
     assert np.all(centers == PARAMS.cutoff_frequency)
     sc = make_scenario(seed=1)
-    assert evaluate_candidate(centers, sc, PARAMS, BAND, QOS, 50e6,
-                              10e9) == ([], False)
-    # next to an accessible center the straggler changes nothing
     mixed = np.append(centers[:1], 150e9)
-    assert (evaluate_candidate(mixed, sc, PARAMS, BAND, QOS, 50e6, 10e9)
-            == evaluate_candidate([150e9], sc, PARAMS, BAND, QOS, 50e6, 10e9))
+    for t in (_edge_table(sc, PARAMS, BAND, QOS), None):
+        assert evaluate_candidate(centers, sc, PARAMS, BAND, QOS, 50e6,
+                                  10e9, table=t) == ([], False)
+        # next to an accessible center the straggler changes nothing
+        assert (evaluate_candidate(mixed, sc, PARAMS, BAND, QOS, 50e6, 10e9,
+                                   table=t)
+                == evaluate_candidate([150e9], sc, PARAMS, BAND, QOS, 50e6,
+                                      10e9, table=t))
 
 
 def test_allocate_deterministic_and_valid():
@@ -761,8 +803,9 @@ def test_allocate_deterministic_and_valid():
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_allocate_equals_the_exact_path(monkeypatch, seed):
-    """With no envelope constants every edge decision takes the exact
-    path, and the plan is the same, field for field, as with the table."""
+    """With an infinite envelope ratio neither the table nor the envelope
+    tier can decide, so every edge decision takes the exact path, and the
+    plan is the same, field for field, as with the table."""
     import lwcf.cegmm
 
     sc = make_scenario(num_aps=8, num_ues=4, seed=seed)
@@ -776,11 +819,49 @@ def test_allocate_equals_the_exact_path(monkeypatch, seed):
 
     with_table = plan()
     assert with_table.subchannels
-    monkeypatch.setattr(lwcf.cegmm, "_edge_constants", lambda *args: None)
+    monkeypatch.setattr(lwcf.cegmm, "envelope_ratio", lambda params: np.inf)
     calls = spy_edge_psds(monkeypatch)
     exact = plan()
     assert calls and not any(envelope for envelope, _ in calls)
     assert exact == with_table
+
+
+def test_one_edge_table_per_search(monkeypatch):
+    """``ce_search`` builds the one table of a search: an ``allocate`` and
+    an ``allocate_clustered`` build one each, and standalone searches,
+    candidates and overlap resolutions build none."""
+    import lwcf.cegmm
+    from lwcf.cluster_alloc import allocate_clustered
+    from lwcf.clustering import kmeans_clustering
+
+    sc = make_scenario(num_aps=8, num_ues=4, seed=11)
+    hyper = CeHyperparams(num_samples=5, num_elites=2, max_iterations=2,
+                          grid_step=50e6, num_subchannels=3)
+    real = lwcf.cegmm._edge_table
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lwcf.cegmm, "_edge_table", spy)
+    rng = np.random.default_rng(np.random.SeedSequence((11, 0)))
+    allocate(sc, PARAMS, BAND, "zf", hyper, QOS, rng, total_bandwidth=10e9)
+    assert len(built) == 1
+    clustering = kmeans_clustering(sc, PARAMS, BAND[1], 2,
+                                   np.random.default_rng(11))
+    allocate_clustered(sc, PARAMS, BAND, "zf", hyper, QOS, clustering,
+                       np.random.default_rng(np.random.SeedSequence((11, 0))),
+                       total_bandwidth=10e9)
+    assert len(built) == 2
+    width = bandwidth_search(150e9, sc, PARAMS, BAND, QOS, 50e6,
+                             max_bandwidth=10e9)
+    subchannels, accessible = evaluate_candidate(
+        [120e9, 150e9, 151e9], sc, PARAMS, BAND, QOS, 50e6, 1e9)
+    resolve_overlaps([(150e9, width), (150.1e9, width)], sc, PARAMS, BAND,
+                     QOS, 50e6, 1e9)
+    assert width > 0.0 and subchannels and accessible
+    assert len(built) == 2
 
 
 def test_allocate_respects_budget():

@@ -213,9 +213,9 @@ def test_allocate_clustered_plans_are_valid():
 
 @pytest.mark.parametrize("seed", [21, 22])
 def test_allocate_clustered_equals_the_exact_path(monkeypatch, seed):
-    """With no envelope constants every edge decision takes the exact
-    path, and the cluster plan is the same, field for field, as with the
-    table."""
+    """With an infinite envelope ratio neither the table nor the envelope
+    tier can decide, so every edge decision takes the exact path, and the
+    cluster plan is the same, field for field, as with the table."""
     import lwcf.cegmm
 
     sc = make_scenario(num_aps=8, num_ues=4, seed=seed)
@@ -231,7 +231,7 @@ def test_allocate_clustered_equals_the_exact_path(monkeypatch, seed):
 
     with_table = plan()
     assert with_table.total_rate > 0.0
-    monkeypatch.setattr(lwcf.cegmm, "_edge_constants", lambda *args: None)
+    monkeypatch.setattr(lwcf.cegmm, "envelope_ratio", lambda params: np.inf)
     exact = plan()
     assert exact == with_table
 

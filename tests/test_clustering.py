@@ -262,6 +262,34 @@ def test_per_ap_se_equals_per_ue_oracle_bit_for_bit():
     assert wide >= 5 and wide_chunked >= 1
 
 
+def test_standalone_per_ap_se_builds_only_the_served_rows(monkeypatch):
+    """Without a stack a score builds one channel per served UE, not one
+    per UE of the drop, and still equals the per-UE oracle."""
+    sc = make_scenario(num_aps=24, num_ues=10, seed=0)
+    ue_to_ap = strongest_aps(sc, PARAMS, BAND_UPPER)
+    real = lwcf.clustering.build_channel
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lwcf.clustering, "build_channel", spy)
+    rng = np.random.default_rng(5)
+    sizes = []
+    for _ in range(10):
+        cluster = tuple(rng.choice(24, int(rng.integers(1, 12)),
+                                   replace=False).tolist())
+        served = int(np.isin(ue_to_ap, cluster).sum())
+        calls.clear()
+        got = per_ap_spectral_efficiency(cluster, sc, PARAMS, "zf",
+                                         BAND_UPPER)
+        assert len(calls) == served
+        assert got == per_ap_se_per_ue(cluster, sc, PARAMS, "zf", BAND_UPPER)
+        sizes.append(served)
+    assert 0 < max(sizes) < sc.num_ues
+
+
 def test_per_ap_se_colocated_ues_match_the_oracle():
     """Two co-located UEs make zero forcing singular on every slice: each
     UE is scored under maximum ratio, exactly as the per-UE oracle does."""
