@@ -17,7 +17,7 @@ import numpy as np
 from .antenna import AntennaParams, gain, peak_frequency
 from .mimo import (SingularChannel, build_channel, freespace_amplitude,
                    precoder_rows, sinr_rows)
-from .scenario import Scenario, subscenario
+from .scenario import Scenario
 
 KMEANS_TOL = 1e-6          # m, centroid movement threshold
 KMEANS_MAX_ITER = 100
@@ -177,8 +177,6 @@ def rss_matrix(scenario: Scenario, params: AntennaParams,
     """Per-link received strength (num_ues, num_aps): transmit PSD times
     aperture gain times free-space power gain, each link evaluated at its
     own peak frequency clamped into (cutoff, band_upper]."""
-    if scenario.num_ues == 0:
-        return np.zeros((0, scenario.num_aps))
     f_eval = np.clip(peak_frequency(params.cutoff_frequency, scenario.angles),
                      params.cutoff_frequency * (1.0 + 1e-9), band_upper)
     amp = freespace_amplitude(f_eval, scenario.distances)
@@ -244,11 +242,8 @@ def _own_sinrs(h: np.ndarray, method: str, tx_psd: np.ndarray,
     return gammas[n, first + n]
 
 
-def per_ap_spectral_efficiency(cluster, scenario: Scenario,
-                               params: AntennaParams, method: str,
-                               band_upper: float,
-                               ue_to_ap: np.ndarray | None = None,
-                               stack: np.ndarray | None = None) -> float:
+def per_ap_spectral_efficiency(cluster, scenario: Scenario, method: str,
+                               ue_to_ap: np.ndarray, stack: np.ndarray) -> float:
     """Sum spectral efficiency of the cluster's UEs divided by its AP count.
 
     Each UE's SINR is taken from the intra-cluster channel alone at the
@@ -257,28 +252,19 @@ def per_ap_spectral_efficiency(cluster, scenario: Scenario,
     rather than failing, since this quantity only ranks candidate clusters;
     a collapsed maximum-ratio column still raises SingularChannel.
 
-    The channels are sliced out of ``stack`` (``channel_stack`` of the same
-    ``ue_to_ap``; both are built here when None, the stack for the served
-    UEs alone) and precoded ``SCORE_CHUNK`` UEs at a time as (chunk, S, Mc)
-    stacks; the scores equal, bit for bit, a per-UE build, precode and
-    SINR.
+    ``ue_to_ap`` is the drop's ``strongest_aps`` and ``stack`` its
+    ``channel_stack``; the cluster's channels are sliced out of the stack
+    and precoded ``SCORE_CHUNK`` UEs at a time as (chunk, S, Mc) stacks.
+    The scores equal, bit for bit, a per-UE build, precode and SINR.
     """
     members = sorted(int(a) for a in cluster)
     if not members:
         raise ValueError("empty cluster")
-    if ue_to_ap is None:
-        ue_to_ap = strongest_aps(scenario, params, band_upper)
     member_set = set(members)
     served = [k for k in range(scenario.num_ues) if int(ue_to_ap[k]) in member_set]
     if not served:
         return 0.0
-    if stack is None:    # rows and columns of the served UEs only
-        all_aps = range(scenario.num_aps)
-        stack = channel_stack(subscenario(scenario, all_aps, served), params,
-                              band_upper, ue_to_ap[served])
-        rows = np.arange(len(served))
-    else:
-        rows = np.asarray(served)
+    rows = np.asarray(served)
     tx_psd = scenario.tx_psd[served]
     total = 0.0
     for first in range(0, len(served), SCORE_CHUNK):
@@ -288,47 +274,32 @@ def per_ap_spectral_efficiency(cluster, scenario: Scenario,
     return float(total / len(members))
 
 
-def merge_void_clusters(clusters, scenario: Scenario, params: AntennaParams,
-                        band_upper: float, method: str = "zf",
-                        ue_to_ap: np.ndarray | None = None,
-                        stack: np.ndarray | None = None):
+def merge_void_clusters(clusters, ue_to_ap: np.ndarray, score):
     """Fold every cluster that serves no UE into a serving cluster.
 
     Void clusters are handled in ascending index order; each joins the
-    serving cluster whose merged per-AP spectral efficiency is largest.
-    When no cluster serves anyone there is nothing to merge into and the
-    input is returned unchanged.  ``ue_to_ap`` and ``stack`` are as in
-    ``per_ap_spectral_efficiency`` (built here when None).
+    serving cluster whose merged score is largest, where ``score`` maps a
+    sorted AP tuple to its per-AP spectral efficiency.  When no cluster
+    serves anyone (``ue_to_ap`` names no member) there is nothing to merge
+    into and the input is returned unchanged.
     """
-    if scenario.num_ues == 0:
-        return [tuple(sorted(int(a) for a in c)) for c in clusters]
-    if ue_to_ap is None:
-        ue_to_ap = strongest_aps(scenario, params, band_upper)
     served_aps = set(int(a) for a in ue_to_ap)
     items = [tuple(sorted(int(a) for a in c)) for c in clusters]
     if not any(set(c) & served_aps for c in items):
-        return list(items)
-    if stack is None:
-        stack = channel_stack(scenario, params, band_upper, ue_to_ap)
+        return items
     while True:
         void_idx = next((i for i, c in enumerate(items)
                          if not set(c) & served_aps), None)
         if void_idx is None:
             break
         void = items.pop(void_idx)
-        scores = [per_ap_spectral_efficiency(tuple(sorted(c + void)), scenario,
-                                             params, method, band_upper,
-                                             ue_to_ap, stack)
-                  for c in items]
+        scores = [score(tuple(sorted(c + void))) for c in items]
         best = int(np.argmax(scores))
         items[best] = tuple(sorted(items[best] + void))
     return items
 
 
-def hierarchical_merge(clusters, scenario: Scenario, params: AntennaParams,
-                       band_upper: float, method: str = "zf",
-                       ue_to_ap: np.ndarray | None = None,
-                       stack: np.ndarray | None = None):
+def hierarchical_merge(clusters, score):
     """Greedily merge cluster pairs while per-AP spectral efficiency grows.
 
     A pair qualifies when the merged score strictly exceeds the per-AP
@@ -339,28 +310,12 @@ def hierarchical_merge(clusters, scenario: Scenario, params: AntennaParams,
     this folds the partition down aggressively; only clusters whose mutual
     links are negligible stay apart.
 
-    Scores are memoised by the sorted AP tuple, so each cluster is scored
-    once: after a merge only the pairs with the new cluster cost a score.
-    ``ue_to_ap`` and ``stack`` are as in ``per_ap_spectral_efficiency``
-    (built here when None).
+    ``score`` maps a sorted AP tuple to its per-AP spectral efficiency.
+    Every round asks it for every pair again, so the caller memoises it:
+    then only the pairs with the newly merged cluster cost a score.
     """
     items = [tuple(sorted(int(a) for a in c)) for c in clusters]
-    if scenario.num_ues == 0:
-        items.sort(key=lambda c: c[0])
-        return items
-    if ue_to_ap is None:
-        ue_to_ap = strongest_aps(scenario, params, band_upper)
-    if stack is None:
-        stack = channel_stack(scenario, params, band_upper, ue_to_ap)
-    memo: dict[tuple[int, ...], float] = {}
-
-    def score_of(members: tuple[int, ...]) -> float:
-        if members not in memo:
-            memo[members] = per_ap_spectral_efficiency(
-                members, scenario, params, method, band_upper, ue_to_ap, stack)
-        return memo[members]
-
-    scores = [score_of(c) for c in items]
+    scores = [score(c) for c in items]
     while len(items) > 1:
         best_gain = 0.0
         best_pair = None
@@ -369,16 +324,16 @@ def hierarchical_merge(clusters, scenario: Scenario, params: AntennaParams,
         for i in range(len(items)):
             for j in range(i + 1, len(items)):
                 merged = tuple(sorted(items[i] + items[j]))
-                score = score_of(merged)
+                merged_score = score(merged)
                 size_i, size_j = len(items[i]), len(items[j])
                 joint = ((scores[i] * size_i + scores[j] * size_j)
                          / (size_i + size_j))
-                gain_ij = score - joint
+                gain_ij = merged_score - joint
                 if gain_ij > best_gain:
                     best_gain = gain_ij
                     best_pair = (i, j)
                     best_merged = merged
-                    best_score = score
+                    best_score = merged_score
         if best_pair is None:
             break
         i, j = best_pair
@@ -402,15 +357,25 @@ def _build(scenario: Scenario, params: AntennaParams, clusters,
 def hierarchical_clustering(scenario: Scenario, params: AntennaParams,
                             band_upper: float, method: str = "zf") -> Clustering:
     """Full propagation-aware pipeline: seed clusters, absorb the user-less
-    ones, merge while the per-AP score improves, then re-associate.  The
-    association and the channel stack are computed once per drop."""
+    ones, merge while the per-AP score improves, then re-associate.
+
+    The pipeline owns the drop context: the association and the channel
+    stack are computed once, and one memo keyed by the sorted AP tuple
+    serves both merge stages, so no cluster is scored twice per drop.
+    """
     seeds, converged = affinity_propagation(scenario.ap_positions)
     ue_to_ap = strongest_aps(scenario, params, band_upper)
     stack = channel_stack(scenario, params, band_upper, ue_to_ap)
-    merged = merge_void_clusters(seeds, scenario, params, band_upper, method,
-                                 ue_to_ap, stack)
-    merged = hierarchical_merge(merged, scenario, params, band_upper, method,
-                                ue_to_ap, stack)
+    memo: dict[tuple[int, ...], float] = {}
+
+    def score(members: tuple[int, ...]) -> float:
+        if members not in memo:
+            memo[members] = per_ap_spectral_efficiency(
+                members, scenario, method, ue_to_ap, stack)
+        return memo[members]
+
+    merged = merge_void_clusters(seeds, ue_to_ap, score)
+    merged = hierarchical_merge(merged, score)
     return _build(scenario, params, merged, band_upper, converged, ue_to_ap)
 
 

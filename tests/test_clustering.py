@@ -60,6 +60,25 @@ def manual_scenario(ap_xy, ue_xy, elev=5.0, angle=0.9):
     )
 
 
+def drop_context(sc):
+    """The per-drop inputs ``hierarchical_clustering`` builds once: the
+    strongest-AP association and the channel stack."""
+    ue_to_ap = strongest_aps(sc, PARAMS, BAND_UPPER)
+    return ue_to_ap, channel_stack(sc, PARAMS, BAND_UPPER, ue_to_ap)
+
+
+def se(cluster, sc, method="zf"):
+    """One standalone per-AP spectral efficiency of ``cluster`` on ``sc``."""
+    return per_ap_spectral_efficiency(cluster, sc, method, *drop_context(sc))
+
+
+def scorer(sc, method="zf"):
+    """The unmemoised cluster score the merge rules take, over one drop."""
+    ue_to_ap, stack = drop_context(sc)
+    return lambda members: per_ap_spectral_efficiency(members, sc, method,
+                                                      ue_to_ap, stack)
+
+
 def assert_partition(clusters, num_aps):
     seen = sorted(a for c in clusters for a in c)
     assert seen == list(range(num_aps))
@@ -202,9 +221,9 @@ def test_clustering_dataclass_validation():
 def test_per_ap_se_void_cluster_scores_zero():
     sc = manual_scenario([[0, 0], [1000, 0]], [[1, 0]])
     # the single UE is served by AP 0, so cluster (1,) is void
-    assert per_ap_spectral_efficiency((1,), sc, PARAMS, "zf", BAND_UPPER) == 0.0
+    assert se((1,), sc) == 0.0
     with pytest.raises(ValueError):
-        per_ap_spectral_efficiency((), sc, PARAMS, "zf", BAND_UPPER)
+        se((), sc)
 
 
 def test_per_ap_se_single_link_recompute():
@@ -215,15 +234,15 @@ def test_per_ap_se_single_link_recompute():
     w = precode(h, "zf")
     gamma = sinr(h, w, sc.tx_psd, sc.noise_psd)[0]
     want = float(np.log2(1.0 + gamma))
-    got = per_ap_spectral_efficiency((0,), sc, PARAMS, "zf", BAND_UPPER)
+    got = se((0,), sc)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_per_ap_se_negligible_ap_halves_score():
     near = manual_scenario([[0, 0]], [[7, 0]])
     both = manual_scenario([[0, 0], [1e12, 0]], [[7, 0]])
-    alone = per_ap_spectral_efficiency((0,), near, PARAMS, "zf", BAND_UPPER)
-    padded = per_ap_spectral_efficiency((0, 1), both, PARAMS, "zf", BAND_UPPER)
+    alone = se((0,), near)
+    padded = se((0, 1), both)
     assert padded == pytest.approx(alone / 2.0, rel=1e-9)
 
 
@@ -231,7 +250,7 @@ def test_per_ap_se_mrt_fallback_on_singular_channel():
     # two UEs at the same spot make zero forcing singular; the score must
     # come back finite through the maximum-ratio fallback
     sc = manual_scenario([[0, 0], [50, 0]], [[7, 0], [7, 0]])
-    got = per_ap_spectral_efficiency((0, 1), sc, PARAMS, "zf", BAND_UPPER)
+    got = se((0, 1), sc)
     assert np.isfinite(got) and got > 0.0
 
 
@@ -243,8 +262,7 @@ def test_per_ap_se_equals_per_ue_oracle_bit_for_bit():
     for num_aps, num_ues, seed in ((24, 10, 0), (12, 8, 1), (6, 8, 2),
                                    (64, 20, 3)):
         sc = make_scenario(num_aps=num_aps, num_ues=num_ues, seed=seed)
-        ue_to_ap = strongest_aps(sc, PARAMS, BAND_UPPER)
-        stack = channel_stack(sc, PARAMS, BAND_UPPER, ue_to_ap)
+        ue_to_ap, stack = drop_context(sc)
         for _ in range(15):
             size = int(rng.integers(1, num_aps + 1))
             cluster = tuple(rng.choice(num_aps, size, replace=False).tolist())
@@ -254,40 +272,9 @@ def test_per_ap_se_equals_per_ue_oracle_bit_for_bit():
                 want = per_ap_se_per_ue(cluster, sc, PARAMS, method,
                                         BAND_UPPER)
                 assert per_ap_spectral_efficiency(
-                    cluster, sc, PARAMS, method, BAND_UPPER) == want
-                assert per_ap_spectral_efficiency(
-                    cluster, sc, PARAMS, method, BAND_UPPER, ue_to_ap,
-                    stack) == want
+                    cluster, sc, method, ue_to_ap, stack) == want
             wide_chunked += served > max(size, SCORE_CHUNK)
     assert wide >= 5 and wide_chunked >= 1
-
-
-def test_standalone_per_ap_se_builds_only_the_served_rows(monkeypatch):
-    """Without a stack a score builds one channel per served UE, not one
-    per UE of the drop, and still equals the per-UE oracle."""
-    sc = make_scenario(num_aps=24, num_ues=10, seed=0)
-    ue_to_ap = strongest_aps(sc, PARAMS, BAND_UPPER)
-    real = lwcf.clustering.build_channel
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(lwcf.clustering, "build_channel", spy)
-    rng = np.random.default_rng(5)
-    sizes = []
-    for _ in range(10):
-        cluster = tuple(rng.choice(24, int(rng.integers(1, 12)),
-                                   replace=False).tolist())
-        served = int(np.isin(ue_to_ap, cluster).sum())
-        calls.clear()
-        got = per_ap_spectral_efficiency(cluster, sc, PARAMS, "zf",
-                                         BAND_UPPER)
-        assert len(calls) == served
-        assert got == per_ap_se_per_ue(cluster, sc, PARAMS, "zf", BAND_UPPER)
-        sizes.append(served)
-    assert 0 < max(sizes) < sc.num_ues
 
 
 def test_per_ap_se_colocated_ues_match_the_oracle():
@@ -297,8 +284,7 @@ def test_per_ap_se_colocated_ues_match_the_oracle():
                          [[7, 0], [7, 0], [60, 0]])
     scores = {}
     for method in ("zf", "mrt"):
-        scores[method] = per_ap_spectral_efficiency((0, 1, 2), sc, PARAMS,
-                                                    method, BAND_UPPER)
+        scores[method] = se((0, 1, 2), sc, method)
         assert scores[method] == per_ap_se_per_ue((0, 1, 2), sc, PARAMS,
                                                   method, BAND_UPPER)
     assert scores["zf"] == scores["mrt"] > 0.0
@@ -328,8 +314,7 @@ def test_per_ap_se_falls_back_slice_by_slice(monkeypatch):
     only some UEs of one precoded chunk fall back to maximum ratio, and the
     score still equals the per-UE oracle."""
     sc = make_scenario(num_aps=12, num_ues=8, seed=4)
-    ue_to_ap = strongest_aps(sc, PARAMS, BAND_UPPER)
-    stack = channel_stack(sc, PARAMS, BAND_UPPER, ue_to_ap)
+    ue_to_ap, stack = drop_context(sc)
     cluster = tuple(range(12))
     served = np.flatnonzero(np.isin(ue_to_ap, cluster))
     assert served.size > SCORE_CHUNK
@@ -340,11 +325,11 @@ def test_per_ap_se_falls_back_slice_by_slice(monkeypatch):
     assert first_chunk.any() and not first_chunk.all()
     monkeypatch.setattr(lwcf.mimo, "MAX_ZF_CONDITION", bound)
     want = per_ap_se_per_ue(cluster, sc, PARAMS, "zf", BAND_UPPER)
-    got = per_ap_spectral_efficiency(cluster, sc, PARAMS, "zf", BAND_UPPER)
+    got = per_ap_spectral_efficiency(cluster, sc, "zf", ue_to_ap, stack)
     assert got == want
     monkeypatch.setattr(lwcf.mimo, "MAX_ZF_CONDITION", 1e12)
-    assert per_ap_spectral_efficiency(cluster, sc, PARAMS, "zf",
-                                      BAND_UPPER) != want
+    assert per_ap_spectral_efficiency(cluster, sc, "zf", ue_to_ap,
+                                      stack) != want
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +340,13 @@ def test_merge_void_keeps_serving_partition():
     sc = manual_scenario([[0, 0], [30, 0], [1000, 0]],
                          [[5, 0], [995, 0]])
     clusters = [(0,), (1,), (2,)]        # AP 1 serves nobody
-    out = merge_void_clusters(clusters, sc, PARAMS, BAND_UPPER)
+    ue_to_ap, _ = drop_context(sc)
+    out = merge_void_clusters(clusters, ue_to_ap, scorer(sc))
     assert_partition(out, 3)
     assert len(out) == 2
     # the void AP joined whichever merge scored the higher per-AP SE
-    score_left = per_ap_spectral_efficiency((0, 1), sc, PARAMS, "zf",
-                                            BAND_UPPER)
-    score_right = per_ap_spectral_efficiency((1, 2), sc, PARAMS, "zf",
-                                             BAND_UPPER)
+    score_left = se((0, 1), sc)
+    score_right = se((1, 2), sc)
     expected_home = (0, 1) if score_left >= score_right else (1, 2)
     assert expected_home in out
 
@@ -370,7 +354,8 @@ def test_merge_void_keeps_serving_partition():
 def test_merge_void_without_serving_cluster_is_identity():
     sc = manual_scenario([[1000, 0], [2000, 0], [0, 0]], [[5, 0]])
     # the serving AP (index 2) is outside every listed cluster
-    out = merge_void_clusters([(0,), (1,)], sc, PARAMS, BAND_UPPER)
+    ue_to_ap, _ = drop_context(sc)
+    out = merge_void_clusters([(0,), (1,)], ue_to_ap, scorer(sc))
     assert out == [(0,), (1,)]
 
 
@@ -379,7 +364,8 @@ def test_merge_void_never_grows_cluster_count():
         sc = make_scenario(num_aps=10, num_ues=3, seed=seed)
         rng = np.random.default_rng(seed)
         clusters = kmeans_clusters(sc.ap_positions, 5, rng)
-        out = merge_void_clusters(clusters, sc, PARAMS, BAND_UPPER)
+        ue_to_ap, _ = drop_context(sc)
+        out = merge_void_clusters(clusters, ue_to_ap, scorer(sc))
         assert_partition(out, 10)
         assert len(out) <= len(clusters)
         # every surviving cluster serves somebody
@@ -390,7 +376,7 @@ def test_merge_void_never_grows_cluster_count():
 
 def test_hierarchical_merge_single_cluster_identity():
     sc = make_scenario(seed=7)
-    out = hierarchical_merge([tuple(range(8))], sc, PARAMS, BAND_UPPER)
+    out = hierarchical_merge([tuple(range(8))], scorer(sc))
     assert out == [tuple(range(8))]
 
 
@@ -402,7 +388,7 @@ def test_hierarchical_merge_joins_near_stays_far():
     sc = manual_scenario([[0, 0], [60, 0], [far, 0], [far + 60, 0]],
                          [[5, 0], [far + 5, 0]])
     clusters = [(0,), (1,), (2, 3)]
-    out = hierarchical_merge(clusters, sc, PARAMS, BAND_UPPER)
+    out = hierarchical_merge(clusters, scorer(sc))
     assert sorted(map(sorted, out)) == [[0, 1], [2, 3]]
 
 
@@ -411,18 +397,16 @@ def test_hierarchical_merge_gain_rule_matches_pair_scan():
     # largest strictly positive improvement over its weighted separate score
     sc = make_scenario(num_aps=6, num_ues=4, seed=8)
     clusters = [(0, 1), (2, 3), (4, 5)]
-    scores = [per_ap_spectral_efficiency(c, sc, PARAMS, "zf", BAND_UPPER)
-              for c in clusters]
+    scores = [se(c, sc) for c in clusters]
     best_gain, best_pair = 0.0, None
     for i in range(3):
         for j in range(i + 1, 3):
             merged = tuple(sorted(clusters[i] + clusters[j]))
-            score = per_ap_spectral_efficiency(merged, sc, PARAMS, "zf",
-                                               BAND_UPPER)
+            score = se(merged, sc)
             joint = (scores[i] * 2 + scores[j] * 2) / 4.0
             if score - joint > best_gain:
                 best_gain, best_pair = score - joint, (i, j)
-    out = hierarchical_merge(clusters, sc, PARAMS, BAND_UPPER)
+    out = hierarchical_merge(clusters, scorer(sc))
     if best_pair is None:
         assert sorted(map(sorted, out)) == sorted(map(sorted, clusters))
     else:
@@ -431,27 +415,60 @@ def test_hierarchical_merge_gain_rule_matches_pair_scan():
         assert any(set(first_merge) <= set(c) for c in out)
 
 
-def test_hierarchical_merge_scores_each_cluster_once(monkeypatch):
-    """Only pairs with the newly merged cluster cost a score: the calls are
-    the initial scores plus the distinct merged tuples, none repeated."""
+def test_hierarchical_merge_scores_each_cluster_once():
+    """Only pairs with the newly merged cluster cost a score: the distinct
+    tuples the rule asks for are the initial clusters plus the distinct
+    merged tuples.  The memo that makes each of them one call belongs to
+    the pipeline (``test_hierarchical_clustering_scores_each_tuple_once``)."""
     sc = make_scenario(num_aps=12, num_ues=6, seed=5)
-    real = lwcf.clustering.per_ap_spectral_efficiency
-    scored = []
+    score = scorer(sc)
+    asked = []
 
-    def spy(cluster, *args):
-        scored.append(tuple(cluster))
-        return real(cluster, *args)
+    def record(members):
+        asked.append(members)
+        return score(members)
 
-    monkeypatch.setattr(lwcf.clustering, "per_ap_spectral_efficiency", spy)
     n = 12
-    out = hierarchical_merge([(a,) for a in range(n)], sc, PARAMS, BAND_UPPER)
+    out = hierarchical_merge([(a,) for a in range(n)], record)
     merges = n - len(out)
     assert merges >= 3
-    assert len(set(scored)) == len(scored)
     # round one scores every pair; after merge t only the new cluster's
     # pairs with the n - t - 1 others are new
     pairs = n * (n - 1) // 2 + sum(n - t - 1 for t in range(1, merges + 1))
-    assert len(scored) == n + pairs
+    assert len(set(asked)) == n + pairs
+
+
+def test_hierarchical_clustering_scores_each_tuple_once(monkeypatch):
+    """One memo serves the void merge and the pairwise merge: over a drop
+    the scorer runs once for each distinct AP tuple the two rules ask for,
+    never twice for one tuple, and the clusters are those of the rules
+    replayed with an unmemoised scorer."""
+    real = lwcf.clustering.per_ap_spectral_efficiency
+    for num_aps, num_ues, seed in ((12, 5, 0), (16, 8, 3), (16, 8, 1)):
+        sc = make_scenario(num_aps=num_aps, num_ues=num_ues, seed=seed)
+        ue_to_ap, _ = drop_context(sc)
+        score = scorer(sc)
+        asked = []
+
+        def record(members):
+            asked.append(members)
+            return score(members)
+
+        seeds, _ = affinity_propagation(sc.ap_positions)
+        want = hierarchical_merge(merge_void_clusters(seeds, ue_to_ap, record),
+                                  record)
+        scored = []
+
+        def spy(cluster, *args):
+            scored.append(tuple(cluster))
+            return real(cluster, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lwcf.clustering, "per_ap_spectral_efficiency", spy)
+            got = hierarchical_clustering(sc, PARAMS, BAND_UPPER)
+        assert list(got.clusters) == want
+        assert len(set(scored)) == len(scored)
+        assert set(scored) == set(asked)
 
 
 def test_hierarchical_clustering_equals_per_ue_scoring(monkeypatch):
@@ -462,8 +479,10 @@ def test_hierarchical_clustering_equals_per_ue_scoring(monkeypatch):
                                 (10, 12, 3))]
     want = [(hierarchical_clustering(sc, PARAMS, BAND_UPPER, method).clusters)
             for sc in drops for method in ("zf", "mrt")]
-    monkeypatch.setattr(lwcf.clustering, "per_ap_spectral_efficiency",
-                        lambda *args: per_ap_se_per_ue(*args[:6]))
+    monkeypatch.setattr(
+        lwcf.clustering, "per_ap_spectral_efficiency",
+        lambda cluster, sc, method, ue_to_ap, stack: per_ap_se_per_ue(
+            cluster, sc, PARAMS, method, BAND_UPPER, ue_to_ap))
     got = [(hierarchical_clustering(sc, PARAMS, BAND_UPPER, method).clusters)
            for sc in drops for method in ("zf", "mrt")]
     assert got == want
@@ -485,6 +504,35 @@ def test_hierarchical_clustering_pipeline_invariants():
         serving = set(clustering.ue_to_ap.tolist())
         for c in clustering.clusters:
             assert set(c) & serving
+
+
+def test_zero_ue_drop_takes_the_general_path():
+    """With no UEs no AP is served and every score is 0.0, so the pipeline
+    returns the affinity-propagation seeds, sorted, and the association
+    is empty.  The 0-UE drop of ``test_scenario`` gives one seed; the same
+    drop with its APs in two far groups gives two."""
+    for ap_positions in (np.zeros((3, 2)),
+                         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                                   [900.0, 0.0], [901.0, 0.0], [900.0, 1.0]])):
+        m = len(ap_positions)
+        sc = Scenario(
+            ap_positions=ap_positions,
+            ue_positions=np.zeros((0, 2)),
+            elev_diff=np.zeros((0, m)),
+            angles=np.zeros((0, m)),
+            distances=np.zeros((0, m)),
+            tx_psd=np.zeros(0),
+            noise_psd=1e-20,
+        )
+        rss = rss_matrix(sc, PARAMS, BAND_UPPER)
+        assert rss.shape == (0, m) and rss.dtype == float
+        seeds, _ = affinity_propagation(ap_positions)
+        clustering = hierarchical_clustering(sc, PARAMS, BAND_UPPER)
+        assert clustering.clusters == tuple(sorted(tuple(sorted(c))
+                                                   for c in seeds))
+        assert clustering.ue_to_ap.shape == (0,)
+        assert clustering.ue_to_cluster.shape == (0,)
+    assert len(seeds) == 2
 
 
 def test_kmeans_clustering_pipeline():
