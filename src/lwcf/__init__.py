@@ -9,7 +9,7 @@ from .cluster_alloc import (ClusterPlan, allocate_clustered,
                             cluster_subchannel_reward, greedy_assign)
 from .clustering import (Clustering, affinity_propagation, associate_ues,
                          hierarchical_clustering, kmeans_clustering)
-from .config import AppConfig, load_config
+from .config import load_config
 from .harness import (ExperimentConfig, equal_bandwidth_baseline,
                       run_experiment)
 from .mimo import (ChannelMatrix, PrecodingMatrix, SingularChannel,
@@ -27,7 +27,7 @@ __all__ = [
     "greedy_assign",
     "Clustering", "affinity_propagation", "associate_ues",
     "hierarchical_clustering", "kmeans_clustering",
-    "AppConfig", "load_config",
+    "load_config",
     "ExperimentConfig", "equal_bandwidth_baseline", "run_experiment",
     "ChannelMatrix", "PrecodingMatrix", "SingularChannel", "build_channel",
     "precode", "rate_density", "received_strength_psd", "sinr",

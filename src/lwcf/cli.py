@@ -13,14 +13,13 @@ import sys
 from contextlib import nullcontext
 from dataclasses import replace
 
-import numpy as np
-
 from .cegmm import InfeasibleBand
 from .cluster_alloc import ClusterPlan, write_cluster_plan_csv
 from .clustering import write_clustering_csv
-from .config import AppConfig, load_config
-from .harness import (build_clustering, equal_bandwidth_baseline,
-                      run_experiment, run_trial, write_plan_csv)
+from .config import load_config
+from .harness import (ExperimentConfig, build_clustering,
+                      equal_bandwidth_baseline, run_experiment, run_trial,
+                      trial_rng, write_plan_csv)
 from .mimo import SingularChannel
 from .scenario import generate_scenario
 
@@ -49,21 +48,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _worker_rng(app: AppConfig) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((app.base_seed, 0)))
-
-
 def _out_stream(path: str | None):
     if path is None:
         return nullcontext(sys.stdout)
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _cmd_simulate(app: AppConfig, out) -> None:
-    plan = run_trial(generate_scenario(app.scenario), app.params, app.band,
-                     app.hyper, app.qos, app.scenario.total_bandwidth,
-                     app.precoder, app.allocator, app.clustering_mode,
-                     app.num_clusters, _worker_rng(app))
+def _cmd_simulate(config: ExperimentConfig, out) -> None:
+    plan = run_trial(config, config.scenario, trial_rng(config, 0))
     if isinstance(plan, ClusterPlan):
         write_cluster_plan_csv(plan, out)
         suffix = f" feasible={plan.feasible}"
@@ -73,35 +65,32 @@ def _cmd_simulate(app: AppConfig, out) -> None:
     print(f"total_rate_bps={plan.total_rate:.6g}{suffix}", file=sys.stderr)
 
 
-def _cmd_sweep(app: AppConfig, out_path: str | None) -> None:
-    experiment = app.experiment()
+def _cmd_sweep(config: ExperimentConfig, out_path: str | None) -> None:
     if out_path is not None:
-        experiment = replace(experiment, output=out_path)
-    text = run_experiment(experiment)
-    if experiment.output is None:
+        config = replace(config, output=out_path)
+    text = run_experiment(config)
+    if config.output is None:
         sys.stdout.write(text)
     else:
-        print(f"wrote {experiment.output}", file=sys.stderr)
+        print(f"wrote {config.output}", file=sys.stderr)
 
 
-def _cmd_cluster(app: AppConfig, out) -> None:
-    if app.clustering_mode == "none":
+def _cmd_cluster(config: ExperimentConfig, out) -> None:
+    if config.clustering == "none":
         raise ValueError("clustering.mode is 'none'; set kmeans or hierarchical")
-    scenario = generate_scenario(app.scenario)
-    clustering = build_clustering(app.clustering_mode, scenario, app.params,
-                                  app.band, app.num_clusters, app.precoder,
-                                  _worker_rng(app))
+    clustering = build_clustering(config, generate_scenario(config.scenario),
+                                  trial_rng(config, 0))
     write_clustering_csv(clustering, out)
     print(f"clusters={clustering.num_clusters} "
           f"converged={clustering.converged}", file=sys.stderr)
 
 
-def _cmd_baseline(app: AppConfig, out) -> None:
-    scenario = generate_scenario(app.scenario)
-    plan = equal_bandwidth_baseline(scenario, app.params,
-                                    app.hyper.num_subchannels, app.band,
-                                    app.scenario.total_bandwidth,
-                                    app.precoder)
+def _cmd_baseline(config: ExperimentConfig, out) -> None:
+    scenario = generate_scenario(config.scenario)
+    plan = equal_bandwidth_baseline(scenario, config.params,
+                                    config.hyper.num_subchannels, config.band,
+                                    config.scenario.total_bandwidth,
+                                    config.precoder)
     write_plan_csv(plan, out)
     print(f"total_rate_bps={plan.achieved_rate:.6g}", file=sys.stderr)
 
@@ -109,17 +98,17 @@ def _cmd_baseline(app: AppConfig, out) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        app = load_config(args.config, args.overrides)
+        config = load_config(args.config, args.overrides)
         if args.command == "sweep":
-            _cmd_sweep(app, args.output)
+            _cmd_sweep(config, args.output)
         else:
             with _out_stream(args.output) as out:
                 if args.command == "simulate":
-                    _cmd_simulate(app, out)
+                    _cmd_simulate(config, out)
                 elif args.command == "cluster":
-                    _cmd_cluster(app, out)
+                    _cmd_cluster(config, out)
                 else:
-                    _cmd_baseline(app, out)
+                    _cmd_baseline(config, out)
     except (ValueError, OSError, InfeasibleBand, SingularChannel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,5 @@
-"""INI configuration: defaults, file loading, and dotted-key overrides.
+"""INI configuration: defaults, file loading, and dotted-key overrides,
+parsed into the one configuration type, ``harness.ExperimentConfig``.
 
 One file carries every knob, grouped into sections that mirror the package
 modules.  Unknown sections or keys are hard errors so typos cannot silently
@@ -9,12 +10,10 @@ and converted to W/Hz here.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
 
 from .antenna import AntennaParams
 from .cegmm import CeHyperparams, QosConfig
-from .harness import ALLOCATORS, CLUSTERING_MODES, SWEEP_VARIABLES, ExperimentConfig
-from .mimo import PRECODER_METHODS
+from .harness import ExperimentConfig
 from .scenario import ScenarioConfig
 
 DEFAULTS: dict[str, dict[str, str]] = {
@@ -67,37 +66,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 
-@dataclass(frozen=True)
-class AppConfig:
-    """Validated configuration bundle ready for the harness and CLI."""
-
-    scenario: ScenarioConfig
-    params: AntennaParams
-    band: tuple[float, float]
-    hyper: CeHyperparams
-    qos: QosConfig
-    clustering_mode: str
-    num_clusters: int
-    sweep: str
-    sweep_values: tuple[float, ...]
-    precoder: str
-    allocator: str
-    trials: int
-    base_seed: int
-    output: str | None
-    workers: int
-
-    def experiment(self) -> ExperimentConfig:
-        return ExperimentConfig(
-            scenario=self.scenario, params=self.params, band=self.band,
-            hyper=self.hyper, qos=self.qos, sweep=self.sweep,
-            sweep_values=self.sweep_values, precoder=self.precoder,
-            allocator=self.allocator, clustering=self.clustering_mode,
-            num_clusters=self.num_clusters, trials=self.trials,
-            base_seed=self.base_seed, output=self.output,
-            workers=self.workers)
-
-
 def dbm_per_hz_to_w(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
@@ -126,8 +94,9 @@ def apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
         parser.set(section, key, value.strip())
 
 
-def load_config(path: str | None = None, overrides=()) -> AppConfig:
-    """Defaults, then the optional INI file, then overrides; then validate."""
+def load_config(path: str | None = None, overrides=()) -> ExperimentConfig:
+    """Defaults, then the optional INI file, then overrides; the returned
+    ExperimentConfig validates itself."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(DEFAULTS)
     if path is not None:
@@ -178,22 +147,12 @@ def load_config(path: str | None = None, overrides=()) -> AppConfig:
     )
     cl = parser["clustering"]
     ex = parser["experiment"]
-    for value, allowed, name in ((cl.get("mode").strip(), CLUSTERING_MODES,
-                                  "clustering.mode"),
-                                 (ex.get("precoder").strip(), PRECODER_METHODS,
-                                  "experiment.precoder"),
-                                 (ex.get("allocator").strip(), ALLOCATORS,
-                                  "experiment.allocator"),
-                                 (ex.get("sweep").strip(), SWEEP_VARIABLES,
-                                  "experiment.sweep")):
-        if value not in allowed:
-            raise ValueError(f"{name} must be one of {', '.join(allowed)}")
     sweep_values = tuple(float(v) for v in
                          ex.get("sweep_values").split(",") if v.strip())
     output = ex.get("output").strip() or None
-    return AppConfig(
+    return ExperimentConfig(
         scenario=scenario, params=params, band=band, hyper=hyper, qos=qos,
-        clustering_mode=cl.get("mode").strip(),
+        clustering=cl.get("mode").strip(),
         num_clusters=int(cl.getfloat("num_clusters")),
         sweep=ex.get("sweep").strip(), sweep_values=sweep_values,
         precoder=ex.get("precoder").strip(),

@@ -22,7 +22,7 @@ from .cegmm import (CeHyperparams, InfeasibleBand, QosConfig, SubchannelPlan,
                     allocate, score_subchannels)
 from .cluster_alloc import ClusterPlan, allocate_clustered, greedy_assign
 from .clustering import Clustering, hierarchical_clustering, kmeans_clustering
-from .mimo import SingularChannel, require_zf_shape
+from .mimo import PRECODER_METHODS, SingularChannel, require_zf_shape
 from .scenario import ScenarioConfig, generate_scenario
 
 SWEEP_VARIABLES = ("num_aps", "num_ues", "total_bandwidth")
@@ -36,8 +36,9 @@ CSV_HEADER = ("sweep_value", "trial", "seed", "allocator", "clustering",
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one sweep needs: the scenario template, radio model,
-    optimiser knobs, and the sweep itself."""
+    """The one configuration type: the scenario template, radio model,
+    optimiser knobs, and the sweep.  ``load_config`` builds it from INI;
+    every CLI command runs it."""
 
     scenario: ScenarioConfig
     params: AntennaParams
@@ -56,12 +57,13 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.sweep not in SWEEP_VARIABLES:
-            raise ValueError(f"unknown sweep variable {self.sweep!r}")
-        if self.allocator not in ALLOCATORS:
-            raise ValueError(f"unknown allocator {self.allocator!r}")
-        if self.clustering not in CLUSTERING_MODES:
-            raise ValueError(f"unknown clustering mode {self.clustering!r}")
+        for value, allowed, name in (
+                (self.clustering, CLUSTERING_MODES, "clustering.mode"),
+                (self.precoder, PRECODER_METHODS, "experiment.precoder"),
+                (self.allocator, ALLOCATORS, "experiment.allocator"),
+                (self.sweep, SWEEP_VARIABLES, "experiment.sweep")):
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(allowed)}")
         if not self.sweep_values:
             raise ValueError("sweep_values must be nonempty")
         vals = tuple(float(v) for v in self.sweep_values)
@@ -69,23 +71,40 @@ class ExperimentConfig:
             raise ValueError("sweep values must be positive")
         if list(vals) != sorted(vals):
             raise ValueError("sweep values must be sorted ascending")
-        if self.precoder == "zf" and self.clustering == "none":
-            # network-wide zero forcing fails every trial with K > M
-            for value in vals:
-                counts = {"num_aps": self.scenario.num_aps,
-                          "num_ues": self.scenario.num_ues}
-                if self.sweep in counts:
-                    counts[self.sweep] = int(value)
-                try:
-                    require_zf_shape(counts["num_ues"], counts["num_aps"])
-                except SingularChannel as exc:
-                    raise ValueError(
-                        f"sweep point {self.sweep}={value:g}: {exc}; use "
-                        f"precoder mrt or clustering") from exc
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+
+    def experiment(self) -> ExperimentConfig:
+        """Identity; kept because perfbench/workloads.py still calls it."""
+        return self
+
+
+def _check_sweep(config: ExperimentConfig) -> None:
+    """Reject a sweep point the configured trial cannot run.  Only sweeps
+    check this: one file also drives ``simulate``, ``cluster`` and
+    ``baseline``, which never visit the sweep points."""
+    if config.precoder == "zf" and config.clustering == "none":
+        # network-wide zero forcing fails every trial with K > M
+        for value in config.sweep_values:
+            counts = {"num_aps": config.scenario.num_aps,
+                      "num_ues": config.scenario.num_ues}
+            if config.sweep in counts:
+                counts[config.sweep] = int(value)
+            try:
+                require_zf_shape(counts["num_ues"], counts["num_aps"])
+            except SingularChannel as exc:
+                raise ValueError(
+                    f"sweep point {config.sweep}={value:g}: {exc}; use "
+                    f"precoder mrt or clustering") from exc
+
+
+def trial_rng(config: ExperimentConfig, trial: int) -> np.random.Generator:
+    """The optimiser stream of one trial; ``lwcf simulate`` and ``cluster``
+    take trial 0's, so they reproduce sweep trial 0."""
+    seq = np.random.SeedSequence((config.base_seed, trial))
+    return np.random.default_rng(seq)
 
 
 def equal_bandwidth_baseline(scenario, params: AntennaParams, num_tiles: int,
@@ -106,49 +125,49 @@ def equal_bandwidth_baseline(scenario, params: AntennaParams, num_tiles: int,
     return score_subchannels(subchannels, scenario, params, method)
 
 
-def build_clustering(mode: str, scenario, params: AntennaParams,
-                     band: tuple[float, float], num_clusters: int,
-                     precoder: str, rng: np.random.Generator) -> Clustering:
-    """AP clusters of one drop: k-means for ``mode`` 'kmeans', otherwise the
-    hierarchical merge scored with the configured precoder."""
-    if mode == "kmeans":
-        return kmeans_clustering(scenario, params, band[1], num_clusters, rng)
-    return hierarchical_clustering(scenario, params, band[1], method=precoder)
+def build_clustering(config: ExperimentConfig, scenario,
+                     rng: np.random.Generator) -> Clustering:
+    """AP clusters of one drop: k-means for clustering 'kmeans', otherwise
+    the hierarchical merge scored with the configured precoder."""
+    if config.clustering == "kmeans":
+        return kmeans_clustering(scenario, config.params, config.band[1],
+                                 config.num_clusters, rng)
+    return hierarchical_clustering(scenario, config.params, config.band[1],
+                                   method=config.precoder)
 
 
-def run_trial(scenario, params: AntennaParams, band: tuple[float, float],
-              hyper: CeHyperparams, qos: QosConfig, total_bandwidth: float,
-              precoder: str, allocator: str, clustering: str,
-              num_clusters: int, rng: np.random.Generator
-              ) -> SubchannelPlan | ClusterPlan:
-    """One allocation on one drop, as a sweep trial and ``lwcf simulate``
-    run it.
+def run_trial(config: ExperimentConfig, sc_cfg: ScenarioConfig,
+              rng: np.random.Generator) -> SubchannelPlan | ClusterPlan:
+    """One allocation on the drop of ``sc_cfg``, with its spectrum budget,
+    as a sweep trial and ``lwcf simulate`` run it.
 
     ``fixed_gmm`` is the adaptive search with the proposal pinned to one
     mixture component; ``equal_bandwidth`` splits the budget into
     ``hyper.num_subchannels`` equal tiles.  Clustering 'none' gives a
     SubchannelPlan, 'kmeans' and 'hierarchical' a ClusterPlan.
     """
-    if allocator == "fixed_gmm":
+    scenario = generate_scenario(sc_cfg)
+    params, band, precoder = config.params, config.band, config.precoder
+    hyper, qos, budget = config.hyper, config.qos, sc_cfg.total_bandwidth
+    if config.allocator == "fixed_gmm":
         hyper = replace(hyper, max_components=1)
-    if clustering == "none":
-        if allocator == "equal_bandwidth":
+    if config.clustering == "none":
+        if config.allocator == "equal_bandwidth":
             return equal_bandwidth_baseline(scenario, params,
                                             hyper.num_subchannels, band,
-                                            total_bandwidth, precoder)
+                                            budget, precoder)
         return allocate(scenario, params, band, precoder, hyper, qos, rng,
-                        total_bandwidth=total_bandwidth)
-    clusters = build_clustering(clustering, scenario, params, band,
-                                num_clusters, precoder, rng)
-    if allocator == "equal_bandwidth":
+                        total_bandwidth=budget)
+    clusters = build_clustering(config, scenario, rng)
+    if config.allocator == "equal_bandwidth":
         base = equal_bandwidth_baseline(scenario, params,
                                         hyper.num_subchannels, band,
-                                        total_bandwidth, precoder)
+                                        budget, precoder)
         return greedy_assign(base.subchannels, clusters,
                              qos.min_cluster_avg_rate, scenario, params,
                              precoder)
     return allocate_clustered(scenario, params, band, precoder, hyper, qos,
-                              clusters, rng, total_bandwidth=total_bandwidth)
+                              clusters, rng, total_bandwidth=budget)
 
 
 def _trial_rate(config: ExperimentConfig, value: float,
@@ -158,13 +177,8 @@ def _trial_rate(config: ExperimentConfig, value: float,
                                 else float(value)),
                  "seed": config.base_seed + trial}
     sc_cfg = replace(config.scenario, **overrides)
-    scenario = generate_scenario(sc_cfg)
-    rng = np.random.default_rng(np.random.SeedSequence((config.base_seed, trial)))
     try:
-        plan = run_trial(scenario, config.params, config.band,
-                         config.hyper, config.qos, sc_cfg.total_bandwidth,
-                         config.precoder, config.allocator, config.clustering,
-                         config.num_clusters, rng)
+        plan = run_trial(config, sc_cfg, trial_rng(config, trial))
     except InfeasibleBand:
         return None, "infeasible_band"
     except SingularChannel:
@@ -195,6 +209,7 @@ def run_experiment(config: ExperimentConfig) -> str:
     from the rounded rates that appear in the file, so the CSV is
     self-consistent.
     """
+    _check_sweep(config)
     jobs = [(config, vi, t)
             for vi in range(len(config.sweep_values))
             for t in range(config.trials)]

@@ -41,11 +41,9 @@ def test_defaults_round_trip():
     assert app.sweep == "num_aps"
     assert app.sweep_values == (16.0, 32.0, 64.0)
     assert app.allocator == "adaptive_gmm"
-    assert app.clustering_mode == "none"
+    assert app.clustering == "none"
     assert app.output is None
-    # every defaulted key must be representable in the experiment bundle
-    exp = app.experiment()
-    assert exp.trials == 20 and exp.workers == 1
+    assert app.trials == 20 and app.workers == 1
 
 
 def test_config_file_overrides(tmp_path):
@@ -93,6 +91,8 @@ def test_override_parsing_errors():
         load_config(overrides=["experiment.allocator=milp"])
     with pytest.raises(ValueError):
         load_config(overrides=["clustering.mode=spectral"])
+    with pytest.raises(ValueError, match="experiment.precoder must be one of"):
+        load_config(overrides=["experiment.precoder=bogus"])
 
 
 def test_overrides_apply_after_file(tmp_path):
@@ -233,12 +233,18 @@ def test_cli_hierarchical_clustering_uses_configured_precoder(
     assert methods == ["mrt", "zf"]
 
 
-@pytest.mark.parametrize("mode", ["none", "kmeans"])
-def test_cli_simulate_reproduces_sweep_trial_zero(mode, capsys):
+@pytest.mark.parametrize("mode,allocator", [
+    pytest.param("none", "adaptive_gmm", id="none"),
+    pytest.param("kmeans", "adaptive_gmm", id="kmeans"),
+    pytest.param("hierarchical", "adaptive_gmm", id="hierarchical"),
+    ("none", "equal_bandwidth"), ("kmeans", "equal_bandwidth"),
+    ("none", "fixed_gmm")])
+def test_cli_simulate_reproduces_sweep_trial_zero(mode, allocator, capsys):
     """Same geometry seed, optimiser stream and sweep point: ``simulate``
     and trial 0 of ``sweep`` run the same trial."""
     sets = FAST_OVERRIDES + ["scenario.seed=7", "experiment.base_seed=7",
-                             "experiment.trials=2", f"clustering.mode={mode}"]
+                             "experiment.trials=2", f"clustering.mode={mode}",
+                             f"experiment.allocator={allocator}"]
     args = [a for ov in sets for a in ("--set", ov)]
     code, _, err = run_cli(["simulate"] + args, capsys)
     assert code == 0
@@ -247,7 +253,7 @@ def test_cli_simulate_reproduces_sweep_trial_zero(mode, capsys):
     assert code == 0
     rows = [line.split(",") for line in out.strip().split("\n")[1:]]
     (row,) = [r for r in rows if r[0] == "4" and r[1] == "0"]
-    assert row[4] == mode and row[9] == "ok"
+    assert row[3] == allocator and row[4] == mode and row[9] == "ok"
     assert row[6] == simulated
 
 

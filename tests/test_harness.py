@@ -107,6 +107,8 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError):
         fast_experiment(clustering="spectral")
     with pytest.raises(ValueError):
+        fast_experiment(precoder="bogus")
+    with pytest.raises(ValueError):
         fast_experiment(sweep_values=())
     with pytest.raises(ValueError):
         fast_experiment(sweep_values=(3.0, 2.0))
@@ -120,14 +122,20 @@ def test_experiment_config_validation():
 # sweeps
 # ---------------------------------------------------------------------------
 
-def test_experiment_config_rejects_zf_with_more_ues_than_aps():
-    # network-wide zero forcing at any sweep point with K > M
+def test_experiment_config_rejects_zf_with_more_ues_than_aps(monkeypatch):
+    # network-wide zero forcing at any sweep point with K > M: the sweep
+    # is rejected before any trial draws a drop
+    import lwcf.harness
+    drops = []
+    monkeypatch.setattr(lwcf.harness, "generate_scenario",
+                        lambda *a, **k: drops.append(a))
     for kw in (dict(sweep_values=(2.0, 5.0)),                # 5 UEs, 4 APs
                dict(sweep="num_aps", sweep_values=(1.0, 4.0)),
                dict(sweep="total_bandwidth", sweep_values=(1e9,),
                     scenario=scenario_template(num_ues=5))):
         with pytest.raises(ValueError, match="num_ues <= num_aps"):
-            fast_experiment(**kw)
+            run_experiment(fast_experiment(**kw))
+        assert drops == []
         # MRT, and clustering (its rewards fall back to MRT), stay valid
         fast_experiment(precoder="mrt", **kw)
         fast_experiment(clustering="kmeans", **kw)
