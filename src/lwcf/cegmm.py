@@ -18,13 +18,14 @@ Plan constraints, enforced for every emitted plan:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .antenna import (SPEED_OF_LIGHT, AntennaParams, envelope_peak,
                       envelope_ratio, gain, peak_frequency)
-from .mimo import (SingularChannel, rate_density, received_strength_psd,
+from .mimo import (SingularChannel, rate_densities, received_strength_psd,
                    require_zf_shape)
 from .scenario import Scenario
 
@@ -392,62 +393,95 @@ def _in_band(lo: float, hi: float, band: tuple[float, float],
             and hi <= band[1] + FREQ_TOL)
 
 
-def bandwidth_search(center: float, scenario: Scenario, params: AntennaParams,
-                     band: tuple[float, float], qos: QosConfig,
-                     grid_step: float, max_bandwidth: float | None = None,
-                     table: _EdgeTable | None = None) -> float:
-    """Widest symmetric bandwidth around ``center`` that keeps the edges valid.
+EDGE_BLOCKS = (8, 32)   # steps per search in the first, later _edges_ok blocks
+# intervals per shared ``_edges_ok`` or ``certified`` call of the lock-step
+# searches: bounds the temporaries (cache-sized for the edge checks)
+EDGE_BATCH = 256
+LOOKUP_BATCH = 4096
 
-    Grows in ``grid_step`` increments and stops at the first grid step whose
-    edges leave the band, violate the access threshold, or open a PSD gap at
-    or beyond the coherence limit.  Returns 0.0 if already the first step
-    fails.  The access threshold at the center itself is the caller's
-    responsibility.
 
-    Steps are decided in vectorised chunks, which is equivalent to stepwise
-    growth because the scan still stops at the first violating step, in
-    three tiers.  (1) Table: ``table.certified`` looks steps up in chunks
-    that double from 64, up to the first step it does not certify; a
+def _advance(centers, start, max_steps, blocks, batch, grid_step,
+             check) -> None:
+    """Move each search's first undecided step ``start`` past the steps
+    that pass ``check(lo, hi)``, in lock-step: each round checks the next
+    block of steps of every live search, in shared calls of at most
+    ``batch`` intervals; a search leaves at its first failing step or its
+    last step, ``max_steps``."""
+    live = np.flatnonzero(start <= max_steps)
+    for block in blocks:
+        if not live.size:
+            return
+        still, per_call = [], max(1, batch // block)
+        for g in range(0, live.size, per_call):
+            ids = live[g:g + per_call]
+            counts = np.minimum(block, max_steps[ids] - start[ids] + 1)
+            offsets = np.cumsum(counts) - counts
+            widths = (np.arange(counts.sum())
+                      - np.repeat(offsets - start[ids], counts)) * grid_step
+            mid = np.repeat(centers[ids], counts)
+            ok = check(mid - widths / 2.0, mid + widths / 2.0)
+            miss = np.where(ok, ok.size, np.arange(ok.size))
+            passed = np.minimum(np.minimum.reduceat(miss, offsets) - offsets,
+                                counts)
+            start[ids] += passed
+            still.append(ids[(passed == counts)
+                             & (start[ids] <= max_steps[ids])])
+        live = np.concatenate(still)
+
+
+def bandwidth_searches(centers, scenario: Scenario, params: AntennaParams,
+                       band: tuple[float, float], qos: QosConfig,
+                       grid_step: float, max_bandwidth: float | None = None,
+                       table: _EdgeTable | None = None) -> np.ndarray:
+    """Widest symmetric bandwidth around each of the 1-D ``centers`` that
+    keeps the edges valid, all searches grown together (``_advance``).
+
+    A search grows in ``grid_step`` increments and stops at the first grid
+    step whose edges leave the band, violate the access threshold, or open
+    a PSD gap at or beyond the coherence limit; its width is 0.0 if already
+    the first step fails.  The access threshold at the center itself is the
+    caller's responsibility.
+
+    Steps are decided in blocks, which is equivalent to stepwise growth
+    because each search still stops at its first violating step, in three
+    tiers.  (1) Table: ``table.certified`` looks steps up in chunks that
+    double from 64, up to each search's first step it does not certify; a
     certified step is good under the exact checks, as the bounds of its
     edge cells hold for the envelope at every edge in them (``_EdgeTable``)
     and clear the envelope tier's margins.  From there ``_edges_ok`` takes
-    blocks of 16, then 32 steps: (2) the envelope bracket
+    blocks of 8, then 32 steps (``EDGE_BLOCKS``): (2) the envelope bracket
     env <= psd <= rho env decides what it can, and (3) the exact PSDs
     decide the rest.  The width is that of the exact checks.  ``table`` is
     the ``_EdgeTable`` that ``ce_search`` builds for the search; None means
     no lookups, and every step goes to ``_edges_ok``.
     """
+    c = np.asarray(centers, dtype=float)
     # steps that keep the interval in-band (and strictly above cutoff)
-    room = min(center - band[0],
-               band[1] - center,
-               center - params.cutoff_frequency - 2.0 * FREQ_TOL)
+    room = np.minimum(np.minimum(c - band[0], band[1] - c),
+                      c - params.cutoff_frequency - 2.0 * FREQ_TOL)
     limit = 2.0 * room
     if max_bandwidth is not None:
-        limit = min(limit, max_bandwidth)
+        limit = np.minimum(limit, max_bandwidth)
     # absolute fudge well under FREQ_TOL so float noise cannot add a step
     # that would push an edge onto the cutoff itself
-    max_steps = int(np.floor((limit + FREQ_TOL / 2.0) / grid_step))
-    done, chunk = 0, 64    # leading steps the table certifies
-    while table is not None and done < max_steps:
-        widths = np.arange(done + 1, min(done + chunk, max_steps) + 1) * grid_step
-        good = table.certified(center - widths / 2.0, center + widths / 2.0)
-        if not good.all():
-            done += int(good.argmin())
-            break
-        done += good.size
-        chunk *= 2
-    best = done * grid_step
-    start, block = done + 1, 16
-    while start <= max_steps:
-        widths = np.arange(start, min(start + block, max_steps + 1)) * grid_step
-        ok = _edges_ok(scenario, params, center - widths / 2.0,
-                       center + widths / 2.0, qos)
-        if not ok.all():
-            first_bad = int(np.argmax(~ok))
-            return float(widths[first_bad - 1]) if first_bad else best
-        best = float(widths[-1])
-        start, block = start + block, 32
-    return best
+    max_steps = np.floor((limit + FREQ_TOL / 2.0) / grid_step).astype(int)
+    start = np.ones(c.size, dtype=int)
+    if table is not None:
+        _advance(c, start, max_steps, (64 << r for r in itertools.count()),
+                 LOOKUP_BATCH, grid_step, table.certified)
+    _advance(c, start, max_steps, itertools.chain(
+        EDGE_BLOCKS[:1], itertools.repeat(EDGE_BLOCKS[1])), EDGE_BATCH,
+        grid_step, lambda lo, hi: _edges_ok(scenario, params, lo, hi, qos))
+    return (start - 1) * grid_step
+
+
+def bandwidth_search(center: float, scenario: Scenario, params: AntennaParams,
+                     band: tuple[float, float], qos: QosConfig,
+                     grid_step: float, max_bandwidth: float | None = None,
+                     table: _EdgeTable | None = None) -> float:
+    """The one-center case of ``bandwidth_searches``."""
+    return float(bandwidth_searches([center], scenario, params, band, qos,
+                                    grid_step, max_bandwidth, table)[0])
 
 
 def _shrink_to_valid(scenario: Scenario, params: AntennaParams, lo: float,
@@ -684,45 +718,79 @@ def refit_proposal(previous: Gmm, elite_values: np.ndarray,
     return _smooth(best_fit, previous, hyper.smoothing, var_floor)
 
 
+def evaluate_candidates(batch, scenario: Scenario, params: AntennaParams,
+                        band: tuple[float, float], qos: QosConfig,
+                        grid_step: float, total_bandwidth: float,
+                        table: _EdgeTable | None = None,
+                        ) -> list[tuple[list[tuple[float, float]], bool]]:
+    """Complete each list of sampled centers in ``batch`` into a disjoint
+    feasible subchannel list, with a flag telling whether at least one
+    center met the access threshold (for band feasibility accounting).
+
+    One received-PSD call checks the access of every in-band center of the
+    batch, one ``bandwidth_searches`` grows the accessible ones, and
+    ``resolve_overlaps`` completes each list.  ``table`` is the
+    ``_EdgeTable`` of ``ce_search``; None means no lookups.
+    """
+    lists = [np.sort(np.asarray(cands, dtype=float)) for cands in batch]
+    owners = np.repeat(np.arange(len(lists)), [c.size for c in lists])
+    centers = np.concatenate([np.empty(0), *lists])
+    ok = ((band[0] <= centers) & (centers <= band[1])
+          & (centers > params.cutoff_frequency + FREQ_TOL))
+    psd = received_strength_psd(scenario, params, centers[ok])
+    ok[ok] = ~np.any(psd < qos.min_rx_psd, axis=1)
+    owners, centers = owners[ok], centers[ok]
+    widths = bandwidth_searches(centers, scenario, params, band, qos,
+                                grid_step, total_bandwidth, table)
+    out = []
+    for n in range(len(batch)):
+        mine = owners == n
+        provisional = [(float(c), float(w))
+                       for c, w in zip(centers[mine], widths[mine]) if w > 0.0]
+        out.append((resolve_overlaps(provisional, scenario, params, band, qos,
+                                     grid_step, total_bandwidth, table),
+                    bool(mine.any())))
+    return out
+
+
 def evaluate_candidate(centers, scenario: Scenario, params: AntennaParams,
                        band: tuple[float, float], qos: QosConfig,
                        grid_step: float, total_bandwidth: float,
                        table: _EdgeTable | None = None,
                        ) -> tuple[list[tuple[float, float]], bool]:
-    """Complete sampled centers into a disjoint feasible subchannel list.
+    """The one-candidate case of ``evaluate_candidates``."""
+    return evaluate_candidates([centers], scenario, params, band, qos,
+                               grid_step, total_bandwidth, table)[0]
 
-    Returns the list and a flag telling whether at least one center met the
-    access threshold (used for band feasibility accounting).  ``table`` is
-    the ``_EdgeTable`` of ``ce_search``, passed on to ``bandwidth_search``
-    and ``resolve_overlaps``; None means no lookups.
-    """
-    provisional = []
-    any_accessible = False
-    for center in sorted(float(c) for c in centers):
-        if not (band[0] <= center <= band[1]
-                and center > params.cutoff_frequency + FREQ_TOL):
+
+def score_batch(batch, scenario: Scenario, params: AntennaParams,
+                method: str) -> list[SubchannelPlan | None]:
+    """The plan of each subchannel list in ``batch``, each subchannel rated
+    at its center, or None where the precoder failed at one of its centers.
+    Every distinct center is rated once, by one ``rate_densities`` call."""
+    centers = np.unique([c for subchannels in batch for c, _ in subchannels])
+    density, failed = rate_densities(scenario, params, centers, method)
+    plans = []
+    for subchannels in batch:
+        at = np.searchsorted(centers, [c for c, _ in subchannels])
+        if failed[at].any():
+            plans.append(None)
             continue
-        psd = received_strength_psd(scenario, params, center)
-        if np.any(psd < qos.min_rx_psd):
-            continue
-        any_accessible = True
-        width = bandwidth_search(center, scenario, params, band, qos,
-                                 grid_step, max_bandwidth=total_bandwidth,
-                                 table=table)
-        if width > 0.0:
-            provisional.append((center, width))
-    resolved = resolve_overlaps(provisional, scenario, params, band,
-                                qos, grid_step, total_bandwidth, table)
-    return resolved, any_accessible
+        rates = tuple(w * float(density[i])
+                      for (_, w), i in zip(subchannels, at))
+        plans.append(SubchannelPlan(tuple(subchannels), float(sum(rates)),
+                                    rates))
+    return plans
 
 
 def score_subchannels(subchannels, scenario: Scenario, params: AntennaParams,
                       method: str) -> SubchannelPlan:
-    """The plan of these subchannels, each rated at its center with the
-    channel and precoder rebuilt there.  Propagates SingularChannel."""
-    rates = tuple(w * rate_density(scenario, params, c, method)
-                  for c, w in subchannels)
-    return SubchannelPlan(tuple(subchannels), float(sum(rates)), rates)
+    """The one-list case of ``score_batch``; raises SingularChannel where
+    the precoder fails."""
+    plan = score_batch([subchannels], scenario, params, method)[0]
+    if plan is None:
+        raise SingularChannel(f"the {method} precoder failed at a center")
+    return plan
 
 
 def ce_search(score, scenario: Scenario, params: AntennaParams,
@@ -731,14 +799,15 @@ def ce_search(score, scenario: Scenario, params: AntennaParams,
               total_bandwidth: float | None = None):
     """The cross-entropy loop shared by every allocator.
 
-    Each iteration samples candidate centers from the proposal, completes
-    them through ``evaluate_candidate`` with the search's one
-    ``_EdgeTable``, built here, scores them with
-    ``score(subchannels) -> (feasible, reward, plan)`` and ranks them by
+    Each iteration draws all its candidate centers from the proposal,
+    completes them in lock-step through ``evaluate_candidates`` with the
+    search's one ``_EdgeTable``, built here, and scores the iteration with
+    ``score(batch)``: for each subchannel list a ``(feasible, reward,
+    plan)`` or None where the precoder failed.  It ranks the candidates by
     reward, ties by centers; the elites' centers and the previous best
-    centers refit the proposal.  Returns the plan with the strictly greatest
-    ``(feasible, reward)``, earliest in rank order.  A candidate whose score
-    raises SingularChannel ranks last.  Raises as ``allocate`` documents.
+    centers refit the proposal.  Returns the plan with the strictly
+    greatest ``(feasible, reward)``, earliest in rank order.  A candidate
+    scored None ranks last.  Raises as ``allocate`` documents.
     """
     if total_bandwidth is None:
         total_bandwidth = band[1] - band[0]
@@ -752,19 +821,19 @@ def ce_search(score, scenario: Scenario, params: AntennaParams,
     num_accessible = num_singular = 0
 
     for _ in range(hyper.max_iterations):
+        batch = [np.sort(sample_gmm(proposal, hyper.num_subchannels, rng,
+                                    band=band))
+                 for _ in range(hyper.num_samples)]
+        evaluated = evaluate_candidates(batch, scenario, params, band, qos,
+                                        hyper.grid_step, total_bandwidth,
+                                        table)
+        num_accessible += sum(accessible for _, accessible in evaluated)
         scored = []
-        for _ in range(hyper.num_samples):
-            centers = np.sort(sample_gmm(proposal, hyper.num_subchannels, rng,
-                                         band=band))
-            subchannels, accessible = evaluate_candidate(
-                centers, scenario, params, band, qos,
-                hyper.grid_step, total_bandwidth, table)
-            num_accessible += accessible
-            try:
-                feasible, reward, plan = score(subchannels)
-            except SingularChannel:
-                feasible, reward, plan = False, -np.inf, None
+        for centers, result in zip(batch, score([s for s, _ in evaluated])):
+            if result is None:
+                result = (False, -np.inf, None)
                 num_singular += 1
+            feasible, reward, plan = result
             scored.append((reward, tuple(centers), feasible, plan))
         scored.sort(key=lambda item: (-item[0], item[1]))
         for reward, _, feasible, plan in scored:
@@ -804,9 +873,9 @@ def allocate(scenario: Scenario, params: AntennaParams,
     if method == "zf":
         require_zf_shape(scenario.num_ues, scenario.num_aps)
 
-    def score(subchannels):
-        plan = score_subchannels(subchannels, scenario, params, method)
-        return True, plan.total_rate, plan
+    def score(batch):
+        return [None if plan is None else (True, plan.total_rate, plan)
+                for plan in score_batch(batch, scenario, params, method)]
 
     return ce_search(score, scenario, params, band, method, hyper, qos, rng,
                      total_bandwidth)

@@ -148,13 +148,17 @@ def allocate_clustered(scenario: Scenario, params: AntennaParams,
     return the same plan for the same generator state.  The best plan ever
     seen wins, feasible plans strictly before infeasible ones.
     """
-    def score(subchannels):
-        plan = greedy_assign(subchannels, clustering, qos.min_cluster_avg_rate,
-                             scenario, params, method)
+    def score_one(subchannels):
+        try:
+            plan = greedy_assign(subchannels, clustering,
+                                 qos.min_cluster_avg_rate, scenario, params,
+                                 method)
+        except SingularChannel:   # a collapsed maximum-ratio column
+            return None
         return plan.feasible, plan.total_rate, plan
 
-    return ce_search(score, scenario, params, band, method, hyper, qos, rng,
-                     total_bandwidth)
+    return ce_search(lambda batch: [score_one(s) for s in batch], scenario,
+                     params, band, method, hyper, qos, rng, total_bandwidth)
 
 
 def write_cluster_plan_csv(plan: ClusterPlan, fp) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antenna import AntennaParams, gain, peak_frequency
-from .mimo import (SingularChannel, build_channel, freespace_amplitude,
+from .mimo import (SingularChannel, build_channels, freespace_amplitude,
                    precoder_rows, sinr_rows)
 from .scenario import Scenario
 
@@ -217,13 +217,9 @@ def channel_stack(scenario: Scenario, params: AntennaParams,
     link to its serving AP ``ue_to_ap[k]``; a cluster's channels are the
     slice ``stack[np.ix_(served, served, members)]``.
     """
-    k_ues, m_aps = scenario.distances.shape
-    stack = np.empty((k_ues, k_ues, m_aps), dtype=complex)
-    for k in range(k_ues):
-        f_eval = _eval_frequency(params, scenario.angles[k, ue_to_ap[k]],
-                                 band_upper)
-        stack[k] = build_channel(scenario, params, f_eval).entries
-    return stack
+    f_eval = [_eval_frequency(params, scenario.angles[k, ap], band_upper)
+              for k, ap in enumerate(ue_to_ap)]
+    return build_channels(scenario, params, f_eval)
 
 
 def _own_sinrs(h: np.ndarray, method: str, tx_psd: np.ndarray,

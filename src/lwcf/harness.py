@@ -82,22 +82,27 @@ class ExperimentConfig:
 
 
 def _check_sweep(config: ExperimentConfig) -> None:
-    """Reject a sweep point the configured trial cannot run.  Only sweeps
-    check this: one file also drives ``simulate``, ``cluster`` and
-    ``baseline``, which never visit the sweep points."""
-    if config.precoder == "zf" and config.clustering == "none":
-        # network-wide zero forcing fails every trial with K > M
-        for value in config.sweep_values:
-            counts = {"num_aps": config.scenario.num_aps,
-                      "num_ues": config.scenario.num_ues}
-            if config.sweep in counts:
-                counts[config.sweep] = int(value)
+    """Reject a sweep point the configured trial cannot run: a spectrum
+    budget wider than the band, or network-wide zero forcing with more UEs
+    than APs.  Only sweeps check this: one file also drives ``simulate``,
+    ``cluster`` and ``baseline``, which never visit the sweep points."""
+    span = config.band[1] - config.band[0]
+    for value in config.sweep_values:
+        point = {"num_aps": config.scenario.num_aps,
+                 "num_ues": config.scenario.num_ues,
+                 "total_bandwidth": config.scenario.total_bandwidth}
+        point[config.sweep] = value
+        where = f"sweep point {config.sweep}={value:g}"
+        if point["total_bandwidth"] > span:
+            raise ValueError(f"{where}: the spectrum budget exceeds the band "
+                             f"width {span:g} Hz")
+        if config.precoder == "zf" and config.clustering == "none":
+            # network-wide zero forcing fails every trial with K > M
             try:
-                require_zf_shape(counts["num_ues"], counts["num_aps"])
+                require_zf_shape(int(point["num_ues"]), int(point["num_aps"]))
             except SingularChannel as exc:
-                raise ValueError(
-                    f"sweep point {config.sweep}={value:g}: {exc}; use "
-                    f"precoder mrt or clustering") from exc
+                raise ValueError(f"{where}: {exc}; use precoder mrt or "
+                                 "clustering") from exc
 
 
 def trial_rng(config: ExperimentConfig, trial: int) -> np.random.Generator:

@@ -18,6 +18,8 @@ from .antenna import SPEED_OF_LIGHT, AntennaParams, gain
 from .scenario import Scenario
 
 MAX_ZF_CONDITION = 1e12
+# (frequency, UE, AP) points per stacked evaluation: bounds the temporaries
+STACK_POINTS = 2 ** 13
 
 PRECODER_METHODS = ("mrt", "zf")
 
@@ -50,13 +52,33 @@ def freespace_amplitude(frequency, distance):
                              * np.asarray(distance, float))
 
 
+def _chunks(scenario: Scenario, num_freqs: int):
+    """Slices of at most ``STACK_POINTS`` points of a frequency stack."""
+    step = max(1, STACK_POINTS // max(scenario.distances.size, 1))
+    return (slice(i, i + step) for i in range(0, num_freqs, step))
+
+
+def build_channels(scenario: Scenario, params: AntennaParams,
+                   frequencies) -> np.ndarray:
+    """Effective channels (F, K, M) at the 1-D ``frequencies``: aperture
+    gain times free-space LoS.  Every element is computed as a lone
+    frequency's would be, so a slice equals ``build_channel`` bit for bit."""
+    f = np.asarray(frequencies, dtype=float)
+    h = np.empty((f.size, *scenario.distances.shape), dtype=complex)
+    for part in _chunks(scenario, f.size):
+        fp = f[part, None, None]
+        amp = np.sqrt(gain(params, fp, scenario.angles))
+        amp *= freespace_amplitude(fp, scenario.distances)
+        h[part] = np.exp(-2j * np.pi * fp * scenario.distances
+                         / SPEED_OF_LIGHT) * amp
+    return h
+
+
 def build_channel(scenario: Scenario, params: AntennaParams,
                   frequency: float) -> ChannelMatrix:
-    """Effective channel at one frequency: aperture gain times free-space LoS."""
-    g = gain(params, frequency, scenario.angles)
-    amp = freespace_amplitude(frequency, scenario.distances)
-    phase = np.exp(-2j * np.pi * frequency * scenario.distances / SPEED_OF_LIGHT)
-    return ChannelMatrix(np.sqrt(g) * amp * phase, float(frequency))
+    """Effective channel at one frequency: one slice of ``build_channels``."""
+    return ChannelMatrix(build_channels(scenario, params, [frequency])[0],
+                         float(frequency))
 
 
 def require_zf_shape(num_ues: int, num_aps: int) -> None:
@@ -68,7 +90,8 @@ def require_zf_shape(num_ues: int, num_aps: int) -> None:
             f"got K={num_ues} UEs and M={num_aps} APs")
 
 
-def precoder_rows(h: np.ndarray, method: str) -> tuple[np.ndarray, np.ndarray]:
+def precoder_rows(h: np.ndarray, method: str,
+                  flag_collapse: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Unit-norm 'mrt' or 'zf' precoders of a stack of channels (N, K, M).
 
     Returns ``(rows, failed)``.  ``rows[n]`` is the transpose of the
@@ -77,7 +100,8 @@ def precoder_rows(h: np.ndarray, method: str) -> tuple[np.ndarray, np.ndarray]:
     ``MAX_ZF_CONDITION`` (or is not finite), or whose precoding column
     collapsed to zero; the rows of a failed slice are meaningless.  Raises
     SingularChannel for zero forcing with more UEs than APs, and when a
-    maximum-ratio column collapses.  This is the one zero-forcing rule:
+    maximum-ratio column collapses, unless ``flag_collapse`` is set: then
+    that slice is flagged instead.  This is the one zero-forcing rule:
     ``precode`` is its one-slice case.  Each slice goes through the same
     per-matrix BLAS/LAPACK calls and memory layouts as a lone channel, so a
     stacked slice and a lone channel give the same bits.
@@ -102,7 +126,7 @@ def precoder_rows(h: np.ndarray, method: str) -> tuple[np.ndarray, np.ndarray]:
     norms = np.linalg.norm(rows, axis=-1)
     collapsed = norms < 1e-300
     if collapsed.any():
-        if method == "mrt":
+        if method == "mrt" and not flag_collapse:
             raise SingularChannel("precoding column collapsed to zero")
         collapsed = collapsed.any(axis=-1)
         failed |= collapsed
@@ -157,27 +181,52 @@ def received_strength_psd(scenario: Scenario, params: AntennaParams,
     inverse, which would zero out every coherence-limited bandwidth.)
 
     ``frequency`` may be a scalar (returns shape (K,)) or a 1-D array
-    (returns shape (F, K)).  With ``envelope`` set every gain is replaced
-    by its sin-free envelope (``antenna.gain``); the weights of the AP sum
-    are positive, so the result brackets the PSD as env <= psd <= rho env
-    UE by UE, with rho = ``antenna.envelope_ratio(params)``.
+    (returns shape (F, K)); a scalar is the one-frequency case of the
+    array formula, so it gets the bits of its row in any array.  With
+    ``envelope`` set every gain is replaced by its sin-free envelope
+    (``antenna.gain``); the weights of the AP sum are positive, so the
+    result brackets the PSD as env <= psd <= rho env UE by UE, with
+    rho = ``antenna.envelope_ratio(params)``.
     """
     f = np.asarray(frequency, dtype=float)
-    if f.ndim == 0:
-        g = gain(params, f, scenario.angles, envelope)
-        amp2 = freespace_amplitude(f, scenario.distances) ** 2
-        return scenario.tx_psd * np.sum(g * amp2, axis=1)
-    g = gain(params, f[:, None, None], scenario.angles[None, :, :], envelope)
-    # |h|^2 = (c / 4 pi f)^2 d^-2: the frequency factor leaves the AP sum
-    g *= scenario.distances[None, :, :] ** -2.0
-    free2 = (SPEED_OF_LIGHT / (4.0 * np.pi * f)) ** 2
-    return (scenario.tx_psd[None, :] * free2[:, None]) * np.sum(g, axis=2)
+    fs = np.atleast_1d(f)
+    psd = np.empty((fs.size, scenario.num_ues))
+    weights = scenario.distances ** -2.0
+    for part in _chunks(scenario, fs.size):
+        g = gain(params, fs[part, None, None], scenario.angles, envelope)
+        # |h|^2 = (c / 4 pi f)^2 d^-2: the frequency factor leaves the AP sum
+        g *= weights
+        free2 = (SPEED_OF_LIGHT / (4.0 * np.pi * fs[part])) ** 2
+        psd[part] = (scenario.tx_psd * free2[:, None]) * np.sum(g, axis=2)
+    return psd[0] if f.ndim == 0 else psd
+
+
+def rate_densities(scenario: Scenario, params: AntennaParams, frequencies,
+                   method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Sum spectral efficiency over UEs at each of the 1-D ``frequencies``,
+    bit/s/Hz, in (F, K, M) stacks of at most ``STACK_POINTS`` points
+    through ``build_channels``, ``precoder_rows`` and ``sinr_rows``; each
+    value equals a lone frequency's bit for bit.  Returns ``(densities,
+    failed)``: ``failed`` marks a frequency where the precoder failed, a
+    collapsed maximum-ratio column included; its density is meaningless."""
+    f = np.asarray(frequencies, dtype=float)
+    density = np.empty(f.size)
+    failed = np.empty(f.size, dtype=bool)
+    for part in _chunks(scenario, f.size):
+        h = build_channels(scenario, params, f[part])
+        rows, failed[part] = precoder_rows(h, method, flag_collapse=True)
+        gamma = sinr_rows(h, rows, scenario.tx_psd, scenario.noise_psd)
+        density[part] = np.sum(np.log2(1.0 + gamma), axis=-1)
+    return density, failed
 
 
 def rate_density(scenario: Scenario, params: AntennaParams, frequency: float,
                  method: str) -> float:
-    """Sum spectral efficiency over UEs at one frequency, bit/s/Hz."""
-    channel = build_channel(scenario, params, frequency)
-    precoder = precode(channel, method)
-    gamma = sinr(channel, precoder, scenario.tx_psd, scenario.noise_psd)
-    return float(np.sum(np.log2(1.0 + gamma)))
+    """Sum spectral efficiency over UEs at one frequency, bit/s/Hz: the
+    one-frequency case of ``rate_densities``.  Raises SingularChannel
+    where the precoder fails."""
+    density, failed = rate_densities(scenario, params, [frequency], method)
+    if failed[0]:
+        raise SingularChannel(f"the {method} precoder failed at "
+                              f"{frequency:g} Hz")
+    return float(density[0])

@@ -10,6 +10,8 @@ import pytest
 
 from lwcf.antenna import AntennaParams, envelope_ratio, peak_frequency
 from lwcf.cegmm import (
+    EDGE_BATCH,
+    EDGE_BLOCKS,
     ENVELOPE_DB_TOL,
     ENVELOPE_REL_TOL,
     FREQ_TOL,
@@ -19,14 +21,18 @@ from lwcf.cegmm import (
     QosConfig,
     allocate,
     bandwidth_search,
+    bandwidth_searches,
     bic,
     check_coherence,
     em_fit,
     evaluate_candidate,
+    evaluate_candidates,
     gmm_log_likelihood,
     initial_proposal,
     resolve_overlaps,
     sample_gmm,
+    score_batch,
+    score_subchannels,
     validate_plan,
 )
 from lwcf.cegmm import (TABLE_CELL, _edge_table, _edges_ok, _shrink_to_valid,
@@ -685,6 +691,128 @@ def test_steps_on_cell_edges_and_at_the_band_top_equal_the_exact_scan():
             assert bandwidth_search(center, sc, PARAMS, BAND, qos, step,
                                     max_bandwidth=10e9, table=t) == want
     assert want == max_steps * step == 100 * step
+
+
+def test_lockstep_widths_equal_one_center_searches_and_the_stepwise_scan(
+        monkeypatch):
+    """One ``bandwidth_searches`` batch mixes centers whose first steps the
+    table certifies, centers within 50 MHz of cutoff, centers at the band
+    top, centers below the access threshold and centers with no room at
+    all; every width equals the one-center ``bandwidth_search`` and the
+    stepwise exact scan, with each setting's table and without lookups.
+    The edge checks go in shared calls of at most ``EDGE_BATCH`` intervals,
+    8-step blocks first."""
+    import lwcf.cegmm
+    step, cap = 10e6, 10e9
+    cutoff = PARAMS.cutoff_frequency
+    sc = make_scenario(seed=4, num_aps=8, num_ues=4)
+    centers = np.concatenate([
+        np.random.default_rng(4).uniform(110e9, 190e9, 30),
+        cutoff + np.array([2e6, 5e6, 20e6, 50e6]),
+        BAND[1] - np.array([0.0, 5e6, 30e6, 200e6]),
+        [cutoff, BAND[0] - 1e9, BAND[1] + 1e9]])
+    center_psd = received_strength_psd(sc, PARAMS, centers[:-3]).min(axis=1)
+    settings = (QosConfig(0.0, 40.0), QosConfig(0.0, 0.5),
+                QosConfig(float(np.median(center_psd)), 0.5))
+    real = lwcf.cegmm._edges_ok
+    sizes = []
+
+    def spy(scenario, params, lo, hi, qos):
+        sizes.append(len(lo))
+        return real(scenario, params, lo, hi, qos)
+
+    monkeypatch.setattr(lwcf.cegmm, "_edges_ok", spy)
+    certified = zero = 0
+    for qos in settings:
+        table = _edge_table(sc, PARAMS, BAND, qos)
+        want = [stepwise_width(c, sc, qos, step, cap)[0] for c in centers]
+        for t in (table, None):
+            sizes.clear()
+            got = bandwidth_searches(centers, sc, PARAMS, BAND, qos, step,
+                                     cap, t)
+            assert got.tolist() == want
+            assert sizes and max(sizes) <= EDGE_BATCH
+            if t is None:
+                # the first call: the first blocks of EDGE_BATCH //
+                # EDGE_BLOCKS[0] searches, a few cut short by their room
+                assert EDGE_BATCH - EDGE_BLOCKS[0] < sizes[0] <= EDGE_BATCH
+            for c, w in zip(centers, got):
+                assert bandwidth_search(c, sc, PARAMS, BAND, qos, step, cap,
+                                        t) == w
+        certified += int(table.certified(centers[:-3] - step / 2.0,
+                                         centers[:-3] + step / 2.0).sum())
+        zero += want.count(0.0)
+    assert certified >= 60 and zero >= 3 * 3 + 5
+
+
+def test_lockstep_candidates_equal_one_candidate_evaluations():
+    """``evaluate_candidates`` over a batch gives each candidate what
+    ``evaluate_candidate`` gives it alone: stragglers on the cutoff, centers
+    out of band, inaccessible and colliding centers included."""
+    sc = make_scenario(seed=2)
+    table = _edge_table(sc, PARAMS, BAND, QOS)
+    rng = np.random.default_rng(12)
+    batch = [np.sort(rng.uniform(101e9, 199e9, 4)) for _ in range(20)]
+    batch += [np.array([PARAMS.cutoff_frequency] * 3 + [150e9]),
+              np.array([BAND[1], BAND[1], 150e9, 150.1e9]), np.array([])]
+    for t in (table, None):
+        got = evaluate_candidates(batch, sc, PARAMS, BAND, QOS, 50e6, 2e9, t)
+        assert got == [evaluate_candidate(c, sc, PARAMS, BAND, QOS, 50e6,
+                                          2e9, t) for c in batch]
+    assert got[-1] == ([], False)
+    assert sum(accessible for _, accessible in got) >= 15
+
+
+def test_a_failed_subchannel_fails_only_its_own_candidate(monkeypatch):
+    """``score_batch`` rates a batch as one stack: a list with a center
+    where the precoder fails scores None while the rest of the batch keeps
+    the plans ``score_subchannels`` gives them.  In the search such a
+    candidate counts as singular: when every accessible candidate has one
+    failed subchannel, the search names the precoder."""
+    import lwcf.cegmm
+    sc = make_scenario(seed=3)
+    rng = np.random.default_rng(3)
+    batch = [subs for subs, _ in evaluate_candidates(
+        [rng.uniform(110e9, 190e9, 3) for _ in range(12)], sc, PARAMS, BAND,
+        QOS, 10e6, 10e9)]
+    want = [score_subchannels(subs, sc, PARAMS, "zf") for subs in batch]
+    bad = batch[0][0][0]
+    real = lwcf.cegmm.rate_densities
+    failing = set()
+
+    def flagged(scenario, params, frequencies, method):
+        density, failed = real(scenario, params, frequencies, method)
+        return density, failed | np.isin(frequencies, list(failing))
+
+    monkeypatch.setattr(lwcf.cegmm, "rate_densities", flagged)
+    failing.add(bad)
+    got = score_batch(batch, sc, PARAMS, "zf")
+    hit = [any(c == bad for c, _ in subs) for subs in batch]
+    assert hit[0] and not all(hit)
+    assert [plan is None for plan in got] == hit
+    assert all(g == w for g, w, h in zip(got, want, hit) if not h)
+
+    # the lowest center of every list of the iteration fails
+    evaluate = lwcf.cegmm.evaluate_candidates
+    accessible = []
+
+    def spy(*args):
+        out = evaluate(*args)
+        failing.clear()
+        failing.update(subs[0][0] for subs, _ in out if subs)
+        accessible.extend(acc for _, acc in out)
+        assert all(subs or not acc for subs, acc in out)
+        assert any(len(subs) > 1 for subs, _ in out)
+        return out
+
+    monkeypatch.setattr(lwcf.cegmm, "evaluate_candidates", spy)
+    hyper = CeHyperparams(num_samples=10, num_elites=3, max_iterations=2,
+                          grid_step=10e6, num_subchannels=3)
+    with pytest.raises(SingularChannel,
+                       match="zf precoder failed on all 20 candidates"):
+        allocate(sc, PARAMS, BAND, "zf", hyper, QOS,
+                 np.random.default_rng(np.random.SeedSequence((3, 0))))
+    assert sum(accessible) == 20
 
 
 def test_edge_table_build_is_chunked(monkeypatch):

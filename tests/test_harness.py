@@ -141,6 +141,36 @@ def test_experiment_config_rejects_zf_with_more_ues_than_aps(monkeypatch):
         fast_experiment(clustering="kmeans", **kw)
 
 
+def test_sweep_rejects_a_budget_wider_than_the_band(monkeypatch):
+    """A spectrum budget wider than the band is rejected by its sweep point
+    before any trial draws a drop, for the adaptive search and the
+    equal-bandwidth baseline alike, whether the sweep varies the budget or
+    takes the scenario's."""
+    import lwcf.harness
+    drops = []
+    real = lwcf.harness.generate_scenario
+    monkeypatch.setattr(lwcf.harness, "generate_scenario",
+                        lambda *a, **k: drops.append(a) or real(*a, **k))
+    wide = scenario_template(total_bandwidth=200e9)
+    for allocator in ("adaptive_gmm", "equal_bandwidth"):
+        for kw, point in ((dict(sweep="total_bandwidth",
+                                sweep_values=(5e9, 200e9)),
+                           r"total_bandwidth=2e\+11"),
+                          (dict(scenario=wide), "num_ues=2")):
+            config = fast_experiment(allocator=allocator, trials=1, **kw)
+            with pytest.raises(ValueError,
+                               match=rf"sweep point {point}: the spectrum "
+                                     r"budget exceeds the band width 1e\+11"):
+                run_experiment(config)
+            assert drops == []
+        # a budget of the whole band still runs
+        text = run_experiment(fast_experiment(
+            allocator=allocator, trials=1, sweep="total_bandwidth",
+            sweep_values=(BAND[1] - BAND[0],)))
+        assert text.split("\n")[1].endswith(",ok") and len(drops) == 1
+        drops.clear()
+
+
 def test_run_experiment_layout_and_seeds():
     text = run_experiment(fast_experiment())
     lines = text.strip().split("\n")

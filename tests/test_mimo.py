@@ -8,9 +8,11 @@ from lwcf.mimo import (
     ChannelMatrix,
     SingularChannel,
     build_channel,
+    build_channels,
     freespace_amplitude,
     precode,
     precoder_rows,
+    rate_densities,
     rate_density,
     received_strength_psd,
     sinr,
@@ -128,6 +130,79 @@ def test_precoder_rows_flags_failed_slices():
         precoder_rows(np.stack([good, dead]), "mrt")
     with pytest.raises(SingularChannel, match="K=3 UEs and M=2 APs"):
         precoder_rows(good[None, :, :2], "zf")
+
+
+def test_stacked_rate_densities_equal_per_frequency_rates(monkeypatch):
+    """``rate_densities`` rates a stack of several ``STACK_POINTS`` chunks
+    with the bits of a per-frequency build, precode and SINR, and of
+    ``rate_density``: for zero forcing with the worst-conditioned slice
+    forced to fail, and for maximum ratio, where a collapsed column fails
+    its own frequency only."""
+    import lwcf.mimo
+    sc = make_scenario(num_aps=8, num_ues=4, seed=5)
+    monkeypatch.setattr(lwcf.mimo, "STACK_POINTS", 7 * sc.distances.size)
+    freqs = np.random.default_rng(5).uniform(101e9, 199e9, 41)
+    h = build_channels(sc, PARAMS, freqs)
+    conds = np.linalg.cond(h @ h.conj().swapaxes(-1, -2))
+    worst = int(np.argmax(conds))
+    monkeypatch.setattr(lwcf.mimo, "MAX_ZF_CONDITION",
+                        float(np.sort(conds)[-2]))
+
+    def per_frequency(method):
+        out = []
+        for f in freqs:
+            channel = build_channel(sc, PARAMS, f)
+            try:
+                precoder = precode_2d(channel, method)
+            except SingularChannel:
+                out.append(None)
+                continue
+            gamma = sinr_2d(channel, precoder, sc.tx_psd, sc.noise_psd)
+            out.append(float(np.sum(np.log2(1.0 + gamma))))
+        return out
+
+    for method in ("zf", "mrt"):
+        want = per_frequency(method)
+        assert [w is None for w in want] == [
+            method == "zf" and n == worst for n in range(freqs.size)]
+        density, failed = rate_densities(sc, PARAMS, freqs, method)
+        assert failed.tolist() == [w is None for w in want]
+        for f, got, w in zip(freqs, density, want):
+            if w is None:
+                with pytest.raises(SingularChannel,
+                                   match="zf precoder failed"):
+                    rate_density(sc, PARAMS, f, method)
+            else:
+                assert float(got) == w == rate_density(sc, PARAMS, f, method)
+
+    real = lwcf.mimo.build_channels
+
+    def dead_ue(scenario, params, frequencies):
+        out = real(scenario, params, frequencies)
+        out[np.asarray(frequencies) == freqs[3], 1] = 0.0
+        return out
+
+    monkeypatch.setattr(lwcf.mimo, "build_channels", dead_ue)
+    density, failed = rate_densities(sc, PARAMS, freqs, "mrt")
+    assert np.flatnonzero(failed).tolist() == [3]
+    assert np.array_equal(np.delete(density, 3), np.delete(want, 3))
+    with pytest.raises(SingularChannel, match="mrt precoder failed"):
+        rate_density(sc, PARAMS, freqs[3], "mrt")
+
+
+def test_scalar_psd_is_the_one_frequency_case(monkeypatch):
+    """A scalar frequency takes the array formula: its PSD equals that row
+    of a many-frequency call, chunked or not, bit for bit, envelope or not."""
+    import lwcf.mimo
+    sc = make_scenario(seed=2)
+    monkeypatch.setattr(lwcf.mimo, "STACK_POINTS", 5 * sc.distances.size)
+    freqs = np.random.default_rng(2).uniform(101e9, 199e9, 37)
+    for envelope in (False, True):
+        rows = received_strength_psd(sc, PARAMS, freqs, envelope)
+        assert rows.shape == (freqs.size, sc.num_ues)
+        for f, row in zip(freqs, rows):
+            psd = received_strength_psd(sc, PARAMS, f, envelope)
+            assert psd.shape == (sc.num_ues,) and np.array_equal(psd, row)
 
 
 def test_unknown_method_rejected():
