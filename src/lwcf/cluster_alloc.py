@@ -16,8 +16,9 @@ import numpy as np
 from .antenna import AntennaParams
 from .cegmm import CeHyperparams, QosConfig, ce_search
 from .clustering import Clustering
-from .mimo import SingularChannel, rate_density
-from .scenario import Scenario, subscenario
+from .mimo import SingularChannel, build_channels, fallback_sinrs
+from .mimo import cluster_subchannel_reward  # noqa: F401  (traced here)
+from .scenario import Scenario
 
 
 @dataclass(frozen=True)
@@ -49,35 +50,6 @@ def cluster_ue_sets(clustering: Clustering) -> list[list[int]]:
     return sets
 
 
-def cluster_subchannel_reward(cluster_aps, cluster_ues, center: float,
-                              width: float, scenario: Scenario,
-                              params: AntennaParams, method: str) -> float:
-    """Rate of one subchannel when owned exclusively by one cluster.
-
-    Width times ``mimo.rate_density`` on the cluster's sub-scenario; other
-    clusters do not interfere because spectrum ownership is exclusive.
-    Propagates SingularChannel.
-    """
-    aps = sorted(int(a) for a in cluster_aps)
-    ues = sorted(int(u) for u in cluster_ues)
-    if width <= 0.0 or not ues:
-        return 0.0
-    return width * rate_density(subscenario(scenario, aps, ues), params,
-                                center, method)
-
-
-def _safe_reward(cluster_aps, cluster_ues, center, width, scenario, params,
-                 method) -> float:
-    """Reward with maximum-ratio fallback for clusters that cannot zero-force
-    (fewer APs than UEs, or an ill-conditioned intra-cluster channel)."""
-    try:
-        return cluster_subchannel_reward(cluster_aps, cluster_ues, center,
-                                         width, scenario, params, method)
-    except SingularChannel:
-        return cluster_subchannel_reward(cluster_aps, cluster_ues, center,
-                                         width, scenario, params, "mrt")
-
-
 def greedy_assign(candidates, clustering: Clustering, min_avg_rate: float,
                   scenario: Scenario, params: AntennaParams,
                   method: str) -> ClusterPlan:
@@ -88,14 +60,26 @@ def greedy_assign(candidates, clustering: Clustering, min_avg_rate: float,
     the candidate, the candidate goes to the best such cluster; otherwise it
     goes to the cluster that values it most.  Ties fall to the lower index.
     Infeasibility is reported through the flag, never as an exception.
+
+    A reward is width times the cluster's rate density, rated on its
+    C-contiguous slice of one channel stack under ``mimo.fallback_sinrs``,
+    which raises SingularChannel on a collapsed maximum-ratio column.
     """
     ue_sets = cluster_ue_sets(clustering)
     num_clusters = len(clustering.clusters)
     cands = [(float(c), float(w)) for c, w in candidates]
-    rewards = np.array([[_safe_reward(clustering.clusters[z], ue_sets[z],
-                                      c, w, scenario, params, method)
-                         for z in range(num_clusters)]
-                        for c, w in cands]) if cands else np.zeros((0, num_clusters))
+    widths = np.array([w for _, w in cands])
+    live = np.flatnonzero(widths > 0.0)
+    rewards = np.zeros((len(cands), num_clusters))
+    h = build_channels(scenario, params, [cands[i][0] for i in live])
+    for z, ues in enumerate(ue_sets):
+        if ues and live.size:
+            aps = sorted(int(a) for a in clustering.clusters[z])
+            gammas = fallback_sinrs(h[np.ix_(np.arange(live.size), ues, aps)],
+                                    method, scenario.tx_psd[ues],
+                                    scenario.noise_psd)
+            rewards[live, z] = widths[live] * np.sum(np.log2(1.0 + gammas),
+                                                     axis=-1)
 
     order = sorted(range(len(cands)),
                    key=lambda i: (-float(np.max(rewards[i])), i))
@@ -113,27 +97,16 @@ def greedy_assign(candidates, clustering: Clustering, min_avg_rate: float,
         assigned[z_star].append(i)
         totals[z_star] += rewards[i, z_star]
 
-    plan_subs: list[tuple[tuple[float, float], ...]] = []
-    plan_rates: list[tuple[float, ...]] = []
-    cluster_rates: list[float] = []
-    avg_rates: list[float] = []
-    feasible = True
-    for z in range(num_clusters):
-        idx = sorted(assigned[z], key=lambda i: cands[i][0])
-        plan_subs.append(tuple(cands[i] for i in idx))
-        rates = tuple(float(rewards[i, z]) for i in idx)
-        plan_rates.append(rates)
-        total = float(sum(rates))
-        cluster_rates.append(total)
-        if counts[z] > 0:
-            avg = total / counts[z]
-            avg_rates.append(avg)
-            if avg < min_avg_rate:
-                feasible = False
-        else:
-            avg_rates.append(0.0)
-    return ClusterPlan(tuple(plan_subs), tuple(plan_rates),
-                       tuple(cluster_rates), tuple(avg_rates), feasible)
+    owned = [sorted(a, key=lambda i: cands[i][0]) for a in assigned]
+    rates = tuple(tuple(float(rewards[i, z]) for i in idx)
+                  for z, idx in enumerate(owned))
+    cluster_rates = tuple(float(sum(r)) for r in rates)
+    avg_rates = tuple(t / n if n > 0 else 0.0
+                      for t, n in zip(cluster_rates, counts))
+    feasible = not any(a < min_avg_rate
+                       for a, n in zip(avg_rates, counts) if n > 0)
+    return ClusterPlan(tuple(tuple(cands[i] for i in idx) for idx in owned),
+                       rates, cluster_rates, avg_rates, feasible)
 
 
 def allocate_clustered(scenario: Scenario, params: AntennaParams,

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antenna import AntennaParams, gain, peak_frequency
-from .mimo import (SingularChannel, build_channels, freespace_amplitude,
-                   precoder_rows, sinr_rows)
+from .mimo import build_channels, fallback_sinrs, freespace_amplitude
 from .scenario import Scenario
 
 KMEANS_TOL = 1e-6          # m, centroid movement threshold
@@ -222,31 +221,15 @@ def channel_stack(scenario: Scenario, params: AntennaParams,
     return build_channels(scenario, params, f_eval)
 
 
-def _own_sinrs(h: np.ndarray, method: str, tx_psd: np.ndarray,
-               noise_psd: float, first: int) -> np.ndarray:
-    """SINR of UE ``first + n`` under channel slice ``h[n]`` (n, S, Mc),
-    each slice precoded on its own: a slice that cannot zero-force (too few
-    APs, ill conditioned, collapsed column) falls back to maximum ratio."""
-    try:
-        rows, failed = precoder_rows(h, method)
-    except SingularChannel:
-        rows, failed = precoder_rows(h, "mrt")
-    if failed.any():
-        rows[failed] = precoder_rows(h[failed], "mrt")[0]
-    gammas = sinr_rows(h, rows, tx_psd, noise_psd)
-    n = np.arange(h.shape[0])
-    return gammas[n, first + n]
-
-
 def per_ap_spectral_efficiency(cluster, scenario: Scenario, method: str,
                                ue_to_ap: np.ndarray, stack: np.ndarray) -> float:
     """Sum spectral efficiency of the cluster's UEs divided by its AP count.
 
     Each UE's SINR is taken from the intra-cluster channel alone at the
     clamped peak frequency of its serving AP.  A UE whose zero-forcing
-    channel is singular falls back to maximum-ratio scoring, that UE alone,
-    rather than failing, since this quantity only ranks candidate clusters;
-    a collapsed maximum-ratio column still raises SingularChannel.
+    channel is singular falls back to maximum-ratio scoring, that UE alone
+    (``mimo.fallback_sinrs``), since this quantity only ranks candidate
+    clusters; a collapsed maximum-ratio column still raises SingularChannel.
 
     ``ue_to_ap`` is the drop's ``strongest_aps`` and ``stack`` its
     ``channel_stack``; the cluster's channels are sliced out of the stack
@@ -265,8 +248,10 @@ def per_ap_spectral_efficiency(cluster, scenario: Scenario, method: str,
     total = 0.0
     for first in range(0, len(served), SCORE_CHUNK):
         h = stack[np.ix_(rows[first:first + SCORE_CHUNK], rows, members)]
-        for gamma in _own_sinrs(h, method, tx_psd, scenario.noise_psd, first):
-            total += np.log2(1.0 + gamma)
+        gammas = fallback_sinrs(h, method, tx_psd, scenario.noise_psd)
+        # slice n holds the channels at the frequency of UE first + n
+        for n, gamma in enumerate(gammas):
+            total += np.log2(1.0 + gamma[first + n])
     return float(total / len(members))
 
 

@@ -112,12 +112,10 @@ def trial_rng(config: ExperimentConfig, trial: int) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
-def equal_bandwidth_baseline(scenario, params: AntennaParams, num_tiles: int,
-                             band: tuple[float, float],
-                             total_bandwidth: float,
-                             method: str) -> SubchannelPlan:
-    """Static allocation: the spectrum budget as one centered block of equal
-    contiguous tiles, rates evaluated with the configured precoder."""
+def equal_tiles(num_tiles: int, band: tuple[float, float],
+                total_bandwidth: float) -> tuple[tuple[float, float], ...]:
+    """The spectrum budget as one centered block of ``num_tiles`` equal
+    contiguous (center, width) tiles."""
     if num_tiles < 1:
         raise ValueError("num_tiles must be >= 1")
     span = band[1] - band[0]
@@ -125,9 +123,17 @@ def equal_bandwidth_baseline(scenario, params: AntennaParams, num_tiles: int,
         raise ValueError("spectrum budget exceeds the band")
     guard = (span - total_bandwidth) / 2.0
     tile = total_bandwidth / num_tiles
-    subchannels = tuple((band[0] + guard + (i + 0.5) * tile, tile)
-                        for i in range(num_tiles))
-    return score_subchannels(subchannels, scenario, params, method)
+    return tuple((band[0] + guard + (i + 0.5) * tile, tile)
+                 for i in range(num_tiles))
+
+
+def equal_bandwidth_baseline(scenario, params: AntennaParams, num_tiles: int,
+                             band: tuple[float, float],
+                             total_bandwidth: float,
+                             method: str) -> SubchannelPlan:
+    """Static allocation: the ``equal_tiles`` rated with ``method``."""
+    return score_subchannels(equal_tiles(num_tiles, band, total_bandwidth),
+                             scenario, params, method)
 
 
 def build_clustering(config: ExperimentConfig, scenario,
@@ -148,8 +154,9 @@ def run_trial(config: ExperimentConfig, sc_cfg: ScenarioConfig,
 
     ``fixed_gmm`` is the adaptive search with the proposal pinned to one
     mixture component; ``equal_bandwidth`` splits the budget into
-    ``hyper.num_subchannels`` equal tiles.  Clustering 'none' gives a
-    SubchannelPlan, 'kmeans' and 'hierarchical' a ClusterPlan.
+    ``hyper.num_subchannels`` equal tiles, which clusters rate each under
+    its own precoder fallback.  Clustering 'none' gives a SubchannelPlan,
+    'kmeans' and 'hierarchical' a ClusterPlan.
     """
     scenario = generate_scenario(sc_cfg)
     params, band, precoder = config.params, config.band, config.precoder
@@ -165,12 +172,9 @@ def run_trial(config: ExperimentConfig, sc_cfg: ScenarioConfig,
                         total_bandwidth=budget)
     clusters = build_clustering(config, scenario, rng)
     if config.allocator == "equal_bandwidth":
-        base = equal_bandwidth_baseline(scenario, params,
-                                        hyper.num_subchannels, band,
-                                        budget, precoder)
-        return greedy_assign(base.subchannels, clusters,
-                             qos.min_cluster_avg_rate, scenario, params,
-                             precoder)
+        return greedy_assign(equal_tiles(hyper.num_subchannels, band, budget),
+                             clusters, qos.min_cluster_avg_rate, scenario,
+                             params, precoder)
     return allocate_clustered(scenario, params, band, precoder, hyper, qos,
                               clusters, rng, total_bandwidth=budget)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antenna import SPEED_OF_LIGHT, AntennaParams, gain
-from .scenario import Scenario
+from .scenario import Scenario, subscenario
 
 MAX_ZF_CONDITION = 1e12
 # (frequency, UE, AP) points per stacked evaluation: bounds the temporaries
@@ -61,8 +61,10 @@ def _chunks(scenario: Scenario, num_freqs: int):
 def build_channels(scenario: Scenario, params: AntennaParams,
                    frequencies) -> np.ndarray:
     """Effective channels (F, K, M) at the 1-D ``frequencies``: aperture
-    gain times free-space LoS.  Every element is computed as a lone
-    frequency's would be, so a slice equals ``build_channel`` bit for bit."""
+    gain times free-space LoS.  Every element is computed from its own
+    frequency and link alone, so ``h[n]`` and the C-contiguous slice
+    ``h[np.ix_(np.arange(F), ues, aps)]`` equal a lone frequency's and a
+    sub-drop's channels bit for bit (see ``precoder_rows`` on layouts)."""
     f = np.asarray(frequencies, dtype=float)
     h = np.empty((f.size, *scenario.distances.shape), dtype=complex)
     for part in _chunks(scenario, f.size):
@@ -104,7 +106,9 @@ def precoder_rows(h: np.ndarray, method: str,
     that slice is flagged instead.  This is the one zero-forcing rule:
     ``precode`` is its one-slice case.  Each slice goes through the same
     per-matrix BLAS/LAPACK calls and memory layouts as a lone channel, so a
-    stacked slice and a lone channel give the same bits.
+    stacked slice and a lone channel give the same bits if ``h`` is
+    C-contiguous (the transposed layout of ``h[:, ues][:, :, aps]`` sums the
+    row norms in another order).
     """
     if method not in PRECODER_METHODS:
         raise ValueError(f"unknown precoding method {method!r}")
@@ -160,6 +164,21 @@ def sinr_rows(h: np.ndarray, rows: np.ndarray, tx_psd: np.ndarray,
     signal = tx_psd * np.diagonal(power, axis1=-2, axis2=-1)
     interference = power @ tx_psd - signal
     return signal / (interference + noise_psd)
+
+
+def fallback_sinrs(h: np.ndarray, method: str, tx_psd: np.ndarray,
+                   noise_psd: float) -> np.ndarray:
+    """Per-UE SINR (N, S) of channels (N, S, Mc) under the one ZF -> MRT
+    fallback rule: the whole stack takes maximum ratio when zero forcing has
+    more UEs than APs, a slice ``precoder_rows`` flags takes it alone.  A
+    collapsed maximum-ratio column raises SingularChannel."""
+    try:
+        rows, failed = precoder_rows(h, method)
+    except SingularChannel:
+        rows, failed = precoder_rows(h, "mrt")
+    if failed.any():
+        rows[failed] = precoder_rows(h[failed], "mrt")[0]
+    return sinr_rows(h, rows, tx_psd, noise_psd)
 
 
 def sinr(channel: ChannelMatrix, precoder: PrecodingMatrix,
@@ -230,3 +249,19 @@ def rate_density(scenario: Scenario, params: AntennaParams, frequency: float,
         raise SingularChannel(f"the {method} precoder failed at "
                               f"{frequency:g} Hz")
     return float(density[0])
+
+
+def cluster_subchannel_reward(cluster_aps, cluster_ues, center: float,
+                              width: float, scenario: Scenario,
+                              params: AntennaParams, method: str) -> float:
+    """Rate of one subchannel owned exclusively by one cluster, so free of
+    interference: width times ``rate_density`` on the cluster's
+    sub-scenario.  Propagates SingularChannel.  The tests' reference for
+    ``cluster_alloc.greedy_assign``; ``cluster_alloc`` binds it only
+    because the benchmark's tracer names it there."""
+    aps = sorted(int(a) for a in cluster_aps)
+    ues = sorted(int(u) for u in cluster_ues)
+    if width <= 0.0 or not ues:
+        return 0.0
+    return width * rate_density(subscenario(scenario, aps, ues), params,
+                                center, method)

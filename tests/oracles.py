@@ -10,6 +10,9 @@ precode and rate one (K, M) channel matrix at a time, and
 ``per_ap_se_per_ue`` scores a cluster with one channel build, precoder and
 SINR per served UE; the stacked ``mimo.precoder_rows``/``sinr_rows`` and
 ``clustering.per_ap_spectral_efficiency`` must match them bit for bit.
+``fallback_cluster_reward`` rates one subchannel of one cluster on its own
+sub-scenario, retrying under maximum ratio where the precoder fails; the
+rewards of ``cluster_alloc.greedy_assign`` must match it bit for bit.
 """
 
 import numpy as np
@@ -18,7 +21,8 @@ import lwcf.mimo
 from lwcf.antenna import gain, peak_frequency
 from lwcf.clustering import _eval_frequency, rss_matrix
 from lwcf.mimo import (PrecodingMatrix, SingularChannel, build_channel,
-                       rate_density, received_strength_psd)
+                       cluster_subchannel_reward, rate_density,
+                       received_strength_psd)
 from lwcf.scenario import subscenario
 
 
@@ -130,3 +134,16 @@ def per_ap_se_per_ue(cluster, scenario, params, method, band_upper,
         gamma = sinr_2d(channel, prec, sub.tx_psd, sub.noise_psd)[local_k]
         total += np.log2(1.0 + gamma)
     return float(total / len(members))
+
+
+def fallback_cluster_reward(cluster_aps, cluster_ues, center, width, scenario,
+                            params, method):
+    """``cluster_subchannel_reward`` under ``method``, or under maximum
+    ratio where that raises SingularChannel; a collapsed maximum-ratio
+    column still raises."""
+    try:
+        return cluster_subchannel_reward(cluster_aps, cluster_ues, center,
+                                         width, scenario, params, method)
+    except SingularChannel:
+        return cluster_subchannel_reward(cluster_aps, cluster_ues, center,
+                                         width, scenario, params, "mrt")

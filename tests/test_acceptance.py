@@ -29,21 +29,17 @@ from lwcf.cegmm import (
     resolve_overlaps,
     validate_plan,
 )
-from lwcf.cluster_alloc import (
-    allocate_clustered,
-    cluster_subchannel_reward,
-    cluster_ue_sets,
-)
+from lwcf.cluster_alloc import allocate_clustered, cluster_ue_sets
 from lwcf.clustering import hierarchical_clustering, kmeans_clustering
 from lwcf.harness import equal_bandwidth_baseline
 from lwcf.mimo import (
-    SingularChannel,
     build_channel,
     precode,
     rate_density,
     received_strength_psd,
 )
 from lwcf.scenario import ScenarioConfig, generate_scenario
+from oracles import fallback_cluster_reward
 
 PARAMS_1 = AntennaParams(1.0, 0.15, 130.0, 100e9)
 BAND_1 = (100e9, 200e9)
@@ -353,14 +349,6 @@ def test_criterion_7_clustering_ordering():
 def test_criterion_8_cluster_feasibility_and_reduction():
     floor = 5e9
 
-    def safe_reward(aps, ues, c, w, scenario):
-        try:
-            return cluster_subchannel_reward(aps, ues, c, w, scenario,
-                                             PARAMS_1, "zf")
-        except SingularChannel:
-            return cluster_subchannel_reward(aps, ues, c, w, scenario,
-                                             PARAMS_1, "mrt")
-
     # (a) whenever some grid assignment satisfies the per-user rate floor,
     # the clustered allocator must come back with its feasibility flag set
     oracle_feasible_seeds = 0
@@ -377,8 +365,9 @@ def test_criterion_8_cluster_feasibility_and_reduction():
                    ue_sets=ue_sets, cache=reward_cache):
             key = (z, c, w)
             if key not in cache:
-                cache[key] = safe_reward(clustering.clusters[z], ue_sets[z],
-                                         c, w, scenario)
+                cache[key] = fallback_cluster_reward(
+                    clustering.clusters[z], ue_sets[z], c, w, scenario,
+                    PARAMS_1, "zf")
             return cache[key]
 
         oracle_feasible = False

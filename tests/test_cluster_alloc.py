@@ -1,6 +1,7 @@
 """Exclusive spectrum assignment across clusters and its allocator wrapper."""
 
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -16,15 +17,17 @@ from lwcf.cegmm import (
 )
 from lwcf.cluster_alloc import (
     allocate_clustered,
-    cluster_subchannel_reward,
     cluster_ue_sets,
     greedy_assign,
     write_cluster_plan_csv,
 )
-from lwcf.clustering import Clustering, kmeans_clustering
-from lwcf.mimo import SingularChannel, rate_density
-from lwcf.scenario import Scenario, ScenarioConfig, generate_scenario
-from oracles import link_distance
+from lwcf.clustering import (Clustering, hierarchical_clustering,
+                             kmeans_clustering)
+from lwcf.mimo import (SingularChannel, build_channel,
+                       cluster_subchannel_reward, rate_density)
+from lwcf.scenario import (Scenario, ScenarioConfig, generate_scenario,
+                           subscenario)
+from oracles import fallback_cluster_reward, link_distance
 
 PARAMS = AntennaParams(1.0, 0.15, 130.0, 100e9)
 BAND = (100e9, 200e9)
@@ -162,6 +165,109 @@ def test_greedy_no_candidates():
     plan = greedy_assign([], clustering, 1e6, sc, PARAMS, "zf")
     assert plan.total_rate == 0.0
     assert not plan.feasible        # serving clusters sit at zero
+
+
+def reference_rates(plan, clustering, sc, method):
+    """Each assigned subchannel's reward by ``fallback_cluster_reward``."""
+    ue_sets = cluster_ue_sets(clustering)
+    return tuple(tuple(fallback_cluster_reward(clustering.clusters[z],
+                                               ue_sets[z], c, w, sc, PARAMS,
+                                               method) for c, w in subs)
+                 for z, subs in enumerate(plan.subchannels))
+
+
+def seeded_candidates(seed, num=10):
+    """Random centers and widths, plus one zero-width candidate."""
+    rng = np.random.default_rng(seed)
+    cands = [(float(c), float(w)) for c, w in
+             zip(rng.uniform(101e9, 199e9, num), rng.uniform(0.1e9, 2e9, num))]
+    return cands + [(150e9, 0.0)]
+
+
+@pytest.mark.parametrize("method", ["zf", "mrt"])
+@pytest.mark.parametrize("mode", ["kmeans", "hierarchical"])
+def test_greedy_rewards_equal_the_reference_bit_for_bit(mode, method):
+    """The stacked, sliced rewards of ``greedy_assign`` equal the one-matrix
+    sub-scenario reference with its ZF -> MRT retry, bit for bit, on drops
+    with clusters that serve more UEs than they have APs, and with clusters
+    of 8 APs or more, where a slice that is not C-contiguous would sum its
+    maximum-ratio norms in another order."""
+    overloaded = 0
+    for (num_aps, num_ues), seed in itertools.product(((6, 8), (20, 10)),
+                                                      range(3)):
+        sc = make_scenario(num_aps=num_aps, num_ues=num_ues, seed=seed)
+        if mode == "kmeans":
+            clustering = kmeans_clustering(sc, PARAMS, BAND[1], 3,
+                                           np.random.default_rng(seed))
+        else:
+            clustering = hierarchical_clustering(sc, PARAMS, BAND[1], method)
+        overloaded += sum(len(u) > len(a) for u, a in zip(
+            cluster_ue_sets(clustering), clustering.clusters))
+        cands = seeded_candidates(seed)
+        for floor in (0.0, 1e9):
+            plan = greedy_assign(cands, clustering, floor, sc, PARAMS,
+                                 method)
+            assert sorted(cw for subs in plan.subchannels
+                          for cw in subs) == sorted(cands)
+            assert plan.subchannel_rates == reference_rates(
+                plan, clustering, sc, method)
+    assert overloaded > 0
+
+
+def test_greedy_rewards_fall_back_slice_by_slice(monkeypatch):
+    """With the ZF condition bound between the (center, cluster) slices'
+    condition numbers only some slices fall back, and the rewards still
+    equal the reference bit for bit."""
+    import lwcf.mimo
+    sc = make_scenario(num_aps=12, num_ues=6, seed=9)
+    clustering = kmeans_clustering(sc, PARAMS, BAND[1], 2,
+                                   np.random.default_rng(9))
+    cands = seeded_candidates(9)
+    conds = []
+    for aps, ues in zip(clustering.clusters, cluster_ue_sets(clustering)):
+        if 2 <= len(ues) <= len(aps):
+            sub = subscenario(sc, sorted(aps), ues)
+            for c, _ in cands:
+                h = build_channel(sub, PARAMS, c).entries
+                conds.append(np.linalg.cond(h @ h.conj().T))
+    bound = float(np.median(conds))
+    assert min(conds) < bound < max(conds)
+    unbound = greedy_assign(cands, clustering, 0.0, sc, PARAMS, "zf")
+    monkeypatch.setattr(lwcf.mimo, "MAX_ZF_CONDITION", bound)
+    plan = greedy_assign(cands, clustering, 0.0, sc, PARAMS, "zf")
+    assert plan.subchannel_rates != unbound.subchannel_rates
+    assert plan.subchannel_rates == reference_rates(plan, clustering, sc,
+                                                    "zf")
+
+
+@pytest.mark.parametrize("method", ["zf", "mrt"])
+def test_greedy_raises_on_a_collapsed_mrt_column(monkeypatch, method):
+    """A UE whose channel is zero at one center collapses its maximum-ratio
+    column: the reference and ``greedy_assign`` both raise."""
+    import lwcf.cluster_alloc
+    import lwcf.mimo
+    sc = make_scenario(num_aps=6, num_ues=4, seed=9)
+    clustering = kmeans_clustering(sc, PARAMS, BAND[1], 2,
+                                   np.random.default_rng(9))
+    cands = seeded_candidates(9, num=4)
+    dead_center, dead_ue = cands[2][0], sc.ue_positions[1]
+    real = lwcf.mimo.build_channels
+
+    def dead_link(scenario, params, frequencies):
+        out = real(scenario, params, frequencies)
+        ue = np.all(scenario.ue_positions == dead_ue, axis=1)
+        out[np.ix_(np.asarray(frequencies) == dead_center, ue)] = 0.0
+        return out
+
+    monkeypatch.setattr(lwcf.mimo, "build_channels", dead_link)
+    monkeypatch.setattr(lwcf.cluster_alloc, "build_channels", dead_link)
+    z = int(clustering.ue_to_cluster[1])
+    with pytest.raises(SingularChannel):
+        fallback_cluster_reward(clustering.clusters[z],
+                                cluster_ue_sets(clustering)[z], *cands[2], sc,
+                                PARAMS, method)
+    with pytest.raises(SingularChannel, match="collapsed"):
+        greedy_assign(cands, clustering, 0.0, sc, PARAMS, method)
 
 
 def test_allocate_clustered_single_cluster_reduces_to_plain():

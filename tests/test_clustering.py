@@ -11,7 +11,6 @@ from lwcf.antenna import AntennaParams, peak_frequency
 from lwcf.clustering import (
     SCORE_CHUNK,
     Clustering,
-    _own_sinrs,
     affinity_propagation,
     associate_ues,
     channel_stack,
@@ -26,7 +25,7 @@ from lwcf.clustering import (
     write_clustering_csv,
 )
 from lwcf.mimo import (ChannelMatrix, SingularChannel, build_channel,
-                       freespace_amplitude, precode, sinr)
+                       fallback_sinrs, freespace_amplitude, precode, sinr)
 from lwcf.scenario import Scenario, ScenarioConfig, generate_scenario
 from oracles import link_distance, link_rss, per_ap_se_per_ue
 
@@ -291,14 +290,15 @@ def test_per_ap_se_colocated_ues_match_the_oracle():
 
 
 def test_own_sinrs_fall_back_per_slice_and_raise_on_mrt_collapse():
-    """A slice that cannot zero-force takes maximum ratio, its neighbours
-    keep zero forcing; a slice whose maximum-ratio column collapses raises."""
+    """``mimo.fallback_sinrs``, the rule cluster scoring uses: a slice that
+    cannot zero-force takes maximum ratio, its neighbours keep zero forcing;
+    a slice whose maximum-ratio column collapses raises."""
     sc = make_scenario(num_aps=8, num_ues=3, seed=6)
     good = build_channel(sc, PARAMS, 150e9).entries
     twin = good.copy()
     twin[2] = twin[0]
     h = np.stack([good, twin, good])
-    got = _own_sinrs(h, "zf", sc.tx_psd, sc.noise_psd, 0)
+    got = np.diagonal(fallback_sinrs(h, "zf", sc.tx_psd, sc.noise_psd))
     good_h, twin_h = ChannelMatrix(good, 150e9), ChannelMatrix(twin, 150e9)
     zf = sinr(good_h, precode(good_h, "zf"), sc.tx_psd, sc.noise_psd)
     mrt = sinr(twin_h, precode(twin_h, "mrt"), sc.tx_psd, sc.noise_psd)
@@ -306,7 +306,7 @@ def test_own_sinrs_fall_back_per_slice_and_raise_on_mrt_collapse():
     dead = good.copy()
     dead[1] = 0.0
     with pytest.raises(SingularChannel, match="collapsed"):
-        _own_sinrs(np.stack([good, dead]), "zf", sc.tx_psd, sc.noise_psd, 0)
+        fallback_sinrs(np.stack([good, dead]), "zf", sc.tx_psd, sc.noise_psd)
 
 
 def test_per_ap_se_falls_back_slice_by_slice(monkeypatch):

@@ -8,11 +8,15 @@ import pytest
 
 from lwcf.antenna import AntennaParams
 from lwcf.cegmm import CeHyperparams, QosConfig, SubchannelPlan
+from lwcf.cluster_alloc import ClusterPlan
 from lwcf.harness import (
     CSV_HEADER,
     ExperimentConfig,
     equal_bandwidth_baseline,
+    equal_tiles,
     run_experiment,
+    run_trial,
+    trial_rng,
     write_plan_csv,
 )
 from lwcf.mimo import rate_density
@@ -241,6 +245,19 @@ def test_run_experiment_clustered_paths():
         assert fields[4] == clustering
         assert fields[9] == "ok"
         assert float(fields[6]) > 0.0
+
+
+@pytest.mark.parametrize("clustering", ["kmeans", "hierarchical"])
+def test_clustered_equal_bandwidth_trial_with_more_ues_than_aps(clustering):
+    """The clusters rate the equal tiles under their own precoder fallback,
+    so network-wide zero forcing, impossible with K > M, is never tried."""
+    config = fast_experiment(clustering=clustering,
+                             scenario=scenario_template(num_aps=3, num_ues=6))
+    plan = run_trial(config, config.scenario, trial_rng(config, 0))
+    assert isinstance(plan, ClusterPlan)
+    assert sorted(cw for subs in plan.subchannels for cw in subs) == list(
+        equal_tiles(config.hyper.num_subchannels, BAND, 10e9))
+    assert plan.total_rate > 0.0
 
 
 def test_trial_hierarchical_clustering_uses_configured_precoder(monkeypatch):
