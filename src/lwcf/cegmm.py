@@ -285,12 +285,22 @@ class _EdgeTable:
     def certified(self, lo, hi) -> np.ndarray:
         """True for each interval the cells of its two edges certify good.
         Cell c holds the frequencies in (edges[c], edges[c + 1]]; one
-        outside the table gets cell -1 or C, both the unusable last one."""
+        outside the table gets cell -1 or C, both the unusable last one.
+
+        A certificate depends only on the cell pair, so each run of equal
+        consecutive pairs (the steps of one search stay ~4 steps on a
+        pair) is decided once and its answer repeated."""
         i = np.searchsorted(self.edges, lo) - 1
         j = np.searchsorted(self.edges, hi) - 1
+        # +1 makes the cells -1 .. C non-negative digits of the pair key
+        key = (i + 1) * (self.edges.size + 1) + (j + 1)
+        new = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        i, j = i[new], j[new]
         up, low = self.upper, self.lower_r
-        return ((up.take(i, axis=1) < low.take(j, axis=1)).all(axis=0)
-                & (up.take(j, axis=1) < low.take(i, axis=1)).all(axis=0))
+        ok = ((up.take(i, axis=1) < low.take(j, axis=1)).all(axis=0)
+              & (up.take(j, axis=1) < low.take(i, axis=1)).all(axis=0))
+        return ok[np.cumsum(new) - 1]
 
 
 def _edge_table(scenario: Scenario, params: AntennaParams,
@@ -544,11 +554,16 @@ def resolve_overlaps(candidates, scenario: Scenario, params: AntennaParams,
     rss_cache: dict[tuple[float, float], float] = {}
 
     def rss_of(iv) -> float:
-        """Total received signal PSD over UEs at the interval's center."""
+        """Total received signal PSD over UEs at the center of ``iv``, one
+        of the current ``items``.  A miss prices every current interval
+        without one in one array call, whose rows are the bits of
+        one-frequency calls."""
         key = (iv[0], iv[1])
         if key not in rss_cache:
-            rss_cache[key] = float(np.sum(received_strength_psd(
-                scenario, params, (iv[0] + iv[1]) / 2.0)))
+            missing = [(a, b) for a, b in items if (a, b) not in rss_cache]
+            psd = received_strength_psd(scenario, params,
+                                        [(a + b) / 2.0 for a, b in missing])
+            rss_cache.update(zip(missing, map(float, psd.sum(axis=1))))
         return rss_cache[key]
 
     # pairwise truncation until disjoint
@@ -805,9 +820,11 @@ def ce_search(score, scenario: Scenario, params: AntennaParams,
     ``score(batch)``: for each subchannel list a ``(feasible, reward,
     plan)`` or None where the precoder failed.  It ranks the candidates by
     reward, ties by centers; the elites' centers and the previous best
-    centers refit the proposal.  Returns the plan with the strictly
-    greatest ``(feasible, reward)``, earliest in rank order.  A candidate
-    scored None ranks last.  Raises as ``allocate`` documents.
+    centers refit the proposal for the next iteration, so ``max_iterations``
+    iterations make ``max_iterations - 1`` refits (the refit draws no
+    random numbers).  Returns the plan with the strictly greatest
+    ``(feasible, reward)``, earliest in rank order.  A candidate scored
+    None ranks last.  Raises as ``allocate`` documents.
     """
     if total_bandwidth is None:
         total_bandwidth = band[1] - band[0]
@@ -820,7 +837,7 @@ def ce_search(score, scenario: Scenario, params: AntennaParams,
     prev_best_centers: np.ndarray | None = None
     num_accessible = num_singular = 0
 
-    for _ in range(hyper.max_iterations):
+    for iteration in range(1, hyper.max_iterations + 1):
         batch = [np.sort(sample_gmm(proposal, hyper.num_subchannels, rng,
                                     band=band))
                  for _ in range(hyper.num_samples)]
@@ -840,6 +857,8 @@ def ce_search(score, scenario: Scenario, params: AntennaParams,
             if (feasible, reward) > best_key:
                 best_key = (feasible, reward)
                 best_plan = plan
+        if iteration == hyper.max_iterations:
+            break
         elites = scored[:hyper.num_elites]
         pool = [c for _, centers, _, _ in elites for c in centers]
         if prev_best_centers is not None:

@@ -19,7 +19,7 @@ from .clustering import write_clustering_csv
 from .config import load_config
 from .harness import (ExperimentConfig, build_clustering,
                       equal_bandwidth_baseline, run_experiment, run_trial,
-                      trial_rng, write_plan_csv)
+                      trial_rng, trial_scenario, write_plan_csv)
 from .mimo import SingularChannel
 from .scenario import generate_scenario
 
@@ -37,8 +37,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lwcf",
         description="Cell-free leaky-wave network simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", parents=[common],
-                   help="run one trial and dump its subchannel plan")
+    simulate = sub.add_parser("simulate", parents=[common],
+                              help="run one trial and dump its subchannel plan")
+    simulate.add_argument("--trial", metavar="T", type=int,
+                          help="run sweep trial T: the drop of geometry seed "
+                               "experiment.base_seed + T and trial T's "
+                               "optimiser stream")
     sub.add_parser("sweep", parents=[common],
                    help="run the configured Monte-Carlo sweep")
     sub.add_parser("cluster", parents=[common],
@@ -54,8 +58,9 @@ def _out_stream(path: str | None):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _cmd_simulate(config: ExperimentConfig, out) -> None:
-    plan = run_trial(config, config.scenario, trial_rng(config, 0))
+def _cmd_simulate(config: ExperimentConfig, trial: int | None, out) -> None:
+    sc_cfg = config.scenario if trial is None else trial_scenario(config, trial)
+    plan = run_trial(config, sc_cfg, trial_rng(config, trial or 0))
     if isinstance(plan, ClusterPlan):
         write_cluster_plan_csv(plan, out)
         suffix = f" feasible={plan.feasible}"
@@ -104,7 +109,7 @@ def main(argv=None) -> int:
         else:
             with _out_stream(args.output) as out:
                 if args.command == "simulate":
-                    _cmd_simulate(config, out)
+                    _cmd_simulate(config, args.trial, out)
                 elif args.command == "cluster":
                     _cmd_cluster(config, out)
                 else:

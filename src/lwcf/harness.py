@@ -106,10 +106,22 @@ def _check_sweep(config: ExperimentConfig) -> None:
 
 
 def trial_rng(config: ExperimentConfig, trial: int) -> np.random.Generator:
-    """The optimiser stream of one trial; ``lwcf simulate`` and ``cluster``
-    take trial 0's, so they reproduce sweep trial 0."""
+    """The optimiser stream of one trial.  ``lwcf simulate`` and ``cluster``
+    take trial 0's but draw their drop from ``scenario.seed``, so they
+    reproduce sweep trial 0 only when that equals ``base_seed``;
+    ``simulate --trial t`` runs ``trial_scenario`` and this stream."""
     seq = np.random.SeedSequence((config.base_seed, trial))
     return np.random.default_rng(seq)
+
+
+def trial_scenario(config: ExperimentConfig, trial: int,
+                   **overrides) -> ScenarioConfig:
+    """The drop of one trial: the scenario template, with ``overrides``,
+    drawn from the geometry seed ``base_seed + trial``."""
+    if trial < 0:
+        raise ValueError(f"trial must be >= 0, got {trial}")
+    return replace(config.scenario, seed=config.base_seed + trial,
+                   **overrides)
 
 
 def equal_tiles(num_tiles: int, band: tuple[float, float],
@@ -182,10 +194,9 @@ def run_trial(config: ExperimentConfig, sc_cfg: ScenarioConfig,
 def _trial_rate(config: ExperimentConfig, value: float,
                 trial: int) -> tuple[float | None, str]:
     """Run one (sweep value, trial) cell; returns (rate or None, status)."""
-    overrides = {config.sweep: (int(value) if config.sweep != "total_bandwidth"
-                                else float(value)),
-                 "seed": config.base_seed + trial}
-    sc_cfg = replace(config.scenario, **overrides)
+    sc_cfg = trial_scenario(config, trial, **{
+        config.sweep: (int(value) if config.sweep != "total_bandwidth"
+                       else float(value))})
     try:
         plan = run_trial(config, sc_cfg, trial_rng(config, trial))
     except InfeasibleBand:

@@ -13,12 +13,18 @@ SINR per served UE; the stacked ``mimo.precoder_rows``/``sinr_rows`` and
 ``fallback_cluster_reward`` rates one subchannel of one cluster on its own
 sub-scenario, retrying under maximum ratio where the precoder fails; the
 rewards of ``cluster_alloc.greedy_assign`` must match it bit for bit.
+``certified_per_interval`` decides every interval's table certificate on
+its own; ``cegmm._EdgeTable.certified``, which decides each run of equal
+cell pairs once, must match it.  ``resolve_overlaps_scalar`` is
+``cegmm.resolve_overlaps`` with one scalar received-PSD call per interval
+it compares; the batched RSS pricing must give the same plans.
 """
 
 import numpy as np
 
 import lwcf.mimo
 from lwcf.antenna import gain, peak_frequency
+from lwcf.cegmm import FREQ_TOL, _shrink_to_valid
 from lwcf.clustering import _eval_frequency, rss_matrix
 from lwcf.mimo import (PrecodingMatrix, SingularChannel, build_channel,
                        cluster_subchannel_reward, rate_density,
@@ -147,3 +153,84 @@ def fallback_cluster_reward(cluster_aps, cluster_ues, center, width, scenario,
     except SingularChannel:
         return cluster_subchannel_reward(cluster_aps, cluster_ues, center,
                                          width, scenario, params, "mrt")
+
+
+def certified_per_interval(table, lo, hi):
+    """``_EdgeTable.certified`` with each interval's two edge cells looked
+    up and compared on their own; cells -1 and C (outside the table) both
+    index the unusable last column."""
+    i = np.searchsorted(table.edges, lo) - 1
+    j = np.searchsorted(table.edges, hi) - 1
+    up, low = table.upper, table.lower_r
+    return ((up.take(i, axis=1) < low.take(j, axis=1)).all(axis=0)
+            & (up.take(j, axis=1) < low.take(i, axis=1)).all(axis=0))
+
+
+def resolve_overlaps_scalar(candidates, scenario, params, band, qos,
+                            grid_step, total_bandwidth, table=None):
+    """``cegmm.resolve_overlaps`` pricing each compared interval's RSS (the
+    UE sum of the received PSD at its midpoint) by its own scalar call."""
+    items = sorted(([c - w / 2.0, c + w / 2.0] for c, w in candidates
+                    if w > 0.0), key=lambda iv: iv[0])
+    touched = [False] * len(items)
+    rss_cache = {}
+
+    def rss_of(iv):
+        key = (iv[0], iv[1])
+        if key not in rss_cache:
+            rss_cache[key] = float(np.sum(received_strength_psd(
+                scenario, params, (iv[0] + iv[1]) / 2.0)))
+        return rss_cache[key]
+
+    while True:
+        order = sorted(range(len(items)), key=lambda i: items[i][0])
+        items = [items[i] for i in order]
+        touched = [touched[i] for i in order]
+        clash = next((i for i in range(len(items) - 1)
+                      if items[i + 1][0] < items[i][1] - FREQ_TOL), None)
+        if clash is None:
+            break
+        a, b = items[clash], items[clash + 1]
+        if rss_of(a) >= rss_of(b):
+            winner, loser, loser_idx = a, b, clash + 1
+        else:
+            winner, loser, loser_idx = b, a, clash
+        if loser[0] < winner[0] and loser[1] > winner[1]:
+            left, right = (loser[0], winner[0]), (winner[1], loser[1])
+            loser[0], loser[1] = (left if left[1] - left[0]
+                                  >= right[1] - right[0] else right)
+        elif loser[0] < winner[0]:
+            loser[1] = winner[0]
+        else:
+            loser[0] = winner[1]
+        touched[loser_idx] = True
+        alive = [i for i, iv in enumerate(items) if iv[1] - iv[0] > FREQ_TOL]
+        items = [items[i] for i in alive]
+        touched = [touched[i] for i in alive]
+
+    widths = [iv[1] - iv[0] for iv in items]
+    excess = sum(widths) - total_bandwidth
+    if excess > FREQ_TOL:
+        for i in sorted(range(len(items)), key=lambda i: (rss_of(items[i]), i)):
+            if excess <= FREQ_TOL:
+                break
+            cut = min(widths[i], excess)
+            items[i][0] += cut / 2.0
+            items[i][1] -= cut / 2.0
+            widths[i] -= cut
+            excess -= cut
+            touched[i] = True
+        keep = [i for i, iv in enumerate(items) if iv[1] - iv[0] > FREQ_TOL]
+        items = [items[i] for i in keep]
+        touched = [touched[i] for i in keep]
+
+    out = []
+    for (lo, hi), moved in zip(items, touched):
+        if moved:
+            fixed = _shrink_to_valid(scenario, params, lo, hi, band, qos,
+                                     grid_step, table)
+            if fixed is None:
+                continue
+            lo, hi = fixed
+        out.append(((lo + hi) / 2.0, hi - lo))
+    return sorted(out, key=lambda cw: cw[0])

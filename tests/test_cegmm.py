@@ -5,6 +5,8 @@ re-implementations of the stepwise rules; the allocator against a coarse
 exhaustive scan on a small deployment.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,8 @@ from lwcf.cegmm import (TABLE_CELL, _edge_table, _edges_ok, _shrink_to_valid,
                         _smooth)
 from lwcf.mimo import SingularChannel, received_strength_psd
 from lwcf.scenario import ScenarioConfig, generate_scenario
-from oracles import edges_ok_exact
+from oracles import (certified_per_interval, edges_ok_exact,
+                     resolve_overlaps_scalar)
 
 PARAMS = AntennaParams(1.0, 0.15, 130.0, 100e9)
 BAND = (100e9, 200e9)
@@ -352,6 +355,65 @@ def test_resolve_overlaps_with_a_table_equals_without(monkeypatch):
     assert with_table.count(0) > len(with_table) / 2
 
 
+def test_resolve_overlaps_prices_missing_rss_in_one_call(monkeypatch):
+    """Each RSS miss prices every current interval without an RSS in one
+    array call.  On seeded drops with six searched candidates in 10 GHz,
+    which collide, under a loose and a tight budget, with and without a
+    table, the plans equal those of one scalar PSD call per compared
+    interval, in fewer calls."""
+    import lwcf.cegmm
+    import oracles
+    real_psd, real_shrink = received_strength_psd, _shrink_to_valid
+    calls = {"batched": 0, "compared": 0}
+    counting = {"batched": False}
+
+    def cegmm_psd(scenario, params, frequency, envelope=False):
+        calls["batched"] += counting["batched"]
+        return real_psd(scenario, params, frequency, envelope)
+
+    def oracle_psd(scenario, params, frequency, envelope=False):
+        assert np.ndim(frequency) == 0
+        calls["compared"] += 1
+        return real_psd(scenario, params, frequency, envelope)
+
+    def shrink_spy(*args):
+        # edge checks of re-validated intervals are not RSS calls
+        counting["batched"] = False
+        try:
+            return real_shrink(*args)
+        finally:
+            counting["batched"] = True
+
+    monkeypatch.setattr(lwcf.cegmm, "received_strength_psd", cegmm_psd)
+    monkeypatch.setattr(lwcf.cegmm, "_shrink_to_valid", shrink_spy)
+    monkeypatch.setattr(oracles, "received_strength_psd", oracle_psd)
+    cases = 0
+    for seed in range(4):
+        sc = make_scenario(seed=seed)
+        table = _edge_table(sc, PARAMS, BAND, QOS)
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            centers = rng.uniform(110e9, 120e9, 6) + rng.uniform(0.0, 60e9)
+            widths = bandwidth_searches(centers, sc, PARAMS, BAND, QOS, 50e6)
+            cands = [(float(c), float(w))
+                     for c, w in zip(centers, widths) if w > 0.0]
+            for budget, t in itertools.product((1e9, 100e9), (table, None)):
+                before = dict(calls)
+                want = resolve_overlaps_scalar(cands, sc, PARAMS, BAND, QOS,
+                                               50e6, budget, t)
+                counting["batched"] = True
+                got = resolve_overlaps(cands, sc, PARAMS, BAND, QOS, 50e6,
+                                       budget, t)
+                counting["batched"] = False
+                assert got == want
+                batched = calls["batched"] - before["batched"]
+                compared = calls["compared"] - before["compared"]
+                assert 1 <= batched < compared
+                cases += 1
+    assert cases == 80
+    assert calls["batched"] < calls["compared"] / 2
+
+
 def stepwise_shrink(sc, lo, hi, step):
     """One half-step shrink at a time until the edges are in band and pass
     the exact-PSD oracle: the kept interval and its step, or (None, None)
@@ -656,6 +718,65 @@ def test_table_leaves_steps_at_the_cutoff_to_the_other_tiers():
                                         max_bandwidth=10e9, table=t) == want
 
 
+def cell_pairs(table, rng):
+    """Intervals over every pair of 30 cells, 8 apart, and the two outside
+    ones, in shuffled order: most consecutive pairs differ."""
+    mids = (table.edges[:-1] + table.edges[1:]) / 2.0
+    k = int(rng.integers(0, mids.size - 240))
+    points = np.concatenate([[table.edges[0] - TABLE_CELL / 2.0],
+                             mids[k:k + 240:8], [table.edges[-1] + 1e8]])
+    a, b = np.meshgrid(points, points)
+    order = np.concatenate([rng.permutation(a.size) for _ in range(5)])
+    return a.ravel()[order], b.ravel()[order]
+
+
+def test_certified_equals_the_per_interval_formula():
+    """``certified`` decides each run of equal cell pairs once: on seeded
+    intervals with edges below the table, above it, both outside at once,
+    on stored cell edges, and many steps of one search in one call, in
+    order and shuffled, it equals the per-interval formula."""
+    sc = make_scenario(seed=3, num_aps=8, num_ues=4)
+    rng = np.random.default_rng(3)
+    cutoff = PARAMS.cutoff_frequency
+    step = 10e6
+    answers = []
+    for qos in (QosConfig(0.0, 40.0), QosConfig(0.0, 0.5), QOS):
+        table = _edge_table(sc, PARAMS, BAND, qos)
+        first, top = table.edges[0], table.edges[-1]
+        cells = table.edges.size - 1
+        centers = rng.uniform(110e9, 190e9, 6)
+        steps = np.arange(1, 401) * step
+        k = rng.integers(0, cells - 50, 40)
+        parts = {
+            "searches": (np.repeat(centers, steps.size) - np.tile(steps, 6) / 2,
+                         np.repeat(centers, steps.size) + np.tile(steps, 6) / 2),
+            "below": (cutoff + rng.uniform(0.0, first - cutoff, 50),
+                      rng.uniform(110e9, 190e9, 50)),
+            "above": (rng.uniform(110e9, 190e9, 50),
+                      top + rng.uniform(FREQ_TOL, 1e9, 50)),
+            "both": (cutoff + rng.uniform(0.0, first - cutoff, 50),
+                     top + rng.uniform(FREQ_TOL, 1e9, 50)),
+            "cell_edges": (table.edges[k], table.edges[k + rng.integers(1, 50, 40)]),
+            "random": random_intervals(3),
+            "pairs": cell_pairs(table, rng),
+        }
+        assert (parts["below"][0] <= first).all()
+        assert (parts["above"][1] > top).all()
+        lo = np.concatenate([p[0] for p in parts.values()])
+        hi = np.concatenate([p[1] for p in parts.values()])
+        order = rng.permutation(lo.size)
+        for a, b in [*parts.values(), (lo, hi), (lo[order], hi[order]),
+                     (lo[::-1], hi[::-1]), (lo[:1], hi[:1])]:
+            got = table.certified(a, b)
+            assert got.dtype == bool
+            assert np.array_equal(got, certified_per_interval(table, a, b))
+        assert not table.certified(*parts["both"]).any()
+        assert table.certified(np.empty(0), np.empty(0)).shape == (0,)
+        answers.append(table.certified(*parts["searches"]))
+    certified = np.concatenate(answers)
+    assert 0.1 < certified.mean() < 0.9
+
+
 def test_steps_on_cell_edges_and_at_the_band_top_equal_the_exact_scan():
     """An edge on a stored cell edge belongs to the cell below it, whose
     bounds hold there; a search that runs to the band top looks its last
@@ -952,6 +1073,30 @@ def test_allocate_equals_the_exact_path(monkeypatch, seed):
     exact = plan()
     assert calls and not any(envelope for envelope, _ in calls)
     assert exact == with_table
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 3])
+def test_ce_search_refits_between_iterations_only(monkeypatch, iterations):
+    """The proposal refit after the last iteration would never be sampled:
+    ``max_iterations`` iterations make ``max_iterations - 1`` refits, and
+    a one-iteration search makes none."""
+    import lwcf.cegmm
+    real = lwcf.cegmm.refit_proposal
+    refits = []
+
+    def spy(*args):
+        refits.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lwcf.cegmm, "refit_proposal", spy)
+    sc = make_scenario(num_aps=8, num_ues=4, seed=11)
+    hyper = CeHyperparams(num_samples=5, num_elites=2,
+                          max_iterations=iterations, grid_step=50e6,
+                          num_subchannels=3)
+    plan = allocate(sc, PARAMS, BAND, "zf", hyper, QOS,
+                    np.random.default_rng(11), total_bandwidth=10e9)
+    assert plan.achieved_rate > 0.0
+    assert len(refits) == iterations - 1
 
 
 def test_one_edge_table_per_search(monkeypatch):

@@ -257,6 +257,38 @@ def test_cli_simulate_reproduces_sweep_trial_zero(mode, allocator, capsys):
     assert row[6] == simulated
 
 
+@pytest.mark.parametrize("mode", ["none", "kmeans"])
+def test_cli_simulate_trial_reproduces_sweep_rows(mode, capsys):
+    """``simulate --trial t`` takes trial t's drop (geometry seed
+    ``base_seed + t``) and optimiser stream, so with a nonzero base seed it
+    gives the sweep's rows for trials 0 and 1; without ``--trial`` the drop
+    comes from ``scenario.seed``, here 0, and trial 0's row differs."""
+    sets = FAST_OVERRIDES + ["experiment.base_seed=3", "experiment.trials=2",
+                             f"clustering.mode={mode}"]
+    args = [a for ov in sets for a in ("--set", ov)]
+    code, out, _ = run_cli(["sweep"] + args, capsys)
+    assert code == 0
+    rows = {r[1]: r for r in (line.split(",")
+                              for line in out.strip().split("\n")[1:])
+            if r[0] == "4" and r[1] != "summary"}
+    assert [rows[t][2] for t in ("0", "1")] == ["3", "4"]
+    simulated = {}
+    for trial in (None, "0", "1"):
+        extra = [] if trial is None else ["--trial", trial]
+        code, _, err = run_cli(["simulate"] + args + extra, capsys)
+        assert code == 0
+        simulated[trial] = err.split("total_rate_bps=")[1].split()[0]
+    for t in ("0", "1"):
+        assert rows[t][9] == "ok" and rows[t][6] == simulated[t]
+    assert simulated[None] != simulated["0"]
+
+
+def test_cli_simulate_rejects_a_negative_trial(capsys):
+    code, _, err = run_cli(["simulate", "--trial", "-1"], capsys)
+    assert code == 2
+    assert "trial must be >= 0" in err
+
+
 def test_cli_seed_changes_plan(tmp_path, capsys):
     outputs = []
     for seed in ("0", "1"):
