@@ -245,13 +245,14 @@ def per_ap_spectral_efficiency(cluster, scenario: Scenario, method: str,
         return 0.0
     rows = np.asarray(served)
     tx_psd = scenario.tx_psd[served]
-    total = 0.0
+    own = np.empty(len(served))
     for first in range(0, len(served), SCORE_CHUNK):
         h = stack[np.ix_(rows[first:first + SCORE_CHUNK], rows, members)]
         gammas = fallback_sinrs(h, method, tx_psd, scenario.noise_psd)
         # slice n holds the channels at the frequency of UE first + n
-        for n, gamma in enumerate(gammas):
-            total += np.log2(1.0 + gamma[first + n])
+        own[first:first + len(gammas)] = np.diagonal(gammas, offset=first)
+    # summed left to right like the per-UE reference; np.sum pairs terms
+    total = np.add.accumulate(np.log2(1.0 + own))[-1]
     return float(total / len(members))
 
 

@@ -18,6 +18,13 @@ from .antenna import SPEED_OF_LIGHT, AntennaParams, gain
 from .scenario import Scenario, subscenario
 
 MAX_ZF_CONDITION = 1e12
+# Share of MAX_ZF_CONDITION up to which the trace bound certifies a Gram
+# (see precoder_rows).  The bound tr(G) tr(G^-1) overshoots cond(G) by at
+# most S^2 (S UEs), and the solve and the SVD round with relative error
+# about S u cond (u the unit roundoff), 2e-6 at S = 20 and cond = 1e9: a
+# bound certified three decades below the threshold cannot hide a
+# condition number above it.
+ZF_CERTIFICATE_SLACK = 1e-3
 # (frequency, UE, AP) points per stacked evaluation: bounds the temporaries
 STACK_POINTS = 2 ** 13
 
@@ -92,6 +99,12 @@ def require_zf_shape(num_ues: int, num_aps: int) -> None:
             f"got K={num_ues} UEs and M={num_aps} APs")
 
 
+def _row_squares(rows: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows (..., K, M), summed as ``np.linalg.norm``
+    sums them, so their square roots are its bits."""
+    return np.add.reduce((rows.conj() * rows).real, axis=-1)
+
+
 def precoder_rows(h: np.ndarray, method: str,
                   flag_collapse: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Unit-norm 'mrt' or 'zf' precoders of a stack of channels (N, K, M).
@@ -109,25 +122,50 @@ def precoder_rows(h: np.ndarray, method: str,
     stacked slice and a lone channel give the same bits if ``h`` is
     C-contiguous (the transposed layout of ``h[:, ues][:, :, aps]`` sums the
     row norms in another order).
+
+    Zero forcing decides the condition test in two tiers.  Tier 1 solves
+    every slice first: the solved rows X = Gram^{-T} conj(H) have
+    X X^H = Gram^{-T}, so the squared row norms that normalise them sum to
+    tr(Gram^{-1}), and cond(Gram) <= tr(Gram) tr(Gram^{-1}) certifies a
+    slice whose bound stays below ``MAX_ZF_CONDITION`` times
+    ``ZF_CERTIFICATE_SLACK``.  Tier 2 takes the exact SVD condition number
+    of the other slices alone: a larger or non-finite bound.  When the
+    stacked solve raises LinAlgError (an exactly singular slice), the whole
+    stack takes the exact test first and solves the passing slices.
+    ``MAX_ZF_CONDITION`` is read at call time.
     """
     if method not in PRECODER_METHODS:
         raise ValueError(f"unknown precoding method {method!r}")
     k, m = h.shape[-2:]
     rows = h.conj()
+    failed = np.zeros(h.shape[0], dtype=bool)
     if method == "mrt":
-        failed = np.zeros(h.shape[0], dtype=bool)
+        square = _row_squares(rows)
     else:
         require_zf_shape(k, m)
         gram = h @ rows.swapaxes(-1, -2)
-        # a condition number that is NaN or infinite fails too
-        failed = ~(np.linalg.cond(gram) <= MAX_ZF_CONDITION)
-        # F = H^H Gram^{-1}  via  Gram^T F^T = conj(H), solved into the rows
-        if failed.any():
+        # F = H^H Gram^{-1}  via  Gram^T F^T = conj(H), solved into the rows;
+        # a bound or condition number that is NaN or infinite fails its test
+        try:
+            solved = np.linalg.solve(gram.swapaxes(-1, -2), rows)
+        except np.linalg.LinAlgError:
+            failed = ~(np.linalg.cond(gram) <= MAX_ZF_CONDITION)
             ok = ~failed
             rows[ok] = np.linalg.solve(gram[ok].swapaxes(-1, -2), rows[ok])
+            square = _row_squares(rows)
         else:
-            rows = np.linalg.solve(gram.swapaxes(-1, -2), rows)
-    norms = np.linalg.norm(rows, axis=-1)
+            square = _row_squares(solved)
+            trace = gram.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1)
+            bound = trace * square.sum(axis=-1)
+            unsure = ~(bound <= MAX_ZF_CONDITION * ZF_CERTIFICATE_SLACK)
+            if unsure.any():
+                failed[unsure] = ~(np.linalg.cond(gram[unsure])
+                                   <= MAX_ZF_CONDITION)
+                # a failed slice keeps its finite conjugate rows, as before
+                solved[failed] = rows[failed]
+                square[failed] = _row_squares(rows[failed])
+            rows = solved
+    norms = np.sqrt(square)
     collapsed = norms < 1e-300
     if collapsed.any():
         if method == "mrt" and not flag_collapse:
@@ -145,7 +183,9 @@ def precode(channel: ChannelMatrix, method: str) -> PrecodingMatrix:
     Zero forcing solves against the Gram matrix rather than forming an
     explicit inverse, and rejects channels with condition number above
     ``MAX_ZF_CONDITION``, more UEs than APs, or a collapsed column (see
-    ``precoder_rows``).
+    ``precoder_rows``).  The condition test has two tiers: the trace bound
+    from the solved rows certifies a well-conditioned channel, and only an
+    uncertified one takes the SVD condition number.
     """
     rows, failed = precoder_rows(channel.entries[None], method)
     if failed[0]:

@@ -132,6 +132,136 @@ def test_precoder_rows_flags_failed_slices():
         precoder_rows(good[None, :, :2], "zf")
 
 
+def gram_of(h):
+    return h @ h.conj().swapaxes(-1, -2)
+
+
+def trace_bounds(h):
+    """tr(G) tr(G^-1) of each slice's Gram, tr(G^-1) from the solved rows."""
+    gram = gram_of(h)
+    solved = np.linalg.solve(gram.swapaxes(-1, -2), h.conj())
+    return (gram.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1)
+            * np.sum(np.abs(solved) ** 2, axis=(-2, -1)))
+
+
+def cond_spy(monkeypatch):
+    """Record every Gram stack handed to ``np.linalg.cond``."""
+    real = np.linalg.cond
+    calls = []
+
+    def spy(x, *args, **kwargs):
+        calls.append(np.array(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", spy)
+    return calls
+
+
+def near_twin(good, rng, scale):
+    """``good`` with row 1 moved to within ``scale`` of row 0."""
+    h = good.copy()
+    h[1] = h[0] + scale * np.abs(h[0]).max() * (
+        rng.normal(size=h.shape[1]) + 1j * rng.normal(size=h.shape[1]))
+    return h
+
+
+def test_zf_tiers_mix_certified_passing_and_failing_slices(monkeypatch):
+    """Slices whose trace bound certifies them skip the SVD; the others
+    take the exact condition test and pass or fail it; rows and flags equal
+    the one-matrix oracle bit for bit.  An exactly singular slice sends the
+    whole stack through the exact test first."""
+    import lwcf.mimo
+    sc = make_scenario(num_aps=8, num_ues=3, seed=3)
+    rng = np.random.default_rng(3)
+    good = [build_channel(sc, PARAMS, f).entries for f in (130e9, 150e9)]
+    h = np.stack([good[0], near_twin(good[1], rng, 1e-3), good[1],
+                  near_twin(good[0], rng, 1e-5)])
+    gram = gram_of(h)
+    conds = np.linalg.cond(gram)
+    bounds = trace_bounds(h)
+    limit = np.sqrt(conds[1] * conds[3])
+    monkeypatch.setattr(lwcf.mimo, "MAX_ZF_CONDITION", limit)
+    certify = limit * lwcf.mimo.ZF_CERTIFICATE_SLACK
+    # slices 0 and 2 certified, 1 exact and passing, 3 exact and failing
+    assert bounds[0] <= certify and bounds[2] <= certify
+    assert bounds[1] > certify and conds[1] <= limit < conds[3]
+
+    calls = cond_spy(monkeypatch)
+
+    def expect(stack):
+        """Flags of ``stack`` and the Grams its tier 2 saw, after checking
+        the rows against the oracle (which takes the SVD itself)."""
+        calls.clear()
+        rows, failed = precoder_rows(stack, "zf")
+        seen = list(calls)
+        for n, channel in enumerate(stack):
+            try:
+                want = precode_2d(ChannelMatrix(channel.copy(), 150e9), "zf")
+            except SingularChannel:
+                assert failed[n]
+                continue
+            assert not failed[n]
+            assert np.array_equal(rows[n].T, want.columns)
+        return failed.tolist(), seen
+
+    failed, seen = expect(h)
+    assert failed == [False, False, False, True]
+    assert len(seen) == 1 and np.array_equal(seen[0], gram[[1, 3]])
+
+    dead = good[0].copy()
+    dead[2] = 0.0                     # an exactly singular Gram
+    stack = np.concatenate([h, dead[None]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(gram_of(stack).swapaxes(-1, -2), stack.conj())
+    failed, seen = expect(stack)
+    assert failed == [False, False, False, True, True]
+    assert len(seen) == 1 and np.array_equal(seen[0], gram_of(stack))
+
+
+def test_trace_bound_dominates_the_condition_number(monkeypatch):
+    """tr(G) tr(G^-1), from the solved rows, is at least cond(G) to within
+    the rounding S u cond of the solve and the SVD, for S = 1..20 UEs and
+    conditions 1e0..1e15; every slice tier 1 certifies has an SVD condition
+    number within ``MAX_ZF_CONDITION``, at the default and lower limits."""
+    import lwcf.mimo
+    rng = np.random.default_rng(14)
+    unit = np.finfo(float).eps / 2
+    slack = lwcf.mimo.ZF_CERTIFICATE_SLACK
+    exponents = np.linspace(0.0, 15.0, 31)
+    certified_total = 0
+    for s in range(1, 21):
+        m = s + int(rng.integers(0, 12))
+        stack = []
+        for e in exponents:
+            u, _ = np.linalg.qr(rng.normal(size=(s, s))
+                                + 1j * rng.normal(size=(s, s)))
+            v, _ = np.linalg.qr(rng.normal(size=(m, m))
+                                + 1j * rng.normal(size=(m, m)))
+            sv = rng.uniform(1.0, 2.0, s)
+            sv[-1] = sv.max() * 10.0 ** (-e / 2)   # cond(G) = 10^e for s > 1
+            stack.append((u * sv) @ v[:s].conj() * 1e-6)
+        h = np.stack(stack)
+        gram = gram_of(h)
+        conds = np.linalg.cond(gram)
+        bounds = trace_bounds(h)
+        assert np.all(bounds >= conds * (1.0 - 4 * s * unit * conds))
+        for limit in (1e12, 1e8, 1e4):
+            monkeypatch.setattr(lwcf.mimo, "MAX_ZF_CONDITION", limit)
+            calls = cond_spy(monkeypatch)
+            failed = precoder_rows(h, "zf")[1]
+            monkeypatch.undo()
+            exact = np.zeros(len(h), dtype=bool)
+            for seen in calls:
+                exact |= [any(np.array_equal(g, x) for x in seen)
+                          for g in gram]
+            certified = ~exact
+            assert np.array_equal(certified, bounds <= limit * slack)
+            certified_total += certified.sum()
+            assert np.all(conds[certified] <= limit)
+            assert np.array_equal(failed, ~(conds <= limit))
+    assert certified_total > 0
+
+
 def test_stacked_rate_densities_equal_per_frequency_rates(monkeypatch):
     """``rate_densities`` rates a stack of several ``STACK_POINTS`` chunks
     with the bits of a per-frequency build, precode and SINR, and of
