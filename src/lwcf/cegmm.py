@@ -397,10 +397,10 @@ def _edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
     return ok
 
 
-def _in_band(lo: float, hi: float, band: tuple[float, float],
-             cutoff: float) -> bool:
-    return (lo >= band[0] - FREQ_TOL and lo > cutoff + FREQ_TOL
-            and hi <= band[1] + FREQ_TOL)
+def _in_band(lo, hi, band: tuple[float, float], cutoff: float):
+    """Elementwise: the edges lie in the band, strictly above the cutoff."""
+    return ((lo >= band[0] - FREQ_TOL) & (lo > cutoff + FREQ_TOL)
+            & (hi <= band[1] + FREQ_TOL))
 
 
 EDGE_BLOCKS = (8, 32)   # steps per search in the first, later _edges_ok blocks
@@ -514,11 +514,8 @@ def _shrink_to_valid(scenario: Scenario, params: AntennaParams, lo: float,
         half = np.maximum(width / 2.0 - steps * (grid_step / 2.0), 0.0)
         los = mid - half
         his = mid + half
-        ok = ((his - los > FREQ_TOL)
-              & (los >= band[0] - FREQ_TOL)
-              & (los > params.cutoff_frequency + FREQ_TOL)
-              & (his <= band[1] + FREQ_TOL))
-        idx = np.nonzero(ok)[0]
+        idx = np.nonzero((his - los > FREQ_TOL) & _in_band(
+            los, his, band, params.cutoff_frequency))[0]
         edge_ok = (np.zeros(idx.size, dtype=bool) if table is None
                    else table.certified(los[idx], his[idx]))
         n = int(edge_ok.argmax()) if edge_ok.any() else idx.size
@@ -547,10 +544,9 @@ def resolve_overlaps(candidates, scenario: Scenario, params: AntennaParams,
     ``table`` (the ``_EdgeTable`` of ``ce_search``, or None for no lookups)
     is passed on to ``_shrink_to_valid``.
     """
-    items = [[c - w / 2.0, c + w / 2.0] for c, w in candidates if w > 0.0]
-    items.sort(key=lambda iv: iv[0])
-    touched: list[bool] = [False] * len(items)
-
+    # one record [lo, hi, moved] per interval; moved marks edges to re-check
+    items = [[c - w / 2.0, c + w / 2.0, False]
+             for c, w in candidates if w > 0.0]
     rss_cache: dict[tuple[float, float], float] = {}
 
     def rss_of(iv) -> float:
@@ -560,66 +556,52 @@ def resolve_overlaps(candidates, scenario: Scenario, params: AntennaParams,
         one-frequency calls."""
         key = (iv[0], iv[1])
         if key not in rss_cache:
-            missing = [(a, b) for a, b in items if (a, b) not in rss_cache]
+            missing = [(a, b) for a, b, _ in items if (a, b) not in rss_cache]
             psd = received_strength_psd(scenario, params,
                                         [(a + b) / 2.0 for a, b in missing])
             rss_cache.update(zip(missing, map(float, psd.sum(axis=1))))
         return rss_cache[key]
 
-    # pairwise truncation until disjoint
+    # pairwise truncation until disjoint; the stable sort keeps ties in
+    # candidate order
     while True:
-        order = sorted(range(len(items)), key=lambda i: items[i][0])
-        items = [items[i] for i in order]
-        touched = [touched[i] for i in order]
-        clash = None
-        for i in range(len(items) - 1):
-            if items[i + 1][0] < items[i][1] - FREQ_TOL:
-                clash = i
-                break
+        items.sort(key=lambda iv: iv[0])
+        clash = next((i for i in range(len(items) - 1)
+                      if items[i + 1][0] < items[i][1] - FREQ_TOL), None)
         if clash is None:
             break
         a, b = items[clash], items[clash + 1]
-        if rss_of(a) >= rss_of(b):
-            winner, loser, loser_idx = a, b, clash + 1
-        else:
-            winner, loser, loser_idx = b, a, clash
+        winner, loser = (a, b) if rss_of(a) >= rss_of(b) else (b, a)
         if loser[0] < winner[0] and loser[1] > winner[1]:
             # loser straddles the winner: keep its wider remaining side
-            left = (loser[0], winner[0])
-            right = (winner[1], loser[1])
-            keep = left if left[1] - left[0] >= right[1] - right[0] else right
-            loser[0], loser[1] = keep
+            if winner[0] - loser[0] >= loser[1] - winner[1]:
+                loser[1] = winner[0]
+            else:
+                loser[0] = winner[1]
         elif loser[0] < winner[0]:
             loser[1] = winner[0]
         else:
             loser[0] = winner[1]
-        touched[loser_idx] = True
-        alive = [i for i, iv in enumerate(items) if iv[1] - iv[0] > FREQ_TOL]
-        items = [items[i] for i in alive]
-        touched = [touched[i] for i in alive]
+        loser[2] = True
+        items = [iv for iv in items if iv[1] - iv[0] > FREQ_TOL]
 
-    # spectrum budget: shrink the lowest-RSS intervals first
-    widths = [iv[1] - iv[0] for iv in items]
-    excess = sum(widths) - total_bandwidth
+    # spectrum budget: shrink the lowest-RSS intervals first (the stable
+    # sort breaks RSS ties by position)
+    excess = sum(hi - lo for lo, hi, _ in items) - total_bandwidth
     if excess > FREQ_TOL:
-        by_rss = sorted(range(len(items)), key=lambda i: (rss_of(items[i]), i))
-        for i in by_rss:
+        for iv in sorted(items, key=rss_of):
             if excess <= FREQ_TOL:
                 break
-            cut = min(widths[i], excess)
-            items[i][0] += cut / 2.0
-            items[i][1] -= cut / 2.0
-            widths[i] -= cut
+            cut = min(iv[1] - iv[0], excess)
+            iv[0] += cut / 2.0
+            iv[1] -= cut / 2.0
+            iv[2] = True
             excess -= cut
-            touched[i] = True
-        keep = [i for i, iv in enumerate(items) if iv[1] - iv[0] > FREQ_TOL]
-        items = [items[i] for i in keep]
-        touched = [touched[i] for i in keep]
+        items = [iv for iv in items if iv[1] - iv[0] > FREQ_TOL]
 
     # re-validate edges of every interval that moved
     out = []
-    for iv, moved in zip(items, touched):
-        lo, hi = iv
+    for lo, hi, moved in items:
         if moved:
             fixed = _shrink_to_valid(scenario, params, lo, hi, band, qos,
                                      grid_step, table)

@@ -17,9 +17,8 @@ from .cegmm import InfeasibleBand
 from .cluster_alloc import ClusterPlan, write_cluster_plan_csv
 from .clustering import write_clustering_csv
 from .config import load_config
-from .harness import (ExperimentConfig, build_clustering,
-                      equal_bandwidth_baseline, run_experiment, run_trial,
-                      trial_rng, trial_scenario, write_plan_csv)
+from .harness import (ExperimentConfig, build_clustering, run_experiment,
+                      run_trial, trial_rng, trial_scenario, write_plan_csv)
 from .mimo import SingularChannel
 from .scenario import generate_scenario
 
@@ -90,16 +89,6 @@ def _cmd_cluster(config: ExperimentConfig, out) -> None:
           f"converged={clustering.converged}", file=sys.stderr)
 
 
-def _cmd_baseline(config: ExperimentConfig, out) -> None:
-    scenario = generate_scenario(config.scenario)
-    plan = equal_bandwidth_baseline(scenario, config.params,
-                                    config.hyper.num_subchannels, config.band,
-                                    config.scenario.total_bandwidth,
-                                    config.precoder)
-    write_plan_csv(plan, out)
-    print(f"total_rate_bps={plan.achieved_rate:.6g}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -113,7 +102,8 @@ def main(argv=None) -> int:
                 elif args.command == "cluster":
                     _cmd_cluster(config, out)
                 else:
-                    _cmd_baseline(config, out)
+                    _cmd_simulate(replace(config, allocator="equal_bandwidth",
+                                          clustering="none"), None, out)
     except (ValueError, OSError, InfeasibleBand, SingularChannel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -165,19 +165,19 @@ def affinity_propagation(ap_positions) -> tuple[list[tuple[int, ...]], bool]:
             for k in exemplars], converged
 
 
-def _eval_frequency(params: AntennaParams, angle: float, band_upper: float) -> float:
-    """Peak-gain frequency of a link, clamped into the operating band."""
-    f_star = peak_frequency(params.cutoff_frequency, angle)
-    return min(max(f_star, params.cutoff_frequency * (1.0 + 1e-9)), band_upper)
+def _eval_frequency(params: AntennaParams, angle, band_upper: float):
+    """Elementwise peak-gain frequency of links at ``angle``, clamped into
+    the operating band (cutoff, band_upper]."""
+    return np.clip(peak_frequency(params.cutoff_frequency, angle),
+                   params.cutoff_frequency * (1.0 + 1e-9), band_upper)
 
 
 def rss_matrix(scenario: Scenario, params: AntennaParams,
                band_upper: float) -> np.ndarray:
     """Per-link received strength (num_ues, num_aps): transmit PSD times
     aperture gain times free-space power gain, each link evaluated at its
-    own peak frequency clamped into (cutoff, band_upper]."""
-    f_eval = np.clip(peak_frequency(params.cutoff_frequency, scenario.angles),
-                     params.cutoff_frequency * (1.0 + 1e-9), band_upper)
+    own clamped peak frequency (``_eval_frequency``)."""
+    f_eval = _eval_frequency(params, scenario.angles, band_upper)
     amp = freespace_amplitude(f_eval, scenario.distances)
     return (scenario.tx_psd[:, None]
             * gain(params, f_eval, scenario.angles) * amp * amp)
@@ -216,9 +216,9 @@ def channel_stack(scenario: Scenario, params: AntennaParams,
     link to its serving AP ``ue_to_ap[k]``; a cluster's channels are the
     slice ``stack[np.ix_(served, served, members)]``.
     """
-    f_eval = [_eval_frequency(params, scenario.angles[k, ap], band_upper)
-              for k, ap in enumerate(ue_to_ap)]
-    return build_channels(scenario, params, f_eval)
+    links = scenario.angles[np.arange(scenario.num_ues), ue_to_ap]
+    return build_channels(scenario, params,
+                          _eval_frequency(params, links, band_upper))
 
 
 def per_ap_spectral_efficiency(cluster, scenario: Scenario, method: str,

@@ -71,6 +71,8 @@ class ExperimentConfig:
             raise ValueError("sweep values must be positive")
         if list(vals) != sorted(vals):
             raise ValueError("sweep values must be sorted ascending")
+        if self.clustering == "kmeans" and self.num_clusters < 1:
+            raise ValueError("clustering.num_clusters must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
@@ -83,9 +85,10 @@ class ExperimentConfig:
 
 def _check_sweep(config: ExperimentConfig) -> None:
     """Reject a sweep point the configured trial cannot run: a spectrum
-    budget wider than the band, or network-wide zero forcing with more UEs
-    than APs.  Only sweeps check this: one file also drives ``simulate``,
-    ``cluster`` and ``baseline``, which never visit the sweep points."""
+    budget wider than the band, fewer APs than k-means clusters, or
+    network-wide zero forcing with more UEs than APs.  Only sweeps check
+    this: one file also drives ``simulate``, ``cluster`` and ``baseline``,
+    which never visit the sweep points."""
     span = config.band[1] - config.band[0]
     for value in config.sweep_values:
         point = {"num_aps": config.scenario.num_aps,
@@ -96,6 +99,10 @@ def _check_sweep(config: ExperimentConfig) -> None:
         if point["total_bandwidth"] > span:
             raise ValueError(f"{where}: the spectrum budget exceeds the band "
                              f"width {span:g} Hz")
+        if (config.clustering == "kmeans"
+                and int(point["num_aps"]) < config.num_clusters):
+            raise ValueError(f"{where}: fewer APs than the "
+                             f"{config.num_clusters} k-means clusters")
         if config.precoder == "zf" and config.clustering == "none":
             # network-wide zero forcing fails every trial with K > M
             try:

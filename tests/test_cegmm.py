@@ -978,6 +978,9 @@ def test_validate_plan_rejections():
     with pytest.raises(ValueError):
         validate_plan([(100.1e9, 1e9)], BAND, 10e9, cutoff)   # below cutoff
     with pytest.raises(ValueError):
+        # in the band, which starts at the cutoff, but with an edge on it
+        validate_plan([(cutoff + 0.5e9, 1e9)], BAND, 10e9, cutoff)
+    with pytest.raises(ValueError):
         validate_plan([(150e9, -1e9)], BAND, 10e9, cutoff)
 
 

@@ -1,10 +1,14 @@
 """Configuration loading, override plumbing, and the CLI front end."""
 
+import io
+
 import numpy as np
 import pytest
 
 from lwcf.cli import main
 from lwcf.config import DEFAULTS, dbm_per_hz_to_w, load_config
+from lwcf.harness import equal_bandwidth_baseline, write_plan_csv
+from lwcf.scenario import generate_scenario
 
 FAST_OVERRIDES = [
     "scenario.num_aps=4",
@@ -130,6 +134,35 @@ def test_cli_baseline_stdout(capsys):
     assert lines[0] == "subchannel_index,center_hz,width_hz,subchannel_rate_bps"
     assert len(lines) == 1 + 4           # default tile count
     assert "total_rate_bps=" in err
+
+
+@pytest.mark.parametrize("extra", [
+    pytest.param([], id="defaults"),
+    pytest.param(["clustering.mode=kmeans"], id="kmeans"),
+    pytest.param(["experiment.precoder=mrt", "clustering.mode=kmeans"],
+                 id="mrt-kmeans")])
+def test_cli_baseline_is_the_unclustered_equal_bandwidth_simulate(extra,
+                                                                 capsys):
+    """``baseline`` runs the ``simulate`` trial with the equal-bandwidth
+    allocator and no clustering, whatever those two keys say; the plan is
+    the ``equal_bandwidth_baseline`` of the ``scenario.seed`` drop."""
+    sets = ["scenario.num_aps=4", "scenario.num_ues=2", *extra]
+    args = [a for ov in sets for a in ("--set", ov)]
+    code, out, err = run_cli(["baseline"] + args, capsys)
+    assert code == 0
+    forced = ["experiment.allocator=equal_bandwidth", "clustering.mode=none"]
+    assert run_cli(["simulate"] + args
+                   + [a for ov in forced for a in ("--set", ov)],
+                   capsys) == (0, out, err)
+    config = load_config(None, sets)
+    plan = equal_bandwidth_baseline(
+        generate_scenario(config.scenario), config.params,
+        config.hyper.num_subchannels, config.band,
+        config.scenario.total_bandwidth, config.precoder)
+    expected = io.StringIO()
+    write_plan_csv(plan, expected)
+    assert out == expected.getvalue()
+    assert err == f"total_rate_bps={plan.achieved_rate:.6g}\n"
 
 
 def test_cli_simulate_adaptive(tmp_path, capsys):

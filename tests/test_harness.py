@@ -120,6 +120,10 @@ def test_experiment_config_validation():
         fast_experiment(trials=0)
     with pytest.raises(ValueError):
         fast_experiment(workers=0)
+    with pytest.raises(ValueError, match="num_clusters must be >= 1"):
+        fast_experiment(clustering="kmeans", num_clusters=0)
+    # the count only matters to k-means
+    fast_experiment(clustering="hierarchical", num_clusters=0)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +177,33 @@ def test_sweep_rejects_a_budget_wider_than_the_band(monkeypatch):
             sweep_values=(BAND[1] - BAND[0],)))
         assert text.split("\n")[1].endswith(",ok") and len(drops) == 1
         drops.clear()
+
+
+def test_sweep_rejects_fewer_aps_than_kmeans_clusters(monkeypatch):
+    """A sweep point with fewer APs than k-means clusters is rejected by
+    name before any trial draws a drop, whether the sweep varies the AP
+    count or takes the scenario's."""
+    import lwcf.harness
+    drops = []
+    real = lwcf.harness.generate_scenario
+    monkeypatch.setattr(lwcf.harness, "generate_scenario",
+                        lambda *a, **k: drops.append(a) or real(*a, **k))
+    for kw, point in ((dict(sweep="num_aps", sweep_values=(2.0, 4.0)),
+                       "num_aps=2"),
+                      (dict(scenario=scenario_template(num_aps=2)),
+                       "num_ues=2")):
+        config = fast_experiment(clustering="kmeans", num_clusters=3,
+                                 trials=1, **kw)
+        with pytest.raises(ValueError,
+                           match=rf"sweep point {point}: fewer APs than the "
+                                 "3 k-means clusters"):
+            run_experiment(config)
+        assert drops == []
+    # as many APs as clusters still runs
+    text = run_experiment(fast_experiment(
+        clustering="kmeans", num_clusters=4, trials=1, sweep="num_aps",
+        sweep_values=(4.0,)))
+    assert text.split("\n")[1].endswith(",ok") and len(drops) == 1
 
 
 def test_run_experiment_layout_and_seeds():
