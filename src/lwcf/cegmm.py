@@ -19,6 +19,7 @@ Plan constraints, enforced for every emitted plan:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,31 +114,31 @@ class QosConfig:
 # mixture fitting
 # ---------------------------------------------------------------------------
 
-def _log_norm_pdf(x: np.ndarray, mean, var) -> np.ndarray:
-    return -0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var)
-
-
-def _component_log_density(weights, means: np.ndarray, variances: np.ndarray,
-                           values: np.ndarray) -> np.ndarray:
-    """Log of weight_l * N(x | mean_l, var_l), shape (n, components)."""
-    x = np.asarray(values, float)[:, None]
-    with np.errstate(divide="ignore"):
-        logw = np.log(np.asarray(weights, float))[None, :]
-    return logw + _log_norm_pdf(x, means[None, :], variances[None, :])
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    peak = np.max(a, axis=axis, keepdims=True)
+def _mixture_log_densities(log_weights, variances: np.ndarray,
+                           squares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log of weight_l * N(x | mean_l, var_l), shape (n, components), and
+    its log-sum-exp over the components, shape (n,), from the squared
+    deviations ``squares`` = (x - mean_l) ** 2 of the samples: the one
+    density evaluation of ``em_fit`` and ``gmm_log_likelihood``, so the two
+    give the same bits."""
+    log_comp = log_weights + -0.5 * (np.log(2.0 * np.pi * variances)
+                                     + squares / variances)
+    peak = np.maximum.reduce(log_comp, axis=1, keepdims=True)
     peak = np.where(np.isfinite(peak), peak, 0.0)
-    out = peak.squeeze(axis) + np.log(np.sum(np.exp(a - peak), axis=axis))
-    return out
+    log_mix = peak[:, 0] + np.log(np.add.reduce(np.exp(log_comp - peak),
+                                                axis=1))
+    return log_comp, log_mix
 
 
 def gmm_log_likelihood(gmm: Gmm, values) -> float:
     """Total log likelihood of the values under the mixture."""
-    log_comp = _component_log_density(gmm.weights, gmm.means, gmm.variances,
-                                      values)
-    return float(np.sum(_logsumexp(log_comp, axis=1)))
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(np.asarray(gmm.weights, float))
+    squares = (np.asarray(values, float)[:, None]
+               - np.asarray(gmm.means, float)) ** 2
+    _, log_mix = _mixture_log_densities(
+        log_weights, np.asarray(gmm.variances, float), squares)
+    return float(np.add.reduce(log_mix))
 
 
 def sample_gmm(gmm: Gmm, n: int, rng: np.random.Generator,
@@ -164,8 +165,11 @@ def sample_gmm(gmm: Gmm, n: int, rng: np.random.Generator,
     return x
 
 
+EM_MAX_ITER = 100   # EM iterations per fit
+
+
 def em_fit(values, num_components: int, init: Gmm, var_floor: float = 0.0,
-           tol: float = 1e-6, max_iter: int = 100,
+           tol: float = 1e-6, max_iter: int = EM_MAX_ITER,
            history: list | None = None) -> Gmm:
     """Fit a mixture to scalar values by EM, starting from ``init``.
 
@@ -173,7 +177,8 @@ def em_fit(values, num_components: int, init: Gmm, var_floor: float = 0.0,
     continues with fewer components.  Variances are floored at ``var_floor``
     (plus a tiny absolute guard against exact collapse).  When ``history``
     is a list, the log-likelihood evaluated at each iteration is appended
-    to it.
+    to it; a fit that converged made fewer than ``max_iter`` entries, and
+    its last one is the log-likelihood of the returned mixture.
     """
     x = np.asarray(values, float)
     n = x.size
@@ -185,40 +190,49 @@ def em_fit(values, num_components: int, init: Gmm, var_floor: float = 0.0,
     if weights.size != num_components:
         raise ValueError("init must carry num_components components")
     tiny_var = max(var_floor, 1e-300)
+    column = x[:, None]
+    # the squared deviations of the M-step are those of the next E-step
+    squares = (column - means) ** 2
 
     ll_prev = -np.inf
-    for _ in range(max_iter):
-        log_comp = _component_log_density(weights, means, variances, x)
-        log_mix = _logsumexp(log_comp, axis=1)
-        ll = float(np.sum(log_mix))
-        if history is not None:
-            history.append(ll)
-        if np.isfinite(ll_prev) and ll - ll_prev < tol * max(abs(ll_prev), 1e-12):
-            break
-        ll_prev = ll
-        resp = np.exp(log_comp - log_mix[:, None])
-        mass = resp.sum(axis=0)
-        alive = mass > n * 1e-12
-        if not np.all(alive):
-            if alive.sum() == 0:
-                alive[int(np.argmax(mass))] = True
-            resp = resp[:, alive]
-            mass = mass[alive]
-            means = means[alive]
-            variances = variances[alive]
-            ll_prev = -np.inf   # likelihood is not comparable across a removal
-        means = resp.T @ x / mass
-        variances = (resp * (x[:, None] - means[None, :]) ** 2).sum(axis=0) / mass
-        variances = np.maximum(variances, tiny_var)
-        weights = mass / n
-        weights = weights / weights.sum()
+    # a zero initial weight has log weight -inf; later weights are positive
+    with np.errstate(divide="ignore"):
+        for _ in range(max_iter):
+            log_comp, log_mix = _mixture_log_densities(
+                np.log(weights), variances, squares)
+            ll = float(np.add.reduce(log_mix))
+            if history is not None:
+                history.append(ll)
+            if (math.isfinite(ll_prev)
+                    and ll - ll_prev < tol * max(abs(ll_prev), 1e-12)):
+                break
+            ll_prev = ll
+            resp = np.exp(log_comp - log_mix[:, None])
+            mass = np.add.reduce(resp, axis=0)
+            alive = mass > n * 1e-12
+            if not alive.all():
+                if not alive.any():
+                    alive[int(np.argmax(mass))] = True
+                resp = resp[:, alive]
+                mass = mass[alive]
+                ll_prev = -np.inf   # not comparable across a removal
+            means = resp.T @ x / mass
+            squares = (column - means) ** 2
+            variances = np.add.reduce(resp * squares, axis=0) / mass
+            variances = np.maximum(variances, tiny_var)
+            weights = mass / n
+            weights = weights / np.add.reduce(weights)
     return Gmm(weights, means, variances)
 
 
-def bic(gmm: Gmm, values) -> float:
-    """Bayesian information criterion: 3*components*ln(n) - 2*loglik."""
+def bic(gmm: Gmm, values, log_likelihood: float | None = None) -> float:
+    """Bayesian information criterion: 3*components*ln(n) - 2*loglik, with
+    the ``gmm_log_likelihood`` of the values unless ``log_likelihood``
+    gives it."""
     n = np.asarray(values, float).size
-    return 3.0 * gmm.num_components * np.log(n) - 2.0 * gmm_log_likelihood(gmm, values)
+    if log_likelihood is None:
+        log_likelihood = gmm_log_likelihood(gmm, values)
+    return 3.0 * gmm.num_components * np.log(n) - 2.0 * log_likelihood
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +545,9 @@ def _shrink_to_valid(scenario: Scenario, params: AntennaParams, lo: float,
 def resolve_overlaps(candidates, scenario: Scenario, params: AntennaParams,
                      band: tuple[float, float], qos: QosConfig,
                      grid_step: float, total_bandwidth: float,
-                     table: _EdgeTable | None = None) -> list[tuple[float, float]]:
+                     table: _EdgeTable | None = None,
+                     rss: dict[float, float] | None = None,
+                     ) -> list[tuple[float, float]]:
     """Make the candidate subchannels disjoint and fit the spectrum budget.
 
     Contested spectrum goes to the interval with the larger total received
@@ -543,24 +559,30 @@ def resolve_overlaps(candidates, scenario: Scenario, params: AntennaParams,
     satisfies the same edge checks as freshly searched bandwidths.
     ``table`` (the ``_EdgeTable`` of ``ce_search``, or None for no lookups)
     is passed on to ``_shrink_to_valid``.
+
+    An interval's RSS is the UE sum of the received PSD at its midpoint
+    ``(lo + hi) / 2``, cached by that frequency.  ``rss`` maps frequencies
+    to RSS values already priced, the row sums of an array
+    ``received_strength_psd`` call (``evaluate_candidates`` hands over those
+    of its access PSDs); a row is the bits of a one-frequency call, so a
+    seeded value is the one a miss would price.  The call copies ``rss``.
     """
     # one record [lo, hi, moved] per interval; moved marks edges to re-check
     items = [[c - w / 2.0, c + w / 2.0, False]
              for c, w in candidates if w > 0.0]
-    rss_cache: dict[tuple[float, float], float] = {}
+    rss_cache = dict(rss or {})
 
     def rss_of(iv) -> float:
-        """Total received signal PSD over UEs at the center of ``iv``, one
-        of the current ``items``.  A miss prices every current interval
-        without one in one array call, whose rows are the bits of
-        one-frequency calls."""
-        key = (iv[0], iv[1])
-        if key not in rss_cache:
-            missing = [(a, b) for a, b, _ in items if (a, b) not in rss_cache]
-            psd = received_strength_psd(scenario, params,
-                                        [(a + b) / 2.0 for a, b in missing])
+        """RSS of ``iv``, one of the current ``items``.  A miss prices the
+        midpoints of every current interval without one in one array
+        call."""
+        mid = (iv[0] + iv[1]) / 2.0
+        if mid not in rss_cache:
+            missing = [(a + b) / 2.0 for a, b, _ in items
+                       if (a + b) / 2.0 not in rss_cache]
+            psd = received_strength_psd(scenario, params, missing)
             rss_cache.update(zip(missing, map(float, psd.sum(axis=1))))
-        return rss_cache[key]
+        return rss_cache[mid]
 
     # pairwise truncation until disjoint; the stable sort keeps ties in
     # candidate order
@@ -700,15 +722,20 @@ def _smooth(fitted: Gmm, previous: Gmm, alpha: float, var_floor: float) -> Gmm:
 
 def refit_proposal(previous: Gmm, elite_values: np.ndarray,
                    hyper: CeHyperparams, var_floor: float) -> Gmm:
-    """EM fits for every component count up to the budget, BIC picks, smooth."""
+    """EM fits for every component count up to the budget, BIC picks, smooth.
+    A fit that converged hands BIC the log-likelihood EM computed last."""
     best_fit = None
     best_score = np.inf
     for k in range(1, hyper.max_components + 1):
         if k > elite_values.size:
             break
-        fitted = em_fit(elite_values, k, _quantile_init(elite_values, k, var_floor),
-                        var_floor=var_floor)
-        score = bic(fitted, elite_values)
+        history: list[float] = []
+        fitted = em_fit(elite_values, k,
+                        _quantile_init(elite_values, k, var_floor),
+                        var_floor=var_floor, history=history)
+        # a converged fit's last log-likelihood is that of its parameters
+        score = bic(fitted, elite_values, history[-1]
+                    if len(history) < EM_MAX_ITER else None)
         if score < best_score - 1e-12:
             best_score = score
             best_fit = fitted
@@ -726,8 +753,11 @@ def evaluate_candidates(batch, scenario: Scenario, params: AntennaParams,
 
     One received-PSD call checks the access of every in-band center of the
     batch, one ``bandwidth_searches`` grows the accessible ones, and
-    ``resolve_overlaps`` completes each list.  ``table`` is the
-    ``_EdgeTable`` of ``ce_search``; None means no lookups.
+    ``resolve_overlaps`` completes each list, its RSS cache seeded with the
+    UE sums of the access PSDs: a provisional interval's midpoint is its
+    center, bit for bit in nearly every draw, so only truncated intervals
+    (and the rare midpoint that rounds off its center) are priced again.
+    ``table`` is the ``_EdgeTable`` of ``ce_search``; None means no lookups.
     """
     lists = [np.sort(np.asarray(cands, dtype=float)) for cands in batch]
     owners = np.repeat(np.arange(len(lists)), [c.size for c in lists])
@@ -735,8 +765,10 @@ def evaluate_candidates(batch, scenario: Scenario, params: AntennaParams,
     ok = ((band[0] <= centers) & (centers <= band[1])
           & (centers > params.cutoff_frequency + FREQ_TOL))
     psd = received_strength_psd(scenario, params, centers[ok])
-    ok[ok] = ~np.any(psd < qos.min_rx_psd, axis=1)
+    accessible = ~np.any(psd < qos.min_rx_psd, axis=1)
+    ok[ok] = accessible
     owners, centers = owners[ok], centers[ok]
+    rss = dict(zip(centers.tolist(), psd[accessible].sum(axis=1).tolist()))
     widths = bandwidth_searches(centers, scenario, params, band, qos,
                                 grid_step, total_bandwidth, table)
     out = []
@@ -745,7 +777,7 @@ def evaluate_candidates(batch, scenario: Scenario, params: AntennaParams,
         provisional = [(float(c), float(w))
                        for c, w in zip(centers[mine], widths[mine]) if w > 0.0]
         out.append((resolve_overlaps(provisional, scenario, params, band, qos,
-                                     grid_step, total_bandwidth, table),
+                                     grid_step, total_bandwidth, table, rss),
                     bool(mine.any())))
     return out
 

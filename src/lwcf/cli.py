@@ -17,8 +17,9 @@ from .cegmm import InfeasibleBand
 from .cluster_alloc import ClusterPlan, write_cluster_plan_csv
 from .clustering import write_clustering_csv
 from .config import load_config
-from .harness import (ExperimentConfig, build_clustering, run_experiment,
-                      run_trial, trial_rng, trial_scenario, write_plan_csv)
+from .harness import (ExperimentConfig, build_clustering, check_kmeans_aps,
+                      run_experiment, run_trial, trial_rng, trial_scenario,
+                      write_plan_csv)
 from .mimo import SingularChannel
 from .scenario import generate_scenario
 
@@ -36,15 +37,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lwcf",
         description="Cell-free leaky-wave network simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    simulate = sub.add_parser("simulate", parents=[common],
-                              help="run one trial and dump its subchannel plan")
-    simulate.add_argument("--trial", metavar="T", type=int,
-                          help="run sweep trial T: the drop of geometry seed "
-                               "experiment.base_seed + T and trial T's "
-                               "optimiser stream")
+    single = argparse.ArgumentParser(add_help=False)
+    single.add_argument("--trial", metavar="T", type=int,
+                        help="take sweep trial T's drop (geometry seed "
+                             "experiment.base_seed + T) and optimiser "
+                             "stream")
+    sub.add_parser("simulate", parents=[common, single],
+                   help="run one trial and dump its subchannel plan")
     sub.add_parser("sweep", parents=[common],
                    help="run the configured Monte-Carlo sweep")
-    sub.add_parser("cluster", parents=[common],
+    sub.add_parser("cluster", parents=[common, single],
                    help="form AP clusters and dump the assignment")
     sub.add_parser("baseline", parents=[common],
                    help="equal-bandwidth reference plan")
@@ -57,9 +59,19 @@ def _out_stream(path: str | None):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _cmd_simulate(config: ExperimentConfig, trial: int | None, out) -> None:
+def _single_run(config: ExperimentConfig, trial: int | None):
+    """The drop template and optimiser stream of a single run: trial T's
+    (``trial_scenario``, ``trial_rng``), or without one the scenario's own
+    seed and trial 0's stream.  Rejects, by name, k-means with more
+    clusters than APs before any drop is drawn."""
     sc_cfg = config.scenario if trial is None else trial_scenario(config, trial)
-    plan = run_trial(config, sc_cfg, trial_rng(config, trial or 0))
+    check_kmeans_aps(config, sc_cfg.num_aps,
+                     f"scenario.num_aps={sc_cfg.num_aps}")
+    return sc_cfg, trial_rng(config, trial or 0)
+
+
+def _cmd_simulate(config: ExperimentConfig, trial: int | None, out) -> None:
+    plan = run_trial(config, *_single_run(config, trial))
     if isinstance(plan, ClusterPlan):
         write_cluster_plan_csv(plan, out)
         suffix = f" feasible={plan.feasible}"
@@ -79,11 +91,11 @@ def _cmd_sweep(config: ExperimentConfig, out_path: str | None) -> None:
         print(f"wrote {config.output}", file=sys.stderr)
 
 
-def _cmd_cluster(config: ExperimentConfig, out) -> None:
+def _cmd_cluster(config: ExperimentConfig, trial: int | None, out) -> None:
     if config.clustering == "none":
         raise ValueError("clustering.mode is 'none'; set kmeans or hierarchical")
-    clustering = build_clustering(config, generate_scenario(config.scenario),
-                                  trial_rng(config, 0))
+    sc_cfg, rng = _single_run(config, trial)
+    clustering = build_clustering(config, generate_scenario(sc_cfg), rng)
     write_clustering_csv(clustering, out)
     print(f"clusters={clustering.num_clusters} "
           f"converged={clustering.converged}", file=sys.stderr)
@@ -100,7 +112,7 @@ def main(argv=None) -> int:
                 if args.command == "simulate":
                     _cmd_simulate(config, args.trial, out)
                 elif args.command == "cluster":
-                    _cmd_cluster(config, out)
+                    _cmd_cluster(config, args.trial, out)
                 else:
                     _cmd_simulate(replace(config, allocator="equal_bandwidth",
                                           clustering="none"), None, out)

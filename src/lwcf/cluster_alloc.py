@@ -50,55 +50,81 @@ def cluster_ue_sets(clustering: Clustering) -> list[list[int]]:
     return sets
 
 
-def greedy_assign(candidates, clustering: Clustering, min_avg_rate: float,
-                  scenario: Scenario, params: AntennaParams,
-                  method: str) -> ClusterPlan:
-    """Hand disjoint candidate subchannels to clusters, rate floor first.
+def cluster_rewards(batch, clustering: Clustering, scenario: Scenario,
+                    params: AntennaParams, method: str) -> list:
+    """Reward matrix (n, Z) of each (center, width) list in ``batch``: entry
+    (i, z) is width i times cluster z's rate density at center i, zero for
+    a zero width or a user-less cluster; None for a list with a center where
+    a cluster's maximum-ratio column collapsed.
+
+    The batch's distinct live centers are built once, as one
+    ``build_channels`` stack, and each cluster rates its C-contiguous
+    ``np.ix_`` slice under ``mimo.fallback_sinrs``, so every density is the
+    bits of a lone center's on the cluster's sub-drop.  A collapsed column
+    flags its slice alone and fails only the lists that hold its center.
+    """
+    ue_sets = cluster_ue_sets(clustering)
+    lists = [[(float(c), float(w)) for c, w in cands] for cands in batch]
+    centers = np.unique([c for cands in lists for c, w in cands if w > 0.0])
+    density = np.zeros((centers.size, len(ue_sets)))
+    collapsed = np.zeros(centers.size, dtype=bool)
+    if centers.size:
+        h = build_channels(scenario, params, centers)
+        every = np.arange(centers.size)
+        for z, ues in enumerate(ue_sets):
+            if ues:
+                aps = sorted(int(a) for a in clustering.clusters[z])
+                gammas, dead = fallback_sinrs(h[np.ix_(every, ues, aps)],
+                                              method, scenario.tx_psd[ues],
+                                              scenario.noise_psd,
+                                              flag_collapse=True)
+                density[:, z] = np.sum(np.log2(1.0 + gammas), axis=-1)
+                collapsed |= dead
+    out = []
+    for cands in lists:
+        widths = np.array([w for _, w in cands])
+        live = np.flatnonzero(widths > 0.0)
+        at = np.searchsorted(centers, [cands[i][0] for i in live])
+        if collapsed[at].any():
+            out.append(None)
+            continue
+        rewards = np.zeros((len(cands), len(ue_sets)))
+        rewards[live] = widths[live, None] * density[at]
+        out.append(rewards)
+    return out
+
+
+def assign_greedily(candidates, rewards: np.ndarray, clustering: Clustering,
+                    min_avg_rate: float) -> ClusterPlan:
+    """Hand the disjoint (center, width) ``candidates`` to clusters by their
+    ``cluster_rewards`` matrix, rate floor first.
 
     Candidates are visited in descending order of their best-cluster reward.
     While some user-serving cluster sits below the per-user floor and values
     the candidate, the candidate goes to the best such cluster; otherwise it
     goes to the cluster that values it most.  Ties fall to the lower index.
     Infeasibility is reported through the flag, never as an exception.
-
-    A reward is width times the cluster's rate density, rated on its
-    C-contiguous slice of one channel stack under ``mimo.fallback_sinrs``,
-    which raises SingularChannel on a collapsed maximum-ratio column.
     """
-    ue_sets = cluster_ue_sets(clustering)
-    num_clusters = len(clustering.clusters)
+    # Python floats: the same doubles, compared and summed as IEEE doubles
+    rows = rewards.tolist()
+    clusters = range(rewards.shape[1])
     cands = [(float(c), float(w)) for c, w in candidates]
-    widths = np.array([w for _, w in cands])
-    live = np.flatnonzero(widths > 0.0)
-    rewards = np.zeros((len(cands), num_clusters))
-    h = build_channels(scenario, params, [cands[i][0] for i in live])
-    for z, ues in enumerate(ue_sets):
-        if ues and live.size:
-            aps = sorted(int(a) for a in clustering.clusters[z])
-            gammas = fallback_sinrs(h[np.ix_(np.arange(live.size), ues, aps)],
-                                    method, scenario.tx_psd[ues],
-                                    scenario.noise_psd)
-            rewards[live, z] = widths[live] * np.sum(np.log2(1.0 + gammas),
-                                                     axis=-1)
-
-    order = sorted(range(len(cands)),
-                   key=lambda i: (-float(np.max(rewards[i])), i))
-    assigned: list[list[int]] = [[] for _ in range(num_clusters)]
-    totals = np.zeros(num_clusters)
-    counts = np.array([len(s) for s in ue_sets], dtype=float)
+    order = sorted(range(len(cands)), key=lambda i: (-max(rows[i]), i))
+    assigned: list[list[int]] = [[] for _ in clusters]
+    totals = [0.0 for _ in clusters]
+    counts = [float(len(s)) for s in cluster_ue_sets(clustering)]
     for i in order:
-        deficient = [z for z in range(num_clusters)
+        row = rows[i]
+        deficient = [z for z in clusters
                      if counts[z] > 0 and totals[z] < min_avg_rate * counts[z]
-                     and rewards[i, z] > 0.0]
-        if deficient:
-            z_star = max(deficient, key=lambda z: (rewards[i, z], -z))
-        else:
-            z_star = int(np.argmax(rewards[i]))
+                     and row[z] > 0.0]
+        # the best cluster, ties to the lower index
+        z_star = max(deficient or clusters, key=lambda z: (row[z], -z))
         assigned[z_star].append(i)
-        totals[z_star] += rewards[i, z_star]
+        totals[z_star] += row[z_star]
 
     owned = [sorted(a, key=lambda i: cands[i][0]) for a in assigned]
-    rates = tuple(tuple(float(rewards[i, z]) for i in idx)
+    rates = tuple(tuple(rows[i][z] for i in idx)
                   for z, idx in enumerate(owned))
     cluster_rates = tuple(float(sum(r)) for r in rates)
     avg_rates = tuple(t / n if n > 0 else 0.0
@@ -107,6 +133,19 @@ def greedy_assign(candidates, clustering: Clustering, min_avg_rate: float,
                        for a, n in zip(avg_rates, counts) if n > 0)
     return ClusterPlan(tuple(tuple(cands[i] for i in idx) for idx in owned),
                        rates, cluster_rates, avg_rates, feasible)
+
+
+def greedy_assign(candidates, clustering: Clustering, min_avg_rate: float,
+                  scenario: Scenario, params: AntennaParams,
+                  method: str) -> ClusterPlan:
+    """The one-list case of ``cluster_rewards`` then ``assign_greedily``:
+    the greedy assignment of ``candidates``.  Raises SingularChannel where
+    a maximum-ratio column collapsed at one of its centers."""
+    rewards = cluster_rewards([candidates], clustering, scenario, params,
+                              method)[0]
+    if rewards is None:
+        raise SingularChannel("precoding column collapsed to zero")
+    return assign_greedily(candidates, rewards, clustering, min_avg_rate)
 
 
 def allocate_clustered(scenario: Scenario, params: AntennaParams,
@@ -118,20 +157,26 @@ def allocate_clustered(scenario: Scenario, params: AntennaParams,
 
     The search is ``cegmm.ce_search``, the loop of the cluster-free
     allocator, so with a single all-AP cluster and a zero rate floor the two
-    return the same plan for the same generator state.  The best plan ever
-    seen wins, feasible plans strictly before infeasible ones.
+    return the same plan for the same generator state.  Each iteration is
+    rated in lock-step by one ``cluster_rewards`` call, and each candidate
+    assigned on its block by ``assign_greedily``; a candidate with a
+    collapsed maximum-ratio column scores None.  The best plan ever seen
+    wins, feasible plans strictly before infeasible ones.
     """
-    def score_one(subchannels):
-        try:
-            plan = greedy_assign(subchannels, clustering,
-                                 qos.min_cluster_avg_rate, scenario, params,
-                                 method)
-        except SingularChannel:   # a collapsed maximum-ratio column
-            return None
-        return plan.feasible, plan.total_rate, plan
+    def score(batch):
+        scored = []
+        for subchannels, rewards in zip(batch, cluster_rewards(
+                batch, clustering, scenario, params, method)):
+            if rewards is None:
+                scored.append(None)
+                continue
+            plan = assign_greedily(subchannels, rewards, clustering,
+                                   qos.min_cluster_avg_rate)
+            scored.append((plan.feasible, plan.total_rate, plan))
+        return scored
 
-    return ce_search(lambda batch: [score_one(s) for s in batch], scenario,
-                     params, band, method, hyper, qos, rng, total_bandwidth)
+    return ce_search(score, scenario, params, band, method, hyper, qos, rng,
+                     total_bandwidth)
 
 
 def write_cluster_plan_csv(plan: ClusterPlan, fp) -> None:

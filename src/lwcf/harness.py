@@ -83,12 +83,23 @@ class ExperimentConfig:
         return self
 
 
+def check_kmeans_aps(config: ExperimentConfig, num_aps: int,
+                     where: str) -> None:
+    """Reject k-means with more clusters than the ``num_aps`` APs of a drop,
+    before the drop is drawn; ``where`` names the drop in the message.  The
+    one home of this rule: ``_check_sweep`` applies it to every sweep point
+    and the single-run commands to the scenario."""
+    if config.clustering == "kmeans" and num_aps < config.num_clusters:
+        raise ValueError(f"{where}: fewer APs than the {config.num_clusters} "
+                         "k-means clusters of clustering.num_clusters")
+
+
 def _check_sweep(config: ExperimentConfig) -> None:
     """Reject a sweep point the configured trial cannot run: a spectrum
     budget wider than the band, fewer APs than k-means clusters, or
     network-wide zero forcing with more UEs than APs.  Only sweeps check
-    this: one file also drives ``simulate``, ``cluster`` and ``baseline``,
-    which never visit the sweep points."""
+    all of this: one file also drives ``simulate``, ``cluster`` and
+    ``baseline``, which never visit the sweep points."""
     span = config.band[1] - config.band[0]
     for value in config.sweep_values:
         point = {"num_aps": config.scenario.num_aps,
@@ -99,10 +110,7 @@ def _check_sweep(config: ExperimentConfig) -> None:
         if point["total_bandwidth"] > span:
             raise ValueError(f"{where}: the spectrum budget exceeds the band "
                              f"width {span:g} Hz")
-        if (config.clustering == "kmeans"
-                and int(point["num_aps"]) < config.num_clusters):
-            raise ValueError(f"{where}: fewer APs than the "
-                             f"{config.num_clusters} k-means clusters")
+        check_kmeans_aps(config, int(point["num_aps"]), where)
         if config.precoder == "zf" and config.clustering == "none":
             # network-wide zero forcing fails every trial with K > M
             try:
@@ -115,8 +123,8 @@ def _check_sweep(config: ExperimentConfig) -> None:
 def trial_rng(config: ExperimentConfig, trial: int) -> np.random.Generator:
     """The optimiser stream of one trial.  ``lwcf simulate`` and ``cluster``
     take trial 0's but draw their drop from ``scenario.seed``, so they
-    reproduce sweep trial 0 only when that equals ``base_seed``;
-    ``simulate --trial t`` runs ``trial_scenario`` and this stream."""
+    reproduce sweep trial 0 only when that equals ``base_seed``; with
+    ``--trial t`` they run ``trial_scenario`` and this stream."""
     seq = np.random.SeedSequence((config.base_seed, trial))
     return np.random.default_rng(seq)
 

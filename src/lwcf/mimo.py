@@ -207,18 +207,25 @@ def sinr_rows(h: np.ndarray, rows: np.ndarray, tx_psd: np.ndarray,
 
 
 def fallback_sinrs(h: np.ndarray, method: str, tx_psd: np.ndarray,
-                   noise_psd: float) -> np.ndarray:
+                   noise_psd: float, flag_collapse: bool = False):
     """Per-UE SINR (N, S) of channels (N, S, Mc) under the one ZF -> MRT
     fallback rule: the whole stack takes maximum ratio when zero forcing has
     more UEs than APs, a slice ``precoder_rows`` flags takes it alone.  A
-    collapsed maximum-ratio column raises SingularChannel."""
+    collapsed maximum-ratio column raises SingularChannel, unless
+    ``flag_collapse`` is set: then the call returns ``(sinrs, collapsed)``,
+    ``collapsed[n]`` marking a slice whose maximum-ratio column collapsed
+    (its SINRs are meaningless), and the other slices keep their bits."""
     try:
-        rows, failed = precoder_rows(h, method)
+        rows, failed = precoder_rows(h, method, flag_collapse)
     except SingularChannel:
-        rows, failed = precoder_rows(h, "mrt")
-    if failed.any():
-        rows[failed] = precoder_rows(h[failed], "mrt")[0]
-    return sinr_rows(h, rows, tx_psd, noise_psd)
+        rows, failed = precoder_rows(h, "mrt", flag_collapse)
+    else:
+        if method == "zf" and failed.any():
+            # failed now marks the slices whose maximum ratio collapsed
+            rows[failed], failed[failed] = precoder_rows(h[failed], "mrt",
+                                                         flag_collapse)
+    gammas = sinr_rows(h, rows, tx_psd, noise_psd)
+    return (gammas, failed) if flag_collapse else gammas
 
 
 def sinr(channel: ChannelMatrix, precoder: PrecodingMatrix,

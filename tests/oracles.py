@@ -18,13 +18,17 @@ its own; ``cegmm._EdgeTable.certified``, which decides each run of equal
 cell pairs once, must match it.  ``resolve_overlaps_scalar`` is
 ``cegmm.resolve_overlaps`` with one scalar received-PSD call per interval
 it compares; the batched RSS pricing must give the same plans.
+``em_fit_reference`` is EM through the ``np.sum``/``np.max`` wrappers with
+a fresh log density per iteration, and ``bic_reference`` recomputes the
+log-likelihood; the lean ``cegmm.em_fit`` and the BIC that reuses a
+converged fit's log-likelihood must match them bit for bit.
 """
 
 import numpy as np
 
 import lwcf.mimo
 from lwcf.antenna import gain, peak_frequency
-from lwcf.cegmm import FREQ_TOL, _shrink_to_valid
+from lwcf.cegmm import FREQ_TOL, Gmm, _shrink_to_valid
 from lwcf.clustering import _eval_frequency, rss_matrix
 from lwcf.mimo import (PrecodingMatrix, SingularChannel, build_channel,
                        cluster_subchannel_reward, rate_density,
@@ -234,3 +238,66 @@ def resolve_overlaps_scalar(candidates, scenario, params, band, qos,
             lo, hi = fixed
         out.append(((lo + hi) / 2.0, hi - lo))
     return sorted(out, key=lambda cw: cw[0])
+
+
+def _component_log_density(weights, means, variances, values):
+    """Log of weight_l * N(x | mean_l, var_l), shape (n, components)."""
+    x = np.asarray(values, float)[:, None]
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.asarray(weights, float))[None, :]
+    return logw + -0.5 * (np.log(2.0 * np.pi * variances[None, :])
+                          + (x - means[None, :]) ** 2 / variances[None, :])
+
+
+def _logsumexp(a, axis):
+    peak = np.max(a, axis=axis, keepdims=True)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    return peak.squeeze(axis) + np.log(np.sum(np.exp(a - peak), axis=axis))
+
+
+def em_fit_reference(values, num_components, init, var_floor=0.0, tol=1e-6,
+                     max_iter=100, history=None):
+    """``cegmm.em_fit`` as the wrappers write it: the same EM iterations,
+    component drops and stopping rule."""
+    x = np.asarray(values, float)
+    n = x.size
+    weights = np.asarray(init.weights, float).copy()
+    means = np.asarray(init.means, float).copy()
+    variances = np.asarray(init.variances, float).copy()
+    tiny_var = max(var_floor, 1e-300)
+    ll_prev = -np.inf
+    for _ in range(max_iter):
+        log_comp = _component_log_density(weights, means, variances, x)
+        log_mix = _logsumexp(log_comp, axis=1)
+        ll = float(np.sum(log_mix))
+        if history is not None:
+            history.append(ll)
+        if np.isfinite(ll_prev) and ll - ll_prev < tol * max(abs(ll_prev),
+                                                             1e-12):
+            break
+        ll_prev = ll
+        resp = np.exp(log_comp - log_mix[:, None])
+        mass = resp.sum(axis=0)
+        alive = mass > n * 1e-12
+        if not np.all(alive):
+            if alive.sum() == 0:
+                alive[int(np.argmax(mass))] = True
+            resp = resp[:, alive]
+            mass = mass[alive]
+            means = means[alive]
+            variances = variances[alive]
+            ll_prev = -np.inf
+        means = resp.T @ x / mass
+        variances = (resp * (x[:, None] - means[None, :]) ** 2).sum(axis=0) / mass
+        variances = np.maximum(variances, tiny_var)
+        weights = mass / n
+        weights = weights / weights.sum()
+    return Gmm(weights, means, variances)
+
+
+def bic_reference(gmm, values):
+    """3*components*ln(n) - 2*loglik with the log-likelihood recomputed."""
+    n = np.asarray(values, float).size
+    ll = float(np.sum(_logsumexp(_component_log_density(
+        gmm.weights, gmm.means, gmm.variances, values), axis=1)))
+    return 3.0 * gmm.num_components * np.log(n) - 2.0 * ll

@@ -14,6 +14,7 @@ from lwcf.antenna import AntennaParams, envelope_ratio, peak_frequency
 from lwcf.cegmm import (
     EDGE_BATCH,
     EDGE_BLOCKS,
+    EM_MAX_ITER,
     ENVELOPE_DB_TOL,
     ENVELOPE_REL_TOL,
     FREQ_TOL,
@@ -31,18 +32,19 @@ from lwcf.cegmm import (
     evaluate_candidates,
     gmm_log_likelihood,
     initial_proposal,
+    refit_proposal,
     resolve_overlaps,
     sample_gmm,
     score_batch,
     score_subchannels,
     validate_plan,
 )
-from lwcf.cegmm import (TABLE_CELL, _edge_table, _edges_ok, _shrink_to_valid,
-                        _smooth)
+from lwcf.cegmm import (TABLE_CELL, _edge_table, _edges_ok, _quantile_init,
+                        _shrink_to_valid, _smooth)
 from lwcf.mimo import SingularChannel, received_strength_psd
 from lwcf.scenario import ScenarioConfig, generate_scenario
-from oracles import (certified_per_interval, edges_ok_exact,
-                     resolve_overlaps_scalar)
+from oracles import (bic_reference, certified_per_interval, edges_ok_exact,
+                     em_fit_reference, resolve_overlaps_scalar)
 
 PARAMS = AntennaParams(1.0, 0.15, 130.0, 100e9)
 BAND = (100e9, 200e9)
@@ -147,6 +149,107 @@ def test_bic_formula():
     x = np.array([118e9, 121e9, 159e9, 162e9, 140e9])
     expected = 3.0 * 2 * np.log(5) - 2.0 * gmm_log_likelihood(g, x)
     assert bic(g, x) == pytest.approx(expected, rel=1e-12)
+
+
+def em_cases():
+    """Seeded EM inputs (values, k, init, var_floor, max_iter): quantile
+    starts as the refit makes them, a starved component and a zero initial
+    weight that both drop, and fits cut at ``max_iter``."""
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([rng.normal(120e9, 3e9, int(rng.integers(5, 30))),
+                            rng.normal(170e9, 6e9, int(rng.integers(5, 30)))])
+        for k in range(1, 5):
+            yield x, k, _quantile_init(x, k, 1e16), 1e16, 100
+        yield x, 3, _quantile_init(x, 3, 1e12), 1e12, 3
+        yield x, 2, Gmm(np.array([0.5, 0.5]), np.array([130e9, 1e15]),
+                        np.array([1e18, 1.0])), 1e12, 100
+        yield x, 2, Gmm(np.array([1.0, 0.0]), np.array([130e9, 160e9]),
+                        np.array([1e18, 1e18])), 1e12, 100
+
+
+def test_lean_em_fit_matches_the_reference_bit_for_bit():
+    """``em_fit`` keeps every operation of the wrapper form, so its
+    mixtures and log-likelihood histories are the reference's bits,
+    through component drops and ``max_iter`` stops."""
+    drops = cut = 0
+    for x, k, init, var_floor, max_iter in em_cases():
+        got_hist, want_hist = [], []
+        got = em_fit(x, k, init, var_floor=var_floor, max_iter=max_iter,
+                     history=got_hist)
+        want = em_fit_reference(x, k, init, var_floor=var_floor,
+                                max_iter=max_iter, history=want_hist)
+        assert got_hist == want_hist
+        for field in ("weights", "means", "variances"):
+            assert (getattr(got, field).tobytes()
+                    == getattr(want, field).tobytes())
+        drops += got.num_components < k
+        cut += len(got_hist) == max_iter
+    assert drops >= 12 and cut >= 6
+
+
+def test_a_converged_fit_reuses_its_log_likelihood_for_bic():
+    """A fit that stopped before ``max_iter`` last evaluated the returned
+    mixture, so that history entry is ``gmm_log_likelihood``'s bits and
+    the BIC it gives equals ``bic``'s and the recomputing reference's."""
+    converged = 0
+    for x, k, init, var_floor, max_iter in em_cases():
+        history = []
+        fit = em_fit(x, k, init, var_floor=var_floor, max_iter=max_iter,
+                     history=history)
+        if len(history) < max_iter:
+            converged += 1
+            assert history[-1] == gmm_log_likelihood(fit, x)
+            assert bic(fit, x, history[-1]) == bic(fit, x) == bic_reference(
+                fit, x)
+    assert converged >= 30
+
+
+def test_refit_proposal_equals_the_recomputing_reference(monkeypatch):
+    """On seeded elite pools, ``refit_proposal`` (lean EM, reused BIC)
+    gives the bits of the reference fits scored by a recomputed BIC, and
+    each BIC it takes, from a converged fit or one cut at ``max_iter``,
+    is the recomputing reference's."""
+    import lwcf.cegmm
+    real_fit, real_bic = em_fit, bic
+    iterations, scores = [], []
+
+    def fit_spy(*args, **kwargs):
+        fit = real_fit(*args, **kwargs)
+        iterations.append(len(kwargs["history"]))
+        return fit
+
+    def bic_spy(gmm, values, log_likelihood=None):
+        score = real_bic(gmm, values, log_likelihood)
+        scores.append((score, bic_reference(gmm, values)))
+        return score
+
+    monkeypatch.setattr(lwcf.cegmm, "em_fit", fit_spy)
+    monkeypatch.setattr(lwcf.cegmm, "bic", bic_spy)
+    hyper = CeHyperparams()
+    var_floor = 1e-6 * (BAND[1] - BAND[0]) ** 2
+    previous = initial_proposal(BAND, hyper.num_samples,
+                                hyper.max_components)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([rng.normal(m, 2e9, 11) for m in
+                               rng.uniform(110e9, 190e9, 2)])
+        best, best_score = None, np.inf
+        for k in range(1, hyper.max_components + 1):
+            fit = em_fit_reference(pool, k, _quantile_init(pool, k,
+                                                           var_floor),
+                                   var_floor=var_floor)
+            score = bic_reference(fit, pool)
+            if score < best_score - 1e-12:
+                best, best_score = fit, score
+        want = _smooth(best, previous, hyper.smoothing, var_floor)
+        got = refit_proposal(previous, pool, hyper, var_floor)
+        for field in ("weights", "means", "variances"):
+            assert (getattr(got, field).tobytes()
+                    == getattr(want, field).tobytes())
+        previous = got
+    assert all(score == want for score, want in scores)
+    assert 0 < iterations.count(EM_MAX_ITER) < len(iterations)
 
 
 def test_initial_proposal_slot_centers():
@@ -412,6 +515,64 @@ def test_resolve_overlaps_prices_missing_rss_in_one_call(monkeypatch):
                 cases += 1
     assert cases == 80
     assert calls["batched"] < calls["compared"] / 2
+
+
+def test_seeded_rss_equals_the_pricing_of_rss_of(monkeypatch):
+    """``evaluate_candidates`` seeds each ``resolve_overlaps`` cache with
+    the UE sums of its access PSDs, keyed by center.  Each seeded value
+    equals the RSS ``rss_of`` prices for that midpoint (an array call's
+    row) and the scalar reference's; the plans equal the unseeded ones and
+    the scalar reference's, and the seeded calls price fewer frequencies."""
+    import lwcf.cegmm
+    real_resolve, real_psd = resolve_overlaps, received_strength_psd
+    seen, priced = [], {"on": False, "freqs": 0}
+
+    def resolve_spy(*args):
+        seen.append(args)
+        return real_resolve(*args)
+
+    def psd_spy(scenario, params, frequency, envelope=False):
+        if priced["on"] and not envelope:
+            priced["freqs"] += np.size(frequency)
+        return real_psd(scenario, params, frequency, envelope)
+
+    def shrink_spy(*args):
+        # edge checks of re-validated intervals are not RSS pricing
+        on, priced["on"] = priced["on"], False
+        try:
+            return _shrink_to_valid(*args)
+        finally:
+            priced["on"] = on
+
+    monkeypatch.setattr(lwcf.cegmm, "resolve_overlaps", resolve_spy)
+    monkeypatch.setattr(lwcf.cegmm, "received_strength_psd", psd_spy)
+    monkeypatch.setattr(lwcf.cegmm, "_shrink_to_valid", shrink_spy)
+    for seed, budget in itertools.product(range(3), (1e9, 10e9)):
+        sc = make_scenario(seed=seed)
+        table = _edge_table(sc, PARAMS, BAND, QOS)
+        rng = np.random.default_rng(seed)
+        batch = [rng.uniform(110e9, 125e9, 4) + rng.uniform(0.0, 60e9)
+                 for _ in range(6)]
+        evaluate_candidates(batch, sc, PARAMS, BAND, QOS, 50e6, budget,
+                            table)
+    assert len(seen) == 36
+    seeded_freqs = unseeded_freqs = 0
+    for args in seen:
+        cands, sc, *rest, rss = args
+        for c, value in rss.items():
+            assert value == float(real_psd(sc, PARAMS, [c]).sum(axis=1)[0])
+            assert value == float(np.sum(real_psd(sc, PARAMS, c)))
+        assert {c for c, _ in cands} <= set(rss)
+        for seeds in (rss, None):
+            priced.update(on=True, freqs=0)
+            got = real_resolve(cands, sc, *rest, seeds)
+            priced["on"] = False
+            if seeds is None:
+                unseeded_freqs += priced["freqs"]
+            else:
+                seeded_freqs += priced["freqs"]
+            assert got == resolve_overlaps_scalar(cands, sc, *rest)
+    assert seeded_freqs < unseeded_freqs / 2
 
 
 def stepwise_shrink(sc, lo, hi, step):

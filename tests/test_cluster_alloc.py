@@ -17,13 +17,15 @@ from lwcf.cegmm import (
 )
 from lwcf.cluster_alloc import (
     allocate_clustered,
+    assign_greedily,
+    cluster_rewards,
     cluster_ue_sets,
     greedy_assign,
     write_cluster_plan_csv,
 )
 from lwcf.clustering import (Clustering, hierarchical_clustering,
                              kmeans_clustering)
-from lwcf.mimo import (SingularChannel, build_channel,
+from lwcf.mimo import (SingularChannel, build_channel, build_channels,
                        cluster_subchannel_reward, rate_density)
 from lwcf.scenario import (Scenario, ScenarioConfig, generate_scenario,
                            subscenario)
@@ -268,6 +270,88 @@ def test_greedy_raises_on_a_collapsed_mrt_column(monkeypatch, method):
                                 PARAMS, method)
     with pytest.raises(SingularChannel, match="collapsed"):
         greedy_assign(cands, clustering, 0.0, sc, PARAMS, method)
+
+
+def seeded_batch(seed, num=5):
+    """Candidate lists that share some centers, each with a zero width."""
+    lists = [seeded_candidates(seed * 10 + i, num=4) for i in range(num)]
+    lists[1] = lists[1][:2] + lists[0][1:3] + lists[1][-1:]
+    return lists
+
+
+@pytest.mark.parametrize("method,bounded", [("zf", False), ("zf", True),
+                                            ("mrt", False)])
+def test_lockstep_rater_equals_per_candidate_greedy_assign(monkeypatch,
+                                                          method, bounded):
+    """One ``cluster_rewards`` call over a batch, then ``assign_greedily``
+    on each block, gives each candidate's ``greedy_assign`` plan, field for
+    field: on seeded k-means drops with clusters that serve more UEs than
+    they have APs, and with the ZF bound between slice condition numbers,
+    where only some slices fall back."""
+    import lwcf.mimo
+    if bounded:   # slice Gram condition numbers here span ~2 to ~600
+        monkeypatch.setattr(lwcf.mimo, "MAX_ZF_CONDITION", 30.0)
+    overloaded = 0
+    flags = []
+    for (num_aps, num_ues), seed in itertools.product(((6, 8), (12, 6),
+                                                       (20, 10)), range(2)):
+        sc = make_scenario(num_aps=num_aps, num_ues=num_ues, seed=seed)
+        clustering = kmeans_clustering(sc, PARAMS, BAND[1], 3,
+                                       np.random.default_rng(seed))
+        ue_sets = cluster_ue_sets(clustering)
+        overloaded += sum(len(u) > len(a)
+                          for u, a in zip(ue_sets, clustering.clusters))
+        batch = seeded_batch(seed)
+        for floor in (0.0, 1e9):
+            for cands, rewards in zip(batch, cluster_rewards(
+                    batch, clustering, sc, PARAMS, method)):
+                plan = assign_greedily(cands, rewards, clustering, floor)
+                assert plan == greedy_assign(cands, clustering, floor, sc,
+                                             PARAMS, method)
+                # a zero width is worth nothing anywhere: the tie falls to
+                # the lower index
+                assert (150e9, 0.0) in plan.subchannels[0]
+        centers = sorted({c for cands in batch for c, _ in cands})
+        h = build_channels(sc, PARAMS, centers)
+        for aps, ues in zip(clustering.clusters, ue_sets):
+            if 2 <= len(ues) <= len(aps):
+                flags.extend(lwcf.mimo.precoder_rows(h[np.ix_(
+                    range(len(centers)), ues, sorted(aps))], "zf")[1])
+    assert overloaded > 0
+    assert 0 < sum(flags) < len(flags) if bounded else not any(flags)
+
+
+@pytest.mark.parametrize("method", ["zf", "mrt"])
+def test_lockstep_collapse_fails_only_the_candidates_holding_it(
+        monkeypatch, method):
+    """A maximum-ratio column that collapses at one center scores only the
+    candidates holding that center as None; the others keep the bits of
+    their own ``greedy_assign``, which raises only for a holder."""
+    import lwcf.cluster_alloc
+    import lwcf.mimo
+    sc = make_scenario(num_aps=6, num_ues=4, seed=9)
+    clustering = kmeans_clustering(sc, PARAMS, BAND[1], 2,
+                                   np.random.default_rng(9))
+    batch = seeded_batch(9)
+    dead_center, dead_ue = batch[2][1][0], sc.ue_positions[1]
+    batch[4][3] = batch[2][1]
+    real = lwcf.mimo.build_channels
+
+    def dead_link(scenario, params, frequencies):
+        out = real(scenario, params, frequencies)
+        ue = np.all(scenario.ue_positions == dead_ue, axis=1)
+        out[np.ix_(np.asarray(frequencies) == dead_center, ue)] = 0.0
+        return out
+
+    monkeypatch.setattr(lwcf.cluster_alloc, "build_channels", dead_link)
+    rewards = cluster_rewards(batch, clustering, sc, PARAMS, method)
+    assert [r is None for r in rewards] == [False, False, True, False, True]
+    for i in (0, 1, 3):
+        assert assign_greedily(batch[i], rewards[i], clustering,
+                               0.0) == greedy_assign(batch[i], clustering,
+                                                     0.0, sc, PARAMS, method)
+    with pytest.raises(SingularChannel, match="collapsed"):
+        greedy_assign(batch[4], clustering, 0.0, sc, PARAMS, method)
 
 
 def test_allocate_clustered_single_cluster_reduces_to_plain():

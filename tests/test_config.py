@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lwcf.cli import main
+from lwcf.clustering import write_clustering_csv
 from lwcf.config import DEFAULTS, dbm_per_hz_to_w, load_config
 from lwcf.harness import equal_bandwidth_baseline, write_plan_csv
 from lwcf.scenario import generate_scenario
@@ -320,6 +321,54 @@ def test_cli_simulate_rejects_a_negative_trial(capsys):
     code, _, err = run_cli(["simulate", "--trial", "-1"], capsys)
     assert code == 2
     assert "trial must be >= 0" in err
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["simulate", "--trial",
+                                                  "1"], ["cluster"]])
+def test_cli_single_runs_reject_more_kmeans_clusters_than_aps(
+        monkeypatch, command, capsys):
+    """A single run with more k-means clusters than APs stops before any
+    drop is drawn, with a message that names both keys."""
+    import lwcf.cli
+    import lwcf.harness
+    drops = []
+    for module in (lwcf.cli, lwcf.harness):
+        monkeypatch.setattr(module, "generate_scenario",
+                            lambda *a, **k: drops.append(a))
+    sets = ["clustering.mode=kmeans", "clustering.num_clusters=5",
+            "scenario.num_aps=4"]
+    code, out, err = run_cli(command + [a for ov in sets
+                                        for a in ("--set", ov)], capsys)
+    assert (code, out, drops) == (2, "", [])
+    assert err == ("error: scenario.num_aps=4: fewer APs than the 5 k-means "
+                   "clusters of clustering.num_clusters\n")
+
+
+@pytest.mark.parametrize("mode", ["kmeans", "hierarchical"])
+def test_cli_cluster_trial_is_the_clustering_of_that_trial(monkeypatch, mode,
+                                                           capsys):
+    """``cluster --trial t`` writes the clustering that ``run_trial``
+    builds for sweep trial t (trial t's drop and optimiser stream); without
+    ``--trial`` the drop comes from ``scenario.seed`` and differs."""
+    import lwcf.harness
+    sets = ["scenario.num_aps=8", "scenario.num_ues=4",
+            "experiment.base_seed=3", "experiment.allocator=equal_bandwidth",
+            f"clustering.mode={mode}"]
+    args = ["cluster"] + [a for ov in sets for a in ("--set", ov)]
+    code, out, _ = run_cli(args + ["--trial", "1"], capsys)
+    assert code == 0
+    built = []
+    real = lwcf.harness.build_clustering
+    monkeypatch.setattr(lwcf.harness, "build_clustering",
+                        lambda *a: built.append(real(*a)) or built[-1])
+    config = load_config(None, sets)
+    lwcf.harness.run_trial(config, lwcf.harness.trial_scenario(config, 1),
+                           lwcf.harness.trial_rng(config, 1))
+    expected = io.StringIO()
+    write_clustering_csv(built[0], expected)
+    assert out == expected.getvalue()
+    code, untried, _ = run_cli(args, capsys)
+    assert code == 0 and untried != out
 
 
 def test_cli_seed_changes_plan(tmp_path, capsys):
