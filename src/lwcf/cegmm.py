@@ -40,11 +40,14 @@ class InfeasibleBand(Exception):
 
 @dataclass(frozen=True)
 class SubchannelPlan:
-    """Ordered disjoint subchannels with their achieved rates."""
+    """Ordered disjoint subchannels with their achieved rates.  A plan has
+    no rate floor to miss, so it is always ``feasible`` (the flag a
+    ClusterPlan carries as a field)."""
 
     subchannels: tuple[tuple[float, float], ...]   # (center Hz, width Hz)
     achieved_rate: float                           # bit/s
-    subchannel_rates: tuple[float, ...] = ()       # bit/s, aligned with subchannels
+    subchannel_rates: tuple[float, ...]            # bit/s, aligned with subchannels
+    feasible = True
 
     @property
     def total_rate(self) -> float:
@@ -812,16 +815,6 @@ def score_batch(batch, scenario: Scenario, params: AntennaParams,
     return plans
 
 
-def score_subchannels(subchannels, scenario: Scenario, params: AntennaParams,
-                      method: str) -> SubchannelPlan:
-    """The one-list case of ``score_batch``; raises SingularChannel where
-    the precoder fails."""
-    plan = score_batch([subchannels], scenario, params, method)[0]
-    if plan is None:
-        raise SingularChannel(f"the {method} precoder failed at a center")
-    return plan
-
-
 def ce_search(score, scenario: Scenario, params: AntennaParams,
               band: tuple[float, float], method: str, hyper: CeHyperparams,
               qos: QosConfig, rng: np.random.Generator,
@@ -831,14 +824,14 @@ def ce_search(score, scenario: Scenario, params: AntennaParams,
     Each iteration draws all its candidate centers from the proposal,
     completes them in lock-step through ``evaluate_candidates`` with the
     search's one ``_EdgeTable``, built here, and scores the iteration with
-    ``score(batch)``: for each subchannel list a ``(feasible, reward,
-    plan)`` or None where the precoder failed.  It ranks the candidates by
-    reward, ties by centers; the elites' centers and the previous best
-    centers refit the proposal for the next iteration, so ``max_iterations``
-    iterations make ``max_iterations - 1`` refits (the refit draws no
-    random numbers).  Returns the plan with the strictly greatest
-    ``(feasible, reward)``, earliest in rank order.  A candidate scored
-    None ranks last.  Raises as ``allocate`` documents.
+    ``score(batch)``: for each subchannel list a plan, with ``feasible``
+    and ``total_rate``, or None where the precoder failed.  It ranks the
+    candidates by rate, ties by centers; the elites' centers and the
+    previous best centers refit the proposal for the next iteration, so
+    ``max_iterations`` iterations make ``max_iterations - 1`` refits (the
+    refit draws no random numbers).  Returns the plan with the strictly
+    greatest ``(feasible, total_rate)``, earliest in rank order.  A
+    candidate scored None ranks last.  Raises as ``allocate`` documents.
     """
     if total_bandwidth is None:
         total_bandwidth = band[1] - band[0]
@@ -860,21 +853,22 @@ def ce_search(score, scenario: Scenario, params: AntennaParams,
                                         table)
         num_accessible += sum(accessible for _, accessible in evaluated)
         scored = []
-        for centers, result in zip(batch, score([s for s, _ in evaluated])):
-            if result is None:
-                result = (False, -np.inf, None)
+        for centers, plan in zip(batch, score([s for s, _ in evaluated])):
+            if plan is None:
+                key = (False, -np.inf)
                 num_singular += 1
-            feasible, reward, plan = result
-            scored.append((reward, tuple(centers), feasible, plan))
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        for reward, _, feasible, plan in scored:
-            if (feasible, reward) > best_key:
-                best_key = (feasible, reward)
+            else:
+                key = (plan.feasible, plan.total_rate)
+            scored.append((key, tuple(centers), plan))
+        scored.sort(key=lambda item: (-item[0][1], item[1]))
+        for key, _, plan in scored:
+            if key > best_key:
+                best_key = key
                 best_plan = plan
         if iteration == hyper.max_iterations:
             break
         elites = scored[:hyper.num_elites]
-        pool = [c for _, centers, _, _ in elites for c in centers]
+        pool = [c for _, centers, _ in elites for c in centers]
         if prev_best_centers is not None:
             pool.extend(prev_best_centers)
         prev_best_centers = np.asarray(elites[0][1])
@@ -905,10 +899,6 @@ def allocate(scenario: Scenario, params: AntennaParams,
     """
     if method == "zf":
         require_zf_shape(scenario.num_ues, scenario.num_aps)
-
-    def score(batch):
-        return [None if plan is None else (True, plan.total_rate, plan)
-                for plan in score_batch(batch, scenario, params, method)]
-
-    return ce_search(score, scenario, params, band, method, hyper, qos, rng,
-                     total_bandwidth)
+    return ce_search(
+        lambda batch: score_batch(batch, scenario, params, method),
+        scenario, params, band, method, hyper, qos, rng, total_bandwidth)

@@ -2,13 +2,14 @@
 
 Four subcommands share one configuration pipeline: defaults, an optional
 INI file, then repeatable ``--set section.key=value`` overrides.  CSV goes
-to stdout unless ``--output`` names a file; human-readable notes go to
-stderr so the data stream stays clean.
+to the file ``--output`` names, else to ``experiment.output``, else to
+stdout; human-readable notes go to stderr so the data stream stays clean.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -32,7 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=[], dest="overrides",
                         help="override one configuration value (repeatable)")
     common.add_argument("--output", metavar="FILE",
-                        help="write CSV to this file instead of stdout")
+                        help="write CSV to this file instead of "
+                             "experiment.output or stdout")
     parser = argparse.ArgumentParser(
         prog="lwcf",
         description="Cell-free leaky-wave network simulator")
@@ -81,16 +83,6 @@ def _cmd_simulate(config: ExperimentConfig, trial: int | None, out) -> None:
     print(f"total_rate_bps={plan.total_rate:.6g}{suffix}", file=sys.stderr)
 
 
-def _cmd_sweep(config: ExperimentConfig, out_path: str | None) -> None:
-    if out_path is not None:
-        config = replace(config, output=out_path)
-    text = run_experiment(config)
-    if config.output is None:
-        sys.stdout.write(text)
-    else:
-        print(f"wrote {config.output}", file=sys.stderr)
-
-
 def _cmd_cluster(config: ExperimentConfig, trial: int | None, out) -> None:
     if config.clustering == "none":
         raise ValueError("clustering.mode is 'none'; set kmeans or hierarchical")
@@ -105,17 +97,23 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config, args.overrides)
+        # the CSV is written only after the command succeeded, so a failed
+        # run leaves an existing output file as it was
+        out = io.StringIO()
         if args.command == "sweep":
-            _cmd_sweep(config, args.output)
+            out.write(run_experiment(config))
+        elif args.command == "simulate":
+            _cmd_simulate(config, args.trial, out)
+        elif args.command == "cluster":
+            _cmd_cluster(config, args.trial, out)
         else:
-            with _out_stream(args.output) as out:
-                if args.command == "simulate":
-                    _cmd_simulate(config, args.trial, out)
-                elif args.command == "cluster":
-                    _cmd_cluster(config, args.trial, out)
-                else:
-                    _cmd_simulate(replace(config, allocator="equal_bandwidth",
-                                          clustering="none"), None, out)
+            _cmd_simulate(replace(config, allocator="equal_bandwidth",
+                                  clustering="none"), None, out)
+        path = config.output if args.output is None else args.output
+        with _out_stream(path) as fh:
+            fh.write(out.getvalue())
+        if path is not None:
+            print(f"wrote {path}", file=sys.stderr)
     except (ValueError, OSError, InfeasibleBand, SingularChannel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

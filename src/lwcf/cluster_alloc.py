@@ -76,8 +76,7 @@ def cluster_rewards(batch, clustering: Clustering, scenario: Scenario,
                 aps = sorted(int(a) for a in clustering.clusters[z])
                 gammas, dead = fallback_sinrs(h[np.ix_(every, ues, aps)],
                                               method, scenario.tx_psd[ues],
-                                              scenario.noise_psd,
-                                              flag_collapse=True)
+                                              scenario.noise_psd)
                 density[:, z] = np.sum(np.log2(1.0 + gammas), axis=-1)
                 collapsed |= dead
     out = []
@@ -164,16 +163,11 @@ def allocate_clustered(scenario: Scenario, params: AntennaParams,
     wins, feasible plans strictly before infeasible ones.
     """
     def score(batch):
-        scored = []
-        for subchannels, rewards in zip(batch, cluster_rewards(
-                batch, clustering, scenario, params, method)):
-            if rewards is None:
-                scored.append(None)
-                continue
-            plan = assign_greedily(subchannels, rewards, clustering,
-                                   qos.min_cluster_avg_rate)
-            scored.append((plan.feasible, plan.total_rate, plan))
-        return scored
+        return [None if rewards is None else
+                assign_greedily(subchannels, rewards, clustering,
+                                qos.min_cluster_avg_rate)
+                for subchannels, rewards in zip(batch, cluster_rewards(
+                    batch, clustering, scenario, params, method))]
 
     return ce_search(score, scenario, params, band, method, hyper, qos, rng,
                      total_bandwidth)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antenna import AntennaParams, gain, peak_frequency
-from .mimo import build_channels, fallback_sinrs, freespace_amplitude
+from .mimo import (SingularChannel, build_channels, fallback_sinrs,
+                   freespace_amplitude)
 from .scenario import Scenario
 
 KMEANS_TOL = 1e-6          # m, centroid movement threshold
@@ -229,7 +230,7 @@ def per_ap_spectral_efficiency(cluster, scenario: Scenario, method: str,
     clamped peak frequency of its serving AP.  A UE whose zero-forcing
     channel is singular falls back to maximum-ratio scoring, that UE alone
     (``mimo.fallback_sinrs``), since this quantity only ranks candidate
-    clusters; a collapsed maximum-ratio column still raises SingularChannel.
+    clusters; a collapsed maximum-ratio column raises SingularChannel.
 
     ``ue_to_ap`` is the drop's ``strongest_aps`` and ``stack`` its
     ``channel_stack``; the cluster's channels are sliced out of the stack
@@ -248,7 +249,10 @@ def per_ap_spectral_efficiency(cluster, scenario: Scenario, method: str,
     own = np.empty(len(served))
     for first in range(0, len(served), SCORE_CHUNK):
         h = stack[np.ix_(rows[first:first + SCORE_CHUNK], rows, members)]
-        gammas = fallback_sinrs(h, method, tx_psd, scenario.noise_psd)
+        gammas, collapsed = fallback_sinrs(h, method, tx_psd,
+                                           scenario.noise_psd)
+        if collapsed.any():
+            raise SingularChannel("precoding column collapsed to zero")
         # slice n holds the channels at the frequency of UE first + n
         own[first:first + len(gammas)] = np.diagonal(gammas, offset=first)
     # summed left to right like the per-UE reference; np.sum pairs terms

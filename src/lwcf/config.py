@@ -79,6 +79,16 @@ def _reject_unknown(parser: configparser.ConfigParser, origin: str) -> None:
                 raise ValueError(f"{origin}: unknown key {section}.{key}")
 
 
+def _getint(section: configparser.SectionProxy, key: str) -> int:
+    """An integer key, which may be spelled as a float such as ``1e3``; a
+    value with a fractional part is rejected by name, not truncated."""
+    value = section.getfloat(key)
+    if not value.is_integer():
+        raise ValueError(f"{section.name}.{key} must be an integer, "
+                         f"got {section.get(key)}")
+    return int(value)
+
+
 def apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
     """Apply ``section.key=value`` strings on top of the parsed file."""
     for item in overrides:
@@ -110,14 +120,14 @@ def load_config(path: str | None = None, overrides=()) -> ExperimentConfig:
     sc = parser["scenario"]
     scenario = ScenarioConfig(
         area_side=sc.getfloat("area_side_m"),
-        num_aps=int(sc.getfloat("num_aps")),
-        num_ues=int(sc.getfloat("num_ues")),
+        num_aps=_getint(sc, "num_aps"),
+        num_ues=_getint(sc, "num_ues"),
         elev_diff_range=(sc.getfloat("elev_diff_min_m"),
                          sc.getfloat("elev_diff_max_m")),
         total_power=sc.getfloat("total_power_w"),
         total_bandwidth=sc.getfloat("total_bandwidth_hz"),
         noise_psd=dbm_per_hz_to_w(sc.getfloat("noise_psd_dbm_hz")),
-        seed=int(sc.getfloat("seed")),
+        seed=_getint(sc, "seed"),
     )
     an = parser["antenna"]
     params = AntennaParams(
@@ -131,13 +141,13 @@ def load_config(path: str | None = None, overrides=()) -> ExperimentConfig:
         raise ValueError("band_upper_hz must exceed cutoff_frequency_hz")
     ce = parser["ce"]
     hyper = CeHyperparams(
-        num_samples=int(ce.getfloat("num_samples")),
-        num_elites=int(ce.getfloat("num_elites")),
-        max_iterations=int(ce.getfloat("max_iterations")),
-        max_components=int(ce.getfloat("max_components")),
+        num_samples=_getint(ce, "num_samples"),
+        num_elites=_getint(ce, "num_elites"),
+        max_iterations=_getint(ce, "max_iterations"),
+        max_components=_getint(ce, "max_components"),
         smoothing=ce.getfloat("smoothing"),
         grid_step=ce.getfloat("grid_step_hz"),
-        num_subchannels=int(ce.getfloat("num_subchannels")),
+        num_subchannels=_getint(ce, "num_subchannels"),
     )
     qs = parser["qos"]
     qos = QosConfig(
@@ -153,11 +163,11 @@ def load_config(path: str | None = None, overrides=()) -> ExperimentConfig:
     return ExperimentConfig(
         scenario=scenario, params=params, band=band, hyper=hyper, qos=qos,
         clustering=cl.get("mode").strip(),
-        num_clusters=int(cl.getfloat("num_clusters")),
+        num_clusters=_getint(cl, "num_clusters"),
         sweep=ex.get("sweep").strip(), sweep_values=sweep_values,
         precoder=ex.get("precoder").strip(),
         allocator=ex.get("allocator").strip(),
-        trials=int(ex.getfloat("trials")),
-        base_seed=int(ex.getfloat("base_seed")),
-        output=output, workers=int(ex.getfloat("workers")),
+        trials=_getint(ex, "trials"),
+        base_seed=_getint(ex, "base_seed"),
+        output=output, workers=_getint(ex, "workers"),
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .antenna import AntennaParams
 from .cegmm import (CeHyperparams, InfeasibleBand, QosConfig, SubchannelPlan,
-                    allocate, score_subchannels)
+                    allocate, score_batch)
 from .cluster_alloc import ClusterPlan, allocate_clustered, greedy_assign
 from .clustering import Clustering, hierarchical_clustering, kmeans_clustering
 from .mimo import PRECODER_METHODS, SingularChannel, require_zf_shape
@@ -71,6 +71,10 @@ class ExperimentConfig:
             raise ValueError("sweep values must be positive")
         if list(vals) != sorted(vals):
             raise ValueError("sweep values must be sorted ascending")
+        fractional = [v for v in vals if not v.is_integer()]
+        if self.sweep != "total_bandwidth" and fractional:
+            raise ValueError(f"experiment.sweep_values: {self.sweep} takes "
+                             f"integers, got {fractional[0]:g}")
         if self.clustering == "kmeans" and self.num_clusters < 1:
             raise ValueError("clustering.num_clusters must be >= 1")
         if self.trials < 1:
@@ -158,9 +162,13 @@ def equal_bandwidth_baseline(scenario, params: AntennaParams, num_tiles: int,
                              band: tuple[float, float],
                              total_bandwidth: float,
                              method: str) -> SubchannelPlan:
-    """Static allocation: the ``equal_tiles`` rated with ``method``."""
-    return score_subchannels(equal_tiles(num_tiles, band, total_bandwidth),
-                             scenario, params, method)
+    """Static allocation: the ``equal_tiles`` rated with ``method``.
+    Raises SingularChannel where the precoder fails at a tile's center."""
+    plan = score_batch([equal_tiles(num_tiles, band, total_bandwidth)],
+                       scenario, params, method)[0]
+    if plan is None:
+        raise SingularChannel(f"the {method} precoder failed at a center")
+    return plan
 
 
 def build_clustering(config: ExperimentConfig, scenario,
@@ -234,8 +242,7 @@ def _fmt_sweep_value(value: float) -> str:
 
 
 def run_experiment(config: ExperimentConfig) -> str:
-    """Execute the sweep and return the CSV text (also written to
-    ``config.output`` when set).
+    """Execute the sweep and return the CSV text; the CLI writes it.
 
     Trials are independent jobs; with ``workers > 1`` they run in a process
     pool, and results are merged in (sweep value, trial) order either way so
@@ -279,16 +286,12 @@ def run_experiment(config: ExperimentConfig) -> str:
         writer.writerow([_fmt_sweep_value(value), "summary", "",
                          config.allocator, config.clustering, config.precoder,
                          mean_str, stderr_str, "", ""])
-    text = buf.getvalue()
-    if config.output:
-        with open(config.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()
 
 
 def write_plan_csv(plan: SubchannelPlan, fp) -> None:
     """Subchannel dump for a single-trial run."""
     fp.write("subchannel_index,center_hz,width_hz,subchannel_rate_bps\n")
     for i, (center, width) in enumerate(plan.subchannels):
-        rate = plan.subchannel_rates[i] if plan.subchannel_rates else float("nan")
-        fp.write(f"{i},{round(center)},{round(width)},{rate:.6g}\n")
+        fp.write(f"{i},{round(center)},{round(width)},"
+                 f"{plan.subchannel_rates[i]:.6g}\n")

@@ -105,23 +105,21 @@ def _row_squares(rows: np.ndarray) -> np.ndarray:
     return np.add.reduce((rows.conj() * rows).real, axis=-1)
 
 
-def precoder_rows(h: np.ndarray, method: str,
-                  flag_collapse: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def precoder_rows(h: np.ndarray, method: str) -> tuple[np.ndarray, np.ndarray]:
     """Unit-norm 'mrt' or 'zf' precoders of a stack of channels (N, K, M).
 
     Returns ``(rows, failed)``.  ``rows[n]`` is the transpose of the
     precoding columns of ``h[n]``: row k steers UE k.  ``failed[n]`` marks a
     zero-forcing slice whose Gram condition number exceeds
-    ``MAX_ZF_CONDITION`` (or is not finite), or whose precoding column
-    collapsed to zero; the rows of a failed slice are meaningless.  Raises
-    SingularChannel for zero forcing with more UEs than APs, and when a
-    maximum-ratio column collapses, unless ``flag_collapse`` is set: then
-    that slice is flagged instead.  This is the one zero-forcing rule:
-    ``precode`` is its one-slice case.  Each slice goes through the same
-    per-matrix BLAS/LAPACK calls and memory layouts as a lone channel, so a
-    stacked slice and a lone channel give the same bits if ``h`` is
-    C-contiguous (the transposed layout of ``h[:, ues][:, :, aps]`` sums the
-    row norms in another order).
+    ``MAX_ZF_CONDITION`` (or is not finite), or a slice of either method
+    whose precoding column collapsed to zero; the rows of a failed slice
+    are meaningless.  Raises SingularChannel only for zero forcing with
+    more UEs than APs (``require_zf_shape``).  This is the one
+    zero-forcing rule: ``precode`` is its one-slice case.  Each slice goes
+    through the same per-matrix BLAS/LAPACK calls and memory layouts as a
+    lone channel, so a stacked slice and a lone channel give the same bits
+    if ``h`` is C-contiguous (the transposed layout of
+    ``h[:, ues][:, :, aps]`` sums the row norms in another order).
 
     Zero forcing decides the condition test in two tiers.  Tier 1 solves
     every slice first: the solved rows X = Gram^{-T} conj(H) have
@@ -166,11 +164,8 @@ def precoder_rows(h: np.ndarray, method: str,
                 square[failed] = _row_squares(rows[failed])
             rows = solved
     norms = np.sqrt(square)
-    collapsed = norms < 1e-300
+    collapsed = (norms < 1e-300).any(axis=-1)
     if collapsed.any():
-        if method == "mrt" and not flag_collapse:
-            raise SingularChannel("precoding column collapsed to zero")
-        collapsed = collapsed.any(axis=-1)
         failed |= collapsed
         norms[collapsed] = 1.0
     rows /= norms[..., None]
@@ -182,13 +177,16 @@ def precode(channel: ChannelMatrix, method: str) -> PrecodingMatrix:
 
     Zero forcing solves against the Gram matrix rather than forming an
     explicit inverse, and rejects channels with condition number above
-    ``MAX_ZF_CONDITION``, more UEs than APs, or a collapsed column (see
-    ``precoder_rows``).  The condition test has two tiers: the trace bound
-    from the solved rows certifies a well-conditioned channel, and only an
-    uncertified one takes the SVD condition number.
+    ``MAX_ZF_CONDITION`` or more UEs than APs; either method rejects a
+    collapsed column (see ``precoder_rows``).  The condition test has two
+    tiers: the trace bound from the solved rows certifies a
+    well-conditioned channel, and only an uncertified one takes the SVD
+    condition number.
     """
     rows, failed = precoder_rows(channel.entries[None], method)
     if failed[0]:
+        if method == "mrt":
+            raise SingularChannel("precoding column collapsed to zero")
         raise SingularChannel(
             f"zero forcing failed: Gram condition above {MAX_ZF_CONDITION:g} "
             "or a precoding column collapsed to zero")
@@ -207,25 +205,22 @@ def sinr_rows(h: np.ndarray, rows: np.ndarray, tx_psd: np.ndarray,
 
 
 def fallback_sinrs(h: np.ndarray, method: str, tx_psd: np.ndarray,
-                   noise_psd: float, flag_collapse: bool = False):
+                   noise_psd: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-UE SINR (N, S) of channels (N, S, Mc) under the one ZF -> MRT
     fallback rule: the whole stack takes maximum ratio when zero forcing has
-    more UEs than APs, a slice ``precoder_rows`` flags takes it alone.  A
-    collapsed maximum-ratio column raises SingularChannel, unless
-    ``flag_collapse`` is set: then the call returns ``(sinrs, collapsed)``,
-    ``collapsed[n]`` marking a slice whose maximum-ratio column collapsed
-    (its SINRs are meaningless), and the other slices keep their bits."""
+    more UEs than APs, a slice ``precoder_rows`` flags takes it alone.
+    Returns ``(sinrs, collapsed)``: ``collapsed[n]`` marks a slice whose
+    maximum-ratio column collapsed (its SINRs are meaningless), and the
+    other slices keep their bits."""
     try:
-        rows, failed = precoder_rows(h, method, flag_collapse)
+        rows, failed = precoder_rows(h, method)
     except SingularChannel:
-        rows, failed = precoder_rows(h, "mrt", flag_collapse)
+        rows, failed = precoder_rows(h, "mrt")
     else:
         if method == "zf" and failed.any():
             # failed now marks the slices whose maximum ratio collapsed
-            rows[failed], failed[failed] = precoder_rows(h[failed], "mrt",
-                                                         flag_collapse)
-    gammas = sinr_rows(h, rows, tx_psd, noise_psd)
-    return (gammas, failed) if flag_collapse else gammas
+            rows[failed], failed[failed] = precoder_rows(h[failed], "mrt")
+    return sinr_rows(h, rows, tx_psd, noise_psd), failed
 
 
 def sinr(channel: ChannelMatrix, precoder: PrecodingMatrix,
@@ -280,7 +275,7 @@ def rate_densities(scenario: Scenario, params: AntennaParams, frequencies,
     failed = np.empty(f.size, dtype=bool)
     for part in _chunks(scenario, f.size):
         h = build_channels(scenario, params, f[part])
-        rows, failed[part] = precoder_rows(h, method, flag_collapse=True)
+        rows, failed[part] = precoder_rows(h, method)
         gamma = sinr_rows(h, rows, scenario.tx_psd, scenario.noise_psd)
         density[part] = np.sum(np.log2(1.0 + gamma), axis=-1)
     return density, failed

@@ -36,7 +36,6 @@ from lwcf.cegmm import (
     resolve_overlaps,
     sample_gmm,
     score_batch,
-    score_subchannels,
     validate_plan,
 )
 from lwcf.cegmm import (TABLE_CELL, _edge_table, _edges_ok, _quantile_init,
@@ -1048,16 +1047,16 @@ def test_lockstep_candidates_equal_one_candidate_evaluations():
 def test_a_failed_subchannel_fails_only_its_own_candidate(monkeypatch):
     """``score_batch`` rates a batch as one stack: a list with a center
     where the precoder fails scores None while the rest of the batch keeps
-    the plans ``score_subchannels`` gives them.  In the search such a
-    candidate counts as singular: when every accessible candidate has one
-    failed subchannel, the search names the precoder."""
+    the plans it gives each list alone.  In the search such a candidate
+    counts as singular: when every accessible candidate has one failed
+    subchannel, the search names the precoder."""
     import lwcf.cegmm
     sc = make_scenario(seed=3)
     rng = np.random.default_rng(3)
     batch = [subs for subs, _ in evaluate_candidates(
         [rng.uniform(110e9, 190e9, 3) for _ in range(12)], sc, PARAMS, BAND,
         QOS, 10e6, 10e9)]
-    want = [score_subchannels(subs, sc, PARAMS, "zf") for subs in batch]
+    want = [score_batch([subs], sc, PARAMS, "zf")[0] for subs in batch]
     bad = batch[0][0][0]
     real = lwcf.cegmm.rate_densities
     failing = set()

@@ -289,24 +289,44 @@ def test_per_ap_se_colocated_ues_match_the_oracle():
     assert scores["zf"] == scores["mrt"] > 0.0
 
 
-def test_own_sinrs_fall_back_per_slice_and_raise_on_mrt_collapse():
+def test_own_sinrs_fall_back_per_slice_and_flag_mrt_collapse():
     """``mimo.fallback_sinrs``, the rule cluster scoring uses: a slice that
     cannot zero-force takes maximum ratio, its neighbours keep zero forcing;
-    a slice whose maximum-ratio column collapses raises."""
+    a slice whose maximum-ratio column collapses is flagged, and the other
+    slices keep their bits."""
     sc = make_scenario(num_aps=8, num_ues=3, seed=6)
     good = build_channel(sc, PARAMS, 150e9).entries
     twin = good.copy()
     twin[2] = twin[0]
     h = np.stack([good, twin, good])
-    got = np.diagonal(fallback_sinrs(h, "zf", sc.tx_psd, sc.noise_psd))
+    gammas, collapsed = fallback_sinrs(h, "zf", sc.tx_psd, sc.noise_psd)
     good_h, twin_h = ChannelMatrix(good, 150e9), ChannelMatrix(twin, 150e9)
     zf = sinr(good_h, precode(good_h, "zf"), sc.tx_psd, sc.noise_psd)
     mrt = sinr(twin_h, precode(twin_h, "mrt"), sc.tx_psd, sc.noise_psd)
-    assert got.tolist() == [zf[0], mrt[1], zf[2]]
+    assert np.diagonal(gammas).tolist() == [zf[0], mrt[1], zf[2]]
+    assert not collapsed.any()
     dead = good.copy()
     dead[1] = 0.0
+    for method in ("zf", "mrt"):
+        gammas, collapsed = fallback_sinrs(np.stack([good, dead, good]),
+                                           method, sc.tx_psd, sc.noise_psd)
+        assert collapsed.tolist() == [False, True, False]
+        lone = sinr(good_h, precode(good_h, method), sc.tx_psd, sc.noise_psd)
+        assert gammas[0].tolist() == gammas[2].tolist() == lone.tolist()
+
+
+@pytest.mark.parametrize("method", ["zf", "mrt"])
+def test_per_ap_se_raises_on_a_collapsed_column(method):
+    """A served UE with a zero channel row collapses its maximum-ratio
+    column; the cluster score cannot rank on meaningless SINRs and raises."""
+    sc = make_scenario(num_aps=8, num_ues=4, seed=6)
+    ue_to_ap, stack = drop_context(sc)
+    cluster = tuple(range(8))
+    assert se(cluster, sc, method) > 0.0
+    stack = stack.copy()
+    stack[:, 1, :] = 0.0
     with pytest.raises(SingularChannel, match="collapsed"):
-        fallback_sinrs(np.stack([good, dead]), "zf", sc.tx_psd, sc.noise_psd)
+        per_ap_spectral_efficiency(cluster, sc, method, ue_to_ap, stack)
 
 
 def test_per_ap_se_falls_back_slice_by_slice(monkeypatch):

@@ -8,7 +8,8 @@ import pytest
 from lwcf.cli import main
 from lwcf.clustering import write_clustering_csv
 from lwcf.config import DEFAULTS, dbm_per_hz_to_w, load_config
-from lwcf.harness import equal_bandwidth_baseline, write_plan_csv
+from lwcf.harness import (equal_bandwidth_baseline, run_experiment,
+                          write_plan_csv)
 from lwcf.scenario import generate_scenario
 
 FAST_OVERRIDES = [
@@ -203,6 +204,67 @@ def test_cli_sweep_to_file(tmp_path, capsys):
     lines = out_file.read_text(encoding="utf-8").strip().split("\n")
     assert lines[0].startswith("sweep_value,")
     assert len(lines) == 1 + 2 * 3
+
+
+def without_wall_time(text: str) -> list[list[str]]:
+    """The rows of a sweep CSV without the wall_time_ms column (index 8),
+    the one that differs between reruns."""
+    return [row[:8] + row[9:] for row in
+            (line.split(",") for line in text.strip().split("\n"))]
+
+
+def test_cli_writes_experiment_output(tmp_path, capsys):
+    """Every command writes its CSV to ``experiment.output`` when set, and
+    ``--output`` wins over it; the sweep file is ``run_experiment``'s text
+    up to the wall clock, and a failed run writes nothing."""
+    sets = FAST_OVERRIDES + ["experiment.allocator=equal_bandwidth"]
+    keyed, flagged = tmp_path / "keyed.csv", tmp_path / "flagged.csv"
+    for command in ("sweep", "simulate", "baseline", "cluster"):
+        args = [command, "--set", f"experiment.output={keyed}",
+                "--set", "clustering.mode=kmeans"]
+        args += [a for ov in sets for a in ("--set", ov)]
+        code, out, err = run_cli(args, capsys)
+        assert code == 0 and out == "" and f"wrote {keyed}" in err
+        text = keyed.read_text(encoding="utf-8")
+        assert text.count("\n") >= 2
+        if command == "sweep":
+            config = load_config(None, sets + ["clustering.mode=kmeans"])
+            assert without_wall_time(text) == without_wall_time(
+                run_experiment(config))
+        keyed.unlink()
+        code, out, _ = run_cli(args + ["--output", str(flagged)], capsys)
+        assert code == 0 and out == "" and not keyed.exists()
+        assert without_wall_time(flagged.read_text(encoding="utf-8")) == (
+            without_wall_time(text))
+    # a run that fails leaves the file it would have written as it was
+    keyed.write_text("kept", encoding="utf-8")
+    code, _, _ = run_cli(["simulate", "--set", f"experiment.output={keyed}",
+                          "--set", "clustering.mode=kmeans",
+                          "--set", "clustering.num_clusters=5"]
+                         + [a for ov in sets for a in ("--set", ov)], capsys)
+    assert code == 2 and keyed.read_text(encoding="utf-8") == "kept"
+
+
+@pytest.mark.parametrize("key", [
+    "scenario.num_aps", "scenario.num_ues", "scenario.seed",
+    "ce.num_samples", "ce.num_elites", "ce.max_iterations",
+    "ce.max_components", "ce.num_subchannels", "clustering.num_clusters",
+    "experiment.trials", "experiment.base_seed", "experiment.workers",
+    "experiment.sweep_values"])
+def test_integer_keys_reject_fractional_values(key):
+    """An integer key, and a sweep value of num_aps or num_ues, is rejected
+    by name at load when it has a fractional part, not truncated; an
+    integral float spelling still loads."""
+    sweep = (["experiment.sweep=num_ues"]
+             if key == "experiment.sweep_values" else [])
+    with pytest.raises(ValueError, match=key.split(".")[-1]):
+        load_config(None, sweep + [f"{key}=16.7"])
+    config = load_config(None, sweep + [f"{key}=1.6e1"])
+    section, name = key.split(".")
+    if key == "experiment.sweep_values":
+        assert config.sweep_values == (16.0,)
+    elif section == "scenario":
+        assert getattr(config.scenario, name) == 16
 
 
 def test_cli_cluster_modes(capsys):

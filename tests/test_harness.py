@@ -308,13 +308,6 @@ def test_trial_hierarchical_clustering_uses_configured_precoder(monkeypatch):
     assert methods == ["mrt", "zf"]
 
 
-def test_run_experiment_writes_output_file(tmp_path):
-    out = tmp_path / "sweep.csv"
-    config = fast_experiment(output=str(out))
-    text = run_experiment(config)
-    assert out.read_text(encoding="utf-8") == text
-
-
 def test_run_experiment_bandwidth_sweep_value_format():
     config = fast_experiment(sweep="total_bandwidth",
                              sweep_values=(5e9, 10e9), trials=1)

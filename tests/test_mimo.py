@@ -113,8 +113,9 @@ def test_precode_and_sinr_equal_the_matrix_oracles_bit_for_bit():
 
 
 def test_precoder_rows_flags_failed_slices():
-    """A singular zero-forcing slice is flagged and leaves the others
-    intact; K > M and a collapsed maximum-ratio column raise."""
+    """A singular zero-forcing slice and a collapsed column of either
+    method are flagged and leave the other slices' bits intact; only
+    zero forcing with K > M raises."""
     sc = make_scenario(num_aps=8, num_ues=3, seed=3)
     good = build_channel(sc, PARAMS, 150e9).entries
     twin = good.copy()
@@ -124,12 +125,29 @@ def test_precoder_rows_flags_failed_slices():
     assert np.array_equal(rows[2], precoder_rows(good[None], "zf")[0][0])
     dead = good.copy()
     dead[2] = 0.0
-    assert precoder_rows(np.stack([good, dead]), "zf")[1].tolist() == [
-        False, True]
-    with pytest.raises(SingularChannel, match="collapsed"):
-        precoder_rows(np.stack([good, dead]), "mrt")
+    for method in ("zf", "mrt"):
+        rows, failed = precoder_rows(np.stack([good, dead, good]), method)
+        assert failed.tolist() == [False, True, False]
+        lone = precoder_rows(good[None], method)[0][0]
+        assert np.array_equal(rows[0], lone)
+        assert np.array_equal(rows[2], lone)
     with pytest.raises(SingularChannel, match="K=3 UEs and M=2 APs"):
         precoder_rows(good[None, :, :2], "zf")
+
+
+def test_precode_names_the_cause_of_a_failure():
+    """``precode``, the one-slice case, raises where ``precoder_rows``
+    flags: a collapsed column under maximum ratio, the Gram condition under
+    zero forcing."""
+    sc = make_scenario(num_aps=8, num_ues=3, seed=3)
+    dead = build_channel(sc, PARAMS, 150e9).entries.copy()
+    dead[2] = 0.0
+    channel = ChannelMatrix(dead, 150e9)
+    with pytest.raises(SingularChannel, match="collapsed") as mrt:
+        precode(channel, "mrt")
+    assert "zero forcing" not in str(mrt.value)
+    with pytest.raises(SingularChannel, match="Gram condition"):
+        precode(channel, "zf")
 
 
 def gram_of(h):
