@@ -145,8 +145,8 @@ def gmm_log_likelihood(gmm: Gmm, values) -> float:
 
 
 def sample_gmm(gmm: Gmm, n: int, rng: np.random.Generator,
-               band: tuple[float, float] | None = None) -> np.ndarray:
-    """Draw n values; with ``band`` given, out-of-band draws are redrawn.
+               band: tuple[float, float]) -> np.ndarray:
+    """Draw n values in ``band``; out-of-band draws are redrawn.
 
     Rejection is capped (1000 rounds) and any stragglers are clipped to the
     band, so sampling terminates even for mixtures with negligible in-band
@@ -156,16 +156,14 @@ def sample_gmm(gmm: Gmm, n: int, rng: np.random.Generator,
     weights = weights / weights.sum()
     comp = rng.choice(gmm.num_components, size=n, p=weights)
     x = rng.normal(gmm.means[comp], np.sqrt(gmm.variances[comp]))
-    if band is not None:
-        lo, hi = band
-        for _ in range(1000):
-            bad = (x < lo) | (x > hi)
-            if not np.any(bad):
-                break
-            comp = rng.choice(gmm.num_components, size=int(bad.sum()), p=weights)
-            x[bad] = rng.normal(gmm.means[comp], np.sqrt(gmm.variances[comp]))
-        x = np.clip(x, lo, hi)
-    return x
+    lo, hi = band
+    for _ in range(1000):
+        bad = (x < lo) | (x > hi)
+        if not np.any(bad):
+            break
+        comp = rng.choice(gmm.num_components, size=int(bad.sum()), p=weights)
+        x[bad] = rng.normal(gmm.means[comp], np.sqrt(gmm.variances[comp]))
+    return np.clip(x, lo, hi)
 
 
 EM_MAX_ITER = 100   # EM iterations per fit
@@ -701,13 +699,11 @@ def initial_proposal(band: tuple[float, float], num_samples: int,
 
 
 def _quantile_init(values: np.ndarray, num_components: int,
-                   var_floor: float) -> Gmm:
-    x = np.asarray(values, float)
+                   var: float) -> Gmm:
+    """Equal weights, means at the values' quantiles, variances ``var``."""
     qs = (np.arange(num_components) + 0.5) / num_components
-    means = np.quantile(x, qs)
-    var = max(float(np.var(x)), var_floor, 1e-300)
-    return Gmm(np.full(num_components, 1.0 / num_components), means,
-               np.full(num_components, var))
+    return Gmm(np.full(num_components, 1.0 / num_components),
+               np.quantile(values, qs), np.full(num_components, var))
 
 
 def _smooth(fitted: Gmm, previous: Gmm, alpha: float, var_floor: float) -> Gmm:
@@ -729,12 +725,12 @@ def refit_proposal(previous: Gmm, elite_values: np.ndarray,
     A fit that converged hands BIC the log-likelihood EM computed last."""
     best_fit = None
     best_score = np.inf
+    var = max(float(np.var(elite_values)), var_floor, 1e-300)
     for k in range(1, hyper.max_components + 1):
         if k > elite_values.size:
             break
         history: list[float] = []
-        fitted = em_fit(elite_values, k,
-                        _quantile_init(elite_values, k, var_floor),
+        fitted = em_fit(elite_values, k, _quantile_init(elite_values, k, var),
                         var_floor=var_floor, history=history)
         # a converged fit's last log-likelihood is that of its parameters
         score = bic(fitted, elite_values, history[-1]
@@ -765,8 +761,7 @@ def evaluate_candidates(batch, scenario: Scenario, params: AntennaParams,
     lists = [np.sort(np.asarray(cands, dtype=float)) for cands in batch]
     owners = np.repeat(np.arange(len(lists)), [c.size for c in lists])
     centers = np.concatenate([np.empty(0), *lists])
-    ok = ((band[0] <= centers) & (centers <= band[1])
-          & (centers > params.cutoff_frequency + FREQ_TOL))
+    ok = _in_band(centers, centers, band, params.cutoff_frequency)
     psd = received_strength_psd(scenario, params, centers[ok])
     accessible = ~np.any(psd < qos.min_rx_psd, axis=1)
     ok[ok] = accessible

@@ -18,7 +18,7 @@ from .cegmm import InfeasibleBand
 from .cluster_alloc import ClusterPlan, write_cluster_plan_csv
 from .clustering import write_clustering_csv
 from .config import load_config
-from .harness import (ExperimentConfig, build_clustering, check_kmeans_aps,
+from .harness import (ExperimentConfig, build_clustering, check_drop,
                       run_experiment, run_trial, trial_rng, trial_scenario,
                       write_plan_csv)
 from .mimo import SingularChannel
@@ -64,11 +64,10 @@ def _out_stream(path: str | None):
 def _single_run(config: ExperimentConfig, trial: int | None):
     """The drop template and optimiser stream of a single run: trial T's
     (``trial_scenario``, ``trial_rng``), or without one the scenario's own
-    seed and trial 0's stream.  Rejects, by name, k-means with more
-    clusters than APs before any drop is drawn."""
+    seed and trial 0's stream.  ``check_drop`` rejects a drop the run
+    cannot take, by the key it reads, before the drop is drawn."""
     sc_cfg = config.scenario if trial is None else trial_scenario(config, trial)
-    check_kmeans_aps(config, sc_cfg.num_aps,
-                     f"scenario.num_aps={sc_cfg.num_aps}")
+    check_drop(config, sc_cfg, None)
     return sc_cfg, trial_rng(config, trial or 0)
 
 

@@ -87,41 +87,32 @@ class ExperimentConfig:
         return self
 
 
-def check_kmeans_aps(config: ExperimentConfig, num_aps: int,
-                     where: str) -> None:
-    """Reject k-means with more clusters than the ``num_aps`` APs of a drop,
-    before the drop is drawn; ``where`` names the drop in the message.  The
-    one home of this rule: ``_check_sweep`` applies it to every sweep point
-    and the single-run commands to the scenario."""
-    if config.clustering == "kmeans" and num_aps < config.num_clusters:
-        raise ValueError(f"{where}: fewer APs than the {config.num_clusters} "
-                         "k-means clusters of clustering.num_clusters")
+def check_drop(config: ExperimentConfig, sc_cfg: ScenarioConfig,
+               where: str | None) -> None:
+    """Reject, before it is drawn, a drop of ``sc_cfg`` that the configured
+    trial cannot run: a spectrum budget wider than the band, fewer APs than
+    k-means clusters, or network-wide zero forcing with more UEs than APs.
+    ``where`` names the drop in the message; None names the scenario key
+    the broken rule reads.  The one home of these rules: sweeps apply it to
+    every sweep point, single runs to their own drop."""
+    def refuse(key: str, value: float, reason: str):
+        return ValueError(f"{where or f'scenario.{key}={value:g}'}: {reason}")
 
-
-def _check_sweep(config: ExperimentConfig) -> None:
-    """Reject a sweep point the configured trial cannot run: a spectrum
-    budget wider than the band, fewer APs than k-means clusters, or
-    network-wide zero forcing with more UEs than APs.  Only sweeps check
-    all of this: one file also drives ``simulate``, ``cluster`` and
-    ``baseline``, which never visit the sweep points."""
     span = config.band[1] - config.band[0]
-    for value in config.sweep_values:
-        point = {"num_aps": config.scenario.num_aps,
-                 "num_ues": config.scenario.num_ues,
-                 "total_bandwidth": config.scenario.total_bandwidth}
-        point[config.sweep] = value
-        where = f"sweep point {config.sweep}={value:g}"
-        if point["total_bandwidth"] > span:
-            raise ValueError(f"{where}: the spectrum budget exceeds the band "
-                             f"width {span:g} Hz")
-        check_kmeans_aps(config, int(point["num_aps"]), where)
-        if config.precoder == "zf" and config.clustering == "none":
-            # network-wide zero forcing fails every trial with K > M
-            try:
-                require_zf_shape(int(point["num_ues"]), int(point["num_aps"]))
-            except SingularChannel as exc:
-                raise ValueError(f"{where}: {exc}; use precoder mrt or "
-                                 "clustering") from exc
+    if sc_cfg.total_bandwidth > span:
+        raise refuse("total_bandwidth_hz", sc_cfg.total_bandwidth,
+                     f"the spectrum budget exceeds the band width {span:g} Hz")
+    if config.clustering == "kmeans" and sc_cfg.num_aps < config.num_clusters:
+        raise refuse("num_aps", sc_cfg.num_aps,
+                     f"fewer APs than the {config.num_clusters} k-means "
+                     "clusters of clustering.num_clusters")
+    if config.precoder == "zf" and config.clustering == "none":
+        # network-wide zero forcing fails every trial with K > M
+        try:
+            require_zf_shape(sc_cfg.num_ues, sc_cfg.num_aps)
+        except SingularChannel as exc:
+            raise refuse("num_ues", sc_cfg.num_ues,
+                         f"{exc}; use precoder mrt or clustering") from exc
 
 
 def trial_rng(config: ExperimentConfig, trial: int) -> np.random.Generator:
@@ -133,14 +124,21 @@ def trial_rng(config: ExperimentConfig, trial: int) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
-def trial_scenario(config: ExperimentConfig, trial: int,
-                   **overrides) -> ScenarioConfig:
-    """The drop of one trial: the scenario template, with ``overrides``,
-    drawn from the geometry seed ``base_seed + trial``."""
+def trial_scenario(config: ExperimentConfig, trial: int) -> ScenarioConfig:
+    """The drop of one trial: the scenario template drawn from the geometry
+    seed ``base_seed + trial``."""
     if trial < 0:
         raise ValueError(f"trial must be >= 0, got {trial}")
-    return replace(config.scenario, seed=config.base_seed + trial,
-                   **overrides)
+    return replace(config.scenario, seed=config.base_seed + trial)
+
+
+def sweep_scenario(config: ExperimentConfig, value: float,
+                   trial: int) -> ScenarioConfig:
+    """The drop of one trial at the sweep point ``value``: the one place a
+    sweep point becomes a scenario, for the trials and the sweep check."""
+    return replace(trial_scenario(config, trial), **{
+        config.sweep: (int(value) if config.sweep != "total_bandwidth"
+                       else float(value))})
 
 
 def equal_tiles(num_tiles: int, band: tuple[float, float],
@@ -217,11 +215,9 @@ def run_trial(config: ExperimentConfig, sc_cfg: ScenarioConfig,
 def _trial_rate(config: ExperimentConfig, value: float,
                 trial: int) -> tuple[float | None, str]:
     """Run one (sweep value, trial) cell; returns (rate or None, status)."""
-    sc_cfg = trial_scenario(config, trial, **{
-        config.sweep: (int(value) if config.sweep != "total_bandwidth"
-                       else float(value))})
     try:
-        plan = run_trial(config, sc_cfg, trial_rng(config, trial))
+        plan = run_trial(config, sweep_scenario(config, value, trial),
+                         trial_rng(config, trial))
     except InfeasibleBand:
         return None, "infeasible_band"
     except SingularChannel:
@@ -249,9 +245,11 @@ def run_experiment(config: ExperimentConfig) -> str:
     the output does not depend on scheduling.  Failed trials keep their row
     with an empty rate and a status flag.  Summary statistics are computed
     from the rounded rates that appear in the file, so the CSV is
-    self-consistent.
+    self-consistent.  ``check_drop`` vets every sweep point first.
     """
-    _check_sweep(config)
+    for value in config.sweep_values:
+        check_drop(config, sweep_scenario(config, value, 0),
+                   f"sweep point {config.sweep}={value:g}")
     jobs = [(config, vi, t)
             for vi in range(len(config.sweep_values))
             for t in range(config.trials)]

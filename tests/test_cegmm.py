@@ -159,8 +159,8 @@ def em_cases():
         x = np.concatenate([rng.normal(120e9, 3e9, int(rng.integers(5, 30))),
                             rng.normal(170e9, 6e9, int(rng.integers(5, 30)))])
         for k in range(1, 5):
-            yield x, k, _quantile_init(x, k, 1e16), 1e16, 100
-        yield x, 3, _quantile_init(x, 3, 1e12), 1e12, 3
+            yield x, k, _quantile_init(x, k, max(np.var(x), 1e16)), 1e16, 100
+        yield x, 3, _quantile_init(x, 3, max(np.var(x), 1e12)), 1e12, 3
         yield x, 2, Gmm(np.array([0.5, 0.5]), np.array([130e9, 1e15]),
                         np.array([1e18, 1.0])), 1e12, 100
         yield x, 2, Gmm(np.array([1.0, 0.0]), np.array([130e9, 160e9]),
@@ -234,9 +234,9 @@ def test_refit_proposal_equals_the_recomputing_reference(monkeypatch):
         pool = np.concatenate([rng.normal(m, 2e9, 11) for m in
                                rng.uniform(110e9, 190e9, 2)])
         best, best_score = None, np.inf
+        var = max(np.var(pool), var_floor)
         for k in range(1, hyper.max_components + 1):
-            fit = em_fit_reference(pool, k, _quantile_init(pool, k,
-                                                           var_floor),
+            fit = em_fit_reference(pool, k, _quantile_init(pool, k, var),
                                    var_floor=var_floor)
             score = bic_reference(fit, pool)
             if score < best_score - 1e-12:

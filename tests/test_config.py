@@ -406,6 +406,48 @@ def test_cli_single_runs_reject_more_kmeans_clusters_than_aps(
                    "clusters of clustering.num_clusters\n")
 
 
+WIDE_BUDGET = ("error: scenario.total_bandwidth_hz=1.5e+11: the spectrum "
+               "budget exceeds the band width 1e+11 Hz\n")
+ZF_SHAPE = ("error: scenario.num_ues=40: the zf precoder failed: zero forcing "
+            "needs num_ues <= num_aps, got K=40 UEs and M=32 APs; use "
+            "precoder mrt or clustering\n")
+
+
+WIDE = ["scenario.total_bandwidth_hz=150e9"]
+WIDE_HIERARCHICAL = WIDE + ["experiment.allocator=equal_bandwidth",
+                            "clustering.mode=hierarchical"]
+SINGLE_RUNS = {"simulate": ["simulate"],
+               "trial": ["simulate", "--trial", "1"],
+               "baseline": ["baseline"]}
+
+
+@pytest.mark.parametrize("command, sets, message", [
+    pytest.param(command, sets, message, id=f"{rule}-{name}")
+    for name, command in SINGLE_RUNS.items()
+    for rule, sets, message in (
+        ("budget", WIDE, WIDE_BUDGET),
+        ("budget-hierarchical", WIDE_HIERARCHICAL, WIDE_BUDGET),
+        ("zf-shape", ["scenario.num_ues=40"], ZF_SHAPE))
+] + [pytest.param(["cluster"], WIDE_HIERARCHICAL, WIDE_BUDGET,
+                  id="budget-cluster")])
+def test_cli_single_runs_reject_an_infeasible_drop_by_key(
+        monkeypatch, command, sets, message, capsys):
+    """Every rule of ``check_drop`` stops a single run before any drop is
+    drawn, with a message that names the scenario key the rule reads: a
+    spectrum budget wider than the band (also for a hierarchical
+    equal-bandwidth run, which used to cluster the drop first, and for
+    ``cluster``) and network-wide zero forcing with more UEs than APs."""
+    import lwcf.cli
+    import lwcf.harness
+    drops = []
+    for module in (lwcf.cli, lwcf.harness):
+        monkeypatch.setattr(module, "generate_scenario",
+                            lambda *a, **k: drops.append(a))
+    code, out, err = run_cli(command + [a for ov in sets
+                                        for a in ("--set", ov)], capsys)
+    assert (code, out, drops, err) == (2, "", [], message)
+
+
 @pytest.mark.parametrize("mode", ["kmeans", "hierarchical"])
 def test_cli_cluster_trial_is_the_clustering_of_that_trial(monkeypatch, mode,
                                                            capsys):
