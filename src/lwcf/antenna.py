@@ -95,17 +95,6 @@ def envelope_ratio(params: AntennaParams) -> float:
     return float(np.sqrt(1.0 + 1.0 / np.sinh(b) ** 2))
 
 
-def envelope_peak(params: AntennaParams) -> float:
-    """eta L sinh b / b: the envelope of ``gain`` at a = 0, which is its
-    maximum over frequency for every angle (reached at ``peak_frequency``).
-    Needs positive attenuation."""
-    b = params.attenuation * params.aperture_length / 2.0
-    if b == 0.0:
-        raise ValueError("the gain envelope needs positive attenuation")
-    return float(params.radiation_efficiency * params.aperture_length
-                 * np.sinh(b) / b)
-
-
 def peak_frequency(cutoff_frequency: float, angle):
     """Frequency where radiation toward ``angle`` peaks: cutoff / sin(angle).
 

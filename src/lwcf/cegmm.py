@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antenna import (SPEED_OF_LIGHT, AntennaParams, envelope_peak,
-                      envelope_ratio, gain, peak_frequency)
+from .antenna import SPEED_OF_LIGHT, AntennaParams, envelope_ratio
 from .mimo import (SingularChannel, rate_densities, received_strength_psd,
                    require_zf_shape)
 from .scenario import Scenario
@@ -269,96 +268,174 @@ def _envelope_slack(params: AntennaParams,
     return (rho, slack_db) if slack_db < qos.coherence_gap_db else None
 
 
-TABLE_CELL = 40e6    # Hz, cell width of ``_EdgeTable``
-TABLE_CHUNK = 32     # cells built at a time, which bounds the temporaries
+TABLE_CELL = 80e6    # Hz, cell width of ``_EdgeTable``
 
 
 @dataclass(frozen=True)
 class _EdgeTable:
-    """Envelope PSD bounds per UE on uniform frequency cells from just
-    above cutoff to the band top, for one (scenario, params, qos).
-    ``ce_search`` builds one per search with ``_edge_table`` and hands it
-    down; everywhere else ``table=None`` means no lookups.
+    """Every UE's envelope PSD at uniform cell edges from one cell above
+    cutoff to the band top, with a relative interpolation remainder per
+    cell, for one (scenario, params, qos).  ``ce_search`` builds one per
+    search with ``_edge_table`` and hands it down; everywhere else
+    ``table=None`` means no lookups.
 
-    Each link's envelope term is unimodal in frequency (see ``_edges_ok``),
-    so over a cell it lies between its smaller edge value and its larger
-    one, or its peak value when its peak frequency lies inside; positive
-    d^-2 weights and the falling (c / 4 pi f)^2 carry this to the PSD.  A
-    cell never certifies (upper = inf, lower = 0) when a lower bound misses
-    the access threshold (with eps slack), or when the computed envelope in
-    it may be off by more than eps / 4: the rounding of a is relatively at
-    most ~pi L u f (1/s + 4) / (c b), u the unit roundoff, s = sqrt(1 -
-    (fc/f)^2), so it grows without bound at cutoff (3-11 MHz above it at
-    the defaults).
+    The remainder.  One link's envelope is e = eta L sinh b / sqrt(a^2 +
+    b^2), with a = kappa f (n - cos theta), kappa = pi L / c, n = sqrt(1 -
+    (fc/f)^2) and b = attenuation L/2.  Then a' = kappa (1/n - cos theta)
+    lies in (0, kappa/n] and |a''| = kappa fc^2 / (f^3 n^3), both falling in
+    f.  Since |a| / (a^2 + b^2) <= 1/(2b) and |2a^2 - b^2| / (a^2 + b^2)^2
+    <= 1/b^2, e' = -e a a' / (a^2 + b^2) and e'' = e a'^2 (2a^2 - b^2) /
+    (a^2 + b^2)^2 - e a a'' / (a^2 + b^2) give |e'| <= e a' / (2b) and
+    |e''| <= e (a'^2 / b^2 + |a''| / (2b)).  Over a cell [f0, f0 + h] the
+    first bound gives e <= gamma e(f0), gamma = exp(h kappa / (2 b n0)).
+    A UE's PSD is P = s sum_m w_m e_m / f^2 with positive weights, and
+    (e/f^2)'' = e''/f^2 - 4e'/f^3 + 6e/f^4, so on the cell |P''| <= gamma
+    q(f0) P(f0) with q = a'^2/b^2 + |a''|/(2b) + 2a'/(b f) + 6/f^2 at a' =
+    kappa/n.  Linear interpolation between the edge values misses P by at
+    most (h^2/8) sup |P''|, i.e. by ``rem`` times the PSD at the cell's
+    lower edge.  A cell's ``rem`` is infinite (it decides nothing) when
+    the computed envelope in it may be off by more than eps / 4: the
+    rounding of a is relatively at most ~pi L u f (1/n + 4) / (c b), u the
+    unit roundoff, so it grows without bound at cutoff (3-11 MHz above it
+    at the defaults).
+
+    Two tiers read the table, both with the margins of ``_edges_ok``'s
+    envelope tier (eps = ``ENVELOPE_REL_TOL``, rho the envelope ratio):
+
+    * ``certified`` bounds each cell by the min and max of its edge values
+      minus and plus the remainder (``lower_r``, ``upper``) and decides a
+      pair of cells at once;
+    * ``interpolated`` bounds each interval edge by the interpolant plus
+      and minus the remainder, and proves an interval good or bad.
     """
 
     edges: np.ndarray     # (C + 1,) cell edges, Hz
-    upper: np.ndarray     # (K, C + 1) upper bound; cell C is unusable
-    lower_r: np.ndarray   # (K, C + 1) lower bound times the largest
-                          # upper/lower ratio that clears the gap
+    fences: np.ndarray    # (C + 3,) the edges between -inf and inf
+    values: np.ndarray    # (C + 1, K) envelope PSD at the edges
+    rem: np.ndarray       # (C + 1,) relative remainder; cell C, outside
+                          # the table, is infinite
+    upper: np.ndarray     # (C + 1, K) cell upper bound; cell C is unusable
+    lower_r: np.ndarray   # (C + 1, K) lower bound times ``max_ratio``
+    min_bound: float      # a lower bound >= it clears the access threshold
+    max_bound: float      # an upper bound below it misses the threshold
+    max_ratio: float      # largest upper/lower ratio that clears the gap
+    min_ratio: float      # smallest lower/upper ratio that opens it
+
+    def _cells(self, f: np.ndarray) -> np.ndarray:
+        """The cell of each frequency, ``searchsorted(edges, f) - 1``: cell
+        c holds (edges[c], edges[c + 1]]; a frequency outside the table
+        gets cell -1 or C, both the unusable last one.  The cell comes from
+        the position of f on the uniform grid and is then moved by one
+        where the stored edges say the rounding put it in a neighbour."""
+        k = (f - self.edges[0]) / (self.edges[1] - self.edges[0]) + 1.0
+        np.maximum(k, 0.0, out=k)
+        np.minimum(k, self.edges.size, out=k)
+        k = k.astype(np.intp)
+        k += self.fences.take(k + 1) < f
+        k -= self.fences.take(k) >= f
+        k -= 1
+        return k
 
     def certified(self, lo, hi) -> np.ndarray:
         """True for each interval the cells of its two edges certify good.
-        Cell c holds the frequencies in (edges[c], edges[c + 1]]; one
-        outside the table gets cell -1 or C, both the unusable last one.
 
         A certificate depends only on the cell pair, so each run of equal
-        consecutive pairs (the steps of one search stay ~4 steps on a
+        consecutive pairs (the steps of one search stay ~8 steps on a
         pair) is decided once and its answer repeated."""
-        i = np.searchsorted(self.edges, lo) - 1
-        j = np.searchsorted(self.edges, hi) - 1
+        i = self._cells(np.asarray(lo, dtype=float))
+        j = self._cells(np.asarray(hi, dtype=float))
         # +1 makes the cells -1 .. C non-negative digits of the pair key
         key = (i + 1) * (self.edges.size + 1) + (j + 1)
         new = np.ones(key.size, dtype=bool)
         np.not_equal(key[1:], key[:-1], out=new[1:])
         i, j = i[new], j[new]
         up, low = self.upper, self.lower_r
-        ok = ((up.take(i, axis=1) < low.take(j, axis=1)).all(axis=0)
-              & (up.take(j, axis=1) < low.take(i, axis=1)).all(axis=0))
+        ok = ((up.take(i, axis=0) < low.take(j, axis=0))
+              & (up.take(j, axis=0) < low.take(i, axis=0))).all(axis=1)
         return ok[np.cumsum(new) - 1]
+
+    def interpolated(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """(good, bad) per interval from bounds on every UE's envelope PSD
+        at its two edges, the interpolant minus and plus the remainder:
+        good when they pass the access and gap checks of ``certified``,
+        bad when they prove that ``_edges_ok`` fails the interval, as its
+        envelope tier would; neither is unsure.  An edge outside the table
+        or in a cell with an infinite remainder decides neither."""
+        n = np.size(lo)
+        f = np.concatenate([np.asarray(lo, dtype=float),
+                            np.asarray(hi, dtype=float)])
+        c = self._cells(f)
+        # Sterbenz: f - edges[c] and the cell width are exact; a cell
+        # outside the table (-1 and C + 1 wrap to C and 0) gets a finite
+        # nonsense weight and an infinite remainder
+        at = self.edges.take(c)
+        t = (f - at) / (self.edges.take(c + 1, mode="wrap") - at)
+        low = self.values.take(c, axis=0)
+        mid = self.values.take(c + 1, axis=0, mode="wrap")
+        mid -= low
+        mid *= t[:, None]
+        mid += low
+        low *= self.rem.take(c)[:, None]
+        up = mid + low
+        np.subtract(mid, low, out=low)
+        low_a, low_b, up_a, up_b = low[:n], low[n:], up[:n], up[n:]
+        good = ((low_a >= self.min_bound) & (low_b >= self.min_bound)
+                & (up_a < low_b * self.max_ratio)
+                & (up_b < low_a * self.max_ratio)).all(axis=1)
+        bad = ((up_a < self.max_bound) | (up_b < self.max_bound)
+               | (low_a > up_b * self.min_ratio)
+               | (low_b > up_a * self.min_ratio)).any(axis=1)
+        return good, bad
 
 
 def _edge_table(scenario: Scenario, params: AntennaParams,
                 band: tuple[float, float], qos: QosConfig) -> _EdgeTable | None:
-    """The ``_EdgeTable`` up to ``band[1]``; None when the envelope can
-    decide nothing (``_envelope_slack``).  Only ``ce_search`` builds one."""
+    """The ``_EdgeTable`` up to ``band[1]`` from one envelope
+    ``received_strength_psd`` call on its edges; None when the envelope can
+    decide nothing (``_envelope_slack``) or the band holds no cell above
+    the first edge.  Only ``ce_search`` builds one."""
     slack = _envelope_slack(params, qos)
     if slack is None:
         return None
+    rho, slack_db = slack
     eps = ENVELOPE_REL_TOL
-    weights = scenario.distances ** -2.0
-    peak_freq = peak_frequency(params.cutoff_frequency, scenario.angles)
-    peak_terms = envelope_peak(params) * weights
-    scale = scenario.tx_psd * (SPEED_OF_LIGHT / (4.0 * np.pi)) ** 2
-    first = params.cutoff_frequency + TABLE_CELL
-    cells = max(int(np.ceil((band[1] - first) / TABLE_CELL)), 0)
-    edges = np.linspace(first, max(band[1], first), cells + 1)
-    lower, upper = np.empty((2, scenario.num_ues, cells + 1))
-    for c0 in range(0, cells, TABLE_CHUNK):
-        f = edges[c0:c0 + TABLE_CHUNK + 1]
-        ends = gain(params, f[:, None, None], scenario.angles, envelope=True)
-        ends *= weights
-        low = np.minimum(ends[:-1], ends[1:])
-        high = np.maximum(ends[:-1], ends[1:])
-        inside = ((peak_freq >= f[:-1, None, None])
-                  & (peak_freq <= f[1:, None, None]))
-        np.copyto(high, peak_terms, where=inside)
-        lower[:, c0:c0 + f.size - 1] = (low.sum(axis=2) * scale
-                                        / (f[1:] * f[1:])[:, None]).T
-        upper[:, c0:c0 + f.size - 1] = (high.sum(axis=2) * scale
-                                        / (f[:-1] * f[:-1])[:, None]).T
+    fc = params.cutoff_frequency
+    first = fc + TABLE_CELL
+    cells = int(np.ceil((band[1] - first) / TABLE_CELL))
+    if cells < 1:
+        return None
+    edges = np.linspace(first, band[1], cells + 1)
+    values = received_strength_psd(scenario, params, edges, envelope=True)
+    # the remainder of each cell from its lower edge f0 (see the class)
+    f0, h = edges[:-1], np.diff(edges)
+    n0 = np.sqrt(1.0 - (fc / f0) ** 2)
+    kappa = np.pi * params.aperture_length / SPEED_OF_LIGHT
     b = params.attenuation * params.aperture_length / 2.0
-    s2 = 1.0 - (params.cutoff_frequency / edges[:-1]) ** 2
+    slope = kappa / n0
+    q = (slope * slope / (b * b) + kappa * fc * fc / (2.0 * b * (f0 * n0) ** 3)
+         + 2.0 * slope / (b * f0) + 6.0 / (f0 * f0))
+    with np.errstate(over="ignore"):
+        rem = h * h / 8.0 * np.exp(h * slope / (2.0 * b)) * q
     rounding = (np.pi * params.aperture_length * np.finfo(float).eps
-                / (2.0 * SPEED_OF_LIGHT * b) * edges[1:] * (s2 ** -0.5 + 4.0))
-    min_bound = qos.min_rx_psd / (1.0 - eps)   # a bound >= it clears thr
-    usable = np.append((rounding <= eps / 4.0)
-                       & (lower[:, :-1] >= min_bound).all(axis=0), False)
-    upper[:, ~usable] = np.inf
-    lower *= (10.0 ** ((qos.coherence_gap_db - slack[1]) / 10.0)
-              * (1.0 - eps) / (1.0 + eps))
-    lower[:, ~usable] = 0.0
-    return _EdgeTable(edges, upper, lower)
+                / (2.0 * SPEED_OF_LIGHT * b) * edges[1:] * (1.0 / n0 + 4.0))
+    rem = np.append(np.where(rounding <= eps / 4.0, rem, np.inf), np.inf)
+    # cell bounds: the edge values' min and max, minus and plus remainder
+    # (cell C pairs its edge with edge 0, under its infinite remainder)
+    following = np.roll(values, -1, axis=0)
+    spread = values * rem[:, None]
+    lower = np.minimum(values, following) - spread
+    upper = np.maximum(values, following) + spread
+    min_bound = qos.min_rx_psd / (1.0 - eps)
+    max_ratio = (10.0 ** ((qos.coherence_gap_db - slack_db) / 10.0)
+                 * (1.0 - eps) / (1.0 + eps))
+    usable = (np.isfinite(rem) & (lower >= min_bound).all(axis=1))[:, None]
+    return _EdgeTable(
+        edges, np.concatenate([[-np.inf], edges, [np.inf]]), values, rem,
+        np.where(usable, upper, np.inf),
+        np.where(usable, lower * max_ratio, 0.0), min_bound,
+        qos.min_rx_psd * (1.0 - eps) / (rho * (1.0 + eps)), max_ratio,
+        10.0 ** ((qos.coherence_gap_db + slack_db) / 10.0)
+        * (1.0 + eps) / (1.0 - eps))
 
 
 def _edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
@@ -372,13 +449,11 @@ def _edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
     and delta = ``ENVELOPE_DB_TOL`` covering rounding:
 
     1. Table, in the callers handed one by ``ce_search``, before they call
-       here.  Per link, a(f) = (beta - k0 cos theta) L/2 strictly increases
-       with f (da/df is proportional to 1/n - cos theta > 0, n = sqrt(1 -
-       (fc/f)^2)), so each envelope term eta L sinh b / sqrt(a^2 + b^2) is
-       unimodal with its peak at ``antenna.peak_frequency``.  An
-       ``_EdgeTable`` thus bounds every UE's envelope PSD on each frequency
-       cell, and an interval whose edge cells' bounds pass tier 2's good
-       test is good.
+       here: an ``_EdgeTable`` bounds every UE's envelope PSD by linear
+       interpolation between cell edges plus a closed-form remainder, and
+       its two tiers (``certified`` per cell pair, ``interpolated`` per
+       interval) prove intervals good or bad with tier 2's margins
+       (``_table_edges_ok``).
     2. Envelope, per interval.  Good when every UE has env (1 - eps) >= thr
        at both edges and |gap_env| + 10 log10 rho + delta < limit; bad when
        some UE has rho env (1 + eps) < thr at an edge or |gap_env| -
@@ -412,16 +487,37 @@ def _edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
     return ok
 
 
+def _table_edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
+                    qos: QosConfig, table: _EdgeTable | None) -> np.ndarray:
+    """The flags of ``_edges_ok`` for the 1-D edge arrays ``lo``/``hi``:
+    an interval that ``table.interpolated`` proves good or bad takes that
+    verdict, and ``_edges_ok`` decides the unsure rest.  With ``table``
+    None every interval goes to ``_edges_ok``.  The callers look each
+    step up in ``table.certified`` first."""
+    if table is None:
+        return _edges_ok(scenario, params, lo, hi, qos)
+    good, bad = table.interpolated(lo, hi)
+    unsure = np.flatnonzero(~good & ~bad)
+    if unsure.size:
+        good[unsure] = _edges_ok(scenario, params, lo[unsure], hi[unsure],
+                                 qos)
+    return good
+
+
 def _in_band(lo, hi, band: tuple[float, float], cutoff: float):
     """Elementwise: the edges lie in the band, strictly above the cutoff."""
     return ((lo >= band[0] - FREQ_TOL) & (lo > cutoff + FREQ_TOL)
             & (hi <= band[1] + FREQ_TOL))
 
 
-EDGE_BLOCKS = (8, 32)   # steps per search in the first, later _edges_ok blocks
-# intervals per shared ``_edges_ok`` or ``certified`` call of the lock-step
-# searches: bounds the temporaries (cache-sized for the edge checks)
+# steps per search in the first and later blocks after the certified ones
+EDGE_BLOCKS = (8, 32)
+# intervals per shared check of the lock-step searches, which bounds the
+# temporaries: ``_edges_ok`` calls without a table (cache-sized),
+# ``interpolated`` calls (2N x K floats each; ``_edges_ok`` then gets only
+# the steps they leave unsure) and ``certified`` calls
 EDGE_BATCH = 256
+TIER_BATCH = 1024
 LOOKUP_BATCH = 4096
 
 
@@ -468,17 +564,21 @@ def bandwidth_searches(centers, scenario: Scenario, params: AntennaParams,
     caller's responsibility.
 
     Steps are decided in blocks, which is equivalent to stepwise growth
-    because each search still stops at its first violating step, in three
-    tiers.  (1) Table: ``table.certified`` looks steps up in chunks that
-    double from 64, up to each search's first step it does not certify; a
-    certified step is good under the exact checks, as the bounds of its
-    edge cells hold for the envelope at every edge in them (``_EdgeTable``)
-    and clear the envelope tier's margins.  From there ``_edges_ok`` takes
-    blocks of 8, then 32 steps (``EDGE_BLOCKS``): (2) the envelope bracket
-    env <= psd <= rho env decides what it can, and (3) the exact PSDs
-    decide the rest.  The width is that of the exact checks.  ``table`` is
-    the ``_EdgeTable`` that ``ce_search`` builds for the search; None means
-    no lookups, and every step goes to ``_edges_ok``.
+    because each search still stops at its first violating step, in
+    tiers.  (1) Cell pairs: ``table.certified`` looks steps up in chunks
+    that double from 64, up to each search's first step it does not
+    certify; a certified step is good under the exact checks, as the
+    bounds of its edge cells hold for the envelope at every edge in them
+    (``_EdgeTable``) and clear the envelope tier's margins.  From there
+    ``_table_edges_ok`` takes blocks of 8, then 32 steps (``EDGE_BLOCKS``),
+    in shared calls of up to ``TIER_BATCH`` steps: (2) the per-interval
+    tier ``table.interpolated`` proves steps good or bad, and
+    ``_edges_ok`` decides the unsure ones, (3) by the envelope bracket
+    env <= psd <= rho env where it can and (4) by the exact PSDs
+    otherwise.  The width is that of the exact checks.  ``table`` is the
+    ``_EdgeTable`` that ``ce_search`` builds for the search; None means no
+    lookups, and every step goes to ``_edges_ok`` in calls of at most
+    ``EDGE_BATCH`` steps.
     """
     c = np.asarray(centers, dtype=float)
     # steps that keep the interval in-band (and strictly above cutoff)
@@ -495,8 +595,10 @@ def bandwidth_searches(centers, scenario: Scenario, params: AntennaParams,
         _advance(c, start, max_steps, (64 << r for r in itertools.count()),
                  LOOKUP_BATCH, grid_step, table.certified)
     _advance(c, start, max_steps, itertools.chain(
-        EDGE_BLOCKS[:1], itertools.repeat(EDGE_BLOCKS[1])), EDGE_BATCH,
-        grid_step, lambda lo, hi: _edges_ok(scenario, params, lo, hi, qos))
+        EDGE_BLOCKS[:1], itertools.repeat(EDGE_BLOCKS[1])),
+        EDGE_BATCH if table is None else TIER_BATCH,
+        grid_step,
+        lambda lo, hi: _table_edges_ok(scenario, params, lo, hi, qos, table))
     return (start - 1) * grid_step
 
 
@@ -518,8 +620,9 @@ def _shrink_to_valid(scenario: Scenario, params: AntennaParams, lo: float,
     vectorised blocks, equivalent to half-grid-step stepwise shrinking:
     step 0 on its own, since it nearly always passes, then 32 steps at a
     time.  With the ``table`` of ``ce_search``, only the steps of a block
-    before the first one it certifies go to ``_edges_ok``; None means no
-    lookups."""
+    before the first one it certifies go on, to ``_table_edges_ok``, the
+    tiers after ``certified`` that ``bandwidth_searches`` shares; None
+    means no lookups, and they go to ``_edges_ok``."""
     width = hi - lo
     mid = (lo + hi) / 2.0
     max_steps = int(np.ceil(width / grid_step - 1e-9))
@@ -535,8 +638,8 @@ def _shrink_to_valid(scenario: Scenario, params: AntennaParams, lo: float,
                    else table.certified(los[idx], his[idx]))
         n = int(edge_ok.argmax()) if edge_ok.any() else idx.size
         if n:
-            edge_ok[:n] = _edges_ok(scenario, params, los[idx[:n]],
-                                    his[idx[:n]], qos)
+            edge_ok[:n] = _table_edges_ok(scenario, params, los[idx[:n]],
+                                          his[idx[:n]], qos, table)
         if np.any(edge_ok):
             j = int(idx[np.argmax(edge_ok)])
             return float(los[j]), float(his[j])

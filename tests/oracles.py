@@ -18,6 +18,7 @@ its own; ``cegmm._EdgeTable.certified``, which decides each run of equal
 cell pairs once, must match it.  ``resolve_overlaps_scalar`` is
 ``cegmm.resolve_overlaps`` with one scalar received-PSD call per interval
 it compares; the batched RSS pricing must give the same plans.
+``envelope_peak`` is the largest value of a link's gain envelope.
 ``em_fit_reference`` is EM through the ``np.sum``/``np.max`` wrappers with
 a fresh log density per iteration, and ``bic_reference`` recomputes the
 log-likelihood; the lean ``cegmm.em_fit`` and the BIC that reuses a
@@ -49,6 +50,17 @@ def link_rss(tx_psd, params, angle, channel_power, band_upper):
     # keep strictly above cutoff so the gain stays defined at broadside
     f_eval = min(max(f_star, params.cutoff_frequency * (1.0 + 1e-9)), band_upper)
     return tx_psd * gain(params, f_eval, angle) * channel_power
+
+
+def envelope_peak(params):
+    """eta L sinh b / b: the envelope of ``antenna.gain`` at a = 0, which is
+    its maximum over frequency for every angle (reached at
+    ``antenna.peak_frequency``).  Needs positive attenuation."""
+    b = params.attenuation * params.aperture_length / 2.0
+    if b == 0.0:
+        raise ValueError("the gain envelope needs positive attenuation")
+    return float(params.radiation_efficiency * params.aperture_length
+                 * np.sinh(b) / b)
 
 
 def link_distance(ap_position, ue_position, elev_diff):
@@ -162,12 +174,11 @@ def fallback_cluster_reward(cluster_aps, cluster_ues, center, width, scenario,
 def certified_per_interval(table, lo, hi):
     """``_EdgeTable.certified`` with each interval's two edge cells looked
     up and compared on their own; cells -1 and C (outside the table) both
-    index the unusable last column."""
+    index the unusable last row."""
     i = np.searchsorted(table.edges, lo) - 1
     j = np.searchsorted(table.edges, hi) - 1
     up, low = table.upper, table.lower_r
-    return ((up.take(i, axis=1) < low.take(j, axis=1)).all(axis=0)
-            & (up.take(j, axis=1) < low.take(i, axis=1)).all(axis=0))
+    return ((up[i] < low[j]).all(axis=1) & (up[j] < low[i]).all(axis=1))
 
 
 def resolve_overlaps_scalar(candidates, scenario, params, band, qos,

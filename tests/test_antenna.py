@@ -6,12 +6,11 @@ import pytest
 from lwcf.antenna import (
     SPEED_OF_LIGHT,
     AntennaParams,
-    envelope_peak,
     envelope_ratio,
     gain,
     peak_frequency,
 )
-from oracles import link_rss
+from oracles import envelope_peak, link_rss
 
 DEFAULT = AntennaParams(
     radiation_efficiency=1.0,
@@ -236,9 +235,9 @@ def test_gain_envelope_needs_attenuation():
 
 def test_gain_envelope_is_unimodal_in_frequency():
     """a(f) = (beta - k0 cos theta) L/2 increases strictly with f, so each
-    link's envelope rises up to ``peak_frequency`` and falls after it: the
-    property the hull tier of ``cegmm._edges_ok`` rests on.  Checked on a
-    dense grid from just above cutoff to twice the band, to rounding."""
+    link's envelope rises up to ``peak_frequency`` and falls after it.
+    Checked on a dense grid from just above cutoff to twice the band, to
+    rounding."""
     rng = np.random.default_rng(11)
     angles = np.concatenate([rng.uniform(1e-3, np.pi / 2.0, 40),
                              [1e-3, 0.3, np.pi / 2.0]])

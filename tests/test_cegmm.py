@@ -724,8 +724,8 @@ def table_bounds(table, params, qos):
     slack_db = 10.0 * np.log10(envelope_ratio(params)) + ENVELOPE_DB_TOL
     max_ratio = (10.0 ** ((qos.coherence_gap_db - slack_db) / 10.0)
                  * (1.0 - eps) / (1.0 + eps))
-    usable = np.isfinite(table.upper[:, :-1]).all(axis=0)
-    return table.lower_r[:, :-1] / max_ratio, table.upper[:, :-1], usable
+    usable = np.isfinite(table.upper[:-1]).all(axis=1)
+    return table.lower_r[:-1].T / max_ratio, table.upper[:-1].T, usable
 
 
 def test_edge_table_bounds_the_envelope_psd():
@@ -760,6 +760,92 @@ def test_edge_table_bounds_the_envelope_psd():
                                      > np.maximum(env[:, 0], env[:, -1])))
     # PSD values at a cell's edges alone could not have bounded these
     assert interior_peaks >= 20
+
+
+def test_interpolant_and_remainder_bound_the_envelope_psd():
+    """On a 33-point grid inside every usable cell (finite remainder), at
+    130 rad/m and at 13 rad/m, where the remainder is ~100 times wider,
+    every UE's envelope PSD lies within the linear interpolant of the edge
+    values plus and minus the remainder.  The bound is not vacuous: the
+    interpolant misses by a share of it, and only cells next to cutoff
+    are unusable."""
+    eps = ENVELOPE_REL_TOL
+    loose = QosConfig(0.0, 40.0)
+    weak = AntennaParams(1.0, 0.15, 13.0, 100e9)
+    for params, seed in itertools.product((PARAMS, weak), range(3)):
+        sc = make_scenario(seed=seed)
+        table = _edge_table(sc, params, BAND, loose)
+        edges = table.edges
+        usable = np.isfinite(table.rem[:-1])
+        assert usable.mean() > 0.99 and not np.isfinite(table.rem[-1])
+        assert np.all(edges[:-1][~usable] < params.cutoff_frequency + 1e9)
+        t = np.linspace(0.0, 1.0, 33)
+        grid = edges[:-1, None] + np.outer(np.diff(edges), t)
+        env = received_strength_psd(sc, params, grid.ravel(), envelope=True)
+        env = env.reshape(grid.shape + (sc.num_ues,))[usable]   # (C, 33, K)
+        at = table.values[:-1][usable][:, None, :]
+        nxt = table.values[1:][usable][:, None, :]
+        interp = at + t[None, :, None] * (nxt - at)
+        room = table.rem[:-1][usable][:, None, None] * at
+        miss = np.abs(env - interp)
+        assert np.all(miss <= room * (1.0 + eps) + eps * env)
+        assert np.max(miss / room) > 0.25
+
+
+def test_table_cells_equal_searchsorted():
+    """The cell of a frequency comes from its position on the uniform grid
+    and one correction against the stored edges; it equals
+    ``searchsorted(edges, f) - 1`` bit for bit on the edges themselves,
+    their float neighbours, points a few ulps above them, cell midpoints,
+    and points below, above and far outside the table, for a band top the
+    cell width divides and two it does not; on these grids the position
+    rounds each way off a stored edge."""
+    sc = make_scenario(seed=1)
+    for top in (BAND[1], 173.3e9, 199.99e9):
+        table = _edge_table(sc, PARAMS, (BAND[0], top), QOS)
+        e = table.edges
+        f = np.concatenate([
+            e, np.nextafter(e, np.inf), np.nextafter(e, -np.inf),
+            e + 1e-4, e + 1e-3, (e[:-1] + e[1:]) / 2.0,
+            np.random.default_rng(0).uniform(BAND[0], top + 1e9, 2000),
+            [PARAMS.cutoff_frequency, 0.0, -1e12, 1e20, top, top + 1.0]])
+        for points in (f, np.sort(f), f[:1], f[-3:]):
+            got = table._cells(points)
+            assert np.array_equal(got, np.searchsorted(e, points) - 1)
+
+
+def test_interpolated_tier_agrees_with_the_exact_oracle():
+    """On intervals within 3 steps of each stepwise-exact width, with the
+    0.5 dB gap and with the access threshold ending the searches, a step
+    the per-interval tier proves good passes the exact-PSD oracle and one
+    it proves bad fails it; the tier decides most of them, on both sides
+    of the boundary."""
+    step, cap = 10e6, 10e9
+    counts = {"good": 0, "bad": 0, "unsure": 0}
+    for seed in range(3):
+        sc = make_scenario(seed=seed, num_aps=8, num_ues=4)
+        centers = np.random.default_rng(200 + seed).uniform(101e9, 199e9, 12)
+        center_psd = received_strength_psd(sc, PARAMS, centers).min(axis=1)
+        gap_table = _edge_table(sc, PARAMS, BAND, QosConfig(0.0, 0.5))
+        for center, psd in zip(centers, center_psd):
+            threshold = QosConfig(psd * 10 ** -0.02, 40.0)
+            for qos in (QosConfig(0.0, 0.5), threshold):
+                table = (gap_table if qos is not threshold
+                         else _edge_table(sc, PARAMS, BAND, qos))
+                width, max_steps = stepwise_width(center, sc, qos, step, cap)
+                at = int(round(width / step))
+                steps = np.arange(max(at - 3, 1), min(at + 3, max_steps) + 1)
+                lo = center - steps * step / 2.0
+                hi = center + steps * step / 2.0
+                exact = edges_ok_exact(sc, PARAMS, lo, hi, qos)
+                good, bad = table.interpolated(lo, hi)
+                assert not np.any(good & bad)
+                assert np.all(exact[good]) and not np.any(exact[bad])
+                counts["good"] += int(good.sum())
+                counts["bad"] += int(bad.sum())
+                counts["unsure"] += int(np.sum(~good & ~bad))
+    assert counts["good"] >= 100 and counts["bad"] >= 100
+    assert counts["unsure"] < (counts["good"] + counts["bad"]) / 5
 
 
 def stepwise_width(center, sc, qos, step, cap):
@@ -865,7 +951,8 @@ def test_table_leaves_steps_at_the_cutoff_to_the_other_tiers():
     cell_lo = weak_table.edges[:-1]
     near = cell_lo < weak.cutoff_frequency + 0.3e9
     far = cell_lo > weak.cutoff_frequency + 1e9
-    assert near.sum() >= 5 and not usable[near].any() and usable[far].all()
+    assert np.diff(weak_table.edges)[near].sum() >= 0.2e9
+    assert not usable[near].any() and usable[far].all()
     gap = QosConfig(0.0, 0.5)
     tables = [(loose, table), (gap, _edge_table(sc, PARAMS, BAND, gap))]
     for offset in (2e6, 5e6, 20e6, 50e6):
@@ -949,7 +1036,7 @@ def test_steps_on_cell_edges_and_at_the_band_top_equal_the_exact_scan():
     tables = [(loose, table), (gap, _edge_table(sc, PARAMS, BAND, gap))]
     lower, upper, _ = table_bounds(table, PARAMS, loose)
     # in [2^37, 2^38) Hz multiples of 5 MHz add and subtract exactly
-    for k in (1000, 1500, 2200):
+    for k in np.searchsorted(table.edges, [140e9, 160e9, 188e9]):
         edge = table.edges[k]
         psd = received_strength_psd(sc, PARAMS, edge, envelope=True)
         assert np.all(lower[:, k - 1] <= psd) and np.all(psd <= upper[:, k - 1])
@@ -1098,10 +1185,11 @@ def test_a_failed_subchannel_fails_only_its_own_candidate(monkeypatch):
 
 def test_edge_table_build_is_chunked(monkeypatch):
     """Building the table for the default drop (32 APs, 10 UEs) keeps its
-    temporaries to a few cells at a time; in one piece they take ~25 MB."""
+    temporaries to the ``STACK_POINTS`` chunks of its one envelope PSD
+    call; in one piece they take ~12 MB."""
     import tracemalloc
 
-    import lwcf.cegmm
+    import lwcf.mimo
     from lwcf.config import load_config
     from lwcf.scenario import generate_scenario as generate
 
@@ -1118,7 +1206,7 @@ def test_edge_table_build_is_chunked(monkeypatch):
             tracemalloc.stop()
 
     assert peak_mb() < 4.0
-    monkeypatch.setattr(lwcf.cegmm, "TABLE_CHUNK", 10 ** 6)
+    monkeypatch.setattr(lwcf.mimo, "STACK_POINTS", 10 ** 9)
     assert peak_mb() > 4.0
 
 
@@ -1236,6 +1324,54 @@ def test_allocate_equals_the_exact_path(monkeypatch, seed):
     exact = plan()
     assert calls and not any(envelope for envelope, _ in calls)
     assert exact == with_table
+
+
+@pytest.mark.parametrize("attenuation", [130.0, 13.0])
+def test_allocators_equal_their_plans_without_a_table(monkeypatch,
+                                                      attenuation):
+    """``allocate`` and ``allocate_clustered`` give the same plans, field
+    for field, with their search's table and with ``_edge_table`` patched
+    to return None, at 130 rad/m and at 13 rad/m with a -200 dBm/Hz access
+    threshold, where the remainder is ~100 times wider (a 1.5 dB gap, since
+    at 13 rad/m the envelope ratio alone spans 1.25 dB).  In the runs
+    with the table the per-interval tier proves steps good and bad."""
+    import lwcf.cegmm
+    from lwcf.cegmm import _EdgeTable
+    from lwcf.cluster_alloc import allocate_clustered
+    from lwcf.clustering import kmeans_clustering
+
+    params = AntennaParams(1.0, 0.15, attenuation, 100e9)
+    qos = (QOS if attenuation == 130.0
+           else QosConfig(min_rx_psd=10 ** -23.0, coherence_gap_db=1.5))
+    sc = make_scenario(num_aps=8, num_ues=4, seed=5)
+    hyper = CeHyperparams(num_samples=10, num_elites=3, max_iterations=2,
+                          grid_step=10e6, num_subchannels=3)
+    clustering = kmeans_clustering(sc, params, BAND[1], 2,
+                                   np.random.default_rng(5))
+    real = _EdgeTable.interpolated
+    verdicts = {"good": 0, "bad": 0}
+
+    def spy(table, lo, hi):
+        good, bad = real(table, lo, hi)
+        verdicts["good"] += int(good.sum())
+        verdicts["bad"] += int(bad.sum())
+        return good, bad
+
+    def plans():
+        stream = lambda: np.random.default_rng(np.random.SeedSequence((5, 0)))
+        return (allocate(sc, params, BAND, "zf", hyper, qos, stream(),
+                         total_bandwidth=10e9),
+                allocate_clustered(sc, params, BAND, "zf", hyper, qos,
+                                   clustering, stream(),
+                                   total_bandwidth=10e9))
+
+    assert _edge_table(sc, params, BAND, qos) is not None
+    monkeypatch.setattr(_EdgeTable, "interpolated", spy)
+    with_table = plans()
+    assert verdicts["good"] > 0 and verdicts["bad"] > 0
+    assert with_table[0].subchannels and with_table[1].subchannels
+    monkeypatch.setattr(lwcf.cegmm, "_edge_table", lambda *args: None)
+    assert plans() == with_table
 
 
 @pytest.mark.parametrize("iterations", [1, 2, 3])
