@@ -105,6 +105,22 @@ def _row_squares(rows: np.ndarray) -> np.ndarray:
     return np.add.reduce((rows.conj() * rows).real, axis=-1)
 
 
+def zf_certified(gram: np.ndarray, inverse_diagonal: np.ndarray) -> np.ndarray:
+    """The one trace certificate of zero forcing, per slice of a stack of
+    Grams (N, S, S) given the diagonals (N, S) of their inverses: True
+    where every diagonal entry is finite and positive and
+    tr(Gram) tr(Gram^-1) <= ``MAX_ZF_CONDITION * ZF_CERTIFICATE_SLACK``.
+    The diagonal of a true inverse of a Gram is positive, so a negative,
+    zero or NaN entry marks an inverse that cannot be trusted (LAPACK
+    returns one without complaint for a rank-deficient Gram that rounding
+    made non-singular).  ``MAX_ZF_CONDITION`` is read at call time."""
+    trace = gram.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1)
+    with np.errstate(invalid="ignore"):       # inf - inf in a garbage sum
+        bound = trace * inverse_diagonal.sum(axis=-1)
+    positive = (inverse_diagonal > 0.0).all(axis=-1)
+    return positive & (bound <= MAX_ZF_CONDITION * ZF_CERTIFICATE_SLACK)
+
+
 def precoder_rows(h: np.ndarray, method: str) -> tuple[np.ndarray, np.ndarray]:
     """Unit-norm 'mrt' or 'zf' precoders of a stack of channels (N, K, M).
 
@@ -123,13 +139,13 @@ def precoder_rows(h: np.ndarray, method: str) -> tuple[np.ndarray, np.ndarray]:
 
     Zero forcing decides the condition test in two tiers.  Tier 1 solves
     every slice first: the solved rows X = Gram^{-T} conj(H) have
-    X X^H = Gram^{-T}, so the squared row norms that normalise them sum to
-    tr(Gram^{-1}), and cond(Gram) <= tr(Gram) tr(Gram^{-1}) certifies a
-    slice whose bound stays below ``MAX_ZF_CONDITION`` times
-    ``ZF_CERTIFICATE_SLACK``.  Tier 2 takes the exact SVD condition number
-    of the other slices alone: a larger or non-finite bound.  When the
-    stacked solve raises LinAlgError (an exactly singular slice), the whole
-    stack takes the exact test first and solves the passing slices.
+    X X^H = Gram^{-T}, so the squared row norms that normalise them are
+    the diagonal of Gram^{-1}, and cond(Gram) <= tr(Gram) tr(Gram^{-1})
+    certifies a slice whose bound stays below ``MAX_ZF_CONDITION`` times
+    ``ZF_CERTIFICATE_SLACK`` (``zf_certified``).  Tier 2 takes the exact
+    SVD condition number of the other slices alone.  When the stacked
+    solve raises LinAlgError (an exactly singular slice), the whole stack
+    takes the exact test first and solves the passing slices.
     ``MAX_ZF_CONDITION`` is read at call time.
     """
     if method not in PRECODER_METHODS:
@@ -153,9 +169,7 @@ def precoder_rows(h: np.ndarray, method: str) -> tuple[np.ndarray, np.ndarray]:
             square = _row_squares(rows)
         else:
             square = _row_squares(solved)
-            trace = gram.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1)
-            bound = trace * square.sum(axis=-1)
-            unsure = ~(bound <= MAX_ZF_CONDITION * ZF_CERTIFICATE_SLACK)
+            unsure = ~zf_certified(gram, square)
             if unsure.any():
                 failed[unsure] = ~(np.linalg.cond(gram[unsure])
                                    <= MAX_ZF_CONDITION)

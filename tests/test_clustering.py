@@ -24,10 +24,12 @@ from lwcf.clustering import (
     strongest_aps,
     write_clustering_csv,
 )
-from lwcf.mimo import (ChannelMatrix, SingularChannel, build_channel,
-                       fallback_sinrs, freespace_amplitude, precode, sinr)
+from lwcf.mimo import (MAX_ZF_CONDITION, ZF_CERTIFICATE_SLACK, ChannelMatrix,
+                       SingularChannel, build_channel, fallback_sinrs,
+                       freespace_amplitude, precode, sinr, zf_certified)
 from lwcf.scenario import Scenario, ScenarioConfig, generate_scenario
-from oracles import link_distance, link_rss, per_ap_se_per_ue
+from oracles import (link_distance, link_rss, per_ap_se_per_ue,
+                     per_ap_se_precoded)
 
 PARAMS = AntennaParams(1.0, 0.15, 130.0, 100e9)
 BAND_UPPER = 200e9
@@ -253,27 +255,55 @@ def test_per_ap_se_mrt_fallback_on_singular_channel():
     assert np.isfinite(got) and got > 0.0
 
 
-def test_per_ap_se_equals_per_ue_oracle_bit_for_bit():
-    """Stacked scores equal one build, precode and SINR per UE exactly, on
-    random clusters under both precoders, K > M clusters included."""
-    rng = np.random.default_rng(11)
-    wide = wide_chunked = 0
-    for num_aps, num_ues, seed in ((24, 10, 0), (12, 8, 1), (6, 8, 2),
-                                   (64, 20, 3)):
+def random_clusters(rng, drops=((24, 10, 0), (12, 8, 1), (6, 8, 2),
+                                 (64, 20, 3)), per_drop=15):
+    """(drop, ue_to_ap, stack, cluster) for random clusters of test drops,
+    K > M clusters included; one ``rng`` draw order for every caller."""
+    for num_aps, num_ues, seed in drops:
         sc = make_scenario(num_aps=num_aps, num_ues=num_ues, seed=seed)
         ue_to_ap, stack = drop_context(sc)
-        for _ in range(15):
+        for _ in range(per_drop):
             size = int(rng.integers(1, num_aps + 1))
             cluster = tuple(rng.choice(num_aps, size, replace=False).tolist())
-            served = int(np.isin(ue_to_ap, cluster).sum())
-            wide += served > size
-            for method in ("zf", "mrt"):
-                want = per_ap_se_per_ue(cluster, sc, PARAMS, method,
-                                        BAND_UPPER)
-                assert per_ap_spectral_efficiency(
-                    cluster, sc, method, ue_to_ap, stack) == want
-            wide_chunked += served > max(size, SCORE_CHUNK)
+            yield sc, ue_to_ap, stack, cluster
+
+
+def test_per_ap_se_equals_per_ue_oracle_bit_for_bit():
+    """Stacked scores equal, exactly, one channel build per UE with its
+    lone Gram inverse (or precoder and SINR), on random clusters under
+    both precoders, K > M clusters included."""
+    wide = wide_chunked = 0
+    for sc, ue_to_ap, stack, cluster in random_clusters(
+            np.random.default_rng(11)):
+        served = int(np.isin(ue_to_ap, cluster).sum())
+        wide += served > len(cluster)
+        for method in ("zf", "mrt"):
+            want = per_ap_se_per_ue(cluster, sc, PARAMS, method, BAND_UPPER)
+            assert per_ap_spectral_efficiency(
+                cluster, sc, method, ue_to_ap, stack) == want
+        wide_chunked += served > max(len(cluster), SCORE_CHUNK)
     assert wide >= 5 and wide_chunked >= 1
+
+
+def test_closed_form_scores_track_the_precoded_scores():
+    """The closed-form zero-forcing SINR p_k / (noise [Gram^-1]_kk) drops
+    the interference that precoding leaves by rounding: on the random
+    clusters of the bit-for-bit test every score is within 1e-13 relative
+    of the precoded scorer, and maximum ratio is untouched."""
+    drift = []
+    for sc, ue_to_ap, stack, cluster in random_clusters(
+            np.random.default_rng(11)):
+        for method in ("zf", "mrt"):
+            got = per_ap_spectral_efficiency(cluster, sc, method, ue_to_ap,
+                                             stack)
+            want = per_ap_se_precoded(cluster, sc, method, ue_to_ap, stack)
+            if method == "mrt" or want == 0.0:
+                assert got == want
+            else:
+                drift.append(abs(got - want) / want)
+    assert max(drift) <= 1e-13
+    # the closed form is live: rounding separates some scores
+    assert max(drift) > 0.0
 
 
 def test_per_ap_se_colocated_ues_match_the_oracle():
@@ -287,6 +317,68 @@ def test_per_ap_se_colocated_ues_match_the_oracle():
         assert scores[method] == per_ap_se_per_ue((0, 1, 2), sc, PARAMS,
                                                   method, BAND_UPPER)
     assert scores["zf"] == scores["mrt"] > 0.0
+
+
+def test_per_ap_se_untrusted_inverse_falls_back_to_mrt():
+    """Two co-located UEs give a rank-1 Gram that rounding leaves
+    invertible: the inverse returns, and its trace bound alone would
+    certify it, but a non-positive diagonal entry marks it untrusted.
+    Every slice then fails the exact condition test too and is scored
+    under maximum ratio, finite and equal to the per-UE oracle."""
+    sc = manual_scenario([[0, 0], [50, 0], [90, 0]],
+                         [[60, 10], [60, 10], [60, 0]])
+    ue_to_ap, stack = drop_context(sc)
+    cluster = (0, 1, 2)
+    h = stack[np.ix_(range(3), range(3), cluster)]
+    gram = h @ h.conj().swapaxes(-1, -2)
+    diagonal = np.linalg.inv(gram).diagonal(axis1=-2, axis2=-1).real
+    trace = gram.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1)
+    assert np.all(trace * diagonal.sum(axis=-1)
+                  <= MAX_ZF_CONDITION * ZF_CERTIFICATE_SLACK)
+    assert not (diagonal > 0.0).all(axis=-1).any()
+    assert not zf_certified(gram, diagonal).any()
+    got = se(cluster, sc)
+    assert np.isfinite(got) and got > 0.0
+    assert got == se(cluster, sc, "mrt") == per_ap_se_per_ue(
+        cluster, sc, PARAMS, "zf", BAND_UPPER)
+
+
+def test_inverse_diagonals_isolate_an_exactly_singular_slice():
+    """One exactly singular Gram makes the stacked inverse raise: that
+    slice alone gets a NaN diagonal, which the certificate rejects, and the
+    others keep the bits of their lone inverses."""
+    sc = make_scenario(num_aps=12, num_ues=6, seed=3)
+    _, stack = drop_context(sc)
+    h = stack[:, :, :].copy()
+    h[2, 1] = 0.0                        # a zero row and column in gram[2]
+    gram = h @ h.conj().swapaxes(-1, -2)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(gram)
+    diagonal = lwcf.clustering._inverse_diagonals(gram)
+    assert np.isnan(diagonal[2]).all()
+    for n in (0, 1, 3, 4, 5):
+        lone = np.linalg.inv(gram[n].copy()).diagonal().real
+        assert diagonal[n].tolist() == lone.tolist()
+    assert zf_certified(gram, diagonal).tolist() == [True, True, False,
+                                                     True, True, True]
+
+
+def test_per_ap_se_more_ues_than_aps_takes_mrt_for_the_stack(monkeypatch):
+    """A cluster serving more UEs than it has APs cannot zero-force: no
+    Gram is inverted and the whole stack is scored under maximum ratio."""
+    sc = make_scenario(num_aps=6, num_ues=8, seed=2)
+    ue_to_ap, stack = drop_context(sc)
+    cluster = (int(ue_to_ap[0]),)
+    served = int(np.isin(ue_to_ap, cluster).sum())
+    assert served > len(cluster) and served > 1
+
+    def refuse(gram):
+        raise AssertionError("a K > M cluster inverted a Gram")
+
+    monkeypatch.setattr(lwcf.clustering, "_inverse_diagonals", refuse)
+    got = se(cluster, sc)
+    assert got == se(cluster, sc, "mrt") > 0.0
+    assert got == per_ap_se_per_ue(cluster, sc, PARAMS, "zf", BAND_UPPER)
 
 
 def test_own_sinrs_fall_back_per_slice_and_flag_mrt_collapse():
@@ -350,6 +442,38 @@ def test_per_ap_se_falls_back_slice_by_slice(monkeypatch):
     monkeypatch.setattr(lwcf.mimo, "MAX_ZF_CONDITION", 1e12)
     assert per_ap_spectral_efficiency(cluster, sc, "zf", ue_to_ap,
                                       stack) != want
+
+
+def test_per_ap_se_mixes_closed_form_and_precoded_slices(monkeypatch):
+    """With the certificate's share of the threshold between the slices'
+    trace bounds, some UEs of one score take the closed form and the others
+    are precoded under zero forcing; the score still equals the per-UE
+    oracle, and only the uncertified slices reach ``fallback_sinrs``."""
+    sc = make_scenario(num_aps=12, num_ues=8, seed=4)
+    ue_to_ap, stack = drop_context(sc)
+    cluster = tuple(range(12))
+    served = np.flatnonzero(np.isin(ue_to_ap, cluster))
+    h = stack[np.ix_(served, served, cluster)]
+    gram = h @ h.conj().swapaxes(-1, -2)
+    diagonal = np.linalg.inv(gram).diagonal(axis1=-2, axis2=-1).real
+    bounds = gram.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1) * (
+        diagonal.sum(axis=-1))
+    limit = float(np.max(np.linalg.cond(gram)))      # every slice passes
+    slack = float(np.median(bounds)) / limit
+    certified = bounds <= limit * slack
+    assert certified.any() and not certified.all()
+    monkeypatch.setattr(lwcf.mimo, "MAX_ZF_CONDITION", limit)
+    monkeypatch.setattr(lwcf.mimo, "ZF_CERTIFICATE_SLACK", slack)
+    precoded = []
+
+    def spy(h, *args):
+        precoded.append(len(h))
+        return fallback_sinrs(h, *args)
+
+    monkeypatch.setattr(lwcf.clustering, "fallback_sinrs", spy)
+    got = per_ap_spectral_efficiency(cluster, sc, "zf", ue_to_ap, stack)
+    assert sum(precoded) == (~certified).sum()
+    assert got == per_ap_se_per_ue(cluster, sc, PARAMS, "zf", BAND_UPPER)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +629,27 @@ def test_hierarchical_clustering_equals_per_ue_scoring(monkeypatch):
             cluster, sc, PARAMS, method, BAND_UPPER, ue_to_ap))
     got = [(hierarchical_clustering(sc, PARAMS, BAND_UPPER, method).clusters)
            for sc in drops for method in ("zf", "mrt")]
+    assert got == want
+
+
+def test_hierarchical_clustering_closed_form_keeps_the_precoded_clusters(
+        monkeypatch):
+    """Closed-form and precoded scores differ by rounding only, and no
+    merge decision turns on it: benchmark-sized drops (64, 96 and 128 APs,
+    20 UEs) and the far-group exact-tie layout give the same clusters
+    under either scorer."""
+    drops = [make_scenario(num_aps=m, num_ues=20, seed=seed)
+             for m in (64, 96, 128) for seed in (0, 1)]
+    far = 1e12
+    drops.append(manual_scenario([[0, 0], [60, 0], [far, 0], [far + 60, 0]],
+                                 [[5, 0], [far + 5, 0]]))
+    want = [hierarchical_clustering(sc, PARAMS, BAND_UPPER).clusters
+            for sc in drops]
+    assert want[-1] == ((0, 1), (2, 3))
+    monkeypatch.setattr(lwcf.clustering, "per_ap_spectral_efficiency",
+                        per_ap_se_precoded)
+    got = [hierarchical_clustering(sc, PARAMS, BAND_UPPER).clusters
+           for sc in drops]
     assert got == want
 
 

@@ -17,6 +17,7 @@ from lwcf.mimo import (
     received_strength_psd,
     sinr,
     sinr_rows,
+    zf_certified,
 )
 from lwcf.scenario import ScenarioConfig, generate_scenario
 from oracles import plan_rate, precode_2d, sinr_2d
@@ -234,6 +235,23 @@ def test_zf_tiers_mix_certified_passing_and_failing_slices(monkeypatch):
     failed, seen = expect(stack)
     assert failed == [False, False, False, True, True]
     assert len(seen) == 1 and np.array_equal(seen[0], gram_of(stack))
+
+
+def test_zf_certificate_rejects_an_untrusted_inverse_diagonal():
+    """``zf_certified`` passes a slice on its trace bound only when every
+    diagonal entry of the inverse is finite and positive: a negative, zero,
+    NaN or infinite entry fails it even where the bound alone would pass,
+    and the garbage sums raise no floating-point warning."""
+    gram = np.stack([np.eye(3, dtype=complex)] * 6)
+    diagonal = np.array([[1.0, 1.0, 1.0],
+                         [-1.0, 2.0, 2.0],       # bound 9, one entry < 0
+                         [0.0, 1.0, 1.0],
+                         [np.nan, 1.0, 1.0],
+                         [np.inf, -np.inf, 1.0],
+                         [1e12, 1.0, 1.0]])     # bound above the limit
+    with np.errstate(all="raise"):
+        got = zf_certified(gram, diagonal)
+    assert got.tolist() == [True, False, False, False, False, False]
 
 
 def test_trace_bound_dominates_the_condition_number(monkeypatch):
