@@ -521,13 +521,12 @@ TIER_BATCH = 1024
 LOOKUP_BATCH = 4096
 
 
-def _advance(centers, start, max_steps, blocks, batch, grid_step,
-             check) -> None:
+def _advance(interval, start, max_steps, blocks, batch, check) -> None:
     """Move each search's first undecided step ``start`` past the steps
-    that pass ``check(lo, hi)``, in lock-step: each round checks the next
-    block of steps of every live search, in shared calls of at most
-    ``batch`` intervals; a search leaves at its first failing step or its
-    last step, ``max_steps``."""
+    (edges ``interval(ids, steps)``) that pass ``check(lo, hi)``, in
+    lock-step: each round checks the next block of steps of every live
+    search, in shared calls of at most ``batch`` intervals; a search
+    leaves at its first failing step or its last step, ``max_steps``."""
     live = np.flatnonzero(start <= max_steps)
     for block in blocks:
         if not live.size:
@@ -537,10 +536,9 @@ def _advance(centers, start, max_steps, blocks, batch, grid_step,
             ids = live[g:g + per_call]
             counts = np.minimum(block, max_steps[ids] - start[ids] + 1)
             offsets = np.cumsum(counts) - counts
-            widths = (np.arange(counts.sum())
-                      - np.repeat(offsets - start[ids], counts)) * grid_step
-            mid = np.repeat(centers[ids], counts)
-            ok = check(mid - widths / 2.0, mid + widths / 2.0)
+            steps = np.arange(counts.sum()) - np.repeat(offsets - start[ids],
+                                                        counts)
+            ok = check(*interval(np.repeat(ids, counts), steps))
             miss = np.where(ok, ok.size, np.arange(ok.size))
             passed = np.minimum(np.minimum.reduceat(miss, offsets) - offsets,
                                 counts)
@@ -555,7 +553,7 @@ def bandwidth_searches(centers, scenario: Scenario, params: AntennaParams,
                        grid_step: float, max_bandwidth: float | None = None,
                        table: _EdgeTable | None = None) -> np.ndarray:
     """Widest symmetric bandwidth around each of the 1-D ``centers`` that
-    keeps the edges valid, all searches grown together (``_advance``).
+    keeps the edges valid, all searches grown together by ``_advance``.
 
     A search grows in ``grid_step`` increments and stops at the first grid
     step whose edges leave the band, violate the access threshold, or open
@@ -591,13 +589,17 @@ def bandwidth_searches(centers, scenario: Scenario, params: AntennaParams,
     # that would push an edge onto the cutoff itself
     max_steps = np.floor((limit + FREQ_TOL / 2.0) / grid_step).astype(int)
     start = np.ones(c.size, dtype=int)
+
+    def grown(ids, steps):
+        half = steps * grid_step / 2.0
+        return c[ids] - half, c[ids] + half
+
     if table is not None:
-        _advance(c, start, max_steps, (64 << r for r in itertools.count()),
-                 LOOKUP_BATCH, grid_step, table.certified)
-    _advance(c, start, max_steps, itertools.chain(
+        _advance(grown, start, max_steps, (64 << r for r in itertools.count()),
+                 LOOKUP_BATCH, table.certified)
+    _advance(grown, start, max_steps, itertools.chain(
         EDGE_BLOCKS[:1], itertools.repeat(EDGE_BLOCKS[1])),
         EDGE_BATCH if table is None else TIER_BATCH,
-        grid_step,
         lambda lo, hi: _table_edges_ok(scenario, params, lo, hi, qos, table))
     return (start - 1) * grid_step
 
@@ -611,67 +613,10 @@ def bandwidth_search(center: float, scenario: Scenario, params: AntennaParams,
                                     grid_step, max_bandwidth, table)[0])
 
 
-def _shrink_to_valid(scenario: Scenario, params: AntennaParams, lo: float,
-                     hi: float, band: tuple[float, float], qos: QosConfig,
-                     grid_step: float,
-                     table: _EdgeTable | None = None) -> tuple[float, float] | None:
-    """Symmetrically shrink ``[lo, hi]`` until its edges pass the in-band and
-    edge-PSD checks; None if it vanishes first.  Scans shrink amounts in
-    vectorised blocks, equivalent to half-grid-step stepwise shrinking:
-    step 0 on its own, since it nearly always passes, then 32 steps at a
-    time.  With the ``table`` of ``ce_search``, only the steps of a block
-    before the first one it certifies go on, to ``_table_edges_ok``, the
-    tiers after ``certified`` that ``bandwidth_searches`` shares; None
-    means no lookups, and they go to ``_edges_ok``."""
-    width = hi - lo
-    mid = (lo + hi) / 2.0
-    max_steps = int(np.ceil(width / grid_step - 1e-9))
-    starts = [0, *range(1, max_steps + 1, 32)]
-    for start, stop in zip(starts, starts[1:] + [max_steps + 1]):
-        steps = np.arange(start, stop)
-        half = np.maximum(width / 2.0 - steps * (grid_step / 2.0), 0.0)
-        los = mid - half
-        his = mid + half
-        idx = np.nonzero((his - los > FREQ_TOL) & _in_band(
-            los, his, band, params.cutoff_frequency))[0]
-        edge_ok = (np.zeros(idx.size, dtype=bool) if table is None
-                   else table.certified(los[idx], his[idx]))
-        n = int(edge_ok.argmax()) if edge_ok.any() else idx.size
-        if n:
-            edge_ok[:n] = _table_edges_ok(scenario, params, los[idx[:n]],
-                                          his[idx[:n]], qos, table)
-        if np.any(edge_ok):
-            j = int(idx[np.argmax(edge_ok)])
-            return float(los[j]), float(his[j])
-    return None
-
-
-def resolve_overlaps(candidates, scenario: Scenario, params: AntennaParams,
-                     band: tuple[float, float], qos: QosConfig,
-                     grid_step: float, total_bandwidth: float,
-                     table: _EdgeTable | None = None,
-                     rss: dict[float, float] | None = None,
-                     ) -> list[tuple[float, float]]:
-    """Make the candidate subchannels disjoint and fit the spectrum budget.
-
-    Contested spectrum goes to the interval with the larger total received
-    signal PSD at its center; the loser is truncated at the winner's
-    boundary (a fully swallowed loser is dropped).  If the summed width then
-    still exceeds the budget, the lowest-RSS intervals are shrunk first
-    until it fits.  Any interval whose edges moved is re-validated against
-    the edge constraints and shrunk further if needed, so the output plan
-    satisfies the same edge checks as freshly searched bandwidths.
-    ``table`` (the ``_EdgeTable`` of ``ce_search``, or None for no lookups)
-    is passed on to ``_shrink_to_valid``.
-
-    An interval's RSS is the UE sum of the received PSD at its midpoint
-    ``(lo + hi) / 2``, cached by that frequency.  ``rss`` maps frequencies
-    to RSS values already priced, the row sums of an array
-    ``received_strength_psd`` call (``evaluate_candidates`` hands over those
-    of its access PSDs); a row is the bits of a one-frequency call, so a
-    seeded value is the one a miss would price.  The call copies ``rss``.
-    """
-    # one record [lo, hi, moved] per interval; moved marks edges to re-check
+def _truncate(candidates, scenario: Scenario, params: AntennaParams,
+              total_bandwidth: float, rss: dict | None) -> list[list]:
+    """The truncation and budget passes of ``resolve_overlaps``: a record
+    [lo, hi, moved] per interval left, moved if its edges need re-checking."""
     items = [[c - w / 2.0, c + w / 2.0, False]
              for c, w in candidates if w > 0.0]
     rss_cache = dict(rss or {})
@@ -724,19 +669,78 @@ def resolve_overlaps(candidates, scenario: Scenario, params: AntennaParams,
             iv[2] = True
             excess -= cut
         items = [iv for iv in items if iv[1] - iv[0] > FREQ_TOL]
+    return items
 
-    # re-validate edges of every interval that moved
-    out = []
-    for lo, hi, moved in items:
-        if moved:
-            fixed = _shrink_to_valid(scenario, params, lo, hi, band, qos,
-                                     grid_step, table)
-            if fixed is None:
-                continue
-            lo, hi = fixed
-        out.append(((lo + hi) / 2.0, hi - lo))
-    out.sort(key=lambda cw: cw[0])
-    return out
+
+def _revalidate(record_lists, scenario: Scenario, params: AntennaParams,
+                band: tuple[float, float], qos: QosConfig, grid_step: float,
+                table: _EdgeTable | None) -> list[list[tuple[float, float]]]:
+    """The (center, width) plan of each list of ``_truncate`` records,
+    sorted by center: each moved record shrunk symmetrically by half grid
+    steps to its first step in band, wider than ``FREQ_TOL`` and with valid
+    edges, or dropped if it vanishes first.  All shrinks step together
+    through ``_advance``, which passes failing steps: step 0 alone (it
+    nearly always holds), then 32 at a time, batched as in growth.  A step
+    ``table.certified`` certifies holds, ``_table_edges_ok`` decides the
+    rest, so each kept step is the one a stepwise exact scan keeps."""
+    moved = [iv for records in record_lists for iv in records if iv[2]]
+    lo, hi = np.array([iv[:2] for iv in moved], dtype=float).reshape(-1, 2).T
+    width, mid = hi - lo, (lo + hi) / 2.0
+    max_steps = np.ceil(width / grid_step - 1e-9).astype(int)
+    start = np.zeros(len(moved), dtype=int)
+
+    def shrunk(ids, steps):
+        half = np.maximum(width[ids] / 2.0 - steps * (grid_step / 2.0), 0.0)
+        return mid[ids] - half, mid[ids] + half
+
+    def fails(a, b):
+        ok = (b - a > FREQ_TOL) & _in_band(a, b, band, params.cutoff_frequency)
+        unsure = ok if table is None else ok & ~table.certified(a, b)
+        rest = np.flatnonzero(unsure)
+        if rest.size:
+            ok[rest] = _table_edges_ok(scenario, params, a[rest], b[rest],
+                                       qos, table)
+        return ~ok
+
+    _advance(shrunk, start, max_steps,
+             itertools.chain([1], itertools.repeat(32)),
+             EDGE_BATCH if table is None else TIER_BATCH, fails)
+    lo, hi = shrunk(np.arange(start.size), np.minimum(start, max_steps))
+    fixed = zip((start <= max_steps).tolist(), lo.tolist(), hi.tolist())
+    edges = [[next(fixed) if m else (True, a, b) for a, b, m in records]
+             for records in record_lists]
+    return [sorted((((a + b) / 2.0, b - a) for keep, a, b in plan if keep),
+                   key=lambda cw: cw[0]) for plan in edges]
+
+
+def resolve_overlaps(candidates, scenario: Scenario, params: AntennaParams,
+                     band: tuple[float, float], qos: QosConfig,
+                     grid_step: float, total_bandwidth: float,
+                     table: _EdgeTable | None = None,
+                     rss: dict[float, float] | None = None,
+                     ) -> list[tuple[float, float]]:
+    """Make the candidate subchannels disjoint and fit the spectrum budget.
+
+    Contested spectrum goes to the interval with the larger total received
+    signal PSD at its center; the loser is truncated at the winner's
+    boundary (a fully swallowed loser is dropped).  If the summed width then
+    still exceeds the budget, the lowest-RSS intervals are shrunk first
+    until it fits (``_truncate``).  Any interval whose edges moved is
+    re-validated against the edge constraints and shrunk further if needed
+    (``_revalidate``), so the output plan satisfies the same edge checks as
+    freshly searched bandwidths.  ``table`` (the ``_EdgeTable`` of
+    ``ce_search``, or None for no lookups) is passed on to ``_revalidate``.
+
+    An interval's RSS is the UE sum of the received PSD at its midpoint
+    ``(lo + hi) / 2``, cached by that frequency.  ``rss`` maps frequencies
+    to RSS values already priced, the row sums of an array
+    ``received_strength_psd`` call (``evaluate_candidates`` hands over those
+    of its access PSDs); a row is the bits of a one-frequency call, so a
+    seeded value is the one a miss would price.  The call copies ``rss``.
+    """
+    records = _truncate(candidates, scenario, params, total_bandwidth, rss)
+    return _revalidate([records], scenario, params, band, qos, grid_step,
+                       table)[0]
 
 
 def validate_plan(subchannels, band: tuple[float, float], total_bandwidth: float,
@@ -854,12 +858,13 @@ def evaluate_candidates(batch, scenario: Scenario, params: AntennaParams,
     center met the access threshold (for band feasibility accounting).
 
     One received-PSD call checks the access of every in-band center of the
-    batch, one ``bandwidth_searches`` grows the accessible ones, and
-    ``resolve_overlaps`` completes each list, its RSS cache seeded with the
-    UE sums of the access PSDs: a provisional interval's midpoint is its
-    center, bit for bit in nearly every draw, so only truncated intervals
-    (and the rare midpoint that rounds off its center) are priced again.
-    ``table`` is the ``_EdgeTable`` of ``ce_search``; None means no lookups.
+    batch, one ``bandwidth_searches`` grows the accessible ones, and the
+    parts of ``resolve_overlaps`` complete the lists: ``_truncate`` each,
+    its RSS cache seeded with the UE sums of the access PSDs, then one
+    ``_revalidate`` all.  A provisional interval's midpoint is its center,
+    bit for bit in nearly every draw, so only truncated intervals (and the
+    rare midpoint that rounds off its center) are priced again.  ``table``
+    is the ``_EdgeTable`` of ``ce_search``; None means no lookups.
     """
     lists = [np.sort(np.asarray(cands, dtype=float)) for cands in batch]
     owners = np.repeat(np.arange(len(lists)), [c.size for c in lists])
@@ -872,15 +877,16 @@ def evaluate_candidates(batch, scenario: Scenario, params: AntennaParams,
     rss = dict(zip(centers.tolist(), psd[accessible].sum(axis=1).tolist()))
     widths = bandwidth_searches(centers, scenario, params, band, qos,
                                 grid_step, total_bandwidth, table)
-    out = []
+    records, accessed = [], []
     for n in range(len(batch)):
         mine = owners == n
         provisional = [(float(c), float(w))
                        for c, w in zip(centers[mine], widths[mine]) if w > 0.0]
-        out.append((resolve_overlaps(provisional, scenario, params, band, qos,
-                                     grid_step, total_bandwidth, table, rss),
-                    bool(mine.any())))
-    return out
+        records.append(_truncate(provisional, scenario, params,
+                                 total_bandwidth, rss))
+        accessed.append(bool(mine.any()))
+    plans = _revalidate(records, scenario, params, band, qos, grid_step, table)
+    return list(zip(plans, accessed))
 
 
 def evaluate_candidate(centers, scenario: Scenario, params: AntennaParams,

@@ -22,9 +22,13 @@ sub-scenario, retrying under maximum ratio where the precoder fails; the
 rewards of ``cluster_alloc.greedy_assign`` must match it bit for bit.
 ``certified_per_interval`` decides every interval's table certificate on
 its own; ``cegmm._EdgeTable.certified``, which decides each run of equal
-cell pairs once, must match it.  ``resolve_overlaps_scalar`` is
-``cegmm.resolve_overlaps`` with one scalar received-PSD call per interval
-it compares; the batched RSS pricing must give the same plans.
+cell pairs once, must match it.  ``stepwise_shrink`` shrinks one moved
+interval half a grid step at a time, each step decided on its own by
+``cegmm._edges_ok``; the lock-step ``cegmm._revalidate`` must keep the
+same step.  ``resolve_overlaps_scalar`` is ``cegmm.resolve_overlaps``
+with one scalar received-PSD call per interval it compares and
+``stepwise_shrink`` for each moved interval; the batched RSS pricing and
+the lock-step shrinks must give the same plans.
 ``envelope_peak`` is the largest value of a link's gain envelope.
 ``em_fit_reference`` is EM through the ``np.sum``/``np.max`` wrappers with
 a fresh log density per iteration, and ``bic_reference`` recomputes the
@@ -36,7 +40,7 @@ import numpy as np
 
 import lwcf.mimo
 from lwcf.antenna import gain, peak_frequency
-from lwcf.cegmm import FREQ_TOL, Gmm, _shrink_to_valid
+from lwcf.cegmm import FREQ_TOL, Gmm, _edges_ok
 from lwcf.clustering import SCORE_CHUNK, _eval_frequency, rss_matrix
 from lwcf.mimo import (PrecodingMatrix, SingularChannel, build_channel,
                        cluster_subchannel_reward, fallback_sinrs,
@@ -231,10 +235,30 @@ def certified_per_interval(table, lo, hi):
     return ((up[i] < low[j]).all(axis=1) & (up[j] < low[i]).all(axis=1))
 
 
+def stepwise_shrink(scenario, params, band, qos, lo, hi, step):
+    """Shrink ``[lo, hi]`` symmetrically one half ``step`` at a time until
+    its edges are in band, more than ``FREQ_TOL`` apart and pass
+    ``_edges_ok``, one step per call: the kept interval and its step, or
+    (None, None) if the interval vanishes first."""
+    width, mid = hi - lo, (lo + hi) / 2.0
+    for s in range(int(np.ceil(width / step - 1e-9)) + 1):
+        half = max(width / 2.0 - s * (step / 2.0), 0.0)
+        a, b = mid - half, mid + half
+        if (b - a > FREQ_TOL and a >= band[0] - FREQ_TOL
+                and a > params.cutoff_frequency + FREQ_TOL
+                and b <= band[1] + FREQ_TOL
+                and _edges_ok(scenario, params, np.array([a]), np.array([b]),
+                              qos)[0]):
+            return (a, b), s
+    return None, None
+
+
 def resolve_overlaps_scalar(candidates, scenario, params, band, qos,
-                            grid_step, total_bandwidth, table=None):
-    """``cegmm.resolve_overlaps`` pricing each compared interval's RSS (the
-    UE sum of the received PSD at its midpoint) by its own scalar call."""
+                            grid_step, total_bandwidth):
+    """``cegmm.resolve_overlaps`` without an edge table, pricing each
+    compared interval's RSS (the UE sum of the received PSD at its
+    midpoint) by its own scalar call and shrinking each moved interval by
+    ``stepwise_shrink``."""
     items = sorted(([c - w / 2.0, c + w / 2.0] for c, w in candidates
                     if w > 0.0), key=lambda iv: iv[0])
     touched = [False] * len(items)
@@ -292,8 +316,8 @@ def resolve_overlaps_scalar(candidates, scenario, params, band, qos,
     out = []
     for (lo, hi), moved in zip(items, touched):
         if moved:
-            fixed = _shrink_to_valid(scenario, params, lo, hi, band, qos,
-                                     grid_step, table)
+            fixed, _ = stepwise_shrink(scenario, params, band, qos, lo, hi,
+                                       grid_step)
             if fixed is None:
                 continue
             lo, hi = fixed

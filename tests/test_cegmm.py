@@ -38,12 +38,13 @@ from lwcf.cegmm import (
     score_batch,
     validate_plan,
 )
-from lwcf.cegmm import (TABLE_CELL, _edge_table, _edges_ok, _quantile_init,
-                        _shrink_to_valid, _smooth)
+from lwcf.cegmm import (TABLE_CELL, TIER_BATCH, _edge_table, _edges_ok,
+                        _quantile_init, _revalidate, _smooth, _truncate)
 from lwcf.mimo import SingularChannel, received_strength_psd
 from lwcf.scenario import ScenarioConfig, generate_scenario
 from oracles import (bic_reference, certified_per_interval, edges_ok_exact,
-                     em_fit_reference, resolve_overlaps_scalar)
+                     em_fit_reference, resolve_overlaps_scalar,
+                     stepwise_shrink)
 
 PARAMS = AntennaParams(1.0, 0.15, 130.0, 100e9)
 BAND = (100e9, 200e9)
@@ -430,16 +431,29 @@ def test_resolve_overlaps_with_a_table_equals_without(monkeypatch):
     sc = make_scenario(seed=2)
     table = _edge_table(sc, PARAMS, BAND, QOS)
     rng = np.random.default_rng(9)
-    shrinks = []
-    real = lwcf.cegmm._shrink_to_valid
+    shrinks, checked = [], []
+    real, real_edges = lwcf.cegmm._revalidate, lwcf.cegmm._edges_ok
 
-    def spy(*args):
+    def spy(record_lists, *args):
+        checked.clear()
         calls.clear()
-        out = real(*args)
-        shrinks.append((args[7] is not None, len(calls)))
+        out = real(record_lists, *args)
+        mids = np.array([(a + b) / 2.0 for records in record_lists
+                         for a, b, moved in records if moved])
+        # every step of a moved interval keeps its midpoint up to rounding,
+        # and the intervals are disjoint
+        reached = {int(np.argmin(np.abs(mids - m))) for m in checked}
+        assert bool(calls) == bool(reached)
+        shrinks.extend((args[-1] is not None, int(i in reached))
+                       for i in range(mids.size))
         return out
 
-    monkeypatch.setattr(lwcf.cegmm, "_shrink_to_valid", spy)
+    def edges_spy(scenario, params, lo, hi, qos):
+        checked.extend((lo + hi) / 2.0)
+        return real_edges(scenario, params, lo, hi, qos)
+
+    monkeypatch.setattr(lwcf.cegmm, "_revalidate", spy)
+    monkeypatch.setattr(lwcf.cegmm, "_edges_ok", edges_spy)
     calls = spy_edge_psds(monkeypatch)
     for _ in range(10):
         base = float(rng.uniform(110e9, 180e9))
@@ -465,7 +479,7 @@ def test_resolve_overlaps_prices_missing_rss_in_one_call(monkeypatch):
     interval, in fewer calls."""
     import lwcf.cegmm
     import oracles
-    real_psd, real_shrink = received_strength_psd, _shrink_to_valid
+    real_psd, real_shrink = received_strength_psd, _revalidate
     calls = {"batched": 0, "compared": 0}
     counting = {"batched": False}
 
@@ -487,7 +501,7 @@ def test_resolve_overlaps_prices_missing_rss_in_one_call(monkeypatch):
             counting["batched"] = True
 
     monkeypatch.setattr(lwcf.cegmm, "received_strength_psd", cegmm_psd)
-    monkeypatch.setattr(lwcf.cegmm, "_shrink_to_valid", shrink_spy)
+    monkeypatch.setattr(lwcf.cegmm, "_revalidate", shrink_spy)
     monkeypatch.setattr(oracles, "received_strength_psd", oracle_psd)
     cases = 0
     for seed in range(4):
@@ -502,7 +516,7 @@ def test_resolve_overlaps_prices_missing_rss_in_one_call(monkeypatch):
             for budget, t in itertools.product((1e9, 100e9), (table, None)):
                 before = dict(calls)
                 want = resolve_overlaps_scalar(cands, sc, PARAMS, BAND, QOS,
-                                               50e6, budget, t)
+                                               50e6, budget)
                 counting["batched"] = True
                 got = resolve_overlaps(cands, sc, PARAMS, BAND, QOS, 50e6,
                                        budget, t)
@@ -517,18 +531,19 @@ def test_resolve_overlaps_prices_missing_rss_in_one_call(monkeypatch):
 
 
 def test_seeded_rss_equals_the_pricing_of_rss_of(monkeypatch):
-    """``evaluate_candidates`` seeds each ``resolve_overlaps`` cache with
-    the UE sums of its access PSDs, keyed by center.  Each seeded value
-    equals the RSS ``rss_of`` prices for that midpoint (an array call's
-    row) and the scalar reference's; the plans equal the unseeded ones and
-    the scalar reference's, and the seeded calls price fewer frequencies."""
+    """``evaluate_candidates`` seeds the RSS cache of each list's
+    ``_truncate`` with the UE sums of its access PSDs, keyed by center.
+    Each seeded value equals the RSS ``rss_of`` prices for that midpoint
+    (an array call's row) and the scalar reference's; ``resolve_overlaps``
+    on each list gives the same plan seeded and unseeded, the scalar
+    reference's, and the seeded calls price fewer frequencies."""
     import lwcf.cegmm
-    real_resolve, real_psd = resolve_overlaps, received_strength_psd
-    seen, priced = [], {"on": False, "freqs": 0}
+    real_truncate, real_psd = _truncate, received_strength_psd
+    seen, priced, drop = [], {"on": False, "freqs": 0}, {}
 
-    def resolve_spy(*args):
-        seen.append(args)
-        return real_resolve(*args)
+    def truncate_spy(*args):
+        seen.append((args, drop["table"]))
+        return real_truncate(*args)
 
     def psd_spy(scenario, params, frequency, envelope=False):
         if priced["on"] and not envelope:
@@ -539,89 +554,117 @@ def test_seeded_rss_equals_the_pricing_of_rss_of(monkeypatch):
         # edge checks of re-validated intervals are not RSS pricing
         on, priced["on"] = priced["on"], False
         try:
-            return _shrink_to_valid(*args)
+            return _revalidate(*args)
         finally:
             priced["on"] = on
 
-    monkeypatch.setattr(lwcf.cegmm, "resolve_overlaps", resolve_spy)
+    monkeypatch.setattr(lwcf.cegmm, "_truncate", truncate_spy)
     monkeypatch.setattr(lwcf.cegmm, "received_strength_psd", psd_spy)
-    monkeypatch.setattr(lwcf.cegmm, "_shrink_to_valid", shrink_spy)
+    monkeypatch.setattr(lwcf.cegmm, "_revalidate", shrink_spy)
     for seed, budget in itertools.product(range(3), (1e9, 10e9)):
         sc = make_scenario(seed=seed)
-        table = _edge_table(sc, PARAMS, BAND, QOS)
+        drop["table"] = table = _edge_table(sc, PARAMS, BAND, QOS)
         rng = np.random.default_rng(seed)
         batch = [rng.uniform(110e9, 125e9, 4) + rng.uniform(0.0, 60e9)
                  for _ in range(6)]
         evaluate_candidates(batch, sc, PARAMS, BAND, QOS, 50e6, budget,
                             table)
     assert len(seen) == 36
+    # resolve_overlaps below truncates through the module's _truncate
+    monkeypatch.setattr(lwcf.cegmm, "_truncate", real_truncate)
     seeded_freqs = unseeded_freqs = 0
-    for args in seen:
-        cands, sc, *rest, rss = args
+    for (cands, sc, params, budget, rss), table in seen:
+        rest = (params, BAND, QOS, 50e6, budget, table)
         for c, value in rss.items():
             assert value == float(real_psd(sc, PARAMS, [c]).sum(axis=1)[0])
             assert value == float(np.sum(real_psd(sc, PARAMS, c)))
         assert {c for c, _ in cands} <= set(rss)
         for seeds in (rss, None):
             priced.update(on=True, freqs=0)
-            got = real_resolve(cands, sc, *rest, seeds)
+            got = resolve_overlaps(cands, sc, *rest, seeds)
             priced["on"] = False
             if seeds is None:
                 unseeded_freqs += priced["freqs"]
             else:
                 seeded_freqs += priced["freqs"]
-            assert got == resolve_overlaps_scalar(cands, sc, *rest)
+            assert got == resolve_overlaps_scalar(cands, sc, *rest[:-1])
     assert seeded_freqs < unseeded_freqs / 2
 
 
-def stepwise_shrink(sc, lo, hi, step):
-    """One half-step shrink at a time until the edges are in band and pass
-    the exact-PSD oracle: the kept interval and its step, or (None, None)
-    if the interval vanishes first."""
-    width, mid = hi - lo, (lo + hi) / 2.0
-    for s in range(int(np.ceil(width / step - 1e-9)) + 1):
-        half = max(width / 2.0 - s * (step / 2.0), 0.0)
-        a, b = mid - half, mid + half
-        if (b - a > FREQ_TOL and a >= BAND[0] - FREQ_TOL
-                and a > PARAMS.cutoff_frequency + FREQ_TOL
-                and b <= BAND[1] + FREQ_TOL
-                and edges_ok_exact(sc, PARAMS, np.array([a]), np.array([b]),
-                                   QOS)[0]):
-            return (a, b), s
-    return None, None
+def shrunk_plan(kept):
+    """The plan ``_revalidate`` makes of one moved interval whose shrink
+    ``stepwise_shrink`` keeps at ``kept`` (None: it vanishes)."""
+    return [] if kept is None else [((kept[0] + kept[1]) / 2.0,
+                                     kept[1] - kept[0])]
 
 
 def test_shrink_without_a_table_checks_step_zero_alone(monkeypatch):
-    """Without a table the first ``_edges_ok`` call holds step 0 alone and
-    the later ones at most 32 steps, and with the table the blocks are the
-    same; with the table or without, the kept step is the first one a
-    stepwise exact scan accepts."""
+    """Re-validating one moved interval without a table, the first
+    ``_edges_ok`` call holds step 0 alone and the later ones at most 32
+    steps, and with the table the blocks are the same.  Re-validating all
+    of them in one call, plus intervals that leave the band and ones that
+    vanish, the calls hold at most a batch, and the ones with step-0
+    intervals come first and hold nothing else: without a table the first
+    holds every step 0 in band.  With the table or without, alone or
+    together, the kept step is the first one a stepwise scan accepts."""
     import lwcf.cegmm
     sc = make_scenario(seed=1, num_aps=8, num_ues=4)
     table = _edge_table(sc, PARAMS, BAND, QOS)
     real = lwcf.cegmm._edges_ok
-    sizes = []
+    sizes, checked = [], []
 
     def spy(scenario, params, lo, hi, qos):
         sizes.append(len(lo))
+        checked.append(set(zip(lo.tolist(), hi.tolist())))
         return real(scenario, params, lo, hi, qos)
 
     monkeypatch.setattr(lwcf.cegmm, "_edges_ok", spy)
     step = 50e6
-    kept = []
+    kept, wants = [], []
     for lo, hi in zip(*random_intervals(5, n=60)):
-        want, at = stepwise_shrink(sc, lo, hi, step)
+        want, at = stepwise_shrink(sc, PARAMS, BAND, QOS, lo, hi, step)
         sizes.clear()
-        assert _shrink_to_valid(sc, PARAMS, lo, hi, BAND, QOS, step) == want
+        assert _revalidate([[[lo, hi, True]]], sc, PARAMS, BAND, QOS, step,
+                           None) == [shrunk_plan(want)]
         # every random interval has step 0 in band
         assert sizes[0] == 1 and all(n <= 32 for n in sizes[1:])
         sizes.clear()
-        assert _shrink_to_valid(sc, PARAMS, lo, hi, BAND, QOS, step,
-                                table) == want
+        assert _revalidate([[[lo, hi, True]]], sc, PARAMS, BAND, QOS, step,
+                           table) == [shrunk_plan(want)]
         assert sizes[:1] in ([], [1]) and all(n <= 32 for n in sizes)
         kept.append(at)
+        wants.append(shrunk_plan(want))
     assert kept.count(0) >= 5
     assert sum(at is not None and at > 32 for at in kept) >= 5
+
+    lo, hi = random_intervals(5, n=60)
+    edges = list(zip(lo.tolist(), hi.tolist()))
+    # across the band's edges and the cutoff, then out of band, narrower
+    # than FREQ_TOL and empty
+    edges += [(99.5e9, 102e9), (198.5e9, 200.6e9), (99e9, 130e9),
+              (90e9, 95e9), (201e9, 204e9), (150e9, 150e9 + FREQ_TOL / 2.0),
+              (160e9, 160e9)]
+    extra = [stepwise_shrink(sc, PARAMS, BAND, QOS, a, b, step)
+             for a, b in edges[60:]]
+    wants += [shrunk_plan(want) for want, _ in extra]
+    assert sum(at is None for _, at in extra) >= 4
+    assert sum(at is not None and at > 0 for _, at in extra) >= 2
+    step0 = {((a + b) / 2.0 - (b - a) / 2.0, (a + b) / 2.0 + (b - a) / 2.0)
+             for a, b in edges}
+    valid = {(a, b) for a, b in step0 if b - a > FREQ_TOL
+             and a >= BAND[0] - FREQ_TOL and a > PARAMS.cutoff_frequency
+             + FREQ_TOL and b <= BAND[1] + FREQ_TOL}
+    for t, batch in ((None, EDGE_BATCH), (table, TIER_BATCH)):
+        sizes.clear()
+        checked.clear()
+        got = _revalidate([[[a, b, True]] for a, b in edges], sc, PARAMS,
+                          BAND, QOS, step, t)
+        assert got == wants and max(sizes) <= batch
+        firsts = [c <= step0 for c in checked if c]
+        assert firsts == sorted(firsts, reverse=True)
+        assert all(c <= step0 or not c & step0 for c in checked)
+        if t is None:
+            assert checked[0] == valid and sizes[0] == len(valid)
 
 
 def spy_edge_psds(monkeypatch):
