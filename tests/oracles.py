@@ -9,14 +9,22 @@ alone, without the envelope certificates.  ``precode_2d`` and ``sinr_2d``
 precode and rate one (K, M) channel matrix at a time; the stacked
 ``mimo.precoder_rows``/``sinr_rows`` must match them bit for bit.
 ``per_ap_se_per_ue`` scores a cluster with one channel build per served UE
-and, under zero forcing, one lone Gram inverse: the closed-form SINR
-p_k / (noise [Gram^-1]_kk) where ``mimo.zf_certified`` trusts the inverse,
-a precoder and SINR (maximum ratio where zero forcing fails) elsewhere;
+and, under zero forcing, one lone inverse of the served block of the Gram
+over every UE of the drop, its lower triangle the conjugate of the upper:
+the closed-form SINR p_k / (noise [Gram^-1]_kk) where ``mimo.zf_certified``
+trusts the inverse, a precoder and SINR (maximum ratio where zero forcing
+fails) elsewhere;
 ``clustering.per_ap_spectral_efficiency`` must match it bit for bit.
 ``per_ap_se_precoded`` is the scorer before the closed form, precoding and
-rating every UE in chunked stacks; the closed-form scores stay within
-1e-13 relative of it (1.84e-15 the largest drift measured) and
-``hierarchical_clustering`` picks the same clusters under either.
+rating every UE in chunked stacks; the closed-form scores, on one
+cluster's Gram or on the sum of two clusters' Grams, stay within 1e-13
+relative of it and ``hierarchical_clustering`` picks the same clusters
+under either.  ``merge_void_clusters_replay`` and
+``hierarchical_merge_replay`` are the merge rules asking a one-tuple
+``score`` for one cluster at a time, every pair again each round; the
+lock-step ``clustering.merge_void_clusters`` and ``hierarchical_merge``,
+which ask for a round's candidates in one call and keep a pair-score
+table, must return the same clusters.
 ``fallback_cluster_reward`` rates one subchannel of one cluster on its own
 sub-scenario, retrying under maximum ratio where the precoder fails; the
 rewards of ``cluster_alloc.greedy_assign`` must match it bit for bit.
@@ -158,6 +166,7 @@ def per_ap_se_per_ue(cluster, scenario, params, method, band_upper,
     if not served:
         return 0.0
     sub = subscenario(scenario, members, served)
+    every = subscenario(scenario, members, range(scenario.num_ues))
     total = 0.0
     for local_k, global_k in enumerate(served):
         angle = scenario.angles[global_k, ue_to_ap[global_k]]
@@ -165,8 +174,13 @@ def per_ap_se_per_ue(cluster, scenario, params, method, band_upper,
         channel = build_channel(sub, params, f_eval)
         gamma = None
         if method == "zf" and len(served) <= len(members):
-            h = channel.entries
+            # the Gram over every UE of the drop, its lower triangle the
+            # conjugate of the upper, then its served block
+            h = build_channel(every, params, f_eval).entries
             gram = h @ h.conj().T
+            lower = np.tril_indices(len(gram), -1)
+            gram[lower] = gram.T[lower].conj()
+            gram = gram[np.ix_(served, served)]
             try:
                 diagonal = np.linalg.inv(gram).diagonal().real
             except np.linalg.LinAlgError:
@@ -210,6 +224,60 @@ def per_ap_se_precoded(cluster, scenario, method, ue_to_ap, stack):
         own[first:first + len(gammas)] = np.diagonal(gammas, offset=first)
     total = np.add.accumulate(np.log2(1.0 + own))[-1]
     return float(total / len(members))
+
+
+def merge_void_clusters_replay(clusters, ue_to_ap, score):
+    """``clustering.merge_void_clusters`` asking ``score`` (a sorted AP
+    tuple to its per-AP spectral efficiency) for one candidate at a time."""
+    served_aps = set(int(a) for a in ue_to_ap)
+    items = [tuple(sorted(int(a) for a in c)) for c in clusters]
+    if not any(set(c) & served_aps for c in items):
+        return items
+    while True:
+        void_idx = next((i for i, c in enumerate(items)
+                         if not set(c) & served_aps), None)
+        if void_idx is None:
+            break
+        void = items.pop(void_idx)
+        scores = [score(tuple(sorted(c + void))) for c in items]
+        best = int(np.argmax(scores))
+        items[best] = tuple(sorted(items[best] + void))
+    return items
+
+
+def hierarchical_merge_replay(clusters, score):
+    """``clustering.hierarchical_merge`` scanning every pair of every round
+    in order, asking ``score`` for one tuple at a time: the first strictly
+    largest positive gain merges, and a NaN gain fails the comparison."""
+    items = [tuple(sorted(int(a) for a in c)) for c in clusters]
+    scores = [score(c) for c in items]
+    while len(items) > 1:
+        best_gain = 0.0
+        best_pair = None
+        best_merged = None
+        best_score = 0.0
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                merged = tuple(sorted(items[i] + items[j]))
+                merged_score = score(merged)
+                size_i, size_j = len(items[i]), len(items[j])
+                joint = ((scores[i] * size_i + scores[j] * size_j)
+                         / (size_i + size_j))
+                gain_ij = merged_score - joint
+                if gain_ij > best_gain:
+                    best_gain = gain_ij
+                    best_pair = (i, j)
+                    best_merged = merged
+                    best_score = merged_score
+        if best_pair is None:
+            break
+        i, j = best_pair
+        items = [c for z, c in enumerate(items) if z not in (i, j)]
+        scores = [s for z, s in enumerate(scores) if z not in (i, j)]
+        items.append(best_merged)
+        scores.append(best_score)
+    items.sort(key=lambda c: c[0])
+    return items
 
 
 def fallback_cluster_reward(cluster_aps, cluster_ues, center, width, scenario,

@@ -11,6 +11,7 @@ from lwcf.antenna import AntennaParams, peak_frequency
 from lwcf.clustering import (
     SCORE_CHUNK,
     Clustering,
+    GramTable,
     affinity_propagation,
     associate_ues,
     channel_stack,
@@ -28,7 +29,8 @@ from lwcf.mimo import (MAX_ZF_CONDITION, ZF_CERTIFICATE_SLACK, ChannelMatrix,
                        SingularChannel, build_channel, fallback_sinrs,
                        freespace_amplitude, precode, sinr, zf_certified)
 from lwcf.scenario import Scenario, ScenarioConfig, generate_scenario
-from oracles import (link_distance, link_rss, per_ap_se_per_ue,
+from oracles import (hierarchical_merge_replay, link_distance, link_rss,
+                     merge_void_clusters_replay, per_ap_se_per_ue,
                      per_ap_se_precoded)
 
 PARAMS = AntennaParams(1.0, 0.15, 130.0, 100e9)
@@ -74,10 +76,30 @@ def se(cluster, sc, method="zf"):
 
 
 def scorer(sc, method="zf"):
-    """The unmemoised cluster score the merge rules take, over one drop."""
+    """The unmemoised one-tuple cluster score of the replayed merge rules,
+    over one drop."""
     ue_to_ap, stack = drop_context(sc)
     return lambda members: per_ap_spectral_efficiency(members, sc, method,
                                                       ue_to_ap, stack)
+
+
+def union(a, b):
+    """The AP tuple a merge rules' candidate ``(a, b)`` names (b None: a
+    alone)."""
+    return a if b is None else tuple(sorted(a + b))
+
+
+def batched(score):
+    """The round scorer the merge rules take, from a one-tuple ``score``."""
+    return lambda pairs: np.array([score(union(a, b)) for a, b in pairs],
+                                  dtype=float)
+
+
+def round_scorer(one):
+    """A stand-in for ``clustering.cluster_scores`` that rates each
+    candidate's union with ``one(members, table)`` on its own."""
+    return lambda table, pairs: np.array([one(union(a, b), table)
+                                          for a, b in pairs])
 
 
 def assert_partition(clusters, num_aps):
@@ -485,7 +507,7 @@ def test_merge_void_keeps_serving_partition():
                          [[5, 0], [995, 0]])
     clusters = [(0,), (1,), (2,)]        # AP 1 serves nobody
     ue_to_ap, _ = drop_context(sc)
-    out = merge_void_clusters(clusters, ue_to_ap, scorer(sc))
+    out = merge_void_clusters(clusters, ue_to_ap, batched(scorer(sc)))
     assert_partition(out, 3)
     assert len(out) == 2
     # the void AP joined whichever merge scored the higher per-AP SE
@@ -499,7 +521,7 @@ def test_merge_void_without_serving_cluster_is_identity():
     sc = manual_scenario([[1000, 0], [2000, 0], [0, 0]], [[5, 0]])
     # the serving AP (index 2) is outside every listed cluster
     ue_to_ap, _ = drop_context(sc)
-    out = merge_void_clusters([(0,), (1,)], ue_to_ap, scorer(sc))
+    out = merge_void_clusters([(0,), (1,)], ue_to_ap, batched(scorer(sc)))
     assert out == [(0,), (1,)]
 
 
@@ -509,7 +531,7 @@ def test_merge_void_never_grows_cluster_count():
         rng = np.random.default_rng(seed)
         clusters = kmeans_clusters(sc.ap_positions, 5, rng)
         ue_to_ap, _ = drop_context(sc)
-        out = merge_void_clusters(clusters, ue_to_ap, scorer(sc))
+        out = merge_void_clusters(clusters, ue_to_ap, batched(scorer(sc)))
         assert_partition(out, 10)
         assert len(out) <= len(clusters)
         # every surviving cluster serves somebody
@@ -520,7 +542,7 @@ def test_merge_void_never_grows_cluster_count():
 
 def test_hierarchical_merge_single_cluster_identity():
     sc = make_scenario(seed=7)
-    out = hierarchical_merge([tuple(range(8))], scorer(sc))
+    out = hierarchical_merge([tuple(range(8))], batched(scorer(sc)))
     assert out == [tuple(range(8))]
 
 
@@ -532,7 +554,7 @@ def test_hierarchical_merge_joins_near_stays_far():
     sc = manual_scenario([[0, 0], [60, 0], [far, 0], [far + 60, 0]],
                          [[5, 0], [far + 5, 0]])
     clusters = [(0,), (1,), (2, 3)]
-    out = hierarchical_merge(clusters, scorer(sc))
+    out = hierarchical_merge(clusters, batched(scorer(sc)))
     assert sorted(map(sorted, out)) == [[0, 1], [2, 3]]
 
 
@@ -550,7 +572,7 @@ def test_hierarchical_merge_gain_rule_matches_pair_scan():
             joint = (scores[i] * 2 + scores[j] * 2) / 4.0
             if score - joint > best_gain:
                 best_gain, best_pair = score - joint, (i, j)
-    out = hierarchical_merge(clusters, scorer(sc))
+    out = hierarchical_merge(clusters, batched(scorer(sc)))
     if best_pair is None:
         assert sorted(map(sorted, out)) == sorted(map(sorted, clusters))
     else:
@@ -560,17 +582,18 @@ def test_hierarchical_merge_gain_rule_matches_pair_scan():
 
 
 def test_hierarchical_merge_scores_each_cluster_once():
-    """Only pairs with the newly merged cluster cost a score: the distinct
-    tuples the rule asks for are the initial clusters plus the distinct
-    merged tuples.  The memo that makes each of them one call belongs to
-    the pipeline (``test_hierarchical_clustering_scores_each_tuple_once``)."""
+    """Only pairs with the newly merged cluster cost a score: the tuples the
+    rule asks for are the initial clusters plus the distinct merged tuples,
+    each once, since the rule keeps a table of its live pairs' scores."""
     sc = make_scenario(num_aps=12, num_ues=6, seed=5)
-    score = scorer(sc)
+    score = batched(scorer(sc))
     asked = []
+    calls = []
 
-    def record(members):
-        asked.append(members)
-        return score(members)
+    def record(pairs):
+        asked.extend(union(a, b) for a, b in pairs)
+        calls.append(len(pairs))
+        return score(pairs)
 
     n = 12
     out = hierarchical_merge([(a,) for a in range(n)], record)
@@ -580,15 +603,21 @@ def test_hierarchical_merge_scores_each_cluster_once():
     # pairs with the n - t - 1 others are new
     pairs = n * (n - 1) // 2 + sum(n - t - 1 for t in range(1, merges + 1))
     assert len(set(asked)) == n + pairs
+    assert len(asked) == n + pairs
+    # one call per round: the first, then one per merge that leaves a pair
+    assert len(calls) == 1 + min(merges, n - 2)
 
 
 def test_hierarchical_clustering_scores_each_tuple_once(monkeypatch):
-    """One memo serves the void merge and the pairwise merge: over a drop
-    the scorer runs once for each distinct AP tuple the two rules ask for,
-    never twice for one tuple, and the clusters are those of the rules
-    replayed with an unmemoised scorer."""
-    real = lwcf.clustering.per_ap_spectral_efficiency
-    for num_aps, num_ues, seed in ((12, 5, 0), (16, 8, 3), (16, 8, 1)):
+    """One ``GramTable`` serves the void merge and the pairwise merge: over
+    a drop ``cluster_scores`` rates each distinct AP tuple the replayed
+    one-tuple rules ask for once, never twice, and the clusters are those
+    of the replayed rules with an unmemoised scorer.  The first drop folds
+    void seeds."""
+    real = lwcf.clustering.cluster_scores
+    voids = 0
+    for num_aps, num_ues, seed in ((12, 5, 0), (16, 8, 3), (16, 8, 1),
+                                   (24, 3, 0)):
         sc = make_scenario(num_aps=num_aps, num_ues=num_ues, seed=seed)
         ue_to_ap, _ = drop_context(sc)
         score = scorer(sc)
@@ -599,37 +628,50 @@ def test_hierarchical_clustering_scores_each_tuple_once(monkeypatch):
             return score(members)
 
         seeds, _ = affinity_propagation(sc.ap_positions)
-        want = hierarchical_merge(merge_void_clusters(seeds, ue_to_ap, record),
-                                  record)
+        voids += sum(not np.isin(ue_to_ap, c).any() for c in seeds)
+        want = hierarchical_merge_replay(
+            merge_void_clusters_replay(seeds, ue_to_ap, record), record)
         scored = []
 
-        def spy(cluster, *args):
-            scored.append(tuple(cluster))
-            return real(cluster, *args)
+        def spy(table, pairs):
+            scored.extend(union(a, b) for a, b in pairs)
+            return real(table, pairs)
 
         with monkeypatch.context() as patch:
-            patch.setattr(lwcf.clustering, "per_ap_spectral_efficiency", spy)
+            patch.setattr(lwcf.clustering, "cluster_scores", spy)
             got = hierarchical_clustering(sc, PARAMS, BAND_UPPER)
         assert list(got.clusters) == want
         assert len(set(scored)) == len(scored)
         assert set(scored) == set(asked)
+    assert voids >= 1
 
 
 def test_hierarchical_clustering_equals_per_ue_scoring(monkeypatch):
     """The pipeline returns the same clusters when every score comes from
-    the per-UE oracle instead of the stacked scorer."""
+    the per-UE oracle instead of the round scorer."""
     drops = [make_scenario(num_aps=m, num_ues=k, seed=seed)
              for m, k, seed in ((12, 5, 0), (16, 8, 1), (24, 6, 2),
                                 (10, 12, 3))]
     want = [(hierarchical_clustering(sc, PARAMS, BAND_UPPER, method).clusters)
             for sc in drops for method in ("zf", "mrt")]
     monkeypatch.setattr(
-        lwcf.clustering, "per_ap_spectral_efficiency",
-        lambda cluster, sc, method, ue_to_ap, stack: per_ap_se_per_ue(
-            cluster, sc, PARAMS, method, BAND_UPPER, ue_to_ap))
+        lwcf.clustering, "cluster_scores",
+        round_scorer(lambda members, t: per_ap_se_per_ue(
+            members, t.scenario, PARAMS, t.method, BAND_UPPER, t.ue_to_ap)))
     got = [(hierarchical_clustering(sc, PARAMS, BAND_UPPER, method).clusters)
            for sc in drops for method in ("zf", "mrt")]
     assert got == want
+
+
+def benchmark_sized_drops():
+    """64, 96 and 128 APs with 20 UEs, seeds 0 and 1, and the far-group
+    exact-tie layout."""
+    drops = [make_scenario(num_aps=m, num_ues=20, seed=seed)
+             for m in (64, 96, 128) for seed in (0, 1)]
+    far = 1e12
+    drops.append(manual_scenario([[0, 0], [60, 0], [far, 0], [far + 60, 0]],
+                                 [[5, 0], [far + 5, 0]]))
+    return drops
 
 
 def test_hierarchical_clustering_closed_form_keeps_the_precoded_clusters(
@@ -638,19 +680,173 @@ def test_hierarchical_clustering_closed_form_keeps_the_precoded_clusters(
     merge decision turns on it: benchmark-sized drops (64, 96 and 128 APs,
     20 UEs) and the far-group exact-tie layout give the same clusters
     under either scorer."""
-    drops = [make_scenario(num_aps=m, num_ues=20, seed=seed)
-             for m in (64, 96, 128) for seed in (0, 1)]
-    far = 1e12
-    drops.append(manual_scenario([[0, 0], [60, 0], [far, 0], [far + 60, 0]],
-                                 [[5, 0], [far + 5, 0]]))
+    drops = benchmark_sized_drops()
     want = [hierarchical_clustering(sc, PARAMS, BAND_UPPER).clusters
             for sc in drops]
     assert want[-1] == ((0, 1), (2, 3))
-    monkeypatch.setattr(lwcf.clustering, "per_ap_spectral_efficiency",
-                        per_ap_se_precoded)
+    monkeypatch.setattr(
+        lwcf.clustering, "cluster_scores",
+        round_scorer(lambda members, t: per_ap_se_precoded(
+            members, t.scenario, t.method, t.ue_to_ap, t.stack)))
     got = [hierarchical_clustering(sc, PARAMS, BAND_UPPER).clusters
            for sc in drops]
     assert got == want
+
+
+def test_lock_step_pipeline_keeps_the_replayed_clusters_of_benchmark_drops():
+    """The benchmark-sized drops keep, under the lock-step pipeline
+    (additive Gram scores, one call per round, the pair-score table), the
+    clusters of the one-tuple rules replayed with the precoded scorer."""
+    for sc in benchmark_sized_drops():
+        ue_to_ap, stack = drop_context(sc)
+        memo = {}
+
+        def precoded(members):
+            if members not in memo:
+                memo[members] = per_ap_se_precoded(members, sc, "zf",
+                                                   ue_to_ap, stack)
+            return memo[members]
+
+        seeds, _ = affinity_propagation(sc.ap_positions)
+        want = hierarchical_merge_replay(
+            merge_void_clusters_replay(seeds, ue_to_ap, precoded), precoded)
+        assert hierarchical_clustering(sc, PARAMS, BAND_UPPER).clusters == (
+            tuple(want))
+
+
+@pytest.mark.parametrize("method", ["zf", "mrt"])
+def test_lock_step_merge_equals_the_replayed_rules(method):
+    """On random drops, from the affinity-propagation seeds and from single
+    APs, the lock-step rules return the replayed one-tuple rules' clusters
+    on the same scores, and the pipeline on its additive scores does too."""
+    rng = np.random.default_rng(21)
+    merges = 0
+    for _ in range(6):
+        num_aps = int(rng.integers(6, 20))
+        num_ues = int(rng.integers(1, 9))
+        sc = make_scenario(num_aps=num_aps, num_ues=num_ues,
+                           seed=int(rng.integers(1000)))
+        ue_to_ap, _ = drop_context(sc)
+        score = scorer(sc, method)
+        seeds, _ = affinity_propagation(sc.ap_positions)
+        for start in (seeds, [(a,) for a in range(num_aps)]):
+            want = hierarchical_merge_replay(
+                merge_void_clusters_replay(start, ue_to_ap, score), score)
+            got = hierarchical_merge(
+                merge_void_clusters(start, ue_to_ap, batched(score)),
+                batched(score))
+            assert got == want
+            merges += len(start) - len(want)
+        got = hierarchical_clustering(sc, PARAMS, BAND_UPPER, method)
+        assert list(got.clusters) == hierarchical_merge_replay(
+            merge_void_clusters_replay(seeds, ue_to_ap, score), score)
+    assert merges >= 10
+
+
+def hand_scores(table):
+    """A round scorer from a table of union scores; unlisted unions 0.0."""
+    return batched(lambda members: table.get(members, 0.0))
+
+
+def test_hierarchical_merge_ties_go_to_the_first_pair_in_scan_order():
+    """Round one ties (0, 1) and (1, 2) at gain 3: (0, 1) scans first.
+    Round two, over [(2,), (3,), (0, 1)], ties (2, 3) and (0, 1, 3) at
+    gain 1: (2, 3) scans first, though (0, 1, 3) sorts first."""
+    scores = {(0,): 3.0, (1,): 3.0, (2,): 3.0, (3,): 3.0,
+              (0, 1): 6.0, (1, 2): 6.0, (2, 3): 4.0, (0, 1, 3): 6.0}
+    out = hierarchical_merge([(0,), (1,), (2,), (3,)], hand_scores(scores))
+    assert out == [(0, 1), (2, 3)]
+    assert out == hierarchical_merge_replay(
+        [(0,), (1,), (2,), (3,)], lambda members: scores.get(members, 0.0))
+
+
+def test_hierarchical_merge_never_merges_on_a_nan_score():
+    """A NaN merged score, or a NaN score of one part, makes a NaN gain,
+    which never wins, though ``np.argmax`` would pick it."""
+    nan = float("nan")
+    scores = {(0,): 1.0, (1,): 1.0, (2,): 1.0, (0, 1): nan, (0, 2): 1.5}
+    three, two = [(0,), (1,), (2,)], [(0,), (1,)]
+    assert hierarchical_merge(three, hand_scores(scores)) == [(0, 2), (1,)]
+    assert hierarchical_merge(two, hand_scores(scores)) == two
+    scores = {(0,): nan, (1,): 1.0, (0, 1): 5.0}
+    assert hierarchical_merge(two, hand_scores(scores)) == two
+    # NaN gains first in scan order do not stop a later positive gain
+    scores = {(0,): nan, (1,): 1.0, (2,): 1.0, (0, 1): 5.0, (1, 2): 1.5}
+    assert hierarchical_merge(three, hand_scores(scores)) == [(0,), (1, 2)]
+
+
+def test_gram_table_commits_a_merge_when_its_union_is_named(monkeypatch):
+    """A union scored as a pair becomes live when a later call names it:
+    its Gram is the sum of its parts' Grams, kept in a part's slot, and
+    equals one product over the union up to rounding.  A union of unions
+    commits both, a union scored before costs no new score, and the table
+    never holds more slots than the clusters it was built from."""
+    sc = make_scenario(num_aps=12, num_ues=6, seed=5)
+    ue_to_ap, stack = drop_context(sc)
+    clusters = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9, 10, 11)]
+    table = GramTable(sc, "zf", ue_to_ap, stack, clusters)
+    singles = [table.grams[table.slot[c]].copy() for c in clusters]
+    rated = []
+    real = lwcf.clustering.cluster_scores
+
+    def spy(grams, pairs):
+        rated.extend(union(a, b) for a, b in pairs)
+        return real(grams, pairs)
+
+    monkeypatch.setattr(lwcf.clustering, "cluster_scores", spy)
+    a, b, c, d, e = clusters
+    table.scores([(a, b), (c, d)])
+    ab, cd = union(a, b), union(c, d)
+    first = table.scores([(ab, cd)])
+    abcd = union(ab, cd)
+    assert set(table.slot) == {ab, cd, e}
+    assert table.scores([(ab, cd)]).tolist() == first.tolist()
+    table.scores([(abcd, e)])
+    assert rated == [ab, cd, abcd, union(abcd, e)]
+    assert set(table.slot) == {abcd, e} and len(table.grams) == len(clusters)
+    slot = table.slot[abcd]
+    assert table.sizes[slot] == 8 and table.members[slot] == abcd
+    assert table.served[slot].tolist() == np.isin(ue_to_ap, abcd).tolist()
+    assert np.array_equal(table.grams[slot], ((singles[0] + singles[1])
+                                              + (singles[2] + singles[3])))
+    h = stack[:, :, list(abcd)]
+    upper = np.triu_indices(6)
+    product = (h @ h.conj().swapaxes(-1, -2))[:, upper[0], upper[1]]
+    assert np.allclose(table.grams[slot], product, rtol=1e-13, atol=0.0)
+
+
+def test_additive_pair_scores_track_the_precoded_scores():
+    """A pair's Gram is the sum of its parts' Grams, not one product over
+    the union: on the pairs of random clusters of test drops every
+    additive score is within 1e-13 relative of the precoded scorer of the
+    union (2.19e-15 the largest drift measured), and maximum ratio is
+    equal.  The clusters alone, rated in the same call, equal
+    ``per_ap_spectral_efficiency``."""
+    drift = []
+    rng = np.random.default_rng(31)
+    for num_aps, num_ues, seed in ((24, 10, 0), (12, 8, 1), (64, 20, 3)):
+        sc = make_scenario(num_aps=num_aps, num_ues=num_ues, seed=seed)
+        ue_to_ap, stack = drop_context(sc)
+        labels = rng.integers(0, 6, num_aps)
+        clusters = [tuple(np.flatnonzero(labels == z).tolist())
+                    for z in range(6) if (labels == z).any()]
+        pairs = [(a, b) for i, a in enumerate(clusters)
+                 for b in clusters[i + 1:]]
+        for method in ("zf", "mrt"):
+            table = GramTable(sc, method, ue_to_ap, stack, clusters)
+            got = table.scores([(c, None) for c in clusters] + pairs)
+            for c, score in zip(clusters, got):
+                assert score == per_ap_spectral_efficiency(
+                    c, sc, method, ue_to_ap, stack)
+            for (a, b), score in zip(pairs, got[len(clusters):]):
+                want = per_ap_se_precoded(union(a, b), sc, method, ue_to_ap,
+                                          stack)
+                if method == "mrt" or want == 0.0:
+                    assert score == want
+                else:
+                    drift.append(abs(score - want) / want)
+    assert max(drift) <= 1e-13
+    assert max(drift) > 0.0
 
 
 # ---------------------------------------------------------------------------
