@@ -56,24 +56,28 @@ class SubchannelPlan:
 
 @dataclass(frozen=True)
 class Gmm:
-    """One-dimensional Gaussian mixture over center frequencies."""
+    """One-dimensional Gaussian mixture over center frequencies.  Each
+    field is stored as a float array; a float array given is kept as is."""
 
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, float)
+        for name in ("weights", "means", "variances"):
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), float))
+        w = self.weights
         if w.size == 0 or np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be a probability vector")
-        if np.any(np.asarray(self.variances, float) <= 0.0):
+        if np.any(self.variances <= 0.0):
             raise ValueError("variances must be positive")
         if not (w.size == self.means.size == self.variances.size):
             raise ValueError("component arrays must have equal length")
 
     @property
     def num_components(self) -> int:
-        return int(np.asarray(self.weights).size)
+        return self.weights.size
 
 
 @dataclass(frozen=True)
@@ -135,11 +139,9 @@ def _mixture_log_densities(log_weights, variances: np.ndarray,
 def gmm_log_likelihood(gmm: Gmm, values) -> float:
     """Total log likelihood of the values under the mixture."""
     with np.errstate(divide="ignore"):
-        log_weights = np.log(np.asarray(gmm.weights, float))
-    squares = (np.asarray(values, float)[:, None]
-               - np.asarray(gmm.means, float)) ** 2
-    _, log_mix = _mixture_log_densities(
-        log_weights, np.asarray(gmm.variances, float), squares)
+        log_weights = np.log(gmm.weights)
+    squares = (np.asarray(values, float)[:, None] - gmm.means) ** 2
+    _, log_mix = _mixture_log_densities(log_weights, gmm.variances, squares)
     return float(np.add.reduce(log_mix))
 
 
@@ -151,8 +153,7 @@ def sample_gmm(gmm: Gmm, n: int, rng: np.random.Generator,
     band, so sampling terminates even for mixtures with negligible in-band
     mass.
     """
-    weights = np.asarray(gmm.weights, float)
-    weights = weights / weights.sum()
+    weights = gmm.weights / gmm.weights.sum()
     comp = rng.choice(gmm.num_components, size=n, p=weights)
     x = rng.normal(gmm.means[comp], np.sqrt(gmm.variances[comp]))
     lo, hi = band
@@ -184,9 +185,7 @@ def em_fit(values, num_components: int, init: Gmm, var_floor: float = 0.0,
     n = x.size
     if n == 0:
         raise ValueError("cannot fit a mixture to an empty sample")
-    weights = np.asarray(init.weights, float).copy()
-    means = np.asarray(init.means, float).copy()
-    variances = np.asarray(init.variances, float).copy()
+    weights, means, variances = init.weights, init.means, init.variances
     if weights.size != num_components:
         raise ValueError("init must carry num_components components")
     tiny_var = max(var_floor, 1e-300)
@@ -268,16 +267,17 @@ def _envelope_slack(params: AntennaParams,
     return (rho, slack_db) if slack_db < qos.coherence_gap_db else None
 
 
-TABLE_CELL = 80e6    # Hz, cell width of ``_EdgeTable``
+TABLE_CELL = 80e6    # Hz, cell width of an ``_EdgeCheck``'s table
 
 
 @dataclass(frozen=True)
-class _EdgeTable:
-    """Every UE's envelope PSD at uniform cell edges from one cell above
-    cutoff to the band top, with a relative interpolation remainder per
-    cell, for one (scenario, params, qos).  ``ce_search`` builds one per
-    search with ``_edge_table`` and hands it down; everywhere else
-    ``table=None`` means no lookups.
+class _EdgeCheck:
+    """The edge-validity check of one (scenario, params, band, qos): a
+    table of every UE's envelope PSD at uniform cell edges from one cell
+    above cutoff to the band top, with a relative interpolation remainder
+    per cell, and the one predicate ``ok`` that reads it.  ``_edge_table``
+    builds one; ``ce_search`` builds one per search and hands it down, and
+    each one-item wrapper builds its own.
 
     The remainder.  One link's envelope is e = eta L sinh b / sqrt(a^2 +
     b^2), with a = kappa f (n - cos theta), kappa = pi L / c, n = sqrt(1 -
@@ -307,8 +307,17 @@ class _EdgeTable:
       pair of cells at once;
     * ``interpolated`` bounds each interval edge by the interpolant plus
       and minus the remainder, and proves an interval good or bad.
+
+    A check without usable cells, where the envelope can decide nothing
+    or the band ends below the first cell, certifies nothing and
+    interpolates nothing, so ``ok`` leaves every interval to
+    ``_edges_ok``.
     """
 
+    scenario: Scenario
+    params: AntennaParams
+    band: tuple[float, float]
+    qos: QosConfig
     edges: np.ndarray     # (C + 1,) cell edges, Hz
     fences: np.ndarray    # (C + 3,) the edges between -inf and inf
     values: np.ndarray    # (C + 1, K) envelope PSD at the edges
@@ -387,38 +396,58 @@ class _EdgeTable:
                | (low_b > up_a * self.min_ratio)).any(axis=1)
         return good, bad
 
+    def ok(self, lo, hi) -> np.ndarray:
+        """The flags of ``_edges_ok`` for the 1-D edge arrays ``lo``/``hi``:
+        an interval that ``interpolated`` proves good or bad takes that
+        verdict, and ``_edges_ok`` (envelope, then exact PSDs) decides the
+        unsure rest.  The callers look each step up in ``certified``
+        first."""
+        good, bad = self.interpolated(lo, hi)
+        unsure = np.flatnonzero(~good & ~bad)
+        if unsure.size:
+            good[unsure] = _edges_ok(self.scenario, self.params, lo[unsure],
+                                     hi[unsure], self.qos)
+        return good
+
 
 def _edge_table(scenario: Scenario, params: AntennaParams,
-                band: tuple[float, float], qos: QosConfig) -> _EdgeTable | None:
-    """The ``_EdgeTable`` up to ``band[1]`` from one envelope
-    ``received_strength_psd`` call on its edges; None when the envelope can
-    decide nothing (``_envelope_slack``) or the band holds no cell above
-    the first edge.  Only ``ce_search`` builds one."""
+                band: tuple[float, float], qos: QosConfig) -> _EdgeCheck:
+    """The ``_EdgeCheck`` of (scenario, params, band, qos), its table up to
+    ``band[1]`` from one envelope ``received_strength_psd`` call on its
+    edges.  When the envelope can decide nothing (``_envelope_slack``) or
+    the band holds no cell above the first edge, the table is one cell
+    past the band with infinite remainders, built without a PSD call."""
     slack = _envelope_slack(params, qos)
-    if slack is None:
-        return None
-    rho, slack_db = slack
     eps = ENVELOPE_REL_TOL
     fc = params.cutoff_frequency
     first = fc + TABLE_CELL
     cells = int(np.ceil((band[1] - first) / TABLE_CELL))
-    if cells < 1:
-        return None
-    edges = np.linspace(first, band[1], cells + 1)
-    values = received_strength_psd(scenario, params, edges, envelope=True)
-    # the remainder of each cell from its lower edge f0 (see the class)
-    f0, h = edges[:-1], np.diff(edges)
-    n0 = np.sqrt(1.0 - (fc / f0) ** 2)
-    kappa = np.pi * params.aperture_length / SPEED_OF_LIGHT
-    b = params.attenuation * params.aperture_length / 2.0
-    slope = kappa / n0
-    q = (slope * slope / (b * b) + kappa * fc * fc / (2.0 * b * (f0 * n0) ** 3)
-         + 2.0 * slope / (b * f0) + 6.0 / (f0 * f0))
-    with np.errstate(over="ignore"):
-        rem = h * h / 8.0 * np.exp(h * slope / (2.0 * b)) * q
-    rounding = (np.pi * params.aperture_length * np.finfo(float).eps
-                / (2.0 * SPEED_OF_LIGHT * b) * edges[1:] * (1.0 / n0 + 4.0))
-    rem = np.append(np.where(rounding <= eps / 4.0, rem, np.inf), np.inf)
+    if slack is None or cells < 1:
+        # no usable cell: every bound is infinite, and finite positive
+        # ratios keep the interpolated bounds free of nan
+        rho, slack_db = slack or (1.0, 0.0)
+        edges = np.array([first, first + TABLE_CELL])
+        values = np.ones((2, scenario.num_ues))
+        rem = np.full(2, np.inf)
+    else:
+        rho, slack_db = slack
+        edges = np.linspace(first, band[1], cells + 1)
+        values = received_strength_psd(scenario, params, edges, envelope=True)
+        # the remainder of each cell from its lower edge f0 (see the class)
+        f0, h = edges[:-1], np.diff(edges)
+        n0 = np.sqrt(1.0 - (fc / f0) ** 2)
+        kappa = np.pi * params.aperture_length / SPEED_OF_LIGHT
+        b = params.attenuation * params.aperture_length / 2.0
+        slope = kappa / n0
+        q = (slope * slope / (b * b)
+             + kappa * fc * fc / (2.0 * b * (f0 * n0) ** 3)
+             + 2.0 * slope / (b * f0) + 6.0 / (f0 * f0))
+        with np.errstate(over="ignore"):
+            rem = h * h / 8.0 * np.exp(h * slope / (2.0 * b)) * q
+        rounding = (np.pi * params.aperture_length * np.finfo(float).eps
+                    / (2.0 * SPEED_OF_LIGHT * b) * edges[1:]
+                    * (1.0 / n0 + 4.0))
+        rem = np.append(np.where(rounding <= eps / 4.0, rem, np.inf), np.inf)
     # cell bounds: the edge values' min and max, minus and plus remainder
     # (cell C pairs its edge with edge 0, under its infinite remainder)
     following = np.roll(values, -1, axis=0)
@@ -429,7 +458,8 @@ def _edge_table(scenario: Scenario, params: AntennaParams,
     max_ratio = (10.0 ** ((qos.coherence_gap_db - slack_db) / 10.0)
                  * (1.0 - eps) / (1.0 + eps))
     usable = (np.isfinite(rem) & (lower >= min_bound).all(axis=1))[:, None]
-    return _EdgeTable(
+    return _EdgeCheck(
+        scenario, params, band, qos,
         edges, np.concatenate([[-np.inf], edges, [np.inf]]), values, rem,
         np.where(usable, upper, np.inf),
         np.where(usable, lower * max_ratio, 0.0), min_bound,
@@ -448,12 +478,11 @@ def _edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
     sin-free envelope env <= psd <= rho env, with eps = ``ENVELOPE_REL_TOL``
     and delta = ``ENVELOPE_DB_TOL`` covering rounding:
 
-    1. Table, in the callers handed one by ``ce_search``, before they call
-       here: an ``_EdgeTable`` bounds every UE's envelope PSD by linear
-       interpolation between cell edges plus a closed-form remainder, and
-       its two tiers (``certified`` per cell pair, ``interpolated`` per
-       interval) prove intervals good or bad with tier 2's margins
-       (``_table_edges_ok``).
+    1. Table, in ``_EdgeCheck`` before it calls here: the check bounds
+       every UE's envelope PSD by linear interpolation between cell edges
+       plus a closed-form remainder, and its two tiers (``certified`` per
+       cell pair, ``interpolated`` per interval) prove intervals good or
+       bad with tier 2's margins.
     2. Envelope, per interval.  Good when every UE has env (1 - eps) >= thr
        at both edges and |gap_env| + 10 log10 rho + delta < limit; bad when
        some UE has rho env (1 + eps) < thr at an edge or |gap_env| -
@@ -487,23 +516,6 @@ def _edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
     return ok
 
 
-def _table_edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
-                    qos: QosConfig, table: _EdgeTable | None) -> np.ndarray:
-    """The flags of ``_edges_ok`` for the 1-D edge arrays ``lo``/``hi``:
-    an interval that ``table.interpolated`` proves good or bad takes that
-    verdict, and ``_edges_ok`` decides the unsure rest.  With ``table``
-    None every interval goes to ``_edges_ok``.  The callers look each
-    step up in ``table.certified`` first."""
-    if table is None:
-        return _edges_ok(scenario, params, lo, hi, qos)
-    good, bad = table.interpolated(lo, hi)
-    unsure = np.flatnonzero(~good & ~bad)
-    if unsure.size:
-        good[unsure] = _edges_ok(scenario, params, lo[unsure], hi[unsure],
-                                 qos)
-    return good
-
-
 def _in_band(lo, hi, band: tuple[float, float], cutoff: float):
     """Elementwise: the edges lie in the band, strictly above the cutoff."""
     return ((lo >= band[0] - FREQ_TOL) & (lo > cutoff + FREQ_TOL)
@@ -513,10 +525,10 @@ def _in_band(lo, hi, band: tuple[float, float], cutoff: float):
 # steps per search in the first and later blocks after the certified ones
 EDGE_BLOCKS = (8, 32)
 # intervals per shared check of the lock-step searches, which bounds the
-# temporaries: ``_edges_ok`` calls without a table (cache-sized),
-# ``interpolated`` calls (2N x K floats each; ``_edges_ok`` then gets only
-# the steps they leave unsure) and ``certified`` calls
-EDGE_BATCH = 256
+# temporaries: ``ok`` calls (2N x K floats each in ``interpolated``;
+# ``_edges_ok`` then gets only the steps it leaves unsure, and
+# ``received_strength_psd`` chunks those at ``STACK_POINTS``) and
+# ``certified`` calls
 TIER_BATCH = 1024
 LOOKUP_BATCH = 4096
 
@@ -548,10 +560,8 @@ def _advance(interval, start, max_steps, blocks, batch, check) -> None:
         live = np.concatenate(still)
 
 
-def bandwidth_searches(centers, scenario: Scenario, params: AntennaParams,
-                       band: tuple[float, float], qos: QosConfig,
-                       grid_step: float, max_bandwidth: float | None = None,
-                       table: _EdgeTable | None = None) -> np.ndarray:
+def bandwidth_searches(centers, check: _EdgeCheck, grid_step: float,
+                       max_bandwidth: float | None = None) -> np.ndarray:
     """Widest symmetric bandwidth around each of the 1-D ``centers`` that
     keeps the edges valid, all searches grown together by ``_advance``.
 
@@ -563,25 +573,23 @@ def bandwidth_searches(centers, scenario: Scenario, params: AntennaParams,
 
     Steps are decided in blocks, which is equivalent to stepwise growth
     because each search still stops at its first violating step, in
-    tiers.  (1) Cell pairs: ``table.certified`` looks steps up in chunks
+    tiers.  (1) Cell pairs: ``check.certified`` looks steps up in chunks
     that double from 64, up to each search's first step it does not
     certify; a certified step is good under the exact checks, as the
     bounds of its edge cells hold for the envelope at every edge in them
-    (``_EdgeTable``) and clear the envelope tier's margins.  From there
-    ``_table_edges_ok`` takes blocks of 8, then 32 steps (``EDGE_BLOCKS``),
-    in shared calls of up to ``TIER_BATCH`` steps: (2) the per-interval
-    tier ``table.interpolated`` proves steps good or bad, and
-    ``_edges_ok`` decides the unsure ones, (3) by the envelope bracket
-    env <= psd <= rho env where it can and (4) by the exact PSDs
-    otherwise.  The width is that of the exact checks.  ``table`` is the
-    ``_EdgeTable`` that ``ce_search`` builds for the search; None means no
-    lookups, and every step goes to ``_edges_ok`` in calls of at most
-    ``EDGE_BATCH`` steps.
+    (``_EdgeCheck``) and clear the envelope tier's margins.  From there
+    ``check.ok`` takes blocks of 8, then 32 steps (``EDGE_BLOCKS``), in
+    shared calls of up to ``TIER_BATCH`` steps: (2) the per-interval tier
+    ``interpolated`` proves steps good or bad, and ``_edges_ok`` decides
+    the unsure ones, (3) by the envelope bracket env <= psd <= rho env
+    where it can and (4) by the exact PSDs otherwise.  The width is that
+    of the exact checks.  ``check`` is the ``_EdgeCheck`` of the search,
+    which also gives the scenario, antenna, band and QoS.
     """
-    c = np.asarray(centers, dtype=float)
+    band, c = check.band, np.asarray(centers, dtype=float)
     # steps that keep the interval in-band (and strictly above cutoff)
     room = np.minimum(np.minimum(c - band[0], band[1] - c),
-                      c - params.cutoff_frequency - 2.0 * FREQ_TOL)
+                      c - check.params.cutoff_frequency - 2.0 * FREQ_TOL)
     limit = 2.0 * room
     if max_bandwidth is not None:
         limit = np.minimum(limit, max_bandwidth)
@@ -594,23 +602,23 @@ def bandwidth_searches(centers, scenario: Scenario, params: AntennaParams,
         half = steps * grid_step / 2.0
         return c[ids] - half, c[ids] + half
 
-    if table is not None:
-        _advance(grown, start, max_steps, (64 << r for r in itertools.count()),
-                 LOOKUP_BATCH, table.certified)
+    _advance(grown, start, max_steps, (64 << r for r in itertools.count()),
+             LOOKUP_BATCH, check.certified)
     _advance(grown, start, max_steps, itertools.chain(
-        EDGE_BLOCKS[:1], itertools.repeat(EDGE_BLOCKS[1])),
-        EDGE_BATCH if table is None else TIER_BATCH,
-        lambda lo, hi: _table_edges_ok(scenario, params, lo, hi, qos, table))
+        EDGE_BLOCKS[:1], itertools.repeat(EDGE_BLOCKS[1])), TIER_BATCH,
+        check.ok)
     return (start - 1) * grid_step
 
 
 def bandwidth_search(center: float, scenario: Scenario, params: AntennaParams,
                      band: tuple[float, float], qos: QosConfig,
-                     grid_step: float, max_bandwidth: float | None = None,
-                     table: _EdgeTable | None = None) -> float:
-    """The one-center case of ``bandwidth_searches``."""
-    return float(bandwidth_searches([center], scenario, params, band, qos,
-                                    grid_step, max_bandwidth, table)[0])
+                     grid_step: float,
+                     max_bandwidth: float | None = None) -> float:
+    """The one-center case of ``bandwidth_searches``, with its own
+    ``_edge_table``."""
+    return float(bandwidth_searches(
+        [center], _edge_table(scenario, params, band, qos), grid_step,
+        max_bandwidth)[0])
 
 
 def _truncate(candidates, scenario: Scenario, params: AntennaParams,
@@ -672,17 +680,16 @@ def _truncate(candidates, scenario: Scenario, params: AntennaParams,
     return items
 
 
-def _revalidate(record_lists, scenario: Scenario, params: AntennaParams,
-                band: tuple[float, float], qos: QosConfig, grid_step: float,
-                table: _EdgeTable | None) -> list[list[tuple[float, float]]]:
+def _revalidate(record_lists, check: _EdgeCheck,
+                grid_step: float) -> list[list[tuple[float, float]]]:
     """The (center, width) plan of each list of ``_truncate`` records,
     sorted by center: each moved record shrunk symmetrically by half grid
     steps to its first step in band, wider than ``FREQ_TOL`` and with valid
     edges, or dropped if it vanishes first.  All shrinks step together
     through ``_advance``, which passes failing steps: step 0 alone (it
     nearly always holds), then 32 at a time, batched as in growth.  A step
-    ``table.certified`` certifies holds, ``_table_edges_ok`` decides the
-    rest, so each kept step is the one a stepwise exact scan keeps."""
+    ``check.certified`` certifies holds, ``check.ok`` decides the rest, so
+    each kept step is the one a stepwise exact scan keeps."""
     moved = [iv for records in record_lists for iv in records if iv[2]]
     lo, hi = np.array([iv[:2] for iv in moved], dtype=float).reshape(-1, 2).T
     width, mid = hi - lo, (lo + hi) / 2.0
@@ -694,17 +701,15 @@ def _revalidate(record_lists, scenario: Scenario, params: AntennaParams,
         return mid[ids] - half, mid[ids] + half
 
     def fails(a, b):
-        ok = (b - a > FREQ_TOL) & _in_band(a, b, band, params.cutoff_frequency)
-        unsure = ok if table is None else ok & ~table.certified(a, b)
-        rest = np.flatnonzero(unsure)
+        ok = (b - a > FREQ_TOL) & _in_band(a, b, check.band,
+                                           check.params.cutoff_frequency)
+        rest = np.flatnonzero(ok & ~check.certified(a, b))
         if rest.size:
-            ok[rest] = _table_edges_ok(scenario, params, a[rest], b[rest],
-                                       qos, table)
+            ok[rest] = check.ok(a[rest], b[rest])
         return ~ok
 
     _advance(shrunk, start, max_steps,
-             itertools.chain([1], itertools.repeat(32)),
-             EDGE_BATCH if table is None else TIER_BATCH, fails)
+             itertools.chain([1], itertools.repeat(32)), TIER_BATCH, fails)
     lo, hi = shrunk(np.arange(start.size), np.minimum(start, max_steps))
     fixed = zip((start <= max_steps).tolist(), lo.tolist(), hi.tolist())
     edges = [[next(fixed) if m else (True, a, b) for a, b, m in records]
@@ -716,7 +721,6 @@ def _revalidate(record_lists, scenario: Scenario, params: AntennaParams,
 def resolve_overlaps(candidates, scenario: Scenario, params: AntennaParams,
                      band: tuple[float, float], qos: QosConfig,
                      grid_step: float, total_bandwidth: float,
-                     table: _EdgeTable | None = None,
                      rss: dict[float, float] | None = None,
                      ) -> list[tuple[float, float]]:
     """Make the candidate subchannels disjoint and fit the spectrum budget.
@@ -728,8 +732,8 @@ def resolve_overlaps(candidates, scenario: Scenario, params: AntennaParams,
     until it fits (``_truncate``).  Any interval whose edges moved is
     re-validated against the edge constraints and shrunk further if needed
     (``_revalidate``), so the output plan satisfies the same edge checks as
-    freshly searched bandwidths.  ``table`` (the ``_EdgeTable`` of
-    ``ce_search``, or None for no lookups) is passed on to ``_revalidate``.
+    freshly searched bandwidths; the call builds its own ``_edge_table``
+    for ``_revalidate``.
 
     An interval's RSS is the UE sum of the received PSD at its midpoint
     ``(lo + hi) / 2``, cached by that frequency.  ``rss`` maps frequencies
@@ -739,8 +743,8 @@ def resolve_overlaps(candidates, scenario: Scenario, params: AntennaParams,
     seeded value is the one a miss would price.  The call copies ``rss``.
     """
     records = _truncate(candidates, scenario, params, total_bandwidth, rss)
-    return _revalidate([records], scenario, params, band, qos, grid_step,
-                       table)[0]
+    return _revalidate([records], _edge_table(scenario, params, band, qos),
+                       grid_step)[0]
 
 
 def validate_plan(subchannels, band: tuple[float, float], total_bandwidth: float,
@@ -848,10 +852,8 @@ def refit_proposal(previous: Gmm, elite_values: np.ndarray,
     return _smooth(best_fit, previous, hyper.smoothing, var_floor)
 
 
-def evaluate_candidates(batch, scenario: Scenario, params: AntennaParams,
-                        band: tuple[float, float], qos: QosConfig,
-                        grid_step: float, total_bandwidth: float,
-                        table: _EdgeTable | None = None,
+def evaluate_candidates(batch, check: _EdgeCheck, grid_step: float,
+                        total_bandwidth: float,
                         ) -> list[tuple[list[tuple[float, float]], bool]]:
     """Complete each list of sampled centers in ``batch`` into a disjoint
     feasible subchannel list, with a flag telling whether at least one
@@ -863,20 +865,20 @@ def evaluate_candidates(batch, scenario: Scenario, params: AntennaParams,
     its RSS cache seeded with the UE sums of the access PSDs, then one
     ``_revalidate`` all.  A provisional interval's midpoint is its center,
     bit for bit in nearly every draw, so only truncated intervals (and the
-    rare midpoint that rounds off its center) are priced again.  ``table``
-    is the ``_EdgeTable`` of ``ce_search``; None means no lookups.
+    rare midpoint that rounds off its center) are priced again.  ``check``
+    is the ``_EdgeCheck`` of the search.
     """
+    scenario, params = check.scenario, check.params
     lists = [np.sort(np.asarray(cands, dtype=float)) for cands in batch]
     owners = np.repeat(np.arange(len(lists)), [c.size for c in lists])
     centers = np.concatenate([np.empty(0), *lists])
-    ok = _in_band(centers, centers, band, params.cutoff_frequency)
+    ok = _in_band(centers, centers, check.band, params.cutoff_frequency)
     psd = received_strength_psd(scenario, params, centers[ok])
-    accessible = ~np.any(psd < qos.min_rx_psd, axis=1)
+    accessible = ~np.any(psd < check.qos.min_rx_psd, axis=1)
     ok[ok] = accessible
     owners, centers = owners[ok], centers[ok]
     rss = dict(zip(centers.tolist(), psd[accessible].sum(axis=1).tolist()))
-    widths = bandwidth_searches(centers, scenario, params, band, qos,
-                                grid_step, total_bandwidth, table)
+    widths = bandwidth_searches(centers, check, grid_step, total_bandwidth)
     records, accessed = [], []
     for n in range(len(batch)):
         mine = owners == n
@@ -885,18 +887,19 @@ def evaluate_candidates(batch, scenario: Scenario, params: AntennaParams,
         records.append(_truncate(provisional, scenario, params,
                                  total_bandwidth, rss))
         accessed.append(bool(mine.any()))
-    plans = _revalidate(records, scenario, params, band, qos, grid_step, table)
+    plans = _revalidate(records, check, grid_step)
     return list(zip(plans, accessed))
 
 
 def evaluate_candidate(centers, scenario: Scenario, params: AntennaParams,
                        band: tuple[float, float], qos: QosConfig,
                        grid_step: float, total_bandwidth: float,
-                       table: _EdgeTable | None = None,
                        ) -> tuple[list[tuple[float, float]], bool]:
-    """The one-candidate case of ``evaluate_candidates``."""
-    return evaluate_candidates([centers], scenario, params, band, qos,
-                               grid_step, total_bandwidth, table)[0]
+    """The one-candidate case of ``evaluate_candidates``, with its own
+    ``_edge_table``."""
+    return evaluate_candidates(
+        [centers], _edge_table(scenario, params, band, qos), grid_step,
+        total_bandwidth)[0]
 
 
 def score_batch(batch, scenario: Scenario, params: AntennaParams,
@@ -927,7 +930,7 @@ def ce_search(score, scenario: Scenario, params: AntennaParams,
 
     Each iteration draws all its candidate centers from the proposal,
     completes them in lock-step through ``evaluate_candidates`` with the
-    search's one ``_EdgeTable``, built here, and scores the iteration with
+    search's one ``_EdgeCheck``, built here, and scores the iteration with
     ``score(batch)``: for each subchannel list a plan, with ``feasible``
     and ``total_rate``, or None where the precoder failed.  It ranks the
     candidates by rate, ties by centers; the elites' centers and the
@@ -941,7 +944,7 @@ def ce_search(score, scenario: Scenario, params: AntennaParams,
         total_bandwidth = band[1] - band[0]
     var_floor = 1e-6 * (band[1] - band[0]) ** 2
     proposal = initial_proposal(band, hyper.num_samples, hyper.max_components)
-    table = _edge_table(scenario, params, band, qos)
+    check = _edge_table(scenario, params, band, qos)
 
     best_key: tuple[bool, float] = (False, -np.inf)
     best_plan = None
@@ -952,9 +955,8 @@ def ce_search(score, scenario: Scenario, params: AntennaParams,
         batch = [np.sort(sample_gmm(proposal, hyper.num_subchannels, rng,
                                     band=band))
                  for _ in range(hyper.num_samples)]
-        evaluated = evaluate_candidates(batch, scenario, params, band, qos,
-                                        hyper.grid_step, total_bandwidth,
-                                        table)
+        evaluated = evaluate_candidates(batch, check, hyper.grid_step,
+                                        total_bandwidth)
         num_accessible += sum(accessible for _, accessible in evaluated)
         scored = []
         for centers, plan in zip(batch, score([s for s, _ in evaluated])):

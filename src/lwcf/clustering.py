@@ -402,14 +402,9 @@ def cluster_scores(table: GramTable, pairs) -> np.ndarray:
             certified = zf_certified(gram, diagonal).reshape(-1, s)
             # slice (i, n) holds the Gram at the frequency of UE rows[i, n]
             diagonal = diagonal.reshape(-1, s, s)[:, ues, ues]
-            tx_psd = sc.tx_psd[rows[chunk]]
-            if certified.all():
-                own[chunk] = tx_psd / (sc.noise_psd * diagonal)
-            else:
-                closed_form = np.empty((chunk.size, s))
-                closed_form[certified] = tx_psd[certified] / (
-                    sc.noise_psd * diagonal[certified])
-                own[chunk] = closed_form
+            # the precoded pass below overwrites the uncertified entries
+            with np.errstate(all="ignore"):
+                own[chunk] = sc.tx_psd[rows[chunk]] / (sc.noise_psd * diagonal)
             precoded[chunk] = ~certified
         for g in np.flatnonzero(precoded.any(axis=1)):
             members = sorted(table.members[a[group[g]]] + (

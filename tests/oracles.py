@@ -29,14 +29,17 @@ table, must return the same clusters.
 sub-scenario, retrying under maximum ratio where the precoder fails; the
 rewards of ``cluster_alloc.greedy_assign`` must match it bit for bit.
 ``certified_per_interval`` decides every interval's table certificate on
-its own; ``cegmm._EdgeTable.certified``, which decides each run of equal
-cell pairs once, must match it.  ``stepwise_shrink`` shrinks one moved
-interval half a grid step at a time, each step decided on its own by
-``cegmm._edges_ok``; the lock-step ``cegmm._revalidate`` must keep the
-same step.  ``resolve_overlaps_scalar`` is ``cegmm.resolve_overlaps``
-with one scalar received-PSD call per interval it compares and
-``stepwise_shrink`` for each moved interval; the batched RSS pricing and
-the lock-step shrinks must give the same plans.
+its own; ``cegmm._EdgeCheck.certified``, which decides each run of equal
+cell pairs once, must match it.  ``cell_free_check`` is an edge check with
+no usable table cell, so every step goes to ``cegmm._edges_ok``; a check
+whose cells certify steps must give the same widths and plans.
+``stepwise_shrink`` shrinks one moved interval half a grid step
+at a time, each step decided on its own by ``cegmm._edges_ok``; the
+lock-step ``cegmm._revalidate`` must keep the same step.
+``resolve_overlaps_scalar`` is ``cegmm.resolve_overlaps`` with one scalar
+received-PSD call per interval it compares and ``stepwise_shrink`` for
+each moved interval; the batched RSS pricing and the lock-step shrinks
+with the edge check's lookups must give the same plans.
 ``envelope_peak`` is the largest value of a link's gain envelope.
 ``em_fit_reference`` is EM through the ``np.sum``/``np.max`` wrappers with
 a fresh log density per iteration, and ``bic_reference`` recomputes the
@@ -44,11 +47,13 @@ log-likelihood; the lean ``cegmm.em_fit`` and the BIC that reuses a
 converged fit's log-likelihood must match them bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 import lwcf.mimo
 from lwcf.antenna import gain, peak_frequency
-from lwcf.cegmm import FREQ_TOL, Gmm, _edges_ok
+from lwcf.cegmm import FREQ_TOL, TABLE_CELL, Gmm, _edge_table, _edges_ok
 from lwcf.clustering import SCORE_CHUNK, _eval_frequency, rss_matrix
 from lwcf.mimo import (PrecodingMatrix, SingularChannel, build_channel,
                        cluster_subchannel_reward, fallback_sinrs,
@@ -293,14 +298,23 @@ def fallback_cluster_reward(cluster_aps, cluster_ues, center, width, scenario,
                                          width, scenario, params, "mrt")
 
 
-def certified_per_interval(table, lo, hi):
-    """``_EdgeTable.certified`` with each interval's two edge cells looked
+def certified_per_interval(check, lo, hi):
+    """``_EdgeCheck.certified`` with each interval's two edge cells looked
     up and compared on their own; cells -1 and C (outside the table) both
     index the unusable last row."""
-    i = np.searchsorted(table.edges, lo) - 1
-    j = np.searchsorted(table.edges, hi) - 1
-    up, low = table.upper, table.lower_r
+    i = np.searchsorted(check.edges, lo) - 1
+    j = np.searchsorted(check.edges, hi) - 1
+    up, low = check.upper, check.lower_r
     return ((up[i] < low[j]).all(axis=1) & (up[j] < low[i]).all(axis=1))
+
+
+def cell_free_check(scenario, params, band, qos):
+    """The edge check of (scenario, params, band, qos) with the table of a
+    band that ends half a cell above cutoff, below the first cell: it
+    certifies no step and interpolates none, so ``ok`` sends every step
+    to ``_edges_ok``."""
+    narrow = (band[0], params.cutoff_frequency + TABLE_CELL / 2.0)
+    return replace(_edge_table(scenario, params, narrow, qos), band=band)
 
 
 def stepwise_shrink(scenario, params, band, qos, lo, hi, step):
@@ -323,7 +337,7 @@ def stepwise_shrink(scenario, params, band, qos, lo, hi, step):
 
 def resolve_overlaps_scalar(candidates, scenario, params, band, qos,
                             grid_step, total_bandwidth):
-    """``cegmm.resolve_overlaps`` without an edge table, pricing each
+    """``cegmm.resolve_overlaps`` without table lookups, pricing each
     compared interval's RSS (the UE sum of the received PSD at its
     midpoint) by its own scalar call and shrinking each moved interval by
     ``stepwise_shrink``."""

@@ -26,9 +26,9 @@ from lwcf.cegmm import (
     bic,
     check_coherence,
     em_fit,
-    resolve_overlaps,
     validate_plan,
 )
+from lwcf.cegmm import _edge_table, _revalidate, _truncate
 from lwcf.cluster_alloc import allocate_clustered, cluster_ue_sets
 from lwcf.clustering import hierarchical_clustering, kmeans_clustering
 from lwcf.harness import equal_bandwidth_baseline
@@ -126,14 +126,19 @@ def grid_subchannels(scenario, params=PARAMS_1, band=BAND_1):
 
 
 def candidate_plans(scenario, params=PARAMS_1, band=BAND_1):
-    """Every resolved single and pair of grid subchannels."""
+    """Every resolved single and pair of grid subchannels: the two passes
+    of ``resolve_overlaps`` on each, all re-validated in one lock-step
+    ``_revalidate`` with the drop's one edge check."""
     usable = grid_subchannels(scenario, params, band)
+    lists = []
     for i in range(len(usable)):
-        yield resolve_overlaps([usable[i]], scenario, params, band, QOS,
-                               SEARCH_HYPER.grid_step, BUDGET)
-        for j in range(i + 1, len(usable)):
-            yield resolve_overlaps([usable[i], usable[j]], scenario, params,
-                                   band, QOS, SEARCH_HYPER.grid_step, BUDGET)
+        lists.append([usable[i]])
+        lists.extend([usable[i], usable[j]]
+                     for j in range(i + 1, len(usable)))
+    records = [_truncate(cands, scenario, params, BUDGET, None)
+               for cands in lists]
+    return _revalidate(records, _edge_table(scenario, params, band, QOS),
+                       SEARCH_HYPER.grid_step)
 
 
 def best_grid_rate(scenario):

@@ -12,7 +12,6 @@ import pytest
 
 from lwcf.antenna import AntennaParams, envelope_ratio, peak_frequency
 from lwcf.cegmm import (
-    EDGE_BATCH,
     EDGE_BLOCKS,
     EM_MAX_ITER,
     ENVELOPE_DB_TOL,
@@ -42,9 +41,9 @@ from lwcf.cegmm import (TABLE_CELL, TIER_BATCH, _edge_table, _edges_ok,
                         _quantile_init, _revalidate, _smooth, _truncate)
 from lwcf.mimo import SingularChannel, received_strength_psd
 from lwcf.scenario import ScenarioConfig, generate_scenario
-from oracles import (bic_reference, certified_per_interval, edges_ok_exact,
-                     em_fit_reference, resolve_overlaps_scalar,
-                     stepwise_shrink)
+from oracles import (bic_reference, cell_free_check, certified_per_interval,
+                     edges_ok_exact, em_fit_reference,
+                     resolve_overlaps_scalar, stepwise_shrink)
 
 PARAMS = AntennaParams(1.0, 0.15, 130.0, 100e9)
 BAND = (100e9, 200e9)
@@ -81,6 +80,29 @@ def test_gmm_validation():
         Gmm(np.array([1.0]), np.array([0.0]), np.array([0.0]))
     with pytest.raises(ValueError):
         Gmm(np.array([0.5, 0.5]), np.array([0.0]), np.array([1.0]))
+
+
+def test_gmm_from_lists_samples_as_from_arrays():
+    """A mixture given lists stores float arrays, keeps the checks, and
+    draws what the same mixture given arrays draws; an array given is
+    kept as is."""
+    lists = ([0.25, 0.75], [120e9, 170e9], [1e18, 4e18])
+    arrays = [np.array(field) for field in lists]
+    from_lists, from_arrays = Gmm(*lists), Gmm(*arrays)
+    assert all(isinstance(f, np.ndarray) and f.dtype == float
+               for f in (from_lists.weights, from_lists.means,
+                         from_lists.variances))
+    assert from_arrays.means is arrays[1]
+    assert from_lists.num_components == 2
+    for n in (1, 64):
+        a = sample_gmm(from_lists, n, np.random.default_rng(3), band=BAND)
+        b = sample_gmm(from_arrays, n, np.random.default_rng(3), band=BAND)
+        assert np.array_equal(a, b)
+    assert Gmm([1.0], [0.0], [1.0]).num_components == 1
+    with pytest.raises(ValueError):
+        Gmm([0.6, 0.6], [0.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        Gmm([1.0], [0.0], [0])
 
 
 def test_sample_gmm_deterministic_and_in_band():
@@ -295,9 +317,9 @@ def test_smooth_blend_arithmetic():
 # bandwidth search and overlap resolution
 # ---------------------------------------------------------------------------
 
-def brute_bandwidth(center, sc, step, cap=None):
+def brute_bandwidth(center, sc, step, cap=None, band=BAND, qos=QOS):
     """Stepwise reference: grow symmetrically until an edge check fails."""
-    room = min(center - BAND[0], BAND[1] - center,
+    room = min(center - band[0], band[1] - center,
                center - PARAMS.cutoff_frequency - 2e-3)
     limit = 2.0 * room
     if cap is not None:
@@ -306,7 +328,7 @@ def brute_bandwidth(center, sc, step, cap=None):
     s = 1
     while s * step <= limit + 5e-4:
         w = s * step
-        if not edges_valid(sc, center - w / 2.0, center + w / 2.0):
+        if not edges_valid(sc, center - w / 2.0, center + w / 2.0, qos):
             return best
         best = w
         s += 1
@@ -315,13 +337,12 @@ def brute_bandwidth(center, sc, step, cap=None):
 
 def test_bandwidth_search_matches_stepwise_reference():
     sc = make_scenario(seed=1)
-    table = _edge_table(sc, PARAMS, BAND, QOS)
+    check = _edge_table(sc, PARAMS, BAND, QOS)
     rng = np.random.default_rng(2)
     checked_positive = 0
     for _ in range(12):
         center = float(rng.uniform(105e9, 195e9))
-        got = bandwidth_search(center, sc, PARAMS, BAND, QOS, 50e6,
-                               table=table)
+        got = float(bandwidth_searches([center], check, 50e6)[0])
         assert bandwidth_search(center, sc, PARAMS, BAND, QOS, 50e6) == got
         want = brute_bandwidth(center, sc, 50e6)
         assert got == pytest.approx(want, abs=1e-3)
@@ -332,18 +353,68 @@ def test_bandwidth_search_matches_stepwise_reference():
     assert checked_positive >= 3     # the scenario must exercise the search
 
 
+def test_band_narrower_than_one_cell_keeps_the_exact_widths_and_steps():
+    """A band that ends 50 MHz above cutoff holds no table cell: its edge
+    check certifies nothing and interpolates nothing, so every step goes
+    to ``_edges_ok``.  ``bandwidth_searches`` keeps the widths of the
+    stepwise exact scan, and ``_revalidate`` the steps of
+    ``stepwise_shrink``, which run into the band top and the cutoff."""
+    import lwcf.cegmm
+    band = (PARAMS.cutoff_frequency, PARAMS.cutoff_frequency + 50e6)
+    qos = QosConfig(min_rx_psd=10 ** -23.0, coherence_gap_db=0.5)
+    sc = make_scenario(seed=1, num_aps=8, num_ues=4)
+    check = _edge_table(sc, PARAMS, band, qos)
+    assert check.edges[0] > band[1] and not np.isfinite(check.rem).any()
+    step = 1e6
+    centers = np.linspace(band[0] + 1e6, band[1] - 1e6, 25)
+    lo, hi = centers - 1e6, centers + 1e6
+    assert not check.certified(lo, hi).any()
+    assert not np.any(check.interpolated(lo, hi))
+    asked, decided = [], []
+    real_ok, real_edges = lwcf.cegmm._EdgeCheck.ok, lwcf.cegmm._edges_ok
+
+    def ok_spy(self, lo, hi):
+        asked.append(len(lo))
+        return real_ok(self, lo, hi)
+
+    def edges_spy(scenario, params, lo, hi, qos):
+        decided.append(len(lo))
+        return real_edges(scenario, params, lo, hi, qos)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lwcf.cegmm._EdgeCheck, "ok", ok_spy)
+        patch.setattr(lwcf.cegmm, "_edges_ok", edges_spy)
+        got = bandwidth_searches(centers, check, step)
+    want = [brute_bandwidth(c, sc, step, band=band, qos=qos) for c in centers]
+    assert got.tolist() == want
+    assert sum(w > 0.0 for w in want) >= 10
+    # every step a search checks reaches the envelope and exact tiers
+    assert asked == decided and sum(asked) >= sum(want) / step
+    rng = np.random.default_rng(7)
+    lo = rng.uniform(band[0] - 5e6, band[1] - 5e6, 40)
+    hi = lo + rng.uniform(2e6, 30e6, 40)
+    kept = [stepwise_shrink(sc, PARAMS, band, qos, a, b, step)
+            for a, b in zip(lo, hi)]
+    got = _revalidate([[[a, b, True]] for a, b in zip(lo, hi)], check, step)
+    assert got == [shrunk_plan(interval) for interval, _ in kept]
+    steps = [at for _, at in kept]
+    assert sum(at is not None and at > 0 for at in steps) >= 10
+    assert sum(at == 0 for at in steps) >= 3
+
+
 def test_bandwidth_search_budget_cap():
     sc = make_scenario(seed=1)
-    table = _edge_table(sc, PARAMS, BAND, QOS)
+    checks = (_edge_table(sc, PARAMS, BAND, QOS),
+              cell_free_check(sc, PARAMS, BAND, QOS))
     rng = np.random.default_rng(4)
     for _ in range(8):
         center = float(rng.uniform(110e9, 190e9))
         free = bandwidth_search(center, sc, PARAMS, BAND, QOS, 50e6)
         if free < 200e6:
             continue
-        for t in (table, None):
-            capped = bandwidth_search(center, sc, PARAMS, BAND, QOS, 50e6,
-                                      max_bandwidth=100e6, table=t)
+        for check in checks:
+            capped = bandwidth_searches([center], check, 50e6,
+                                        max_bandwidth=100e6)[0]
             assert capped == pytest.approx(100e6, abs=1e-3)
 
 
@@ -425,27 +496,27 @@ def test_resolved_plans_pass_the_same_checks_as_fresh_ones():
 
 def test_resolve_overlaps_with_a_table_equals_without(monkeypatch):
     """The table only skips edge checks: colliding candidates under a tight
-    budget resolve to the same plan with it and without it, and with it
-    most re-validated intervals need no received-PSD call."""
+    budget resolve to the same plan with the check's table and with the
+    cell-free check, and with the table most re-validated intervals need
+    no received-PSD call."""
     import lwcf.cegmm
     sc = make_scenario(seed=2)
-    table = _edge_table(sc, PARAMS, BAND, QOS)
     rng = np.random.default_rng(9)
     shrinks, checked = [], []
     real, real_edges = lwcf.cegmm._revalidate, lwcf.cegmm._edges_ok
 
-    def spy(record_lists, *args):
+    def spy(record_lists, check, grid_step):
         checked.clear()
         calls.clear()
-        out = real(record_lists, *args)
+        out = real(record_lists, check, grid_step)
         mids = np.array([(a + b) / 2.0 for records in record_lists
                          for a, b, moved in records if moved])
         # every step of a moved interval keeps its midpoint up to rounding,
         # and the intervals are disjoint
         reached = {int(np.argmin(np.abs(mids - m))) for m in checked}
         assert bool(calls) == bool(reached)
-        shrinks.extend((args[-1] is not None, int(i in reached))
-                       for i in range(mids.size))
+        shrinks.extend((bool(np.isfinite(check.rem).any()),
+                        int(i in reached)) for i in range(mids.size))
         return out
 
     def edges_spy(scenario, params, lo, hi, qos):
@@ -463,8 +534,10 @@ def test_resolve_overlaps_with_a_table_equals_without(monkeypatch):
             if w > 0.0:
                 cands.append((float(c), w))
         want = resolve_overlaps(cands, sc, PARAMS, BAND, QOS, 50e6, 1e9)
-        assert resolve_overlaps(cands, sc, PARAMS, BAND, QOS, 50e6, 1e9,
-                                table) == want
+        with monkeypatch.context() as patch:
+            patch.setattr(lwcf.cegmm, "_edge_table", cell_free_check)
+            assert resolve_overlaps(cands, sc, PARAMS, BAND, QOS, 50e6,
+                                    1e9) == want
     with_table = [n for given, n in shrinks if given]
     assert len(with_table) * 2 == len(shrinks) >= 20
     assert all(n for given, n in shrinks if not given)
@@ -474,9 +547,9 @@ def test_resolve_overlaps_with_a_table_equals_without(monkeypatch):
 def test_resolve_overlaps_prices_missing_rss_in_one_call(monkeypatch):
     """Each RSS miss prices every current interval without an RSS in one
     array call.  On seeded drops with six searched candidates in 10 GHz,
-    which collide, under a loose and a tight budget, with and without a
-    table, the plans equal those of one scalar PSD call per compared
-    interval, in fewer calls."""
+    which collide, under a loose and a tight budget, with the edge check's
+    table and with the cell-free check, the plans equal those of one
+    scalar PSD call per compared interval, in fewer calls."""
     import lwcf.cegmm
     import oracles
     real_psd, real_shrink = received_strength_psd, _revalidate
@@ -484,7 +557,8 @@ def test_resolve_overlaps_prices_missing_rss_in_one_call(monkeypatch):
     counting = {"batched": False}
 
     def cegmm_psd(scenario, params, frequency, envelope=False):
-        calls["batched"] += counting["batched"]
+        # the edge check's table is built from envelope PSDs
+        calls["batched"] += counting["batched"] and not envelope
         return real_psd(scenario, params, frequency, envelope)
 
     def oracle_psd(scenario, params, frequency, envelope=False):
@@ -506,20 +580,22 @@ def test_resolve_overlaps_prices_missing_rss_in_one_call(monkeypatch):
     cases = 0
     for seed in range(4):
         sc = make_scenario(seed=seed)
-        table = _edge_table(sc, PARAMS, BAND, QOS)
+        check = _edge_table(sc, PARAMS, BAND, QOS)
         rng = np.random.default_rng(seed)
         for _ in range(5):
             centers = rng.uniform(110e9, 120e9, 6) + rng.uniform(0.0, 60e9)
-            widths = bandwidth_searches(centers, sc, PARAMS, BAND, QOS, 50e6)
+            widths = bandwidth_searches(centers, check, 50e6)
             cands = [(float(c), float(w))
                      for c, w in zip(centers, widths) if w > 0.0]
-            for budget, t in itertools.product((1e9, 100e9), (table, None)):
+            for budget, build in itertools.product(
+                    (1e9, 100e9), (_edge_table, cell_free_check)):
+                monkeypatch.setattr(lwcf.cegmm, "_edge_table", build)
                 before = dict(calls)
                 want = resolve_overlaps_scalar(cands, sc, PARAMS, BAND, QOS,
                                                50e6, budget)
                 counting["batched"] = True
                 got = resolve_overlaps(cands, sc, PARAMS, BAND, QOS, 50e6,
-                                       budget, t)
+                                       budget)
                 counting["batched"] = False
                 assert got == want
                 batched = calls["batched"] - before["batched"]
@@ -539,10 +615,10 @@ def test_seeded_rss_equals_the_pricing_of_rss_of(monkeypatch):
     reference's, and the seeded calls price fewer frequencies."""
     import lwcf.cegmm
     real_truncate, real_psd = _truncate, received_strength_psd
-    seen, priced, drop = [], {"on": False, "freqs": 0}, {}
+    seen, priced = [], {"on": False, "freqs": 0}
 
     def truncate_spy(*args):
-        seen.append((args, drop["table"]))
+        seen.append(args)
         return real_truncate(*args)
 
     def psd_spy(scenario, params, frequency, envelope=False):
@@ -563,18 +639,17 @@ def test_seeded_rss_equals_the_pricing_of_rss_of(monkeypatch):
     monkeypatch.setattr(lwcf.cegmm, "_revalidate", shrink_spy)
     for seed, budget in itertools.product(range(3), (1e9, 10e9)):
         sc = make_scenario(seed=seed)
-        drop["table"] = table = _edge_table(sc, PARAMS, BAND, QOS)
         rng = np.random.default_rng(seed)
         batch = [rng.uniform(110e9, 125e9, 4) + rng.uniform(0.0, 60e9)
                  for _ in range(6)]
-        evaluate_candidates(batch, sc, PARAMS, BAND, QOS, 50e6, budget,
-                            table)
+        evaluate_candidates(batch, _edge_table(sc, PARAMS, BAND, QOS), 50e6,
+                            budget)
     assert len(seen) == 36
     # resolve_overlaps below truncates through the module's _truncate
     monkeypatch.setattr(lwcf.cegmm, "_truncate", real_truncate)
     seeded_freqs = unseeded_freqs = 0
-    for (cands, sc, params, budget, rss), table in seen:
-        rest = (params, BAND, QOS, 50e6, budget, table)
+    for cands, sc, params, budget, rss in seen:
+        rest = (params, BAND, QOS, 50e6, budget)
         for c, value in rss.items():
             assert value == float(real_psd(sc, PARAMS, [c]).sum(axis=1)[0])
             assert value == float(np.sum(real_psd(sc, PARAMS, c)))
@@ -587,7 +662,7 @@ def test_seeded_rss_equals_the_pricing_of_rss_of(monkeypatch):
                 unseeded_freqs += priced["freqs"]
             else:
                 seeded_freqs += priced["freqs"]
-            assert got == resolve_overlaps_scalar(cands, sc, *rest[:-1])
+            assert got == resolve_overlaps_scalar(cands, sc, *rest)
     assert seeded_freqs < unseeded_freqs / 2
 
 
@@ -599,17 +674,19 @@ def shrunk_plan(kept):
 
 
 def test_shrink_without_a_table_checks_step_zero_alone(monkeypatch):
-    """Re-validating one moved interval without a table, the first
-    ``_edges_ok`` call holds step 0 alone and the later ones at most 32
-    steps, and with the table the blocks are the same.  Re-validating all
-    of them in one call, plus intervals that leave the band and ones that
-    vanish, the calls hold at most a batch, and the ones with step-0
-    intervals come first and hold nothing else: without a table the first
-    holds every step 0 in band.  With the table or without, alone or
-    together, the kept step is the first one a stepwise scan accepts."""
+    """Re-validating one moved interval with the cell-free check, the
+    first ``_edges_ok`` call holds step 0 alone and the later ones at most
+    32 steps, and with the table the blocks are the same.  Re-validating
+    all of them in one call, plus intervals that leave the band and ones
+    that vanish, the calls hold at most ``TIER_BATCH`` intervals, and the
+    ones with step-0 intervals come first and hold nothing else: with the
+    cell-free check the first holds every step 0 in band.  With the table
+    or without, alone or together, the kept step is the first one a
+    stepwise scan accepts."""
     import lwcf.cegmm
     sc = make_scenario(seed=1, num_aps=8, num_ues=4)
     table = _edge_table(sc, PARAMS, BAND, QOS)
+    cell_free = cell_free_check(sc, PARAMS, BAND, QOS)
     real = lwcf.cegmm._edges_ok
     sizes, checked = [], []
 
@@ -624,13 +701,13 @@ def test_shrink_without_a_table_checks_step_zero_alone(monkeypatch):
     for lo, hi in zip(*random_intervals(5, n=60)):
         want, at = stepwise_shrink(sc, PARAMS, BAND, QOS, lo, hi, step)
         sizes.clear()
-        assert _revalidate([[[lo, hi, True]]], sc, PARAMS, BAND, QOS, step,
-                           None) == [shrunk_plan(want)]
+        assert _revalidate([[[lo, hi, True]]], cell_free,
+                           step) == [shrunk_plan(want)]
         # every random interval has step 0 in band
         assert sizes[0] == 1 and all(n <= 32 for n in sizes[1:])
         sizes.clear()
-        assert _revalidate([[[lo, hi, True]]], sc, PARAMS, BAND, QOS, step,
-                           table) == [shrunk_plan(want)]
+        assert _revalidate([[[lo, hi, True]]], table,
+                           step) == [shrunk_plan(want)]
         assert sizes[:1] in ([], [1]) and all(n <= 32 for n in sizes)
         kept.append(at)
         wants.append(shrunk_plan(want))
@@ -654,16 +731,15 @@ def test_shrink_without_a_table_checks_step_zero_alone(monkeypatch):
     valid = {(a, b) for a, b in step0 if b - a > FREQ_TOL
              and a >= BAND[0] - FREQ_TOL and a > PARAMS.cutoff_frequency
              + FREQ_TOL and b <= BAND[1] + FREQ_TOL}
-    for t, batch in ((None, EDGE_BATCH), (table, TIER_BATCH)):
+    for t in (cell_free, table):
         sizes.clear()
         checked.clear()
-        got = _revalidate([[[a, b, True]] for a, b in edges], sc, PARAMS,
-                          BAND, QOS, step, t)
-        assert got == wants and max(sizes) <= batch
+        got = _revalidate([[[a, b, True]] for a, b in edges], t, step)
+        assert got == wants and max(sizes) <= TIER_BATCH
         firsts = [c <= step0 for c in checked if c]
         assert firsts == sorted(firsts, reverse=True)
         assert all(c <= step0 or not c & step0 for c in checked)
-        if t is None:
+        if t is cell_free:
             assert checked[0] == valid and sizes[0] == len(valid)
 
 
@@ -912,7 +988,8 @@ def test_bandwidth_search_equals_stepwise_exact_scan():
     """Widths equal a one-step-at-a-time scan with the exact-PSD oracle
     when the access threshold ends the searches, when a 0.5 dB coherence
     gap does, and when neither does and they run to the last step; with
-    the edge table of each setting and without lookups alike."""
+    the edge check of each setting, the one-center wrapper's own and the
+    cell-free check alike."""
     step, cap = 10e6, 10e9
     ends = {"threshold": 0, "gap": 0, "max_steps": 0}
     looked_up = {name: 0 for name in ends}
@@ -929,10 +1006,12 @@ def test_bandwidth_search_equals_stepwise_exact_scan():
                 if name == "threshold" or name not in tables:
                     tables[name] = _edge_table(sc, PARAMS, BAND, qos)
                 table = tables[name]
-                got = bandwidth_search(float(center), sc, PARAMS, BAND, qos,
-                                       step, max_bandwidth=cap, table=table)
+                got = float(bandwidth_searches([center], table, step, cap)[0])
                 assert bandwidth_search(float(center), sc, PARAMS, BAND, qos,
                                         step, max_bandwidth=cap) == got
+                assert bandwidth_searches(
+                    [center], cell_free_check(sc, PARAMS, BAND, qos), step,
+                    cap)[0] == got
                 want, max_steps = stepwise_width(center, sc, qos, step, cap)
                 assert got == want
                 looked_up[name] += bool(table.certified(
@@ -965,8 +1044,7 @@ def test_certified_blocks_make_no_per_interval_psd_call(monkeypatch):
     widths = np.arange(1, 1001) * 10e6
     assert np.all(table.certified(150e9 - widths / 2.0, 150e9 + widths / 2.0))
     calls = spy_edge_psds(monkeypatch)
-    got = bandwidth_search(150e9, sc, PARAMS, BAND, loose, 10e6,
-                           max_bandwidth=10e9, table=table)
+    got = bandwidth_searches([150e9], table, 10e6, max_bandwidth=10e9)[0]
     assert got == 10e9
     assert calls == []
 
@@ -976,7 +1054,7 @@ def test_table_leaves_steps_at_the_cutoff_to_the_other_tiers():
     cells inside that guard never certify, and frequencies below the first
     cell fall in the unusable one.  Searches centred within 50 MHz of
     cutoff still give the widths of the exact scan, with their table and
-    without lookups."""
+    with the cell-free check."""
     sc = make_scenario(seed=0)
     loose = QosConfig(0.0, 40.0)
     table = _edge_table(sc, PARAMS, BAND, loose)
@@ -1003,9 +1081,9 @@ def test_table_leaves_steps_at_the_cutoff_to_the_other_tiers():
         for qos, qos_table in tables:
             want, max_steps = stepwise_width(center, sc, qos, 1e6, 10e9)
             assert max_steps >= 1
-            for t in (qos_table, None):
-                assert bandwidth_search(center, sc, PARAMS, BAND, qos, 1e6,
-                                        max_bandwidth=10e9, table=t) == want
+            for t in (qos_table, cell_free_check(sc, PARAMS, BAND, qos)):
+                assert bandwidth_searches([center], t, 1e6,
+                                          max_bandwidth=10e9)[0] == want
 
 
 def cell_pairs(table, rng):
@@ -1071,7 +1149,7 @@ def test_steps_on_cell_edges_and_at_the_band_top_equal_the_exact_scan():
     """An edge on a stored cell edge belongs to the cell below it, whose
     bounds hold there; a search that runs to the band top looks its last
     step up in the last cell.  Both give the widths of the exact scan, as
-    do the same searches without lookups."""
+    do the same searches with the cell-free check."""
     step = 10e6
     sc = make_scenario(seed=2, num_aps=8, num_ues=4)
     loose, gap = QosConfig(0.0, 40.0), QosConfig(0.0, 0.5)
@@ -1089,18 +1167,17 @@ def test_steps_on_cell_edges_and_at_the_band_top_equal_the_exact_scan():
             assert table.certified([edge], [center + s * step / 2.0])[0]
             for qos, qos_table in tables:
                 want = stepwise_width(center, sc, qos, step, 10e9)[0]
-                for t in (qos_table, None):
-                    assert bandwidth_search(center, sc, PARAMS, BAND, qos,
-                                            step, max_bandwidth=10e9,
-                                            table=t) == want
+                for t in (qos_table, cell_free_check(sc, PARAMS, BAND, qos)):
+                    assert bandwidth_searches([center], t, step,
+                                              max_bandwidth=10e9)[0] == want
     center = BAND[1] - 50 * step
     assert table.certified([center - 50 * step], [BAND[1]])[0]
     assert np.searchsorted(table.edges, BAND[1]) - 1 == table.edges.size - 2
     for qos, qos_table in tables:
         want, max_steps = stepwise_width(center, sc, qos, step, 10e9)
-        for t in (qos_table, None):
-            assert bandwidth_search(center, sc, PARAMS, BAND, qos, step,
-                                    max_bandwidth=10e9, table=t) == want
+        for t in (qos_table, cell_free_check(sc, PARAMS, BAND, qos)):
+            assert bandwidth_searches([center], t, step,
+                                      max_bandwidth=10e9)[0] == want
     assert want == max_steps * step == 100 * step
 
 
@@ -1110,9 +1187,10 @@ def test_lockstep_widths_equal_one_center_searches_and_the_stepwise_scan(
     table certifies, centers within 50 MHz of cutoff, centers at the band
     top, centers below the access threshold and centers with no room at
     all; every width equals the one-center ``bandwidth_search`` and the
-    stepwise exact scan, with each setting's table and without lookups.
-    The edge checks go in shared calls of at most ``EDGE_BATCH`` intervals,
-    8-step blocks first."""
+    stepwise exact scan, with each setting's table and with the cell-free
+    check.  The edge checks go in shared calls of at most ``TIER_BATCH``
+    intervals, 8-step blocks first: with the cell-free check the first
+    call holds the first block of every search with room."""
     import lwcf.cegmm
     step, cap = 10e6, 10e9
     cutoff = PARAMS.cutoff_frequency
@@ -1136,20 +1214,22 @@ def test_lockstep_widths_equal_one_center_searches_and_the_stepwise_scan(
     certified = zero = 0
     for qos in settings:
         table = _edge_table(sc, PARAMS, BAND, qos)
-        want = [stepwise_width(c, sc, qos, step, cap)[0] for c in centers]
-        for t in (table, None):
+        cell_free = cell_free_check(sc, PARAMS, BAND, qos)
+        widths = [stepwise_width(c, sc, qos, step, cap) for c in centers]
+        want = [width for width, _ in widths]
+        for t in (table, cell_free):
             sizes.clear()
-            got = bandwidth_searches(centers, sc, PARAMS, BAND, qos, step,
-                                     cap, t)
+            got = bandwidth_searches(centers, t, step, cap)
             assert got.tolist() == want
-            assert sizes and max(sizes) <= EDGE_BATCH
-            if t is None:
-                # the first call: the first blocks of EDGE_BATCH //
-                # EDGE_BLOCKS[0] searches, a few cut short by their room
-                assert EDGE_BATCH - EDGE_BLOCKS[0] < sizes[0] <= EDGE_BATCH
-            for c, w in zip(centers, got):
-                assert bandwidth_search(c, sc, PARAMS, BAND, qos, step, cap,
-                                        t) == w
+            assert sizes and max(sizes) <= TIER_BATCH
+            if t is cell_free:
+                # the first call: the first blocks of all searches, a few
+                # cut short by their room
+                assert sizes[0] == sum(min(EDGE_BLOCKS[0], max_steps)
+                                       for _, max_steps in widths
+                                       if max_steps >= 1)
+        for c, w in zip(centers, want):
+            assert bandwidth_search(c, sc, PARAMS, BAND, qos, step, cap) == w
         certified += int(table.certified(centers[:-3] - step / 2.0,
                                          centers[:-3] + step / 2.0).sum())
         zero += want.count(0.0)
@@ -1159,17 +1239,19 @@ def test_lockstep_widths_equal_one_center_searches_and_the_stepwise_scan(
 def test_lockstep_candidates_equal_one_candidate_evaluations():
     """``evaluate_candidates`` over a batch gives each candidate what
     ``evaluate_candidate`` gives it alone: stragglers on the cutoff, centers
-    out of band, inaccessible and colliding centers included."""
+    out of band, inaccessible and colliding centers included, with the
+    edge check's table and with the cell-free check."""
     sc = make_scenario(seed=2)
-    table = _edge_table(sc, PARAMS, BAND, QOS)
     rng = np.random.default_rng(12)
     batch = [np.sort(rng.uniform(101e9, 199e9, 4)) for _ in range(20)]
     batch += [np.array([PARAMS.cutoff_frequency] * 3 + [150e9]),
               np.array([BAND[1], BAND[1], 150e9, 150.1e9]), np.array([])]
-    for t in (table, None):
-        got = evaluate_candidates(batch, sc, PARAMS, BAND, QOS, 50e6, 2e9, t)
-        assert got == [evaluate_candidate(c, sc, PARAMS, BAND, QOS, 50e6,
-                                          2e9, t) for c in batch]
+    alone = [evaluate_candidate(c, sc, PARAMS, BAND, QOS, 50e6, 2e9)
+             for c in batch]
+    for t in (_edge_table(sc, PARAMS, BAND, QOS),
+              cell_free_check(sc, PARAMS, BAND, QOS)):
+        got = evaluate_candidates(batch, t, 50e6, 2e9)
+        assert got == alone
     assert got[-1] == ([], False)
     assert sum(accessible for _, accessible in got) >= 15
 
@@ -1184,8 +1266,8 @@ def test_a_failed_subchannel_fails_only_its_own_candidate(monkeypatch):
     sc = make_scenario(seed=3)
     rng = np.random.default_rng(3)
     batch = [subs for subs, _ in evaluate_candidates(
-        [rng.uniform(110e9, 190e9, 3) for _ in range(12)], sc, PARAMS, BAND,
-        QOS, 10e6, 10e9)]
+        [rng.uniform(110e9, 190e9, 3) for _ in range(12)],
+        _edge_table(sc, PARAMS, BAND, QOS), 10e6, 10e9)]
     want = [score_batch([subs], sc, PARAMS, "zf")[0] for subs in batch]
     bad = batch[0][0][0]
     real = lwcf.cegmm.rate_densities
@@ -1288,8 +1370,7 @@ def test_evaluate_candidate_filters_and_flags():
     sc = make_scenario(seed=1)
     table = _edge_table(sc, PARAMS, BAND, QOS)
     centers = [90e9, 150e9, 210e9]
-    subs, accessible = evaluate_candidate(
-        centers, sc, PARAMS, BAND, QOS, 50e6, 10e9, table=table)
+    [(subs, accessible)] = evaluate_candidates([centers], table, 50e6, 10e9)
     assert accessible
     for c, w in subs:
         assert BAND[0] < c < BAND[1] and w > 0.0
@@ -1297,11 +1378,12 @@ def test_evaluate_candidate_filters_and_flags():
                               10e9) == (subs, accessible)
     # an unreachable access threshold drops every center
     strict = QosConfig(min_rx_psd=1.0, coherence_gap_db=0.5)
-    strict_table = _edge_table(sc, PARAMS, BAND, strict)
-    for t in (strict_table, None):
-        subs, accessible = evaluate_candidate(
-            [150e9], sc, PARAMS, BAND, strict, 50e6, 10e9, table=t)
+    for t in (_edge_table(sc, PARAMS, BAND, strict),
+              cell_free_check(sc, PARAMS, BAND, strict)):
+        [(subs, accessible)] = evaluate_candidates([[150e9]], t, 50e6, 10e9)
         assert subs == [] and not accessible
+    assert evaluate_candidate([150e9], sc, PARAMS, BAND, strict, 50e6,
+                              10e9) == ([], False)
 
 
 def test_straggler_clipped_onto_the_cutoff_is_skipped():
@@ -1315,14 +1397,14 @@ def test_straggler_clipped_onto_the_cutoff_is_skipped():
     assert np.all(centers == PARAMS.cutoff_frequency)
     sc = make_scenario(seed=1)
     mixed = np.append(centers[:1], 150e9)
-    for t in (_edge_table(sc, PARAMS, BAND, QOS), None):
-        assert evaluate_candidate(centers, sc, PARAMS, BAND, QOS, 50e6,
-                                  10e9, table=t) == ([], False)
+    assert evaluate_candidate(centers, sc, PARAMS, BAND, QOS, 50e6,
+                              10e9) == ([], False)
+    for t in (_edge_table(sc, PARAMS, BAND, QOS),
+              cell_free_check(sc, PARAMS, BAND, QOS)):
+        assert evaluate_candidates([centers], t, 50e6, 10e9) == [([], False)]
         # next to an accessible center the straggler changes nothing
-        assert (evaluate_candidate(mixed, sc, PARAMS, BAND, QOS, 50e6, 10e9,
-                                   table=t)
-                == evaluate_candidate([150e9], sc, PARAMS, BAND, QOS, 50e6,
-                                      10e9, table=t))
+        assert (evaluate_candidates([mixed], t, 50e6, 10e9)
+                == evaluate_candidates([[150e9]], t, 50e6, 10e9))
 
 
 def test_allocate_deterministic_and_valid():
@@ -1374,12 +1456,13 @@ def test_allocators_equal_their_plans_without_a_table(monkeypatch,
                                                       attenuation):
     """``allocate`` and ``allocate_clustered`` give the same plans, field
     for field, with their search's table and with ``_edge_table`` patched
-    to return None, at 130 rad/m and at 13 rad/m with a -200 dBm/Hz access
-    threshold, where the remainder is ~100 times wider (a 1.5 dB gap, since
-    at 13 rad/m the envelope ratio alone spans 1.25 dB).  In the runs
-    with the table the per-interval tier proves steps good and bad."""
+    to build the cell-free check, at 130 rad/m and at 13 rad/m with a
+    -200 dBm/Hz access threshold, where the remainder is ~100 times wider
+    (a 1.5 dB gap, since at 13 rad/m the envelope ratio alone spans
+    1.25 dB).  In the runs with the table the per-interval tier proves
+    steps good and bad."""
     import lwcf.cegmm
-    from lwcf.cegmm import _EdgeTable
+    from lwcf.cegmm import _EdgeCheck
     from lwcf.cluster_alloc import allocate_clustered
     from lwcf.clustering import kmeans_clustering
 
@@ -1391,7 +1474,7 @@ def test_allocators_equal_their_plans_without_a_table(monkeypatch,
                           grid_step=10e6, num_subchannels=3)
     clustering = kmeans_clustering(sc, params, BAND[1], 2,
                                    np.random.default_rng(5))
-    real = _EdgeTable.interpolated
+    real = _EdgeCheck.interpolated
     verdicts = {"good": 0, "bad": 0}
 
     def spy(table, lo, hi):
@@ -1408,12 +1491,12 @@ def test_allocators_equal_their_plans_without_a_table(monkeypatch,
                                    clustering, stream(),
                                    total_bandwidth=10e9))
 
-    assert _edge_table(sc, params, BAND, qos) is not None
-    monkeypatch.setattr(_EdgeTable, "interpolated", spy)
+    assert np.isfinite(_edge_table(sc, params, BAND, qos).rem).any()
+    monkeypatch.setattr(_EdgeCheck, "interpolated", spy)
     with_table = plans()
     assert verdicts["good"] > 0 and verdicts["bad"] > 0
     assert with_table[0].subchannels and with_table[1].subchannels
-    monkeypatch.setattr(lwcf.cegmm, "_edge_table", lambda *args: None)
+    monkeypatch.setattr(lwcf.cegmm, "_edge_table", cell_free_check)
     assert plans() == with_table
 
 
@@ -1442,9 +1525,9 @@ def test_ce_search_refits_between_iterations_only(monkeypatch, iterations):
 
 
 def test_one_edge_table_per_search(monkeypatch):
-    """``ce_search`` builds the one table of a search: an ``allocate`` and
-    an ``allocate_clustered`` build one each, and standalone searches,
-    candidates and overlap resolutions build none."""
+    """``ce_search`` builds the one edge check of a search: an
+    ``allocate`` and an ``allocate_clustered`` build one each, and a
+    standalone search, candidate and overlap resolution one each too."""
     import lwcf.cegmm
     from lwcf.cluster_alloc import allocate_clustered
     from lwcf.clustering import kmeans_clustering
@@ -1476,7 +1559,7 @@ def test_one_edge_table_per_search(monkeypatch):
     resolve_overlaps([(150e9, width), (150.1e9, width)], sc, PARAMS, BAND,
                      QOS, 50e6, 1e9)
     assert width > 0.0 and subchannels and accessible
-    assert len(built) == 2
+    assert len(built) == 5
 
 
 def test_allocate_respects_budget():

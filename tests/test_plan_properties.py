@@ -22,6 +22,7 @@ from lwcf.cluster_alloc import ClusterPlan, allocate_clustered
 from lwcf.clustering import kmeans_clustering
 from lwcf.config import load_config
 from lwcf.scenario import generate_scenario
+from oracles import cell_free_check
 
 APP = load_config()
 PARAMS, BAND, QOS = APP.params, APP.band, APP.qos
@@ -91,9 +92,10 @@ def test_broadside_links_and_band_edge_centers_hold_the_invariants(seed):
     rng = np.random.default_rng(seed)
     batch = [np.sort(rng.choice(np.concatenate([edges, peaks]), 4))
              for _ in range(40)] + [np.array(edges)]
-    for table in (_edge_table(sc, PARAMS, BAND, QOS), None):
-        evaluated = evaluate_candidates(batch, sc, PARAMS, BAND, QOS,
-                                        APP.hyper.grid_step, BUDGET, table)
+    for check in (_edge_table(sc, PARAMS, BAND, QOS),
+                  cell_free_check(sc, PARAMS, BAND, QOS)):
+        evaluated = evaluate_candidates(batch, check, APP.hyper.grid_step,
+                                        BUDGET)
         assert sum(bool(subs) for subs, _ in evaluated) >= 20
         for subs, _ in evaluated:
             assert_valid(subs, sc)
