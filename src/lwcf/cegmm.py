@@ -238,15 +238,20 @@ def bic(gmm: Gmm, values, log_likelihood: float | None = None) -> float:
 # plan construction
 # ---------------------------------------------------------------------------
 
-# Slack of the envelope certificates in ``_edges_ok``: relative on PSDs and
+# Slack of the envelope bounds of ``_EdgeCheck``: relative on PSDs and
 # absolute on dB gaps, far above the ~1e-15 rounding of either gain kernel.
 ENVELOPE_REL_TOL = 1e-12
 ENVELOPE_DB_TOL = 1e-9
 
 
-def _exact_edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
-                    qos: QosConfig) -> np.ndarray:
-    """The checks of ``_edges_ok`` on the exact PSDs of every interval."""
+def _edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
+              qos: QosConfig) -> np.ndarray:
+    """One flag per interval of the 1-D edge arrays ``lo``/``hi``, from the
+    exact PSDs: every UE's received PSD is positive and meets the access
+    threshold at both edges, and its edge-to-edge gap stays below the
+    coherence limit.  The exact predicate: ``_EdgeCheck.ok`` hands it the
+    intervals its bounds leave unsure, and ``check_coherence`` asks it
+    alone."""
     psd_lo = received_strength_psd(scenario, params, lo)
     psd_hi = received_strength_psd(scenario, params, hi)
     ok = (np.all(psd_lo >= qos.min_rx_psd, axis=1)
@@ -257,16 +262,6 @@ def _exact_edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
     return ok & np.all(gap < qos.coherence_gap_db, axis=1)
 
 
-def _envelope_slack(params: AntennaParams,
-                    qos: QosConfig) -> tuple[float, float] | None:
-    """(rho, 10 log10 rho + ENVELOPE_DB_TOL), rho = ``envelope_ratio``; None
-    when the envelope can decide nothing, as the dB slack reaches the
-    coherence limit (rho is infinite without attenuation)."""
-    rho = envelope_ratio(params)
-    slack_db = 10.0 * np.log10(rho) + ENVELOPE_DB_TOL
-    return (rho, slack_db) if slack_db < qos.coherence_gap_db else None
-
-
 TABLE_CELL = 80e6    # Hz, cell width of an ``_EdgeCheck``'s table
 
 
@@ -275,9 +270,10 @@ class _EdgeCheck:
     """The edge-validity check of one (scenario, params, band, qos): a
     table of every UE's envelope PSD at uniform cell edges from one cell
     above cutoff to the band top, with a relative interpolation remainder
-    per cell, and the one predicate ``ok`` that reads it.  ``_edge_table``
-    builds one; ``ce_search`` builds one per search and hands it down, and
-    each one-item wrapper builds its own.
+    per cell, the margins of one bound rule (``_verdict``), and the one
+    predicate ``ok`` that reads them.  ``_edge_table`` builds one;
+    ``ce_search`` builds one per search and hands it down, and each
+    one-item wrapper builds its own.
 
     The remainder.  One link's envelope is e = eta L sinh b / sqrt(a^2 +
     b^2), with a = kappa f (n - cos theta), kappa = pi L / c, n = sqrt(1 -
@@ -299,19 +295,36 @@ class _EdgeCheck:
     unit roundoff, so it grows without bound at cutoff (3-11 MHz above it
     at the defaults).
 
-    Two tiers read the table, both with the margins of ``_edges_ok``'s
-    envelope tier (eps = ``ENVELOPE_REL_TOL``, rho the envelope ratio):
+    The bound rule.  The received PSD lies in the sin-free envelope
+    bracket env <= psd <= rho env UE by UE (``received_strength_psd``),
+    rho = ``envelope_ratio``.  With eps = ``ENVELOPE_REL_TOL`` and the dB
+    slack s = 10 log10 rho + ``ENVELOPE_DB_TOL`` covering rounding, lower
+    and upper bounds on every UE's envelope PSD at an interval's two edges
+    prove it good when the lower bounds times (1 - eps) reach the access
+    threshold and each edge's upper bound stays below the other's lower
+    bound times 10^((limit - s)/10) (1 - eps)/(1 + eps) (``max_ratio``);
+    they prove it bad when some UE's upper bound at an edge times rho (1 +
+    eps) misses the threshold times (1 - eps), or one edge's lower bound
+    exceeds the other's upper bound times 10^((limit + s)/10) (1 + eps)/(1
+    - eps) (``min_ratio``).  The envelope decides nothing (``envelope``
+    False) without attenuation, where rho is infinite, or when s reaches
+    the coherence limit.
+
+    ``ok`` decides in tiers, each on the intervals the one before leaves
+    unsure; the callers look each step up in ``certified`` first:
 
     * ``certified`` bounds each cell by the min and max of its edge values
-      minus and plus the remainder (``lower_r``, ``upper``) and decides a
-      pair of cells at once;
-    * ``interpolated`` bounds each interval edge by the interpolant plus
-      and minus the remainder, and proves an interval good or bad.
+      minus and plus the remainder (``lower_r``, ``upper``) and certifies
+      a pair of cells at once by the good rule;
+    * ``interpolated`` bounds each interval edge by the interpolant minus
+      and plus the remainder and proves an interval good or bad;
+    * the envelope PSDs of the interval edges, when the envelope decides,
+      are their own bounds;
+    * ``_edges_ok`` decides the rest from the exact PSDs.
 
     A check without usable cells, where the envelope can decide nothing
     or the band ends below the first cell, certifies nothing and
-    interpolates nothing, so ``ok`` leaves every interval to
-    ``_edges_ok``.
+    interpolates nothing.
     """
 
     scenario: Scenario
@@ -329,6 +342,7 @@ class _EdgeCheck:
     max_bound: float      # an upper bound below it misses the threshold
     max_ratio: float      # largest upper/lower ratio that clears the gap
     min_ratio: float      # smallest lower/upper ratio that opens it
+    envelope: bool        # the envelope bracket can decide an interval
 
     def _cells(self, f: np.ndarray) -> np.ndarray:
         """The cell of each frequency, ``searchsorted(edges, f) - 1``: cell
@@ -363,14 +377,25 @@ class _EdgeCheck:
               & (up.take(j, axis=0) < low.take(i, axis=0))).all(axis=1)
         return ok[np.cumsum(new) - 1]
 
+    def _verdict(self, low, up) -> tuple[np.ndarray, np.ndarray]:
+        """(good, bad) per interval from lower and upper bounds (2N, K) on
+        every UE's envelope PSD at the N lower edges, then the N upper
+        edges, by the bound rule (see the class); neither is unsure."""
+        n = low.shape[0] // 2
+        low_a, low_b, up_a, up_b = low[:n], low[n:], up[:n], up[n:]
+        good = ((low_a >= self.min_bound) & (low_b >= self.min_bound)
+                & (up_a < low_b * self.max_ratio)
+                & (up_b < low_a * self.max_ratio)).all(axis=1)
+        bad = ((up_a < self.max_bound) | (up_b < self.max_bound)
+               | (low_a > up_b * self.min_ratio)
+               | (low_b > up_a * self.min_ratio)).any(axis=1)
+        return good, bad
+
     def interpolated(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        """(good, bad) per interval from bounds on every UE's envelope PSD
-        at its two edges, the interpolant minus and plus the remainder:
-        good when they pass the access and gap checks of ``certified``,
-        bad when they prove that ``_edges_ok`` fails the interval, as its
-        envelope tier would; neither is unsure.  An edge outside the table
-        or in a cell with an infinite remainder decides neither."""
-        n = np.size(lo)
+        """(good, bad) per interval: ``_verdict`` on the interpolant of
+        every UE's envelope PSD at its two edges minus and plus the
+        remainder.  An edge outside the table or in a cell with an
+        infinite remainder decides neither."""
         f = np.concatenate([np.asarray(lo, dtype=float),
                             np.asarray(hi, dtype=float)])
         c = self._cells(f)
@@ -387,23 +412,24 @@ class _EdgeCheck:
         low *= self.rem.take(c)[:, None]
         up = mid + low
         np.subtract(mid, low, out=low)
-        low_a, low_b, up_a, up_b = low[:n], low[n:], up[:n], up[n:]
-        good = ((low_a >= self.min_bound) & (low_b >= self.min_bound)
-                & (up_a < low_b * self.max_ratio)
-                & (up_b < low_a * self.max_ratio)).all(axis=1)
-        bad = ((up_a < self.max_bound) | (up_b < self.max_bound)
-               | (low_a > up_b * self.min_ratio)
-               | (low_b > up_a * self.min_ratio)).any(axis=1)
-        return good, bad
+        return self._verdict(low, up)
 
     def ok(self, lo, hi) -> np.ndarray:
-        """The flags of ``_edges_ok`` for the 1-D edge arrays ``lo``/``hi``:
-        an interval that ``interpolated`` proves good or bad takes that
-        verdict, and ``_edges_ok`` (envelope, then exact PSDs) decides the
-        unsure rest.  The callers look each step up in ``certified``
-        first."""
+        """One flag per interval of the 1-D edge arrays ``lo``/``hi``, that
+        of ``_edges_ok``: ``interpolated`` decides what it proves, then,
+        when the envelope decides, one envelope ``received_strength_psd``
+        call on the lower and upper edges of the unsure rest takes
+        ``_verdict`` as its own bounds, and ``_edges_ok`` decides what is
+        still unsure from the exact PSDs."""
         good, bad = self.interpolated(lo, hi)
         unsure = np.flatnonzero(~good & ~bad)
+        if unsure.size and self.envelope:
+            env = received_strength_psd(
+                self.scenario, self.params,
+                np.concatenate([lo[unsure], hi[unsure]]), envelope=True)
+            sure, bad = self._verdict(env, env)
+            good[unsure] = sure
+            unsure = unsure[~sure & ~bad]
         if unsure.size:
             good[unsure] = _edges_ok(self.scenario, self.params, lo[unsure],
                                      hi[unsure], self.qos)
@@ -414,23 +440,25 @@ def _edge_table(scenario: Scenario, params: AntennaParams,
                 band: tuple[float, float], qos: QosConfig) -> _EdgeCheck:
     """The ``_EdgeCheck`` of (scenario, params, band, qos), its table up to
     ``band[1]`` from one envelope ``received_strength_psd`` call on its
-    edges.  When the envelope can decide nothing (``_envelope_slack``) or
-    the band holds no cell above the first edge, the table is one cell
-    past the band with infinite remainders, built without a PSD call."""
-    slack = _envelope_slack(params, qos)
+    edges.  When the envelope can decide nothing or the band holds no cell
+    above the first edge, the table is one cell past the band with
+    infinite remainders, built without a PSD call."""
     eps = ENVELOPE_REL_TOL
+    rho = envelope_ratio(params)
+    slack_db = 10.0 * np.log10(rho) + ENVELOPE_DB_TOL
+    envelope = bool(slack_db < qos.coherence_gap_db)
+    if not envelope:
+        # finite positive ratios keep the interpolated bounds free of nan
+        rho, slack_db = 1.0, 0.0
     fc = params.cutoff_frequency
     first = fc + TABLE_CELL
     cells = int(np.ceil((band[1] - first) / TABLE_CELL))
-    if slack is None or cells < 1:
-        # no usable cell: every bound is infinite, and finite positive
-        # ratios keep the interpolated bounds free of nan
-        rho, slack_db = slack or (1.0, 0.0)
+    if not envelope or cells < 1:
+        # no usable cell: every bound is infinite
         edges = np.array([first, first + TABLE_CELL])
         values = np.ones((2, scenario.num_ues))
         rem = np.full(2, np.inf)
     else:
-        rho, slack_db = slack
         edges = np.linspace(first, band[1], cells + 1)
         values = received_strength_psd(scenario, params, edges, envelope=True)
         # the remainder of each cell from its lower edge f0 (see the class)
@@ -465,55 +493,7 @@ def _edge_table(scenario: Scenario, params: AntennaParams,
         np.where(usable, lower * max_ratio, 0.0), min_bound,
         qos.min_rx_psd * (1.0 - eps) / (rho * (1.0 + eps)), max_ratio,
         10.0 ** ((qos.coherence_gap_db + slack_db) / 10.0)
-        * (1.0 + eps) / (1.0 - eps))
-
-
-def _edges_ok(scenario: Scenario, params: AntennaParams, lo, hi,
-              qos: QosConfig) -> np.ndarray:
-    """One flag per interval of the 1-D edge arrays ``lo``/``hi``: every
-    UE's received PSD is positive and meets the access threshold at both
-    edges, and its edge-to-edge gap stays below the coherence limit.
-
-    The flags are those of the exact PSDs, decided in tiers from the
-    sin-free envelope env <= psd <= rho env, with eps = ``ENVELOPE_REL_TOL``
-    and delta = ``ENVELOPE_DB_TOL`` covering rounding:
-
-    1. Table, in ``_EdgeCheck`` before it calls here: the check bounds
-       every UE's envelope PSD by linear interpolation between cell edges
-       plus a closed-form remainder, and its two tiers (``certified`` per
-       cell pair, ``interpolated`` per interval) prove intervals good or
-       bad with tier 2's margins.
-    2. Envelope, per interval.  Good when every UE has env (1 - eps) >= thr
-       at both edges and |gap_env| + 10 log10 rho + delta < limit; bad when
-       some UE has rho env (1 + eps) < thr at an edge or |gap_env| -
-       10 log10 rho - delta >= limit.
-    3. Exact.  The exact PSDs decide every other interval.
-
-    Without attenuation, or when 10 log10 rho reaches the coherence limit
-    (``_envelope_slack``), the envelope could decide nothing and every
-    interval takes the exact path.
-    """
-    slack = _envelope_slack(params, qos)
-    if slack is None:
-        return _exact_edges_ok(scenario, params, lo, hi, qos)
-    rho, slack_db = slack
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    env_lo = received_strength_psd(scenario, params, lo, envelope=True)
-    env_hi = received_strength_psd(scenario, params, hi, envelope=True)
-    thr = qos.min_rx_psd
-    low = np.minimum(env_lo, env_hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = np.abs(10.0 * np.log10(env_lo) - 10.0 * np.log10(env_hi))
-    ok = np.all((low * (1.0 - ENVELOPE_REL_TOL) >= thr) & (low > 0.0)
-                & (gap + slack_db < qos.coherence_gap_db), axis=1)
-    bad = np.any((rho * (1.0 + ENVELOPE_REL_TOL) * low < thr)
-                 | (gap - slack_db >= qos.coherence_gap_db), axis=1)
-    unsure = np.flatnonzero(~ok & ~bad)
-    if unsure.size:
-        ok[unsure] = _exact_edges_ok(scenario, params, lo[unsure], hi[unsure],
-                                     qos)
-    return ok
+        * (1.0 + eps) / (1.0 - eps), envelope)
 
 
 def _in_band(lo, hi, band: tuple[float, float], cutoff: float):
@@ -525,10 +505,9 @@ def _in_band(lo, hi, band: tuple[float, float], cutoff: float):
 # steps per search in the first and later blocks after the certified ones
 EDGE_BLOCKS = (8, 32)
 # intervals per shared check of the lock-step searches, which bounds the
-# temporaries: ``ok`` calls (2N x K floats each in ``interpolated``;
-# ``_edges_ok`` then gets only the steps it leaves unsure, and
-# ``received_strength_psd`` chunks those at ``STACK_POINTS``) and
-# ``certified`` calls
+# temporaries: ``ok`` calls (2N x K floats each in ``_verdict``; its
+# envelope and exact PSDs, of the unsure steps alone, are chunked at
+# ``STACK_POINTS`` by ``received_strength_psd``) and ``certified`` calls
 TIER_BATCH = 1024
 LOOKUP_BATCH = 4096
 
@@ -577,12 +556,12 @@ def bandwidth_searches(centers, check: _EdgeCheck, grid_step: float,
     that double from 64, up to each search's first step it does not
     certify; a certified step is good under the exact checks, as the
     bounds of its edge cells hold for the envelope at every edge in them
-    (``_EdgeCheck``) and clear the envelope tier's margins.  From there
-    ``check.ok`` takes blocks of 8, then 32 steps (``EDGE_BLOCKS``), in
-    shared calls of up to ``TIER_BATCH`` steps: (2) the per-interval tier
-    ``interpolated`` proves steps good or bad, and ``_edges_ok`` decides
-    the unsure ones, (3) by the envelope bracket env <= psd <= rho env
-    where it can and (4) by the exact PSDs otherwise.  The width is that
+    and pass the good rule of ``_EdgeCheck``.  From there ``check.ok``
+    takes blocks of 8, then 32 steps (``EDGE_BLOCKS``), in shared calls of
+    up to ``TIER_BATCH`` steps: its bounds decide a step (2) from the
+    interpolant in ``interpolated`` and (3) from the envelope PSDs of the
+    steps that leaves unsure, both through ``_verdict``, and (4)
+    ``_edges_ok`` decides the rest from the exact PSDs.  The width is that
     of the exact checks.  ``check`` is the ``_EdgeCheck`` of the search,
     which also gives the scenario, antenna, band and QoS.
     """
@@ -688,8 +667,9 @@ def _revalidate(record_lists, check: _EdgeCheck,
     edges, or dropped if it vanishes first.  All shrinks step together
     through ``_advance``, which passes failing steps: step 0 alone (it
     nearly always holds), then 32 at a time, batched as in growth.  A step
-    ``check.certified`` certifies holds, ``check.ok`` decides the rest, so
-    each kept step is the one a stepwise exact scan keeps."""
+    ``check.certified`` certifies holds, and ``check.ok`` decides the rest
+    by its interpolated and envelope bounds, then the exact PSDs, so each
+    kept step is the one a stepwise exact scan keeps."""
     moved = [iv for records in record_lists for iv in records if iv[2]]
     lo, hi = np.array([iv[:2] for iv in moved], dtype=float).reshape(-1, 2).T
     width, mid = hi - lo, (lo + hi) / 2.0
@@ -771,7 +751,8 @@ def validate_plan(subchannels, band: tuple[float, float], total_bandwidth: float
 
 def check_coherence(subchannels, scenario: Scenario, params: AntennaParams,
                     qos: QosConfig) -> bool:
-    """True when every subchannel passes the edge PSD checks."""
+    """True when every subchannel passes the edge PSD checks, decided by
+    ``_edges_ok`` from the exact PSDs alone (no ``_EdgeCheck`` is built)."""
     edges = [(c - w / 2.0, c + w / 2.0) for c, w in subchannels if w > 0.0]
     lo, hi = np.array(edges, float).reshape(-1, 2).T
     return bool(np.all(_edges_ok(scenario, params, lo, hi, qos)))

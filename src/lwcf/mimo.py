@@ -10,8 +10,6 @@ conjugates the channel, and zero forcing right-inverts it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .antenna import SPEED_OF_LIGHT, AntennaParams, gain
@@ -33,24 +31,6 @@ PRECODER_METHODS = ("mrt", "zf")
 
 class SingularChannel(Exception):
     """Channel Gram matrix too ill conditioned (or K > M) for zero forcing."""
-
-
-@dataclass(frozen=True)
-class ChannelMatrix:
-    entries: np.ndarray   # (K, M) complex
-    frequency: float      # Hz
-
-    def __post_init__(self):
-        self.entries.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class PrecodingMatrix:
-    columns: np.ndarray   # (M, K) complex, unit-norm columns
-    method: str
-
-    def __post_init__(self):
-        self.columns.flags.writeable = False
 
 
 def freespace_amplitude(frequency, distance):
@@ -84,10 +64,10 @@ def build_channels(scenario: Scenario, params: AntennaParams,
 
 
 def build_channel(scenario: Scenario, params: AntennaParams,
-                  frequency: float) -> ChannelMatrix:
-    """Effective channel at one frequency: one slice of ``build_channels``."""
-    return ChannelMatrix(build_channels(scenario, params, [frequency])[0],
-                         float(frequency))
+                  frequency: float) -> np.ndarray:
+    """Effective channel (K, M) at one frequency: one slice of
+    ``build_channels``."""
+    return build_channels(scenario, params, [frequency])[0]
 
 
 def require_zf_shape(num_ues: int, num_aps: int) -> None:
@@ -186,8 +166,9 @@ def precoder_rows(h: np.ndarray, method: str) -> tuple[np.ndarray, np.ndarray]:
     return rows, failed
 
 
-def precode(channel: ChannelMatrix, method: str) -> PrecodingMatrix:
-    """Unit-norm precoding columns for 'mrt' or 'zf'.
+def precode(h: np.ndarray, method: str) -> np.ndarray:
+    """Unit-norm precoding columns (M, K) of the channel ``h`` (K, M) for
+    'mrt' or 'zf'.
 
     Zero forcing solves against the Gram matrix rather than forming an
     explicit inverse, and rejects channels with condition number above
@@ -197,14 +178,14 @@ def precode(channel: ChannelMatrix, method: str) -> PrecodingMatrix:
     well-conditioned channel, and only an uncertified one takes the SVD
     condition number.
     """
-    rows, failed = precoder_rows(channel.entries[None], method)
+    rows, failed = precoder_rows(h[None], method)
     if failed[0]:
         if method == "mrt":
             raise SingularChannel("precoding column collapsed to zero")
         raise SingularChannel(
             f"zero forcing failed: Gram condition above {MAX_ZF_CONDITION:g} "
             "or a precoding column collapsed to zero")
-    return PrecodingMatrix(rows[0].T, method)
+    return rows[0].T
 
 
 def sinr_rows(h: np.ndarray, rows: np.ndarray, tx_psd: np.ndarray,
@@ -237,10 +218,11 @@ def fallback_sinrs(h: np.ndarray, method: str, tx_psd: np.ndarray,
     return sinr_rows(h, rows, tx_psd, noise_psd), failed
 
 
-def sinr(channel: ChannelMatrix, precoder: PrecodingMatrix,
-         tx_psd: np.ndarray, noise_psd: float) -> np.ndarray:
-    """Per-UE SINR for the given channel/precoder pair."""
-    return sinr_rows(channel.entries, precoder.columns.T, tx_psd, noise_psd)
+def sinr(h: np.ndarray, columns: np.ndarray, tx_psd: np.ndarray,
+         noise_psd: float) -> np.ndarray:
+    """Per-UE SINR of the channel ``h`` (K, M) under the precoding
+    ``columns`` (M, K)."""
+    return sinr_rows(h, columns.T, tx_psd, noise_psd)
 
 
 def received_strength_psd(scenario: Scenario, params: AntennaParams,

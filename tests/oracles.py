@@ -3,11 +3,9 @@
 ``link_rss`` and ``link_distance`` evaluate one AP-UE link at a time; the
 tests check the vectorised ``clustering.rss_matrix`` and the distances of
 ``scenario.generate_scenario`` against them.  ``plan_rate`` totals a
-subchannel list one ``rate_density`` call at a time.  ``edges_ok_exact``
-is the edge predicate of ``cegmm._edges_ok`` decided from the exact PSDs
-alone, without the envelope certificates.  ``precode_2d`` and ``sinr_2d``
-precode and rate one (K, M) channel matrix at a time; the stacked
-``mimo.precoder_rows``/``sinr_rows`` must match them bit for bit.
+subchannel list one ``rate_density`` call at a time.  ``precode_2d`` and
+``sinr_2d`` precode and rate one (K, M) channel matrix at a time; the
+stacked ``mimo.precoder_rows``/``sinr_rows`` must match them bit for bit.
 ``per_ap_se_per_ue`` scores a cluster with one channel build per served UE
 and, under zero forcing, one lone inverse of the served block of the Gram
 over every UE of the drop, its lower triangle the conjugate of the upper:
@@ -31,8 +29,10 @@ rewards of ``cluster_alloc.greedy_assign`` must match it bit for bit.
 ``certified_per_interval`` decides every interval's table certificate on
 its own; ``cegmm._EdgeCheck.certified``, which decides each run of equal
 cell pairs once, must match it.  ``cell_free_check`` is an edge check with
-no usable table cell, so every step goes to ``cegmm._edges_ok``; a check
-whose cells certify steps must give the same widths and plans.
+no usable table cell, so its ``ok`` decides every step by the envelope
+PSDs, then the exact ones; a check whose cells certify steps must give
+the same widths and plans.  The tests take the exact predicate
+``cegmm._edges_ok`` as the oracle of every edge check.
 ``stepwise_shrink`` shrinks one moved interval half a grid step
 at a time, each step decided on its own by ``cegmm._edges_ok``; the
 lock-step ``cegmm._revalidate`` must keep the same step.
@@ -55,7 +55,7 @@ import lwcf.mimo
 from lwcf.antenna import gain, peak_frequency
 from lwcf.cegmm import FREQ_TOL, TABLE_CELL, Gmm, _edge_table, _edges_ok
 from lwcf.clustering import SCORE_CHUNK, _eval_frequency, rss_matrix
-from lwcf.mimo import (PrecodingMatrix, SingularChannel, build_channel,
+from lwcf.mimo import (SingularChannel, build_channel,
                        cluster_subchannel_reward, fallback_sinrs,
                        rate_density, received_strength_psd, zf_certified)
 from lwcf.scenario import subscenario
@@ -106,26 +106,12 @@ def plan_rate(subchannels, scenario, params, method):
     return total
 
 
-def edges_ok_exact(scenario, params, lo, hi, qos):
-    """Per interval: every UE's exact received PSD is positive and meets the
-    access threshold at both edges, and its edge gap is below the limit."""
-    psd_lo = received_strength_psd(scenario, params, lo)
-    psd_hi = received_strength_psd(scenario, params, hi)
-    ok = (np.all(psd_lo >= qos.min_rx_psd, axis=1)
-          & np.all(psd_hi >= qos.min_rx_psd, axis=1)
-          & np.all(psd_lo > 0.0, axis=1) & np.all(psd_hi > 0.0, axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = np.abs(10.0 * np.log10(psd_lo) - 10.0 * np.log10(psd_hi))
-    return ok & np.all(gap < qos.coherence_gap_db, axis=1)
-
-
-def precode_2d(channel, method):
-    """Unit-norm precoding columns of one channel matrix; raises
+def precode_2d(h, method):
+    """Unit-norm precoding columns (M, K) of one channel matrix (K, M); raises
     SingularChannel as ``mimo.precode`` does.  ``MAX_ZF_CONDITION`` is read
     from ``lwcf.mimo`` so that monkeypatching it acts here too."""
     if method not in ("mrt", "zf"):
         raise ValueError(f"unknown precoding method {method!r}")
-    h = channel.entries
     k, m = h.shape
     if method == "mrt":
         f = h.conj().T
@@ -140,12 +126,12 @@ def precode_2d(channel, method):
     norms = np.linalg.norm(f, axis=0)
     if np.any(norms < 1e-300):
         raise SingularChannel("precoding column collapsed to zero")
-    return PrecodingMatrix(f / norms, method)
+    return f / norms
 
 
-def sinr_2d(channel, precoder, tx_psd, noise_psd):
-    """Per-UE SINR of one channel/precoder pair."""
-    cross = channel.entries @ precoder.columns
+def sinr_2d(h, columns, tx_psd, noise_psd):
+    """Per-UE SINR of one channel matrix under its precoding columns."""
+    cross = h @ columns
     power = np.abs(cross) ** 2
     signal = tx_psd * np.diag(power)
     interference = power @ tx_psd - signal
@@ -181,7 +167,7 @@ def per_ap_se_per_ue(cluster, scenario, params, method, band_upper,
         if method == "zf" and len(served) <= len(members):
             # the Gram over every UE of the drop, its lower triangle the
             # conjugate of the upper, then its served block
-            h = build_channel(every, params, f_eval).entries
+            h = build_channel(every, params, f_eval)
             gram = h @ h.conj().T
             lower = np.tril_indices(len(gram), -1)
             gram[lower] = gram.T[lower].conj()
@@ -311,8 +297,8 @@ def certified_per_interval(check, lo, hi):
 def cell_free_check(scenario, params, band, qos):
     """The edge check of (scenario, params, band, qos) with the table of a
     band that ends half a cell above cutoff, below the first cell: it
-    certifies no step and interpolates none, so ``ok`` sends every step
-    to ``_edges_ok``."""
+    certifies no step and interpolates none, so ``ok`` decides every step
+    by its envelope and exact tiers."""
     narrow = (band[0], params.cutoff_frequency + TABLE_CELL / 2.0)
     return replace(_edge_table(scenario, params, narrow, qos), band=band)
 

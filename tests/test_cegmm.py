@@ -42,8 +42,8 @@ from lwcf.cegmm import (TABLE_CELL, TIER_BATCH, _edge_table, _edges_ok,
 from lwcf.mimo import SingularChannel, received_strength_psd
 from lwcf.scenario import ScenarioConfig, generate_scenario
 from oracles import (bic_reference, cell_free_check, certified_per_interval,
-                     edges_ok_exact, em_fit_reference,
-                     resolve_overlaps_scalar, stepwise_shrink)
+                     em_fit_reference, resolve_overlaps_scalar,
+                     stepwise_shrink)
 
 PARAMS = AntennaParams(1.0, 0.15, 130.0, 100e9)
 BAND = (100e9, 200e9)
@@ -355,9 +355,9 @@ def test_bandwidth_search_matches_stepwise_reference():
 
 def test_band_narrower_than_one_cell_keeps_the_exact_widths_and_steps():
     """A band that ends 50 MHz above cutoff holds no table cell: its edge
-    check certifies nothing and interpolates nothing, so every step goes
-    to ``_edges_ok``.  ``bandwidth_searches`` keeps the widths of the
-    stepwise exact scan, and ``_revalidate`` the steps of
+    check certifies nothing and interpolates nothing, so every step that
+    reaches ``ok`` goes to its envelope tier.  ``bandwidth_searches`` keeps
+    the widths of the stepwise exact scan, and ``_revalidate`` the steps of
     ``stepwise_shrink``, which run into the band top and the cutoff."""
     import lwcf.cegmm
     band = (PARAMS.cutoff_frequency, PARAMS.cutoff_frequency + 50e6)
@@ -370,26 +370,24 @@ def test_band_narrower_than_one_cell_keeps_the_exact_widths_and_steps():
     lo, hi = centers - 1e6, centers + 1e6
     assert not check.certified(lo, hi).any()
     assert not np.any(check.interpolated(lo, hi))
-    asked, decided = [], []
-    real_ok, real_edges = lwcf.cegmm._EdgeCheck.ok, lwcf.cegmm._edges_ok
+    asked = []
+    real_ok = lwcf.cegmm._EdgeCheck.ok
 
     def ok_spy(self, lo, hi):
         asked.append(len(lo))
         return real_ok(self, lo, hi)
 
-    def edges_spy(scenario, params, lo, hi, qos):
-        decided.append(len(lo))
-        return real_edges(scenario, params, lo, hi, qos)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lwcf.cegmm._EdgeCheck, "ok", ok_spy)
-        patch.setattr(lwcf.cegmm, "_edges_ok", edges_spy)
+        calls = spy_edge_psds(patch)
         got = bandwidth_searches(centers, check, step)
     want = [brute_bandwidth(c, sc, step, band=band, qos=qos) for c in centers]
     assert got.tolist() == want
     assert sum(w > 0.0 for w in want) >= 10
-    # every step a search checks reaches the envelope and exact tiers
-    assert asked == decided and sum(asked) >= sum(want) / step
+    # every step a search checks reaches the envelope tier: one envelope
+    # call per ``ok`` call, on the lower and upper edges of all its steps
+    reached = [n // 2 for envelope, n in calls if envelope]
+    assert asked == reached and sum(asked) >= sum(want) / step
     rng = np.random.default_rng(7)
     lo = rng.uniform(band[0] - 5e6, band[1] - 5e6, 40)
     hi = lo + rng.uniform(2e6, 30e6, 40)
@@ -498,34 +496,32 @@ def test_resolve_overlaps_with_a_table_equals_without(monkeypatch):
     """The table only skips edge checks: colliding candidates under a tight
     budget resolve to the same plan with the check's table and with the
     cell-free check, and with the table most re-validated intervals need
-    no received-PSD call."""
+    no received-PSD call: none of their steps reaches the envelope
+    tier."""
     import lwcf.cegmm
     sc = make_scenario(seed=2)
     rng = np.random.default_rng(9)
-    shrinks, checked = [], []
-    real, real_edges = lwcf.cegmm._revalidate, lwcf.cegmm._edges_ok
+    shrinks, frequencies = [], []
+    real = lwcf.cegmm._revalidate
 
     def spy(record_lists, check, grid_step):
-        checked.clear()
         calls.clear()
+        frequencies.clear()
         out = real(record_lists, check, grid_step)
         mids = np.array([(a + b) / 2.0 for records in record_lists
                          for a, b, moved in records if moved])
         # every step of a moved interval keeps its midpoint up to rounding,
         # and the intervals are disjoint
+        checked = [m for lo, hi in envelope_tier(calls, frequencies)
+                   for m in (lo + hi) / 2.0]
         reached = {int(np.argmin(np.abs(mids - m))) for m in checked}
         assert bool(calls) == bool(reached)
         shrinks.extend((bool(np.isfinite(check.rem).any()),
                         int(i in reached)) for i in range(mids.size))
         return out
 
-    def edges_spy(scenario, params, lo, hi, qos):
-        checked.extend((lo + hi) / 2.0)
-        return real_edges(scenario, params, lo, hi, qos)
-
     monkeypatch.setattr(lwcf.cegmm, "_revalidate", spy)
-    monkeypatch.setattr(lwcf.cegmm, "_edges_ok", edges_spy)
-    calls = spy_edge_psds(monkeypatch)
+    calls = spy_edge_psds(monkeypatch, frequencies)
     for _ in range(10):
         base = float(rng.uniform(110e9, 180e9))
         cands = []
@@ -675,39 +671,40 @@ def shrunk_plan(kept):
 
 def test_shrink_without_a_table_checks_step_zero_alone(monkeypatch):
     """Re-validating one moved interval with the cell-free check, the
-    first ``_edges_ok`` call holds step 0 alone and the later ones at most
-    32 steps, and with the table the blocks are the same.  Re-validating
-    all of them in one call, plus intervals that leave the band and ones
-    that vanish, the calls hold at most ``TIER_BATCH`` intervals, and the
-    ones with step-0 intervals come first and hold nothing else: with the
-    cell-free check the first holds every step 0 in band.  With the table
-    or without, alone or together, the kept step is the first one a
-    stepwise scan accepts."""
-    import lwcf.cegmm
+    first call that reaches the envelope tier holds step 0 alone and the
+    later ones at most 32 steps, and with the table the blocks are the
+    same.  Re-validating all of them in one call, plus intervals that
+    leave the band and ones that vanish, the calls hold at most
+    ``TIER_BATCH`` intervals, and the ones with step-0 intervals come
+    first and hold nothing else: with the cell-free check the first holds
+    every step 0 in band.  With the table or without, alone or together,
+    the kept step is the first one a stepwise scan accepts."""
     sc = make_scenario(seed=1, num_aps=8, num_ues=4)
     table = _edge_table(sc, PARAMS, BAND, QOS)
     cell_free = cell_free_check(sc, PARAMS, BAND, QOS)
-    real = lwcf.cegmm._edges_ok
-    sizes, checked = [], []
-
-    def spy(scenario, params, lo, hi, qos):
-        sizes.append(len(lo))
-        checked.append(set(zip(lo.tolist(), hi.tolist())))
-        return real(scenario, params, lo, hi, qos)
-
-    monkeypatch.setattr(lwcf.cegmm, "_edges_ok", spy)
     step = 50e6
+    frequencies = []
+    calls = spy_edge_psds(monkeypatch, frequencies)
+
+    def revalidate(record_lists, check):
+        """``_revalidate`` at ``step``, with the number of intervals and
+        the edge pairs of each envelope-tier call it makes."""
+        calls.clear()
+        frequencies.clear()
+        out = _revalidate(record_lists, check, step)
+        tiers = envelope_tier(calls, frequencies)
+        return (out, [lo.size for lo, _ in tiers],
+                [set(zip(lo.tolist(), hi.tolist())) for lo, hi in tiers])
+
     kept, wants = [], []
     for lo, hi in zip(*random_intervals(5, n=60)):
         want, at = stepwise_shrink(sc, PARAMS, BAND, QOS, lo, hi, step)
-        sizes.clear()
-        assert _revalidate([[[lo, hi, True]]], cell_free,
-                           step) == [shrunk_plan(want)]
+        got, sizes, _ = revalidate([[[lo, hi, True]]], cell_free)
+        assert got == [shrunk_plan(want)]
         # every random interval has step 0 in band
         assert sizes[0] == 1 and all(n <= 32 for n in sizes[1:])
-        sizes.clear()
-        assert _revalidate([[[lo, hi, True]]], table,
-                           step) == [shrunk_plan(want)]
+        got, sizes, _ = revalidate([[[lo, hi, True]]], table)
+        assert got == [shrunk_plan(want)]
         assert sizes[:1] in ([], [1]) and all(n <= 32 for n in sizes)
         kept.append(at)
         wants.append(shrunk_plan(want))
@@ -732,9 +729,8 @@ def test_shrink_without_a_table_checks_step_zero_alone(monkeypatch):
              and a >= BAND[0] - FREQ_TOL and a > PARAMS.cutoff_frequency
              + FREQ_TOL and b <= BAND[1] + FREQ_TOL}
     for t in (cell_free, table):
-        sizes.clear()
-        checked.clear()
-        got = _revalidate([[[a, b, True]] for a, b in edges], t, step)
+        got, sizes, checked = revalidate([[[a, b, True]] for a, b in edges],
+                                         t)
         assert got == wants and max(sizes) <= TIER_BATCH
         firsts = [c <= step0 for c in checked if c]
         assert firsts == sorted(firsts, reverse=True)
@@ -743,19 +739,30 @@ def test_shrink_without_a_table_checks_step_zero_alone(monkeypatch):
             assert checked[0] == valid and sizes[0] == len(valid)
 
 
-def spy_edge_psds(monkeypatch):
+def spy_edge_psds(monkeypatch, frequencies=None):
     """Record (envelope, number of frequencies) of every received-PSD call
-    the allocator module makes."""
+    the allocator module makes; with a list ``frequencies``, append each
+    call's frequencies to it too."""
     import lwcf.cegmm
     real = lwcf.cegmm.received_strength_psd
     calls = []
 
     def spy(scenario, params, frequency, envelope=False):
         calls.append((envelope, int(np.size(frequency))))
+        if frequencies is not None:
+            frequencies.append(np.array(frequency, dtype=float))
         return real(scenario, params, frequency, envelope)
 
     monkeypatch.setattr(lwcf.cegmm, "received_strength_psd", spy)
     return calls
+
+
+def envelope_tier(calls, frequencies):
+    """The (lo, hi) edges of the intervals of each envelope-tier call of
+    ``ok`` among the calls ``spy_edge_psds`` recorded after the check was
+    built: one envelope call on the lower, then the upper edges."""
+    return [(f[:n // 2], f[n // 2:])
+            for (envelope, n), f in zip(calls, frequencies) if envelope]
 
 
 def random_intervals(seed, n=300):
@@ -766,8 +773,9 @@ def random_intervals(seed, n=300):
 
 
 def test_edges_ok_matches_exact_oracle_on_random_intervals(monkeypatch):
-    """The envelope certificates decide every random interval alone, and
-    decide it as the exact PSDs do, for threshold and gap failures alike."""
+    """The envelope tier of the cell-free check's ``ok`` decides every
+    random interval alone, in one envelope call, and decides it as the
+    exact PSDs do, for threshold and gap failures alike."""
     calls = spy_edge_psds(monkeypatch)
     for seed in range(3):
         sc = make_scenario(seed=seed)
@@ -775,17 +783,22 @@ def test_edges_ok_matches_exact_oracle_on_random_intervals(monkeypatch):
         # a threshold at the median edge PSD fails about half the edges
         median = float(np.median(received_strength_psd(sc, PARAMS, lo)))
         for qos in (QOS, QosConfig(median, 0.5), QosConfig(median, 3.0)):
-            want = edges_ok_exact(sc, PARAMS, lo, hi, qos)
+            want = _edges_ok(sc, PARAMS, lo, hi, qos)
             assert 0 < want.sum() < want.size
-            got = _edges_ok(sc, PARAMS, lo, hi, qos)
+            check = cell_free_check(sc, PARAMS, BAND, qos)
+            calls.clear()
+            got = check.ok(lo, hi)
             assert got.dtype == bool and np.array_equal(got, want)
-    assert calls and all(envelope for envelope, _ in calls)
+            assert calls == [(True, 2 * lo.size)]
 
 
 def test_edges_ok_ambiguous_intervals_take_the_exact_path(monkeypatch):
     """A threshold or a coherence limit set exactly on an edge PSD or an
     edge gap cannot be decided from the envelope: the exact PSDs decide,
-    on either side of the tie."""
+    on either side of the tie.  So do they at a limit 1e-12 dB above the
+    envelope gap plus the dB slack, which lies between the margins of the
+    bound rule and the looser ones of a dB-form rule: that rule would call
+    the interval good, the ratio rule of ``_verdict`` leaves it unsure."""
     calls = spy_edge_psds(monkeypatch)
     sc = make_scenario(seed=1)
     lo, hi = np.array([150e9]), np.array([150.3e9])
@@ -794,27 +807,37 @@ def test_edges_ok_ambiguous_intervals_take_the_exact_path(monkeypatch):
     edge = float(np.min(psd))
     gap = float(np.max(np.abs(np.diff(10.0 * np.log10(psd), axis=0))))
     assert 0.0 < gap < 0.5
+    env = received_strength_psd(sc, PARAMS, np.concatenate([lo, hi]),
+                                envelope=True)
+    env_gap = np.abs(10.0 * np.log10(env[0]) - 10.0 * np.log10(env[1]))
+    slack_db = 10.0 * np.log10(envelope_ratio(PARAMS)) + ENVELOPE_DB_TOL
+    between = QosConfig(0.0, float(env_gap.max()) + slack_db + 1e-12)
+    assert np.all(env_gap + slack_db < between.coherence_gap_db)
+    good, bad = cell_free_check(sc, PARAMS, BAND, between)._verdict(env, env)
+    assert not good[0] and not bad[0]
     cases = [(QosConfig(edge, 0.5), True),
              (QosConfig(np.nextafter(edge, np.inf), 0.5), False),
              (QosConfig(0.0, gap), False),
              (QosConfig(0.0, np.nextafter(gap, np.inf)), True)]
     got, exact, paths = [], [], []
-    for qos, _ in cases:
-        exact.append(bool(edges_ok_exact(sc, PARAMS, lo, hi, qos)[0]))
+    for qos in [qos for qos, _ in cases] + [between]:
+        exact.append(bool(_edges_ok(sc, PARAMS, lo, hi, qos)[0]))
+        check = cell_free_check(sc, PARAMS, BAND, qos)
         calls.clear()
-        got.append(_edges_ok(sc, PARAMS, lo, hi, qos).tolist())
+        got.append(check.ok(lo, hi).tolist())
         paths.append(list(calls))
-    assert exact == [expected for _, expected in cases]
+    assert exact[:-1] == [expected for _, expected in cases]
     assert got == [[flag] for flag in exact]
-    # two envelope PSD calls, then the exact ones for the undecided interval
-    assert all(p == [(True, 1), (True, 1), (False, 1), (False, 1)]
-               for p in paths)
+    # one envelope PSD call on both edges, then the exact pair for the
+    # undecided interval
+    assert all(p == [(True, 2), (False, 1), (False, 1)] for p in paths)
 
 
 def test_edges_ok_without_a_useful_envelope_is_exact(monkeypatch):
     """No attenuation, or a bracket as wide as the coherence limit (rho is
-    ~13 at 1 rad/m), sends every interval down the exact path; with a limit
-    beyond the bracket the envelope is used again."""
+    ~13 at 1 rad/m), sends every interval of the cell-free check's ``ok``
+    down the exact path; with a limit beyond the bracket the envelope is
+    used again."""
     calls = spy_edge_psds(monkeypatch)
     sc = make_scenario(seed=0)
     lo, hi = random_intervals(5, n=60)
@@ -822,9 +845,11 @@ def test_edges_ok_without_a_useful_envelope_is_exact(monkeypatch):
             (0.0, QOS, False), (1.0, QOS, False),
             (1.0, QosConfig(QOS.min_rx_psd, 20.0), True)):
         params = AntennaParams(1.0, 0.15, attenuation, 100e9)
+        want = _edges_ok(sc, params, lo, hi, qos)
+        check = cell_free_check(sc, params, BAND, qos)
+        assert check.envelope == uses_envelope
         calls.clear()
-        got = _edges_ok(sc, params, lo, hi, qos)
-        assert np.array_equal(got, edges_ok_exact(sc, params, lo, hi, qos))
+        assert np.array_equal(check.ok(lo, hi), want)
         assert any(envelope for envelope, _ in calls) == uses_envelope
 
 
@@ -832,8 +857,9 @@ def test_edges_ok_empty_input():
     sc = make_scenario(seed=0)
     empty = np.array([])
     for params in (PARAMS, AntennaParams(1.0, 0.15, 0.0, 100e9)):
-        got = _edges_ok(sc, params, empty, empty, QOS)
-        assert got.shape == (0,) and got.dtype == bool
+        for got in (_edges_ok(sc, params, empty, empty, QOS),
+                    cell_free_check(sc, params, BAND, QOS).ok(empty, empty)):
+            assert got.shape == (0,) and got.dtype == bool
 
 
 def table_bounds(table, params, qos):
@@ -956,7 +982,7 @@ def test_interpolated_tier_agrees_with_the_exact_oracle():
                 steps = np.arange(max(at - 3, 1), min(at + 3, max_steps) + 1)
                 lo = center - steps * step / 2.0
                 hi = center + steps * step / 2.0
-                exact = edges_ok_exact(sc, PARAMS, lo, hi, qos)
+                exact = _edges_ok(sc, PARAMS, lo, hi, qos)
                 good, bad = table.interpolated(lo, hi)
                 assert not np.any(good & bad)
                 assert np.all(exact[good]) and not np.any(exact[bad])
@@ -974,8 +1000,8 @@ def stepwise_width(center, sc, qos, step, cap):
                center - PARAMS.cutoff_frequency - 2.0 * FREQ_TOL)
     max_steps = int(np.floor((min(2.0 * room, cap) + FREQ_TOL / 2.0) / step))
     widths = np.arange(1, max_steps + 1) * step
-    ok = edges_ok_exact(sc, PARAMS, center - widths / 2.0,
-                        center + widths / 2.0, qos)
+    ok = _edges_ok(sc, PARAMS, center - widths / 2.0,
+                   center + widths / 2.0, qos)
     best = 0.0
     for width, good in zip(widths, ok):
         if not good:
@@ -1062,9 +1088,9 @@ def test_table_leaves_steps_at_the_cutoff_to_the_other_tiers():
         lo = PARAMS.cutoff_frequency + lowest + np.arange(32) * 5e6
         hi = lo + 2e9
         assert np.array_equal(table.certified(lo, hi), lo > table.edges[0])
-        want = edges_ok_exact(sc, PARAMS, lo, hi, loose)
+        want = _edges_ok(sc, PARAMS, lo, hi, loose)
         assert np.all(want)
-        assert np.array_equal(_edges_ok(sc, PARAMS, lo, hi, loose), want)
+        assert np.array_equal(table.ok(lo, hi), want)
     # at 13 rad/m the guard reaches ~0.5 GHz above cutoff
     weak = AntennaParams(1.0, 0.15, 13.0, 100e9)
     weak_table = _edge_table(sc, weak, BAND, loose)
@@ -1190,8 +1216,8 @@ def test_lockstep_widths_equal_one_center_searches_and_the_stepwise_scan(
     stepwise exact scan, with each setting's table and with the cell-free
     check.  The edge checks go in shared calls of at most ``TIER_BATCH``
     intervals, 8-step blocks first: with the cell-free check the first
-    call holds the first block of every search with room."""
-    import lwcf.cegmm
+    call that reaches the envelope tier holds the first block of every
+    search with room."""
     step, cap = 10e6, 10e9
     cutoff = PARAMS.cutoff_frequency
     sc = make_scenario(seed=4, num_aps=8, num_ues=4)
@@ -1203,14 +1229,7 @@ def test_lockstep_widths_equal_one_center_searches_and_the_stepwise_scan(
     center_psd = received_strength_psd(sc, PARAMS, centers[:-3]).min(axis=1)
     settings = (QosConfig(0.0, 40.0), QosConfig(0.0, 0.5),
                 QosConfig(float(np.median(center_psd)), 0.5))
-    real = lwcf.cegmm._edges_ok
-    sizes = []
-
-    def spy(scenario, params, lo, hi, qos):
-        sizes.append(len(lo))
-        return real(scenario, params, lo, hi, qos)
-
-    monkeypatch.setattr(lwcf.cegmm, "_edges_ok", spy)
+    calls = spy_edge_psds(monkeypatch)
     certified = zero = 0
     for qos in settings:
         table = _edge_table(sc, PARAMS, BAND, qos)
@@ -1218,8 +1237,9 @@ def test_lockstep_widths_equal_one_center_searches_and_the_stepwise_scan(
         widths = [stepwise_width(c, sc, qos, step, cap) for c in centers]
         want = [width for width, _ in widths]
         for t in (table, cell_free):
-            sizes.clear()
+            calls.clear()
             got = bandwidth_searches(centers, t, step, cap)
+            sizes = [n // 2 for envelope, n in calls if envelope]
             assert got.tolist() == want
             assert sizes and max(sizes) <= TIER_BATCH
             if t is cell_free:

@@ -230,7 +230,7 @@ def test_greedy_rewards_fall_back_slice_by_slice(monkeypatch):
         if 2 <= len(ues) <= len(aps):
             sub = subscenario(sc, sorted(aps), ues)
             for c, _ in cands:
-                h = build_channel(sub, PARAMS, c).entries
+                h = build_channel(sub, PARAMS, c)
                 conds.append(np.linalg.cond(h @ h.conj().T))
     bound = float(np.median(conds))
     assert min(conds) < bound < max(conds)

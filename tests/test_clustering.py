@@ -25,9 +25,9 @@ from lwcf.clustering import (
     strongest_aps,
     write_clustering_csv,
 )
-from lwcf.mimo import (MAX_ZF_CONDITION, ZF_CERTIFICATE_SLACK, ChannelMatrix,
-                       SingularChannel, build_channel, fallback_sinrs,
-                       freespace_amplitude, precode, sinr, zf_certified)
+from lwcf.mimo import (MAX_ZF_CONDITION, ZF_CERTIFICATE_SLACK, SingularChannel,
+                       build_channel, fallback_sinrs, freespace_amplitude,
+                       precode, sinr, zf_certified)
 from lwcf.scenario import Scenario, ScenarioConfig, generate_scenario
 from oracles import (hierarchical_merge_replay, link_distance, link_rss,
                      merge_void_clusters_replay, per_ap_se_per_ue,
@@ -409,14 +409,13 @@ def test_own_sinrs_fall_back_per_slice_and_flag_mrt_collapse():
     a slice whose maximum-ratio column collapses is flagged, and the other
     slices keep their bits."""
     sc = make_scenario(num_aps=8, num_ues=3, seed=6)
-    good = build_channel(sc, PARAMS, 150e9).entries
+    good = build_channel(sc, PARAMS, 150e9)
     twin = good.copy()
     twin[2] = twin[0]
     h = np.stack([good, twin, good])
     gammas, collapsed = fallback_sinrs(h, "zf", sc.tx_psd, sc.noise_psd)
-    good_h, twin_h = ChannelMatrix(good, 150e9), ChannelMatrix(twin, 150e9)
-    zf = sinr(good_h, precode(good_h, "zf"), sc.tx_psd, sc.noise_psd)
-    mrt = sinr(twin_h, precode(twin_h, "mrt"), sc.tx_psd, sc.noise_psd)
+    zf = sinr(good, precode(good, "zf"), sc.tx_psd, sc.noise_psd)
+    mrt = sinr(twin, precode(twin, "mrt"), sc.tx_psd, sc.noise_psd)
     assert np.diagonal(gammas).tolist() == [zf[0], mrt[1], zf[2]]
     assert not collapsed.any()
     dead = good.copy()
@@ -425,7 +424,7 @@ def test_own_sinrs_fall_back_per_slice_and_flag_mrt_collapse():
         gammas, collapsed = fallback_sinrs(np.stack([good, dead, good]),
                                            method, sc.tx_psd, sc.noise_psd)
         assert collapsed.tolist() == [False, True, False]
-        lone = sinr(good_h, precode(good_h, method), sc.tx_psd, sc.noise_psd)
+        lone = sinr(good, precode(good, method), sc.tx_psd, sc.noise_psd)
         assert gammas[0].tolist() == gammas[2].tolist() == lone.tolist()
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from lwcf.antenna import SPEED_OF_LIGHT, AntennaParams, gain
 from lwcf.mimo import (
-    ChannelMatrix,
     SingularChannel,
     build_channel,
     build_channels,
@@ -42,24 +41,24 @@ def test_channel_entry_closed_form():
     sc = make_scenario(num_aps=3, num_ues=2, seed=1)
     f = 130e9
     h = build_channel(sc, PARAMS, f)
-    assert h.entries.shape == (2, 3)
+    assert h.shape == (2, 3)
     k, m = 1, 2
     g = gain(PARAMS, f, sc.angles[k, m])
     amp = SPEED_OF_LIGHT / (4.0 * np.pi * f * sc.distances[k, m])
     phase = np.exp(-2j * np.pi * f * sc.distances[k, m] / SPEED_OF_LIGHT)
-    assert h.entries[k, m] == pytest.approx(np.sqrt(g) * amp * phase, rel=1e-12)
+    assert h[k, m] == pytest.approx(np.sqrt(g) * amp * phase, rel=1e-12)
 
 
 def test_mrt_columns_match_conjugate_rows():
     sc = make_scenario(seed=2)
     h = build_channel(sc, PARAMS, 140e9)
     w = precode(h, "mrt")
-    assert w.columns.shape == (8, 4)
-    assert np.allclose(np.linalg.norm(w.columns, axis=0), 1.0)
+    assert w.shape == (8, 4)
+    assert np.allclose(np.linalg.norm(w, axis=0), 1.0)
     for k in range(4):
-        direction = np.conj(h.entries[k])
+        direction = np.conj(h[k])
         direction = direction / np.linalg.norm(direction)
-        assert np.allclose(w.columns[:, k], direction)
+        assert np.allclose(w[:, k], direction)
 
 
 def test_zero_forcing_nulls_cross_terms():
@@ -67,7 +66,7 @@ def test_zero_forcing_nulls_cross_terms():
         sc = make_scenario(num_aps=16, num_ues=4, seed=seed)
         h = build_channel(sc, PARAMS, 150e9)
         w = precode(h, "zf")
-        cross = h.entries @ w.columns
+        cross = h @ w
         diag = np.abs(np.diag(cross))
         off = np.abs(cross - np.diag(np.diag(cross)))
         assert np.all(diag > 0.0)
@@ -84,10 +83,10 @@ def test_zero_forcing_rejects_k_greater_than_m():
 def test_zero_forcing_rejects_duplicated_ue():
     sc = make_scenario(num_aps=8, num_ues=2, seed=3)
     h = build_channel(sc, PARAMS, 150e9)
-    entries = h.entries.copy()
+    entries = h.copy()
     entries[1] = entries[0]          # two UEs with identical channels
     with pytest.raises(SingularChannel):
-        precode(ChannelMatrix(entries, h.frequency), "zf")
+        precode(entries, "zf")
 
 
 def test_precode_and_sinr_equal_the_matrix_oracles_bit_for_bit():
@@ -96,17 +95,17 @@ def test_precode_and_sinr_equal_the_matrix_oracles_bit_for_bit():
     for seed, (m, k) in enumerate([(16, 4), (8, 8), (32, 10), (5, 3)]):
         sc = make_scenario(num_aps=m, num_ues=k, seed=seed)
         freqs = np.linspace(110e9, 190e9, 5)
-        h = np.stack([build_channel(sc, PARAMS, f).entries for f in freqs])
+        h = np.stack([build_channel(sc, PARAMS, f) for f in freqs])
         for method in ("mrt", "zf"):
             rows, failed = precoder_rows(h, method)
             assert not failed.any()
             gammas = sinr_rows(h, rows, sc.tx_psd, sc.noise_psd)
             for n, f in enumerate(freqs):
-                channel = ChannelMatrix(h[n].copy(), f)
+                channel = h[n].copy()
                 want = precode_2d(channel, method)
                 got = precode(channel, method)
-                assert np.array_equal(got.columns, want.columns)
-                assert np.array_equal(rows[n].T, want.columns)
+                assert np.array_equal(got, want)
+                assert np.array_equal(rows[n].T, want)
                 gamma = sinr_2d(channel, want, sc.tx_psd, sc.noise_psd)
                 assert np.array_equal(sinr(channel, got, sc.tx_psd,
                                            sc.noise_psd), gamma)
@@ -118,7 +117,7 @@ def test_precoder_rows_flags_failed_slices():
     method are flagged and leave the other slices' bits intact; only
     zero forcing with K > M raises."""
     sc = make_scenario(num_aps=8, num_ues=3, seed=3)
-    good = build_channel(sc, PARAMS, 150e9).entries
+    good = build_channel(sc, PARAMS, 150e9)
     twin = good.copy()
     twin[1] = twin[0]                 # two UEs with identical channels
     rows, failed = precoder_rows(np.stack([good, twin, good]), "zf")
@@ -141,9 +140,9 @@ def test_precode_names_the_cause_of_a_failure():
     flags: a collapsed column under maximum ratio, the Gram condition under
     zero forcing."""
     sc = make_scenario(num_aps=8, num_ues=3, seed=3)
-    dead = build_channel(sc, PARAMS, 150e9).entries.copy()
+    dead = build_channel(sc, PARAMS, 150e9).copy()
     dead[2] = 0.0
-    channel = ChannelMatrix(dead, 150e9)
+    channel = dead
     with pytest.raises(SingularChannel, match="collapsed") as mrt:
         precode(channel, "mrt")
     assert "zero forcing" not in str(mrt.value)
@@ -192,7 +191,7 @@ def test_zf_tiers_mix_certified_passing_and_failing_slices(monkeypatch):
     import lwcf.mimo
     sc = make_scenario(num_aps=8, num_ues=3, seed=3)
     rng = np.random.default_rng(3)
-    good = [build_channel(sc, PARAMS, f).entries for f in (130e9, 150e9)]
+    good = [build_channel(sc, PARAMS, f) for f in (130e9, 150e9)]
     h = np.stack([good[0], near_twin(good[1], rng, 1e-3), good[1],
                   near_twin(good[0], rng, 1e-5)])
     gram = gram_of(h)
@@ -215,12 +214,12 @@ def test_zf_tiers_mix_certified_passing_and_failing_slices(monkeypatch):
         seen = list(calls)
         for n, channel in enumerate(stack):
             try:
-                want = precode_2d(ChannelMatrix(channel.copy(), 150e9), "zf")
+                want = precode_2d(channel.copy(), "zf")
             except SingularChannel:
                 assert failed[n]
                 continue
             assert not failed[n]
-            assert np.array_equal(rows[n].T, want.columns)
+            assert np.array_equal(rows[n].T, want)
         return failed.tolist(), seen
 
     failed, seen = expect(h)
@@ -385,7 +384,7 @@ def test_sinr_single_ue_closed_form():
     h = build_channel(sc, PARAMS, 150e9)
     w = precode(h, "mrt")
     got = sinr(h, w, sc.tx_psd, sc.noise_psd)
-    expected = sc.tx_psd[0] * np.linalg.norm(h.entries[0]) ** 2 / sc.noise_psd
+    expected = sc.tx_psd[0] * np.linalg.norm(h[0]) ** 2 / sc.noise_psd
     assert got.shape == (1,)
     assert got[0] == pytest.approx(expected, rel=1e-12)
 
@@ -397,9 +396,9 @@ def test_sinr_matches_scalar_recompute():
         w = precode(h, method)
         got = sinr(h, w, sc.tx_psd, sc.noise_psd)
         for k in range(3):
-            signal = sc.tx_psd[k] * abs(h.entries[k] @ w.columns[:, k]) ** 2
+            signal = sc.tx_psd[k] * abs(h[k] @ w[:, k]) ** 2
             interference = sum(
-                sc.tx_psd[j] * abs(h.entries[k] @ w.columns[:, j]) ** 2
+                sc.tx_psd[j] * abs(h[k] @ w[:, j]) ** 2
                 for j in range(3) if j != k)
             assert got[k] == pytest.approx(
                 signal / (interference + sc.noise_psd), rel=1e-10)
@@ -426,7 +425,7 @@ def test_received_strength_equals_mrt_received_psd():
     f = 140e9
     h = build_channel(sc, PARAMS, f)
     w = precode(h, "mrt")
-    beam = np.abs(np.diag(h.entries @ w.columns)) ** 2
+    beam = np.abs(np.diag(h @ w)) ** 2
     assert np.allclose(received_strength_psd(sc, PARAMS, f),
                        sc.tx_psd * beam, rtol=1e-10)
 
