@@ -3,8 +3,7 @@ built on frequency-steered leaky-wave apertures."""
 
 from .antenna import AntennaParams, gain, peak_frequency
 from .cegmm import (CeHyperparams, Gmm, InfeasibleBand, QosConfig,
-                    SubchannelPlan, allocate, bandwidth_search, bic, em_fit,
-                    resolve_overlaps)
+                    SubchannelPlan, allocate, bic, em_fit)
 from .cluster_alloc import ClusterPlan, allocate_clustered, greedy_assign
 from .clustering import (Clustering, affinity_propagation, associate_ues,
                          hierarchical_clustering, kmeans_clustering)
@@ -19,7 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AntennaParams", "gain", "peak_frequency",
     "CeHyperparams", "Gmm", "InfeasibleBand", "QosConfig", "SubchannelPlan",
-    "allocate", "bandwidth_search", "bic", "em_fit", "resolve_overlaps",
+    "allocate", "bic", "em_fit",
     "ClusterPlan", "allocate_clustered", "greedy_assign",
     "Clustering", "affinity_propagation", "associate_ues",
     "hierarchical_clustering", "kmeans_clustering",

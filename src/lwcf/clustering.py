@@ -16,7 +16,7 @@ import numpy as np
 
 from .antenna import AntennaParams, gain, peak_frequency
 from .mimo import (SingularChannel, build_channels, fallback_sinrs,
-                   freespace_amplitude, zf_certified)
+                   freespace_amplitude, zf_closed_form)
 from .scenario import Scenario
 
 KMEANS_TOL = 1e-6          # m, centroid movement threshold
@@ -240,22 +240,6 @@ def channel_stack(scenario: Scenario, params: AntennaParams,
                           _eval_frequency(params, links, band_upper))
 
 
-def _inverse_diagonals(gram: np.ndarray) -> np.ndarray:
-    """Real diagonals (N, S) of the inverses of a stack of Grams (N, S, S),
-    each slice inverted as a lone matrix would be; a slice LAPACK finds
-    exactly singular gets a NaN diagonal, which ``zf_certified`` rejects."""
-    try:
-        inverse = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        inverse = np.full_like(gram, np.nan)
-        for n, slice_gram in enumerate(gram):
-            try:
-                inverse[n] = np.linalg.inv(slice_gram)
-            except np.linalg.LinAlgError:
-                pass
-    return inverse.diagonal(axis1=-2, axis2=-1).real
-
-
 class GramTable:
     """The cluster-scoring state of one drop: the Gram table of the live
     clusters, and the scores already rated.
@@ -362,12 +346,13 @@ def cluster_scores(table: GramTable, pairs) -> np.ndarray:
     clamped peak frequency of its serving AP.  Zero forcing with unit-norm
     columns nulls the other UEs, so UE n scores the closed form
     p_n / (noise [G^-1]_nn), G the Gram of its channel, wherever
-    ``mimo.zf_certified`` trusts the inverse.  Candidates are grouped by
-    served count S; a group's Grams come from ``GramTable.blocks``, a
+    ``mimo.zf_closed_form`` certifies the inverse.  Candidates are grouped
+    by served count S; a group's Grams come from ``GramTable.blocks``, a
     pair's the sum of its parts', as (chunk, S, S, S) stacks of at most
-    ``GRAM_POINTS`` entries, each inverted as one (chunk S, S, S) stack.
-    The rest is precoded from the channel stack, ``SCORE_CHUNK`` UEs at a
-    time, through ``mimo.fallback_sinrs``: an uncertified slice (zero
+    ``GRAM_POINTS`` entries, each scored as one (chunk S, S, S) stack.
+    The rest goes to ``mimo.fallback_sinrs`` on the channel stack,
+    ``SCORE_CHUNK`` UEs at a time: an uncertified slice (the closed form
+    if the Gram of its channel slice certifies after all, else zero
     forcing if it passes the exact condition test, else maximum ratio),
     every slice of a candidate serving more UEs than it has APs, and
     'mrt'.  A collapsed maximum-ratio column raises SingularChannel.
@@ -386,7 +371,6 @@ def cluster_scores(table: GramTable, pairs) -> np.ndarray:
     out = np.zeros(len(pairs))
     for s in np.flatnonzero(np.bincount(counts)[1:]) + 1:
         group = np.flatnonzero(counts == s)
-        ues = np.arange(s)
         rows = np.nonzero(served[group])[1].reshape(group.size, s)
         own = np.empty((group.size, s))
         precoded = np.ones((group.size, s), dtype=bool)
@@ -398,14 +382,13 @@ def cluster_scores(table: GramTable, pairs) -> np.ndarray:
             cand = group[chunk]
             gram = table.blocks(a[cand], b[cand],
                                 rows[chunk]).reshape(-1, s, s)
-            diagonal = _inverse_diagonals(gram)
-            certified = zf_certified(gram, diagonal).reshape(-1, s)
-            # slice (i, n) holds the Gram at the frequency of UE rows[i, n]
-            diagonal = diagonal.reshape(-1, s, s)[:, ues, ues]
+            sinrs, certified = zf_closed_form(
+                gram, np.repeat(sc.tx_psd[rows[chunk]], s, axis=0),
+                sc.noise_psd)
+            # slice (i, n) holds the Gram at the frequency of UE rows[i, n];
             # the precoded pass below overwrites the uncertified entries
-            with np.errstate(all="ignore"):
-                own[chunk] = sc.tx_psd[rows[chunk]] / (sc.noise_psd * diagonal)
-            precoded[chunk] = ~certified
+            own[chunk] = sinrs.reshape(-1, s, s).diagonal(axis1=1, axis2=2)
+            precoded[chunk] = ~certified.reshape(-1, s)
         for g in np.flatnonzero(precoded.any(axis=1)):
             members = sorted(table.members[a[group[g]]] + (
                 table.members[b[group[g]]] if paired[group[g]] else ()))

@@ -17,8 +17,8 @@ from .scenario import Scenario, subscenario
 
 MAX_ZF_CONDITION = 1e12
 # Share of MAX_ZF_CONDITION up to which the trace bound certifies a Gram
-# (see precoder_rows).  The bound tr(G) tr(G^-1) overshoots cond(G) by at
-# most S^2 (S UEs), and the solve and the SVD round with relative error
+# (see zf_certified).  The bound tr(G) tr(G^-1) overshoots cond(G) by at
+# most S^2 (S UEs), and the inverse and the SVD round with relative error
 # about S u cond (u the unit roundoff), 2e-6 at S = 20 and cond = 1e9: a
 # bound certified three decades below the threshold cannot hide a
 # condition number above it.
@@ -79,12 +79,6 @@ def require_zf_shape(num_ues: int, num_aps: int) -> None:
             f"got K={num_ues} UEs and M={num_aps} APs")
 
 
-def _row_squares(rows: np.ndarray) -> np.ndarray:
-    """Squared norms of the rows (..., K, M), summed as ``np.linalg.norm``
-    sums them, so their square roots are its bits."""
-    return np.add.reduce((rows.conj() * rows).real, axis=-1)
-
-
 def zf_certified(gram: np.ndarray, inverse_diagonal: np.ndarray) -> np.ndarray:
     """The one trace certificate of zero forcing, per slice of a stack of
     Grams (N, S, S) given the diagonals (N, S) of their inverses: True
@@ -101,6 +95,33 @@ def zf_certified(gram: np.ndarray, inverse_diagonal: np.ndarray) -> np.ndarray:
     return positive & (bound <= MAX_ZF_CONDITION * ZF_CERTIFICATE_SLACK)
 
 
+def zf_closed_form(gram: np.ndarray, tx_psd: np.ndarray,
+                   noise_psd: float) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-forcing SINRs of a stack of Grams (N, S, S) in closed form:
+    with unit-norm columns UE k's SINR is tx_psd[k] / (noise_psd
+    [Gram^-1]_kk).  ``tx_psd`` is (S,) or one row per slice (N, S).
+
+    Returns ``(sinrs, certified)``: ``certified[n]`` is ``zf_certified``
+    on slice n, and the SINRs of another slice are meaningless.  The stack
+    is inverted in one call, each slice as a lone matrix would be; when an
+    exactly singular slice makes it raise, each slice is inverted alone
+    and a singular one gets a NaN diagonal, which the certificate
+    rejects."""
+    try:
+        inverse = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        inverse = np.full_like(gram, np.nan)
+        for n, slice_gram in enumerate(gram):
+            try:
+                inverse[n] = np.linalg.inv(slice_gram)
+            except np.linalg.LinAlgError:
+                pass
+    diagonal = inverse.diagonal(axis1=-2, axis2=-1).real
+    with np.errstate(all="ignore"):           # an uncertified garbage entry
+        sinrs = tx_psd / (noise_psd * diagonal)
+    return sinrs, zf_certified(gram, diagonal)
+
+
 def precoder_rows(h: np.ndarray, method: str) -> tuple[np.ndarray, np.ndarray]:
     """Unit-norm 'mrt' or 'zf' precoders of a stack of channels (N, K, M).
 
@@ -110,54 +131,33 @@ def precoder_rows(h: np.ndarray, method: str) -> tuple[np.ndarray, np.ndarray]:
     ``MAX_ZF_CONDITION`` (or is not finite), or a slice of either method
     whose precoding column collapsed to zero; the rows of a failed slice
     are meaningless.  Raises SingularChannel only for zero forcing with
-    more UEs than APs (``require_zf_shape``).  This is the one
-    zero-forcing rule: ``precode`` is its one-slice case.  Each slice goes
-    through the same per-matrix BLAS/LAPACK calls and memory layouts as a
-    lone channel, so a stacked slice and a lone channel give the same bits
-    if ``h`` is C-contiguous (the transposed layout of
-    ``h[:, ues][:, :, aps]`` sums the row norms in another order).
-
-    Zero forcing decides the condition test in two tiers.  Tier 1 solves
-    every slice first: the solved rows X = Gram^{-T} conj(H) have
-    X X^H = Gram^{-T}, so the squared row norms that normalise them are
-    the diagonal of Gram^{-1}, and cond(Gram) <= tr(Gram) tr(Gram^{-1})
-    certifies a slice whose bound stays below ``MAX_ZF_CONDITION`` times
-    ``ZF_CERTIFICATE_SLACK`` (``zf_certified``).  Tier 2 takes the exact
-    SVD condition number of the other slices alone.  When the stacked
-    solve raises LinAlgError (an exactly singular slice), the whole stack
-    takes the exact test first and solves the passing slices.
-    ``MAX_ZF_CONDITION`` is read at call time.
+    more UEs than APs (``require_zf_shape``).  Zero forcing takes the
+    exact SVD condition number of every slice and solves the passing ones
+    against their Grams; ``precode`` is the one-slice case, and
+    ``stack_sinrs`` sends here only the slices the closed form does not
+    certify.  Each slice goes through the same per-matrix BLAS/LAPACK
+    calls and memory layouts as a lone channel, so a stacked slice and a
+    lone channel give the same bits if ``h`` is C-contiguous (the
+    transposed layout of ``h[:, ues][:, :, aps]`` sums the row norms in
+    another order).  ``MAX_ZF_CONDITION`` is read at call time.
     """
     if method not in PRECODER_METHODS:
         raise ValueError(f"unknown precoding method {method!r}")
     k, m = h.shape[-2:]
     rows = h.conj()
     failed = np.zeros(h.shape[0], dtype=bool)
-    if method == "mrt":
-        square = _row_squares(rows)
-    else:
+    if method == "zf":
         require_zf_shape(k, m)
         gram = h @ rows.swapaxes(-1, -2)
-        # F = H^H Gram^{-1}  via  Gram^T F^T = conj(H), solved into the rows;
-        # a bound or condition number that is NaN or infinite fails its test
-        try:
-            solved = np.linalg.solve(gram.swapaxes(-1, -2), rows)
-        except np.linalg.LinAlgError:
-            failed = ~(np.linalg.cond(gram) <= MAX_ZF_CONDITION)
-            ok = ~failed
-            rows[ok] = np.linalg.solve(gram[ok].swapaxes(-1, -2), rows[ok])
-            square = _row_squares(rows)
-        else:
-            square = _row_squares(solved)
-            unsure = ~zf_certified(gram, square)
-            if unsure.any():
-                failed[unsure] = ~(np.linalg.cond(gram[unsure])
-                                   <= MAX_ZF_CONDITION)
-                # a failed slice keeps its finite conjugate rows, as before
-                solved[failed] = rows[failed]
-                square[failed] = _row_squares(rows[failed])
-            rows = solved
-    norms = np.sqrt(square)
+        # a condition number that is NaN or infinite fails the test; a
+        # failed slice keeps its finite conjugate rows
+        failed = ~(np.linalg.cond(gram) <= MAX_ZF_CONDITION)
+        ok = ~failed
+        # F = H^H Gram^{-1}  via  Gram^T F^T = conj(H), solved into the rows
+        rows[ok] = np.linalg.solve(gram[ok].swapaxes(-1, -2), rows[ok])
+    # the squared row norms summed as np.linalg.norm sums them, so their
+    # square roots are its bits
+    norms = np.sqrt(np.add.reduce((rows.conj() * rows).real, axis=-1))
     collapsed = (norms < 1e-300).any(axis=-1)
     if collapsed.any():
         failed |= collapsed
@@ -168,15 +168,12 @@ def precoder_rows(h: np.ndarray, method: str) -> tuple[np.ndarray, np.ndarray]:
 
 def precode(h: np.ndarray, method: str) -> np.ndarray:
     """Unit-norm precoding columns (M, K) of the channel ``h`` (K, M) for
-    'mrt' or 'zf'.
+    'mrt' or 'zf': the one-slice case of ``precoder_rows``.
 
     Zero forcing solves against the Gram matrix rather than forming an
-    explicit inverse, and rejects channels with condition number above
-    ``MAX_ZF_CONDITION`` or more UEs than APs; either method rejects a
-    collapsed column (see ``precoder_rows``).  The condition test has two
-    tiers: the trace bound from the solved rows certifies a
-    well-conditioned channel, and only an uncertified one takes the SVD
-    condition number.
+    explicit inverse, and rejects channels with an SVD condition number
+    above ``MAX_ZF_CONDITION`` or more UEs than APs; either method rejects
+    a collapsed column.
     """
     rows, failed = precoder_rows(h[None], method)
     if failed[0]:
@@ -199,23 +196,48 @@ def sinr_rows(h: np.ndarray, rows: np.ndarray, tx_psd: np.ndarray,
     return signal / (interference + noise_psd)
 
 
+def stack_sinrs(h: np.ndarray, method: str, tx_psd: np.ndarray,
+                noise_psd: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-UE SINR (N, K) of channels (N, K, M) under 'mrt' or 'zf': the
+    one SINR rule of a stack.  Zero forcing scores every slice that
+    ``zf_closed_form`` certifies in closed form; the other slices, and
+    every slice under maximum ratio, are precoded by ``precoder_rows`` and
+    rated by ``sinr_rows``.  Returns ``(sinrs, failed)`` with the flags of
+    ``precoder_rows`` (a certified slice never fails); the SINRs of a
+    failed slice are meaningless.  Raises SingularChannel only for zero
+    forcing with more UEs than APs."""
+    if method == "zf":
+        require_zf_shape(*h.shape[-2:])
+        sinrs, done = zf_closed_form(h @ h.conj().swapaxes(-1, -2), tx_psd,
+                                     noise_psd)
+    else:
+        sinrs, done = np.empty(h.shape[:-1]), np.zeros(h.shape[0], dtype=bool)
+    rest = ~done
+    failed = np.zeros(h.shape[0], dtype=bool)
+    if rest.any():
+        rows, failed[rest] = precoder_rows(h[rest], method)
+        sinrs[rest] = sinr_rows(h[rest], rows, tx_psd, noise_psd)
+    return sinrs, failed
+
+
 def fallback_sinrs(h: np.ndarray, method: str, tx_psd: np.ndarray,
                    noise_psd: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-UE SINR (N, S) of channels (N, S, Mc) under the one ZF -> MRT
-    fallback rule: the whole stack takes maximum ratio when zero forcing has
-    more UEs than APs, a slice ``precoder_rows`` flags takes it alone.
-    Returns ``(sinrs, collapsed)``: ``collapsed[n]`` marks a slice whose
-    maximum-ratio column collapsed (its SINRs are meaningless), and the
-    other slices keep their bits."""
+    fallback rule on ``stack_sinrs``: the whole stack takes maximum ratio
+    when zero forcing has more UEs than APs, a slice that zero forcing
+    fails takes it alone.  Returns ``(sinrs, collapsed)``:
+    ``collapsed[n]`` marks a slice whose maximum-ratio column collapsed
+    (its SINRs are meaningless), and the other slices keep their bits."""
     try:
-        rows, failed = precoder_rows(h, method)
+        sinrs, failed = stack_sinrs(h, method, tx_psd, noise_psd)
     except SingularChannel:
-        rows, failed = precoder_rows(h, "mrt")
+        sinrs, failed = stack_sinrs(h, "mrt", tx_psd, noise_psd)
     else:
         if method == "zf" and failed.any():
             # failed now marks the slices whose maximum ratio collapsed
-            rows[failed], failed[failed] = precoder_rows(h[failed], "mrt")
-    return sinr_rows(h, rows, tx_psd, noise_psd), failed
+            sinrs[failed], failed[failed] = stack_sinrs(h[failed], "mrt",
+                                                        tx_psd, noise_psd)
+    return sinrs, failed
 
 
 def sinr(h: np.ndarray, columns: np.ndarray, tx_psd: np.ndarray,
@@ -262,8 +284,8 @@ def rate_densities(scenario: Scenario, params: AntennaParams, frequencies,
                    method: str) -> tuple[np.ndarray, np.ndarray]:
     """Sum spectral efficiency over UEs at each of the 1-D ``frequencies``,
     bit/s/Hz, in (F, K, M) stacks of at most ``STACK_POINTS`` points
-    through ``build_channels``, ``precoder_rows`` and ``sinr_rows``; each
-    value equals a lone frequency's bit for bit.  Returns ``(densities,
+    through ``build_channels`` and ``stack_sinrs``; each value equals a
+    lone frequency's bit for bit.  Returns ``(densities,
     failed)``: ``failed`` marks a frequency where the precoder failed, a
     collapsed maximum-ratio column included; its density is meaningless."""
     f = np.asarray(frequencies, dtype=float)
@@ -271,8 +293,8 @@ def rate_densities(scenario: Scenario, params: AntennaParams, frequencies,
     failed = np.empty(f.size, dtype=bool)
     for part in _chunks(scenario, f.size):
         h = build_channels(scenario, params, f[part])
-        rows, failed[part] = precoder_rows(h, method)
-        gamma = sinr_rows(h, rows, scenario.tx_psd, scenario.noise_psd)
+        gamma, failed[part] = stack_sinrs(h, method, scenario.tx_psd,
+                                          scenario.noise_psd)
         density[part] = np.sum(np.log2(1.0 + gamma), axis=-1)
     return density, failed
 

@@ -5,7 +5,10 @@ tests check the vectorised ``clustering.rss_matrix`` and the distances of
 ``scenario.generate_scenario`` against them.  ``plan_rate`` totals a
 subchannel list one ``rate_density`` call at a time.  ``precode_2d`` and
 ``sinr_2d`` precode and rate one (K, M) channel matrix at a time; the
-stacked ``mimo.precoder_rows``/``sinr_rows`` must match them bit for bit.
+stacked ``mimo.precoder_rows``/``sinr_rows`` must match them bit for bit,
+and so must ``mimo.stack_sinrs`` on every slice that its closed form
+(``mimo.zf_closed_form``) does not certify; a certified slice keeps the
+bits of its lone closed form, within 1e-13 relative of the precoded ones.
 ``per_ap_se_per_ue`` scores a cluster with one channel build per served UE
 and, under zero forcing, one lone inverse of the served block of the Gram
 over every UE of the drop, its lower triangle the conjugate of the upper:
@@ -13,8 +16,10 @@ the closed-form SINR p_k / (noise [Gram^-1]_kk) where ``mimo.zf_certified``
 trusts the inverse, a precoder and SINR (maximum ratio where zero forcing
 fails) elsewhere;
 ``clustering.per_ap_spectral_efficiency`` must match it bit for bit.
-``per_ap_se_precoded`` is the scorer before the closed form, precoding and
-rating every UE in chunked stacks; the closed-form scores, on one
+``precoded_sinrs`` is ``mimo.fallback_sinrs`` with every slice precoded,
+none in closed form.  ``per_ap_se_precoded`` is the scorer before the
+closed form, precoding and rating every UE in chunked stacks through
+``precoded_sinrs``; the closed-form scores, on one
 cluster's Gram or on the sum of two clusters' Grams, stay within 1e-13
 relative of it and ``hierarchical_clustering`` picks the same clusters
 under either.  ``merge_void_clusters_replay`` and
@@ -56,8 +61,8 @@ from lwcf.antenna import gain, peak_frequency
 from lwcf.cegmm import FREQ_TOL, TABLE_CELL, Gmm, _edge_table, _edges_ok
 from lwcf.clustering import SCORE_CHUNK, _eval_frequency, rss_matrix
 from lwcf.mimo import (SingularChannel, build_channel,
-                       cluster_subchannel_reward, fallback_sinrs,
-                       rate_density, received_strength_psd, zf_certified)
+                       cluster_subchannel_reward, precoder_rows, rate_density,
+                       received_strength_psd, sinr_rows, zf_certified)
 from lwcf.scenario import subscenario
 
 
@@ -189,12 +194,27 @@ def per_ap_se_per_ue(cluster, scenario, params, method, band_upper,
     return float(total / len(members))
 
 
+def precoded_sinrs(h, method, tx_psd, noise_psd):
+    """``mimo.fallback_sinrs`` with every slice precoded by
+    ``mimo.precoder_rows`` and rated by ``mimo.sinr_rows``, none in closed
+    form: maximum ratio for the whole stack when zero forcing has more UEs
+    than APs, for a slice that zero forcing fails otherwise."""
+    try:
+        rows, failed = precoder_rows(h, method)
+    except SingularChannel:
+        rows, failed = precoder_rows(h, "mrt")
+    else:
+        if method == "zf" and failed.any():
+            rows[failed], failed[failed] = precoder_rows(h[failed], "mrt")
+    return sinr_rows(h, rows, tx_psd, noise_psd), failed
+
+
 def per_ap_se_precoded(cluster, scenario, method, ue_to_ap, stack):
     """``clustering.per_ap_spectral_efficiency`` with every UE precoded and
     rated, ``SCORE_CHUNK`` channel slices at a time through
-    ``mimo.fallback_sinrs``: the interference of zero forcing is computed,
-    not taken as zero.  Takes the same arguments, so it can stand in for
-    it in the pipeline."""
+    ``precoded_sinrs``: the interference of zero forcing is computed, not
+    taken as zero.  Takes the same arguments, so it can stand in for it in
+    the pipeline."""
     members = sorted(int(a) for a in cluster)
     if not members:
         raise ValueError("empty cluster")
@@ -207,7 +227,7 @@ def per_ap_se_precoded(cluster, scenario, method, ue_to_ap, stack):
     own = np.empty(len(served))
     for first in range(0, len(served), SCORE_CHUNK):
         h = stack[np.ix_(rows[first:first + SCORE_CHUNK], rows, members)]
-        gammas, collapsed = fallback_sinrs(h, method, tx_psd,
+        gammas, collapsed = precoded_sinrs(h, method, tx_psd,
                                            scenario.noise_psd)
         if collapsed.any():
             raise SingularChannel("precoding column collapsed to zero")

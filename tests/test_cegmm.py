@@ -416,6 +416,17 @@ def test_bandwidth_search_budget_cap():
             assert capped == pytest.approx(100e6, abs=1e-3)
 
 
+def test_one_item_wrappers_stay_out_of_the_package_exports():
+    """``bandwidth_search`` and ``resolve_overlaps`` build a whole edge
+    check per call, so the package does not export them; both stay in
+    ``lwcf.cegmm``."""
+    import lwcf
+    for name in ("bandwidth_search", "resolve_overlaps"):
+        assert name not in lwcf.__all__
+        assert not hasattr(lwcf, name)
+        assert callable(getattr(lwcf.cegmm, name))
+
+
 def test_resolve_keeps_disjoint_candidates():
     sc = make_scenario(seed=1)
     cands = []

@@ -27,7 +27,7 @@ from lwcf.clustering import (
 )
 from lwcf.mimo import (MAX_ZF_CONDITION, ZF_CERTIFICATE_SLACK, SingularChannel,
                        build_channel, fallback_sinrs, freespace_amplitude,
-                       precode, sinr, zf_certified)
+                       precode, sinr, zf_certified, zf_closed_form)
 from lwcf.scenario import Scenario, ScenarioConfig, generate_scenario
 from oracles import (hierarchical_merge_replay, link_distance, link_rss,
                      merge_void_clusters_replay, per_ap_se_per_ue,
@@ -366,9 +366,10 @@ def test_per_ap_se_untrusted_inverse_falls_back_to_mrt():
 
 
 def test_inverse_diagonals_isolate_an_exactly_singular_slice():
-    """One exactly singular Gram makes the stacked inverse raise: that
-    slice alone gets a NaN diagonal, which the certificate rejects, and the
-    others keep the bits of their lone inverses."""
+    """One exactly singular Gram makes the stacked inverse of
+    ``mimo.zf_closed_form`` raise: that slice alone gets a NaN diagonal,
+    hence NaN SINRs, which the certificate rejects, and the others keep the
+    bits of their lone inverses' closed form; no warning leaks out."""
     sc = make_scenario(num_aps=12, num_ues=6, seed=3)
     _, stack = drop_context(sc)
     h = stack[:, :, :].copy()
@@ -376,13 +377,14 @@ def test_inverse_diagonals_isolate_an_exactly_singular_slice():
     gram = h @ h.conj().swapaxes(-1, -2)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(gram)
-    diagonal = lwcf.clustering._inverse_diagonals(gram)
-    assert np.isnan(diagonal[2]).all()
+    with np.errstate(all="raise"):
+        sinrs, certified = zf_closed_form(gram, sc.tx_psd, sc.noise_psd)
+    assert np.isnan(sinrs[2]).all()
     for n in (0, 1, 3, 4, 5):
         lone = np.linalg.inv(gram[n].copy()).diagonal().real
-        assert diagonal[n].tolist() == lone.tolist()
-    assert zf_certified(gram, diagonal).tolist() == [True, True, False,
-                                                     True, True, True]
+        assert sinrs[n].tolist() == (sc.tx_psd
+                                     / (sc.noise_psd * lone)).tolist()
+    assert certified.tolist() == [True, True, False, True, True, True]
 
 
 def test_per_ap_se_more_ues_than_aps_takes_mrt_for_the_stack(monkeypatch):
@@ -394,10 +396,11 @@ def test_per_ap_se_more_ues_than_aps_takes_mrt_for_the_stack(monkeypatch):
     served = int(np.isin(ue_to_ap, cluster).sum())
     assert served > len(cluster) and served > 1
 
-    def refuse(gram):
+    def refuse(gram, *args):
         raise AssertionError("a K > M cluster inverted a Gram")
 
-    monkeypatch.setattr(lwcf.clustering, "_inverse_diagonals", refuse)
+    monkeypatch.setattr(lwcf.clustering, "zf_closed_form", refuse)
+    monkeypatch.setattr(lwcf.mimo, "zf_closed_form", refuse)
     got = se(cluster, sc)
     assert got == se(cluster, sc, "mrt") > 0.0
     assert got == per_ap_se_per_ue(cluster, sc, PARAMS, "zf", BAND_UPPER)
@@ -405,16 +408,19 @@ def test_per_ap_se_more_ues_than_aps_takes_mrt_for_the_stack(monkeypatch):
 
 def test_own_sinrs_fall_back_per_slice_and_flag_mrt_collapse():
     """``mimo.fallback_sinrs``, the rule cluster scoring uses: a slice that
-    cannot zero-force takes maximum ratio, its neighbours keep zero forcing;
-    a slice whose maximum-ratio column collapses is flagged, and the other
-    slices keep their bits."""
+    cannot zero-force takes maximum ratio, its neighbours keep the lone
+    zero-forcing closed form; a slice whose maximum-ratio column collapses
+    is flagged, and the other slices keep their bits."""
     sc = make_scenario(num_aps=8, num_ues=3, seed=6)
     good = build_channel(sc, PARAMS, 150e9)
     twin = good.copy()
     twin[2] = twin[0]
     h = np.stack([good, twin, good])
     gammas, collapsed = fallback_sinrs(h, "zf", sc.tx_psd, sc.noise_psd)
-    zf = sinr(good, precode(good, "zf"), sc.tx_psd, sc.noise_psd)
+    zf, certified = zf_closed_form((good @ good.conj().T)[None], sc.tx_psd,
+                                   sc.noise_psd)
+    assert certified.tolist() == [True]
+    zf = zf[0]
     mrt = sinr(twin, precode(twin, "mrt"), sc.tx_psd, sc.noise_psd)
     assert np.diagonal(gammas).tolist() == [zf[0], mrt[1], zf[2]]
     assert not collapsed.any()
@@ -424,7 +430,8 @@ def test_own_sinrs_fall_back_per_slice_and_flag_mrt_collapse():
         gammas, collapsed = fallback_sinrs(np.stack([good, dead, good]),
                                            method, sc.tx_psd, sc.noise_psd)
         assert collapsed.tolist() == [False, True, False]
-        lone = sinr(good, precode(good, method), sc.tx_psd, sc.noise_psd)
+        lone = zf if method == "zf" else sinr(good, precode(good, "mrt"),
+                                              sc.tx_psd, sc.noise_psd)
         assert gammas[0].tolist() == gammas[2].tolist() == lone.tolist()
 
 

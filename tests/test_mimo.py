@@ -16,7 +16,9 @@ from lwcf.mimo import (
     received_strength_psd,
     sinr,
     sinr_rows,
+    stack_sinrs,
     zf_certified,
+    zf_closed_form,
 )
 from lwcf.scenario import ScenarioConfig, generate_scenario
 from oracles import plan_rate, precode_2d, sinr_2d
@@ -155,11 +157,12 @@ def gram_of(h):
 
 
 def trace_bounds(h):
-    """tr(G) tr(G^-1) of each slice's Gram, tr(G^-1) from the solved rows."""
+    """tr(G) tr(G^-1) of each slice's Gram, tr(G^-1) from the diagonal of
+    its inverse."""
     gram = gram_of(h)
-    solved = np.linalg.solve(gram.swapaxes(-1, -2), h.conj())
+    diagonal = np.linalg.inv(gram).diagonal(axis1=-2, axis2=-1).real
     return (gram.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1)
-            * np.sum(np.abs(solved) ** 2, axis=(-2, -1)))
+            * diagonal.sum(axis=-1))
 
 
 def cond_spy(monkeypatch):
@@ -184,10 +187,12 @@ def near_twin(good, rng, scale):
 
 
 def test_zf_tiers_mix_certified_passing_and_failing_slices(monkeypatch):
-    """Slices whose trace bound certifies them skip the SVD; the others
-    take the exact condition test and pass or fail it; rows and flags equal
-    the one-matrix oracle bit for bit.  An exactly singular slice sends the
-    whole stack through the exact test first."""
+    """``stack_sinrs`` scores the slices whose trace bound certifies them
+    in closed form, without the SVD; only the others take the exact
+    condition test in ``precoder_rows`` and pass or fail it.  SINRs and
+    flags equal the one-matrix oracles bit for bit: the lone closed form,
+    or the lone precoder and SINR.  An exactly singular slice is flagged
+    alone, and it too is the only extra slice the exact test sees."""
     import lwcf.mimo
     sc = make_scenario(num_aps=8, num_ues=3, seed=3)
     rng = np.random.default_rng(3)
@@ -207,19 +212,26 @@ def test_zf_tiers_mix_certified_passing_and_failing_slices(monkeypatch):
     calls = cond_spy(monkeypatch)
 
     def expect(stack):
-        """Flags of ``stack`` and the Grams its tier 2 saw, after checking
-        the rows against the oracle (which takes the SVD itself)."""
+        """Flags of ``stack`` and the Grams its exact test saw, after
+        checking the SINRs against the oracles (which take the SVD)."""
         calls.clear()
-        rows, failed = precoder_rows(stack, "zf")
+        gammas, failed = stack_sinrs(stack, "zf", sc.tx_psd, sc.noise_psd)
         seen = list(calls)
         for n, channel in enumerate(stack):
+            lone, certified = zf_closed_form(gram_of(channel)[None],
+                                             sc.tx_psd, sc.noise_psd)
+            if certified[0]:
+                assert not failed[n]
+                assert gammas[n].tolist() == lone[0].tolist()
+                continue
             try:
                 want = precode_2d(channel.copy(), "zf")
             except SingularChannel:
                 assert failed[n]
                 continue
             assert not failed[n]
-            assert np.array_equal(rows[n].T, want)
+            assert gammas[n].tolist() == sinr_2d(
+                channel, want, sc.tx_psd, sc.noise_psd).tolist()
         return failed.tolist(), seen
 
     failed, seen = expect(h)
@@ -230,10 +242,11 @@ def test_zf_tiers_mix_certified_passing_and_failing_slices(monkeypatch):
     dead[2] = 0.0                     # an exactly singular Gram
     stack = np.concatenate([h, dead[None]])
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(gram_of(stack).swapaxes(-1, -2), stack.conj())
+        np.linalg.inv(gram_of(stack))
     failed, seen = expect(stack)
     assert failed == [False, False, False, True, True]
-    assert len(seen) == 1 and np.array_equal(seen[0], gram_of(stack))
+    assert len(seen) == 1 and np.array_equal(seen[0],
+                                             gram_of(stack)[[1, 3, 4]])
 
 
 def test_zf_certificate_rejects_an_untrusted_inverse_diagonal():
@@ -254,10 +267,11 @@ def test_zf_certificate_rejects_an_untrusted_inverse_diagonal():
 
 
 def test_trace_bound_dominates_the_condition_number(monkeypatch):
-    """tr(G) tr(G^-1), from the solved rows, is at least cond(G) to within
-    the rounding S u cond of the solve and the SVD, for S = 1..20 UEs and
-    conditions 1e0..1e15; every slice tier 1 certifies has an SVD condition
-    number within ``MAX_ZF_CONDITION``, at the default and lower limits."""
+    """tr(G) tr(G^-1), from the inverse diagonal, is at least cond(G) to
+    within the rounding S u cond of the inverse and the SVD, for S = 1..20
+    UEs and conditions 1e0..1e15; every slice the closed form of
+    ``stack_sinrs`` certifies has an SVD condition number within
+    ``MAX_ZF_CONDITION``, at the default and lower limits."""
     import lwcf.mimo
     rng = np.random.default_rng(14)
     unit = np.finfo(float).eps / 2
@@ -283,7 +297,7 @@ def test_trace_bound_dominates_the_condition_number(monkeypatch):
         for limit in (1e12, 1e8, 1e4):
             monkeypatch.setattr(lwcf.mimo, "MAX_ZF_CONDITION", limit)
             calls = cond_spy(monkeypatch)
-            failed = precoder_rows(h, "zf")[1]
+            failed = stack_sinrs(h, "zf", np.ones(s), 1.0)[1]
             monkeypatch.undo()
             exact = np.zeros(len(h), dtype=bool)
             for seen in calls:
@@ -302,13 +316,18 @@ def test_stacked_rate_densities_equal_per_frequency_rates(monkeypatch):
     with the bits of a per-frequency build, precode and SINR, and of
     ``rate_density``: for zero forcing with the worst-conditioned slice
     forced to fail, and for maximum ratio, where a collapsed column fails
-    its own frequency only."""
+    its own frequency only.  At the default ``MAX_ZF_CONDITION`` the
+    certified zero-forcing slices take the closed form: each density keeps
+    the bits of ``rate_density`` and lies within 1e-13 relative of the
+    precoded one, and an exactly singular slice fails alone while its
+    neighbours keep their bits."""
     import lwcf.mimo
     sc = make_scenario(num_aps=8, num_ues=4, seed=5)
     monkeypatch.setattr(lwcf.mimo, "STACK_POINTS", 7 * sc.distances.size)
     freqs = np.random.default_rng(5).uniform(101e9, 199e9, 41)
     h = build_channels(sc, PARAMS, freqs)
-    conds = np.linalg.cond(h @ h.conj().swapaxes(-1, -2))
+    default_limit = lwcf.mimo.MAX_ZF_CONDITION
+    conds = np.linalg.cond(gram_of(h))
     worst = int(np.argmax(conds))
     monkeypatch.setattr(lwcf.mimo, "MAX_ZF_CONDITION",
                         float(np.sort(conds)[-2]))
@@ -339,6 +358,16 @@ def test_stacked_rate_densities_equal_per_frequency_rates(monkeypatch):
                     rate_density(sc, PARAMS, f, method)
             else:
                 assert float(got) == w == rate_density(sc, PARAMS, f, method)
+    mrt = want
+
+    monkeypatch.setattr(lwcf.mimo, "MAX_ZF_CONDITION", default_limit)
+    assert zf_closed_form(gram_of(h), sc.tx_psd, sc.noise_psd)[1].any()
+    precoded = np.array(per_frequency("zf"))
+    zf, failed = rate_densities(sc, PARAMS, freqs, "zf")
+    assert not failed.any()
+    assert [float(got) for got in zf] == [
+        rate_density(sc, PARAMS, f, "zf") for f in freqs]
+    assert np.max(np.abs(zf - precoded) / precoded) <= 1e-13
 
     real = lwcf.mimo.build_channels
 
@@ -348,11 +377,13 @@ def test_stacked_rate_densities_equal_per_frequency_rates(monkeypatch):
         return out
 
     monkeypatch.setattr(lwcf.mimo, "build_channels", dead_ue)
-    density, failed = rate_densities(sc, PARAMS, freqs, "mrt")
-    assert np.flatnonzero(failed).tolist() == [3]
-    assert np.array_equal(np.delete(density, 3), np.delete(want, 3))
-    with pytest.raises(SingularChannel, match="mrt precoder failed"):
-        rate_density(sc, PARAMS, freqs[3], "mrt")
+    for method, lone in (("mrt", mrt), ("zf", zf)):
+        density, failed = rate_densities(sc, PARAMS, freqs, method)
+        assert np.flatnonzero(failed).tolist() == [3]
+        assert np.array_equal(np.delete(density, 3), np.delete(lone, 3))
+        with pytest.raises(SingularChannel,
+                           match=f"{method} precoder failed"):
+            rate_density(sc, PARAMS, freqs[3], method)
 
 
 def test_scalar_psd_is_the_one_frequency_case(monkeypatch):
