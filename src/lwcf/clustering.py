@@ -216,10 +216,13 @@ def associate_ues(scenario: Scenario, params: AntennaParams, clusters,
 
     Ties go to the lowest AP index; the association itself never depends on
     the cluster labels.  ``ue_to_ap`` (``strongest_aps``) is computed here
-    when None.
+    when None.  A serving AP that lies in no cluster raises ValueError.
     """
     if ue_to_ap is None:
         ue_to_ap = strongest_aps(scenario, params, band_upper)
+    missing = sorted(set(map(int, ue_to_ap)).difference(*clusters))
+    if missing:
+        raise ValueError(f"serving APs {missing} lie in no cluster")
     ap_to_cluster = np.empty(scenario.num_aps, dtype=np.intp)
     for z, members in enumerate(clusters):
         for ap in members:
@@ -250,67 +253,55 @@ class GramTable:
     Hermitian, so ``grams[z, n]`` keeps its upper triangle, row by row,
     and ``packed[r, c]`` is the position of entry (min(r, c), max(r, c));
     a gathered block takes its lower triangle as the conjugate of the
-    upper.  Grams add over APs, so a merged cluster's Gram is the sum of
-    its parts': a merge is ``grams[i] += grams[j]``, which frees slot j,
-    and the table never holds more slots than the clusters it was built
-    from.  ``served[z]`` masks the UEs whose ``ue_to_ap`` lies in slot z.
+    upper.  ``served[z]`` masks the UEs whose ``ue_to_ap`` lies in slot z.
+    The merge rules ask ``scores`` for their candidates and call ``merge``
+    where they merge, which is the only change to the table after it is
+    built: Grams add over APs, so a merge is ``grams[i] += grams[j]``,
+    which frees slot j, and the table never holds more slots than the
+    clusters it was built from.
     """
 
     def __init__(self, scenario: Scenario, method: str, ue_to_ap: np.ndarray,
                  stack: np.ndarray, clusters):
         self.scenario, self.method = scenario, method
         self.ue_to_ap, self.stack = ue_to_ap, stack
-        self.members = [tuple(sorted(int(a) for a in c)) for c in clusters]
-        if not all(self.members):
+        clusters = [tuple(sorted(int(a) for a in c)) for c in clusters]
+        if not all(clusters):
             raise ValueError("empty cluster")
-        self.slot = {c: z for z, c in enumerate(self.members)}
-        self.sizes = np.array([len(c) for c in self.members])
+        self.slot = {c: z for z, c in enumerate(clusters)}
         upper = np.triu_indices(scenario.num_ues)
         self.packed = np.empty((scenario.num_ues,) * 2, dtype=np.intp)
         self.packed[upper] = self.packed.T[upper] = np.arange(upper[0].size)
-        self.grams = np.empty((len(self.members), scenario.num_ues,
+        self.grams = np.empty((len(clusters), scenario.num_ues,
                                upper[0].size), dtype=complex)
-        in_slot = np.zeros((len(self.members), scenario.num_aps), dtype=bool)
-        for z, members in enumerate(self.members):
+        in_slot = np.zeros((len(clusters), scenario.num_aps), dtype=bool)
+        for z, members in enumerate(clusters):
             h = stack[:, :, list(members)]
             gram = h @ h.conj().swapaxes(-1, -2)
             self.grams[z] = gram[:, upper[0], upper[1]]
             in_slot[z, list(members)] = True
         self.served = in_slot[:, ue_to_ap]
         self.scored: dict[tuple[int, ...], float] = {}
-        self.parts: dict[tuple[int, ...], tuple] = {}
 
-    def _live(self, cluster: tuple[int, ...]) -> int:
-        """The slot of a live cluster.  A cluster without one is the union
-        of a pair scored earlier, whose parts are live or are such unions
-        in turn: naming it commits that merge."""
-        if cluster not in self.slot:
-            a, b = self.parts.pop(cluster)
-            i, j = self._live(a), self._live(b)
-            del self.slot[a], self.slot[b]
-            self.grams[i] += self.grams[j]
-            self.served[i] |= self.served[j]
-            self.sizes[i] += self.sizes[j]
-            self.members[i] = cluster
-            self.slot[cluster] = i
-        return self.slot[cluster]
+    def merge(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        """Merge the live clusters a and b: b's Grams add into a's slot,
+        which the sorted union takes over and which is returned."""
+        i, j = self.slot.pop(a), self.slot.pop(b)
+        self.grams[i] += self.grams[j]
+        self.served[i] |= self.served[j]
+        union = tuple(sorted(a + b))
+        self.slot[union] = i
+        return union
 
     def scores(self, pairs) -> np.ndarray:
-        """The merge rules' score callback: the per-AP spectral efficiency
-        of each candidate ``(a, b)`` of live sorted AP tuples, the union of
-        a and b, or a alone where b is None.  Every union not scored before
-        in this drop goes to one ``cluster_scores`` call, so no AP tuple is
-        scored twice."""
+        """The per-AP spectral efficiency of each candidate ``(a, b)`` of
+        live sorted AP tuples, the union of a and b, or a alone where b is
+        None.  Every union not scored before in this drop goes to one
+        ``cluster_scores`` call, so no AP tuple is scored twice; the memo
+        ``scored`` is all that a call changes."""
         keys = [a if b is None else tuple(sorted(a + b)) for a, b in pairs]
-        fresh = {}
-        for (a, b), key in zip(pairs, keys):
-            if b is not None:
-                self.parts.setdefault(key, (a, b))
-            if key not in self.scored and key not in fresh:
-                self._live(a)
-                if b is not None:
-                    self._live(b)
-                fresh[key] = (a, b)
+        fresh = {key: pair for pair, key in zip(pairs, keys)
+                 if key not in self.scored}
         if fresh:
             self.scored.update(zip(fresh, cluster_scores(
                 self, list(fresh.values()))))
@@ -340,7 +331,9 @@ def cluster_scores(table: GramTable, pairs) -> np.ndarray:
     """Per-AP spectral efficiency of each candidate ``(a, b)`` of live
     clusters of ``table`` (their union, or a alone where b is None): the
     sum spectral efficiency of the served UEs over the AP count, in one
-    call for a whole merge round.
+    call for a whole merge round.  The AP tuples of a candidate name its
+    APs and their count; the table gives its served UEs and Grams and is
+    left as it was.
 
     Each UE's SINR is taken from the intra-cluster channel alone at the
     clamped peak frequency of its serving AP.  Zero forcing with unit-norm
@@ -366,7 +359,8 @@ def cluster_scores(table: GramTable, pairs) -> np.ndarray:
     paired = b >= 0
     served = table.served[a]
     served[paired] |= table.served[b[paired]]
-    sizes = table.sizes[a] + np.where(paired, table.sizes[b], 0)
+    unions = [sorted(p + (q or ())) for p, q in pairs]
+    sizes = np.array([len(u) for u in unions])
     counts = served.sum(axis=1)
     out = np.zeros(len(pairs))
     for s in np.flatnonzero(np.bincount(counts)[1:]) + 1:
@@ -390,10 +384,8 @@ def cluster_scores(table: GramTable, pairs) -> np.ndarray:
             own[chunk] = sinrs.reshape(-1, s, s).diagonal(axis1=1, axis2=2)
             precoded[chunk] = ~certified.reshape(-1, s)
         for g in np.flatnonzero(precoded.any(axis=1)):
-            members = sorted(table.members[a[group[g]]] + (
-                table.members[b[group[g]]] if paired[group[g]] else ()))
             own[g, precoded[g]] = _precoded_sinrs(
-                table, rows[g], members, np.flatnonzero(precoded[g]))
+                table, rows[g], unions[group[g]], np.flatnonzero(precoded[g]))
         # summed left to right like the per-UE reference; np.sum pairs terms
         out[group] = (np.add.accumulate(np.log2(1.0 + own), axis=1)[:, -1]
                       / sizes[group])
@@ -440,15 +432,18 @@ def per_ap_spectral_efficiency(cluster, scenario: Scenario, method: str,
     return float(cluster_scores(table, [(members, None)])[0])
 
 
-def merge_void_clusters(clusters, ue_to_ap: np.ndarray, score):
+def merge_void_clusters(clusters, ue_to_ap: np.ndarray, table):
     """Fold every cluster that serves no UE into a serving cluster.
 
     Void clusters are handled in ascending index order; each joins the
     serving cluster whose merged score is largest (``np.argmax``), where
-    ``score`` maps a list of pairs ``(a, b)`` of sorted AP tuples to the
-    per-AP spectral efficiencies of their unions, one call per void.  When
-    no cluster serves anyone (``ue_to_ap`` names no member) there is
-    nothing to merge into and the input is returned unchanged.
+    ``table.scores`` maps a list of pairs ``(a, b)`` of live sorted AP
+    tuples to the per-AP spectral efficiencies of their unions, one call
+    per void, and ``table.merge(a, b)`` merges the pair and returns its
+    union.  ``table`` is a ``GramTable`` over ``clusters`` or any object
+    with those two methods.  When no cluster serves anyone (``ue_to_ap``
+    names no member) there is nothing to merge into and the input is
+    returned unchanged.
     """
     served_aps = set(int(a) for a in ue_to_ap)
     items = [tuple(sorted(int(a) for a in c)) for c in clusters]
@@ -460,12 +455,12 @@ def merge_void_clusters(clusters, ue_to_ap: np.ndarray, score):
         if void_idx is None:
             break
         void = items.pop(void_idx)
-        best = int(np.argmax(score([(c, void) for c in items])))
-        items[best] = tuple(sorted(items[best] + void))
+        best = int(np.argmax(table.scores([(c, void) for c in items])))
+        items[best] = table.merge(items[best], void)
     return items
 
 
-def hierarchical_merge(clusters, score):
+def hierarchical_merge(clusters, table):
     """Greedily merge cluster pairs while per-AP spectral efficiency grows.
 
     A pair qualifies when the merged score strictly exceeds the per-AP
@@ -476,20 +471,22 @@ def hierarchical_merge(clusters, score):
     this folds the partition down aggressively; only clusters whose mutual
     links are negligible stay apart.
 
-    ``score`` maps a list of pairs ``(a, b)`` of sorted AP tuples (b None:
-    a alone) to the per-AP spectral efficiencies of their unions.  The
-    pair scores of the live clusters are kept in a table: the first round
-    scores every cluster and every pair in one call, and each later round
-    only the merged cluster against the others.  A merge goes to the first
-    strictly largest positive gain in the scan order (i < j, row by row) of
-    the current cluster list, whose pair is removed and whose merged
-    cluster is appended; a NaN gain never wins.
+    ``table.scores`` maps a list of pairs ``(a, b)`` of live sorted AP
+    tuples (b None: a alone) to the per-AP spectral efficiencies of their
+    unions, and ``table.merge(a, b)`` merges a pair and returns its union,
+    as in ``merge_void_clusters``.  The pair scores of the live clusters
+    are kept in a matrix: the first round scores every cluster and every
+    pair in one call, and each later round only the merged cluster against
+    the others.  A merge goes to the first strictly largest positive gain
+    in the scan order (i < j, row by row) of the current cluster list,
+    whose pair is removed and whose merged cluster is appended; a NaN gain
+    never wins.
     """
     items = [tuple(sorted(int(a) for a in c)) for c in clusters]
     n = len(items)
     upper = np.triu_indices(n, 1)
-    first = score([(c, None) for c in items]
-                  + [(items[i], items[j]) for i, j in zip(*upper)])
+    first = table.scores([(c, None) for c in items]
+                         + [(items[i], items[j]) for i, j in zip(*upper)])
     scores = np.asarray(first[:n], dtype=float)
     merged = np.full((n, n), np.nan)
     merged[upper] = first[n:]
@@ -503,14 +500,14 @@ def hierarchical_merge(clusters, score):
         if not gains.flat[best] > 0.0:
             break
         i, j = divmod(best, len(items))
-        union = tuple(sorted(items[i] + items[j]))
+        union = table.merge(items[i], items[j])
         keep = [z for z in range(len(items)) if z not in (i, j)]
         items = [items[z] for z in keep] + [union]
         scores = np.append(scores[keep], merged[i, j])
         merged = np.pad(merged[np.ix_(keep, keep)], (0, 1),
                         constant_values=np.nan)
         if keep:
-            merged[:-1, -1] = score([(c, union) for c in items[:-1]])
+            merged[:-1, -1] = table.scores([(c, union) for c in items[:-1]])
     items.sort(key=lambda c: c[0])
     return items
 
@@ -531,16 +528,16 @@ def hierarchical_clustering(scenario: Scenario, params: AntennaParams,
 
     The pipeline owns the drop context: the association, the channel
     stack and one ``GramTable`` over the seeds serve both merge stages,
-    each merge round is one ``cluster_scores`` call, and no AP tuple is
-    scored twice per drop.
+    which merge through ``GramTable.merge``.  Each merge round is one
+    ``cluster_scores`` call, and no AP tuple is scored twice per drop.
     """
     seeds, converged = affinity_propagation(scenario.ap_positions)
     ue_to_ap = strongest_aps(scenario, params, band_upper)
     table = GramTable(scenario, method, ue_to_ap,
                       channel_stack(scenario, params, band_upper, ue_to_ap),
                       seeds)
-    merged = merge_void_clusters(seeds, ue_to_ap, table.scores)
-    merged = hierarchical_merge(merged, table.scores)
+    merged = merge_void_clusters(seeds, ue_to_ap, table)
+    merged = hierarchical_merge(merged, table)
     return _build(scenario, params, merged, band_upper, converged, ue_to_ap)
 
 

@@ -10,6 +10,7 @@ and converted to W/Hz here.
 from __future__ import annotations
 
 import configparser
+import math
 
 from .antenna import AntennaParams
 from .cegmm import CeHyperparams, QosConfig
@@ -79,10 +80,26 @@ def _reject_unknown(parser: configparser.ConfigParser, origin: str) -> None:
                 raise ValueError(f"{origin}: unknown key {section}.{key}")
 
 
+def _number(text: str, name: str) -> float:
+    """The value ``text`` of the key ``name`` as a finite float.  A value
+    that does not parse, or is NaN or infinite, is rejected by name when
+    the configuration loads, not deep inside a trial."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be a finite number, got {text!r}")
+
+
+def _getfloat(section: configparser.SectionProxy, key: str) -> float:
+    return _number(section.get(key), f"{section.name}.{key}")
+
+
 def _getint(section: configparser.SectionProxy, key: str) -> int:
     """An integer key, which may be spelled as a float such as ``1e3``; a
     value with a fractional part is rejected by name, not truncated."""
-    value = section.getfloat(key)
+    value = _getfloat(section, key)
     if not value.is_integer():
         raise ValueError(f"{section.name}.{key} must be an integer, "
                          f"got {section.get(key)}")
@@ -119,24 +136,24 @@ def load_config(path: str | None = None, overrides=()) -> ExperimentConfig:
 
     sc = parser["scenario"]
     scenario = ScenarioConfig(
-        area_side=sc.getfloat("area_side_m"),
+        area_side=_getfloat(sc, "area_side_m"),
         num_aps=_getint(sc, "num_aps"),
         num_ues=_getint(sc, "num_ues"),
-        elev_diff_range=(sc.getfloat("elev_diff_min_m"),
-                         sc.getfloat("elev_diff_max_m")),
-        total_power=sc.getfloat("total_power_w"),
-        total_bandwidth=sc.getfloat("total_bandwidth_hz"),
-        noise_psd=dbm_per_hz_to_w(sc.getfloat("noise_psd_dbm_hz")),
+        elev_diff_range=(_getfloat(sc, "elev_diff_min_m"),
+                         _getfloat(sc, "elev_diff_max_m")),
+        total_power=_getfloat(sc, "total_power_w"),
+        total_bandwidth=_getfloat(sc, "total_bandwidth_hz"),
+        noise_psd=dbm_per_hz_to_w(_getfloat(sc, "noise_psd_dbm_hz")),
         seed=_getint(sc, "seed"),
     )
     an = parser["antenna"]
     params = AntennaParams(
-        radiation_efficiency=an.getfloat("radiation_efficiency"),
-        aperture_length=an.getfloat("aperture_length_m"),
-        attenuation=an.getfloat("attenuation_per_m"),
-        cutoff_frequency=an.getfloat("cutoff_frequency_hz"),
+        radiation_efficiency=_getfloat(an, "radiation_efficiency"),
+        aperture_length=_getfloat(an, "aperture_length_m"),
+        attenuation=_getfloat(an, "attenuation_per_m"),
+        cutoff_frequency=_getfloat(an, "cutoff_frequency_hz"),
     )
-    band = (params.cutoff_frequency, an.getfloat("band_upper_hz"))
+    band = (params.cutoff_frequency, _getfloat(an, "band_upper_hz"))
     if band[1] <= band[0]:
         raise ValueError("band_upper_hz must exceed cutoff_frequency_hz")
     ce = parser["ce"]
@@ -145,19 +162,19 @@ def load_config(path: str | None = None, overrides=()) -> ExperimentConfig:
         num_elites=_getint(ce, "num_elites"),
         max_iterations=_getint(ce, "max_iterations"),
         max_components=_getint(ce, "max_components"),
-        smoothing=ce.getfloat("smoothing"),
-        grid_step=ce.getfloat("grid_step_hz"),
+        smoothing=_getfloat(ce, "smoothing"),
+        grid_step=_getfloat(ce, "grid_step_hz"),
         num_subchannels=_getint(ce, "num_subchannels"),
     )
     qs = parser["qos"]
     qos = QosConfig(
-        min_rx_psd=dbm_per_hz_to_w(qs.getfloat("min_rx_psd_dbm_hz")),
-        coherence_gap_db=qs.getfloat("coherence_gap_db"),
-        min_cluster_avg_rate=qs.getfloat("min_cluster_avg_rate_bps"),
+        min_rx_psd=dbm_per_hz_to_w(_getfloat(qs, "min_rx_psd_dbm_hz")),
+        coherence_gap_db=_getfloat(qs, "coherence_gap_db"),
+        min_cluster_avg_rate=_getfloat(qs, "min_cluster_avg_rate_bps"),
     )
     cl = parser["clustering"]
     ex = parser["experiment"]
-    sweep_values = tuple(float(v) for v in
+    sweep_values = tuple(_number(v, "experiment.sweep_values") for v in
                          ex.get("sweep_values").split(",") if v.strip())
     output = ex.get("output").strip() or None
     return ExperimentConfig(

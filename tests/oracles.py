@@ -27,7 +27,10 @@ under either.  ``merge_void_clusters_replay`` and
 ``score`` for one cluster at a time, every pair again each round; the
 lock-step ``clustering.merge_void_clusters`` and ``hierarchical_merge``,
 which ask for a round's candidates in one call and keep a pair-score
-table, must return the same clusters.
+matrix, must return the same clusters.  ``LiveTable`` is the table those
+rules take, over a plain round scorer: it keeps only the live clusters,
+so a rule that scores a cluster it has not merged, or merges one twice,
+fails its assertions.
 ``fallback_cluster_reward`` rates one subchannel of one cluster on its own
 sub-scenario, retrying under maximum ratio where the precoder fails; the
 rewards of ``cluster_alloc.greedy_assign`` must match it bit for bit.
@@ -289,6 +292,29 @@ def hierarchical_merge_replay(clusters, score):
         scores.append(best_score)
     items.sort(key=lambda c: c[0])
     return items
+
+
+class LiveTable:
+    """The ``scores``/``merge`` table of ``clustering.merge_void_clusters``
+    and ``hierarchical_merge`` over a round scorer ``score`` (a list of
+    pairs ``(a, b)`` to the scores of their unions), starting from the
+    sorted AP tuples of ``clusters`` as its live clusters."""
+
+    def __init__(self, score, clusters):
+        self.score = score
+        self.live = {tuple(sorted(int(a) for a in c)) for c in clusters}
+
+    def scores(self, pairs):
+        for a, b in pairs:
+            assert a in self.live and b in self.live | {None}, (a, b)
+        return self.score(pairs)
+
+    def merge(self, a, b):
+        assert a in self.live and b in self.live and a != b, (a, b)
+        self.live -= {a, b}
+        union = tuple(sorted(a + b))
+        self.live.add(union)
+        return union
 
 
 def fallback_cluster_reward(cluster_aps, cluster_ues, center, width, scenario,

@@ -1,6 +1,7 @@
 """AP grouping: k-means, exemplar message passing, association, merging."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -29,8 +30,8 @@ from lwcf.mimo import (MAX_ZF_CONDITION, ZF_CERTIFICATE_SLACK, SingularChannel,
                        build_channel, fallback_sinrs, freespace_amplitude,
                        precode, sinr, zf_certified, zf_closed_form)
 from lwcf.scenario import Scenario, ScenarioConfig, generate_scenario
-from oracles import (hierarchical_merge_replay, link_distance, link_rss,
-                     merge_void_clusters_replay, per_ap_se_per_ue,
+from oracles import (LiveTable, hierarchical_merge_replay, link_distance,
+                     link_rss, merge_void_clusters_replay, per_ap_se_per_ue,
                      per_ap_se_precoded)
 
 PARAMS = AntennaParams(1.0, 0.15, 130.0, 100e9)
@@ -90,7 +91,7 @@ def union(a, b):
 
 
 def batched(score):
-    """The round scorer the merge rules take, from a one-tuple ``score``."""
+    """The round scorer a ``LiveTable`` wraps, from a one-tuple ``score``."""
     return lambda pairs: np.array([score(union(a, b)) for a, b in pairs],
                                   dtype=float)
 
@@ -223,6 +224,17 @@ def test_associate_matches_argmax_and_relabels():
     assert np.array_equal(ue_to_ap, ue_to_ap2)
     remap = {0: 1, 1: 2, 2: 0}
     assert [remap[int(z)] for z in ue_to_cluster] == ue_to_cluster2.tolist()
+
+
+def test_associate_rejects_a_serving_ap_outside_every_cluster():
+    """A UE whose serving AP lies in no cluster has no cluster label, so
+    ``associate_ues`` names those APs instead of returning one."""
+    sc = make_scenario(num_aps=6, num_ues=4, seed=0)
+    ue_to_ap = strongest_aps(sc, PARAMS, BAND_UPPER)
+    missing = sorted(set(ue_to_ap.tolist()) - {0, 1})
+    assert missing
+    with pytest.raises(ValueError, match=re.escape(f"serving APs {missing}")):
+        associate_ues(sc, PARAMS, [(0, 1)], BAND_UPPER)
 
 
 def test_clustering_dataclass_validation():
@@ -513,7 +525,8 @@ def test_merge_void_keeps_serving_partition():
                          [[5, 0], [995, 0]])
     clusters = [(0,), (1,), (2,)]        # AP 1 serves nobody
     ue_to_ap, _ = drop_context(sc)
-    out = merge_void_clusters(clusters, ue_to_ap, batched(scorer(sc)))
+    out = merge_void_clusters(clusters, ue_to_ap,
+                              LiveTable(batched(scorer(sc)), clusters))
     assert_partition(out, 3)
     assert len(out) == 2
     # the void AP joined whichever merge scored the higher per-AP SE
@@ -527,7 +540,8 @@ def test_merge_void_without_serving_cluster_is_identity():
     sc = manual_scenario([[1000, 0], [2000, 0], [0, 0]], [[5, 0]])
     # the serving AP (index 2) is outside every listed cluster
     ue_to_ap, _ = drop_context(sc)
-    out = merge_void_clusters([(0,), (1,)], ue_to_ap, batched(scorer(sc)))
+    out = merge_void_clusters([(0,), (1,)], ue_to_ap,
+                              LiveTable(batched(scorer(sc)), [(0,), (1,)]))
     assert out == [(0,), (1,)]
 
 
@@ -537,7 +551,8 @@ def test_merge_void_never_grows_cluster_count():
         rng = np.random.default_rng(seed)
         clusters = kmeans_clusters(sc.ap_positions, 5, rng)
         ue_to_ap, _ = drop_context(sc)
-        out = merge_void_clusters(clusters, ue_to_ap, batched(scorer(sc)))
+        out = merge_void_clusters(clusters, ue_to_ap,
+                                  LiveTable(batched(scorer(sc)), clusters))
         assert_partition(out, 10)
         assert len(out) <= len(clusters)
         # every surviving cluster serves somebody
@@ -548,7 +563,8 @@ def test_merge_void_never_grows_cluster_count():
 
 def test_hierarchical_merge_single_cluster_identity():
     sc = make_scenario(seed=7)
-    out = hierarchical_merge([tuple(range(8))], batched(scorer(sc)))
+    out = hierarchical_merge([tuple(range(8))],
+                             LiveTable(batched(scorer(sc)), [range(8)]))
     assert out == [tuple(range(8))]
 
 
@@ -560,7 +576,8 @@ def test_hierarchical_merge_joins_near_stays_far():
     sc = manual_scenario([[0, 0], [60, 0], [far, 0], [far + 60, 0]],
                          [[5, 0], [far + 5, 0]])
     clusters = [(0,), (1,), (2, 3)]
-    out = hierarchical_merge(clusters, batched(scorer(sc)))
+    out = hierarchical_merge(clusters,
+                             LiveTable(batched(scorer(sc)), clusters))
     assert sorted(map(sorted, out)) == [[0, 1], [2, 3]]
 
 
@@ -578,7 +595,8 @@ def test_hierarchical_merge_gain_rule_matches_pair_scan():
             joint = (scores[i] * 2 + scores[j] * 2) / 4.0
             if score - joint > best_gain:
                 best_gain, best_pair = score - joint, (i, j)
-    out = hierarchical_merge(clusters, batched(scorer(sc)))
+    out = hierarchical_merge(clusters,
+                             LiveTable(batched(scorer(sc)), clusters))
     if best_pair is None:
         assert sorted(map(sorted, out)) == sorted(map(sorted, clusters))
     else:
@@ -590,7 +608,7 @@ def test_hierarchical_merge_gain_rule_matches_pair_scan():
 def test_hierarchical_merge_scores_each_cluster_once():
     """Only pairs with the newly merged cluster cost a score: the tuples the
     rule asks for are the initial clusters plus the distinct merged tuples,
-    each once, since the rule keeps a table of its live pairs' scores."""
+    each once, since the rule keeps a matrix of its live pairs' scores."""
     sc = make_scenario(num_aps=12, num_ues=6, seed=5)
     score = batched(scorer(sc))
     asked = []
@@ -602,7 +620,8 @@ def test_hierarchical_merge_scores_each_cluster_once():
         return score(pairs)
 
     n = 12
-    out = hierarchical_merge([(a,) for a in range(n)], record)
+    singles = [(a,) for a in range(n)]
+    out = hierarchical_merge(singles, LiveTable(record, singles))
     merges = n - len(out)
     assert merges >= 3
     # round one scores every pair; after merge t only the new cluster's
@@ -701,7 +720,7 @@ def test_hierarchical_clustering_closed_form_keeps_the_precoded_clusters(
 
 def test_lock_step_pipeline_keeps_the_replayed_clusters_of_benchmark_drops():
     """The benchmark-sized drops keep, under the lock-step pipeline
-    (additive Gram scores, one call per round, the pair-score table), the
+    (additive Gram scores, one call per round, the pair-score matrix), the
     clusters of the one-tuple rules replayed with the precoded scorer."""
     for sc in benchmark_sized_drops():
         ue_to_ap, stack = drop_context(sc)
@@ -738,9 +757,9 @@ def test_lock_step_merge_equals_the_replayed_rules(method):
         for start in (seeds, [(a,) for a in range(num_aps)]):
             want = hierarchical_merge_replay(
                 merge_void_clusters_replay(start, ue_to_ap, score), score)
+            table = LiveTable(batched(score), start)
             got = hierarchical_merge(
-                merge_void_clusters(start, ue_to_ap, batched(score)),
-                batched(score))
+                merge_void_clusters(start, ue_to_ap, table), table)
             assert got == want
             merges += len(start) - len(want)
         got = hierarchical_clustering(sc, PARAMS, BAND_UPPER, method)
@@ -749,9 +768,11 @@ def test_lock_step_merge_equals_the_replayed_rules(method):
     assert merges >= 10
 
 
-def hand_scores(table):
-    """A round scorer from a table of union scores; unlisted unions 0.0."""
-    return batched(lambda members: table.get(members, 0.0))
+def hand_table(scores, clusters):
+    """A ``LiveTable`` over ``clusters`` that scores from a dict of union
+    scores; unlisted unions 0.0."""
+    return LiveTable(batched(lambda members: scores.get(members, 0.0)),
+                     clusters)
 
 
 def test_hierarchical_merge_ties_go_to_the_first_pair_in_scan_order():
@@ -760,10 +781,11 @@ def test_hierarchical_merge_ties_go_to_the_first_pair_in_scan_order():
     gain 1: (2, 3) scans first, though (0, 1, 3) sorts first."""
     scores = {(0,): 3.0, (1,): 3.0, (2,): 3.0, (3,): 3.0,
               (0, 1): 6.0, (1, 2): 6.0, (2, 3): 4.0, (0, 1, 3): 6.0}
-    out = hierarchical_merge([(0,), (1,), (2,), (3,)], hand_scores(scores))
+    singles = [(0,), (1,), (2,), (3,)]
+    out = hierarchical_merge(singles, hand_table(scores, singles))
     assert out == [(0, 1), (2, 3)]
     assert out == hierarchical_merge_replay(
-        [(0,), (1,), (2,), (3,)], lambda members: scores.get(members, 0.0))
+        singles, lambda members: scores.get(members, 0.0))
 
 
 def test_hierarchical_merge_never_merges_on_a_nan_score():
@@ -772,46 +794,57 @@ def test_hierarchical_merge_never_merges_on_a_nan_score():
     nan = float("nan")
     scores = {(0,): 1.0, (1,): 1.0, (2,): 1.0, (0, 1): nan, (0, 2): 1.5}
     three, two = [(0,), (1,), (2,)], [(0,), (1,)]
-    assert hierarchical_merge(three, hand_scores(scores)) == [(0, 2), (1,)]
-    assert hierarchical_merge(two, hand_scores(scores)) == two
+    assert hierarchical_merge(three, hand_table(scores, three)) == [(0, 2),
+                                                                    (1,)]
+    assert hierarchical_merge(two, hand_table(scores, two)) == two
     scores = {(0,): nan, (1,): 1.0, (0, 1): 5.0}
-    assert hierarchical_merge(two, hand_scores(scores)) == two
+    assert hierarchical_merge(two, hand_table(scores, two)) == two
     # NaN gains first in scan order do not stop a later positive gain
     scores = {(0,): nan, (1,): 1.0, (2,): 1.0, (0, 1): 5.0, (1, 2): 1.5}
-    assert hierarchical_merge(three, hand_scores(scores)) == [(0,), (1, 2)]
+    assert hierarchical_merge(three, hand_table(scores, three)) == [(0,),
+                                                                    (1, 2)]
 
 
-def test_gram_table_commits_a_merge_when_its_union_is_named(monkeypatch):
-    """A union scored as a pair becomes live when a later call names it:
-    its Gram is the sum of its parts' Grams, kept in a part's slot, and
-    equals one product over the union up to rounding.  A union of unions
-    commits both, a union scored before costs no new score, and the table
-    never holds more slots than the clusters it was built from."""
+def test_gram_table_merge_adds_the_parts_grams(monkeypatch):
+    """``merge`` keeps the sum of its parts' Grams in a part's slot, equal
+    to one product over the union up to rounding, and the OR of their
+    served masks; the table never holds more slots than the clusters it was
+    built from.  ``scores`` changes nothing but its memo: a union scored as
+    a pair costs no new score once merged, and a pair that names a
+    merged-away part raises KeyError."""
     sc = make_scenario(num_aps=12, num_ues=6, seed=5)
     ue_to_ap, stack = drop_context(sc)
     clusters = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9, 10, 11)]
     table = GramTable(sc, "zf", ue_to_ap, stack, clusters)
     singles = [table.grams[table.slot[c]].copy() for c in clusters]
+    masks = [table.served[table.slot[c]].copy() for c in clusters]
     rated = []
     real = lwcf.clustering.cluster_scores
 
-    def spy(grams, pairs):
+    def spy(table, pairs):
         rated.extend(union(a, b) for a, b in pairs)
-        return real(grams, pairs)
+        return real(table, pairs)
 
     monkeypatch.setattr(lwcf.clustering, "cluster_scores", spy)
     a, b, c, d, e = clusters
-    table.scores([(a, b), (c, d)])
-    ab, cd = union(a, b), union(c, d)
-    first = table.scores([(ab, cd)])
-    abcd = union(ab, cd)
-    assert set(table.slot) == {ab, cd, e}
-    assert table.scores([(ab, cd)]).tolist() == first.tolist()
-    table.scores([(abcd, e)])
-    assert rated == [ab, cd, abcd, union(abcd, e)]
-    assert set(table.slot) == {abcd, e} and len(table.grams) == len(clusters)
+    state = (table.grams.copy(), table.served.copy(), dict(table.slot))
+    first = table.scores([(a, b), (c, d)])
+    assert np.array_equal(table.grams, state[0])
+    assert np.array_equal(table.served, state[1]) and table.slot == state[2]
+    ab = table.merge(a, b)
+    assert ab == union(a, b) and set(table.slot) == {ab, c, d, e}
+    slot = table.slot[ab]
+    assert np.array_equal(table.grams[slot], singles[0] + singles[1])
+    assert table.served[slot].tolist() == (masks[0] | masks[1]).tolist()
+    assert table.scores([(ab, None)]).tolist() == first[:1].tolist()
+    assert rated == [ab, union(c, d)]
+    with pytest.raises(KeyError):
+        table.scores([(a, e)])
+    abcd = table.merge(ab, table.merge(c, d))
+    assert set(table.slot) == {abcd, e}
+    assert set(table.slot.values()) <= set(range(len(clusters)))
+    assert len(table.grams) == len(clusters)
     slot = table.slot[abcd]
-    assert table.sizes[slot] == 8 and table.members[slot] == abcd
     assert table.served[slot].tolist() == np.isin(ue_to_ap, abcd).tolist()
     assert np.array_equal(table.grams[slot], ((singles[0] + singles[1])
                                               + (singles[2] + singles[3])))

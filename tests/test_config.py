@@ -1,6 +1,7 @@
 """Configuration loading, override plumbing, and the CLI front end."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -265,6 +266,21 @@ def test_integer_keys_reject_fractional_values(key):
         assert config.sweep_values == (16.0,)
     elif section == "scenario":
         assert getattr(config.scenario, name) == 16
+
+
+@pytest.mark.parametrize("override", [
+    "scenario.area_side_m=nan", "scenario.total_power_w=inf",
+    "scenario.noise_psd_dbm_hz=nan", "ce.grid_step_hz=nan",
+    "antenna.band_upper_hz=inf", "qos.coherence_gap_db=",
+    "scenario.num_aps=abc", "experiment.sweep_values=16,abc"])
+def test_numbers_reject_malformed_and_non_finite_values(override, capsys):
+    """A number that does not parse, or is NaN or infinite, is rejected by
+    its key when the configuration loads, and the CLI exits 2 naming it."""
+    key = override.partition("=")[0]
+    with pytest.raises(ValueError, match=re.escape(key)):
+        load_config(None, [override])
+    code, out, err = run_cli(["simulate", "--set", override], capsys)
+    assert code == 2 and out == "" and key in err
 
 
 def test_cli_cluster_modes(capsys):
