@@ -19,8 +19,7 @@ from .cluster_alloc import ClusterPlan, write_cluster_plan_csv
 from .clustering import write_clustering_csv
 from .config import load_config
 from .harness import (ExperimentConfig, build_clustering, check_drop,
-                      run_experiment, run_trial, trial_rng, trial_scenario,
-                      write_plan_csv)
+                      run_experiment, run_trial, trial_cell, write_plan_csv)
 from .mimo import SingularChannel
 from .scenario import generate_scenario
 
@@ -40,10 +39,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Cell-free leaky-wave network simulator")
     sub = parser.add_subparsers(dest="command", required=True)
     single = argparse.ArgumentParser(add_help=False)
-    single.add_argument("--trial", metavar="T", type=int,
+    single.add_argument("--trial", metavar="T", type=int, default=0,
                         help="take sweep trial T's drop (geometry seed "
                              "experiment.base_seed + T) and optimiser "
-                             "stream")
+                             "stream (default 0)")
     sub.add_parser("simulate", parents=[common, single],
                    help="run one trial and dump its subchannel plan")
     sub.add_parser("sweep", parents=[common],
@@ -61,17 +60,17 @@ def _out_stream(path: str | None):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _single_run(config: ExperimentConfig, trial: int | None):
-    """The drop template and optimiser stream of a single run: trial T's
-    (``trial_scenario``, ``trial_rng``), or without one the scenario's own
-    seed and trial 0's stream.  ``check_drop`` rejects a drop the run
-    cannot take, by the key it reads, before the drop is drawn."""
-    sc_cfg = config.scenario if trial is None else trial_scenario(config, trial)
-    check_drop(config, sc_cfg, None)
-    return sc_cfg, trial_rng(config, trial or 0)
+def _single_run(config: ExperimentConfig, trial: int):
+    """The drop template and optimiser stream of a single run: the
+    ``trial_cell`` of trial T at the scenario's own sweep value.
+    ``check_drop`` rejects a drop the run cannot take, by the key it reads,
+    before the drop is drawn."""
+    cell = trial_cell(config, getattr(config.scenario, config.sweep), trial)
+    check_drop(config, cell[0], None)
+    return cell
 
 
-def _cmd_simulate(config: ExperimentConfig, trial: int | None, out) -> None:
+def _cmd_simulate(config: ExperimentConfig, trial: int, out) -> None:
     plan = run_trial(config, *_single_run(config, trial))
     if isinstance(plan, ClusterPlan):
         write_cluster_plan_csv(plan, out)
@@ -82,7 +81,7 @@ def _cmd_simulate(config: ExperimentConfig, trial: int | None, out) -> None:
     print(f"total_rate_bps={plan.total_rate:.6g}{suffix}", file=sys.stderr)
 
 
-def _cmd_cluster(config: ExperimentConfig, trial: int | None, out) -> None:
+def _cmd_cluster(config: ExperimentConfig, trial: int, out) -> None:
     if config.clustering == "none":
         raise ValueError("clustering.mode is 'none'; set kmeans or hierarchical")
     sc_cfg, rng = _single_run(config, trial)
@@ -107,7 +106,7 @@ def main(argv=None) -> int:
             _cmd_cluster(config, args.trial, out)
         else:
             _cmd_simulate(replace(config, allocator="equal_bandwidth",
-                                  clustering="none"), None, out)
+                                  clustering="none"), 0, out)
         path = config.output if args.output is None else args.output
         with _out_stream(path) as fh:
             fh.write(out.getvalue())

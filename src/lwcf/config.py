@@ -27,7 +27,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "total_power_w": "2",
         "total_bandwidth_hz": "10e9",
         "noise_psd_dbm_hz": "-168",
-        "seed": "0",
     },
     "antenna": {
         "radiation_efficiency": "1.0",
@@ -96,6 +95,16 @@ def _getfloat(section: configparser.SectionProxy, key: str) -> float:
     return _number(section.get(key), f"{section.name}.{key}")
 
 
+def _getdbm(section: configparser.SectionProxy, key: str) -> float:
+    """A power density key, written in dBm/Hz, in W/Hz; a value too large
+    for a float in W/Hz is rejected by name."""
+    try:
+        return dbm_per_hz_to_w(_getfloat(section, key))
+    except OverflowError:
+        raise ValueError(f"{section.name}.{key} is too large in W/Hz, "
+                         f"got {section.get(key)} dBm/Hz") from None
+
+
 def _getint(section: configparser.SectionProxy, key: str) -> int:
     """An integer key, which may be spelled as a float such as ``1e3``; a
     value with a fractional part is rejected by name, not truncated."""
@@ -110,10 +119,8 @@ def apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
     """Apply ``section.key=value`` strings on top of the parsed file."""
     for item in overrides:
         head, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(f"override {item!r} is not section.key=value")
         section, dot, key = head.strip().partition(".")
-        if not dot:
+        if not (sep and dot):
             raise ValueError(f"override {item!r} is not section.key=value")
         section, key = section.strip(), key.strip()
         if section not in DEFAULTS or key not in DEFAULTS[section]:
@@ -123,17 +130,22 @@ def apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
 
 def load_config(path: str | None = None, overrides=()) -> ExperimentConfig:
     """Defaults, then the optional INI file, then overrides; the returned
-    ExperimentConfig validates itself."""
+    ExperimentConfig validates itself.  Its scenario template takes the
+    geometry seed ``experiment.base_seed``, trial 0's."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(DEFAULTS)
     if path is not None:
         loaded = configparser.ConfigParser(interpolation=None)
         with open(path, encoding="utf-8") as fh:
-            loaded.read_file(fh)
+            try:
+                loaded.read_file(fh)
+            except configparser.Error as exc:
+                raise ValueError(f"{path}: malformed INI: {exc}") from exc
         _reject_unknown(loaded, path)
         parser.read_dict({s: dict(loaded.items(s)) for s in loaded.sections()})
     apply_overrides(parser, overrides)
 
+    ex = parser["experiment"]
     sc = parser["scenario"]
     scenario = ScenarioConfig(
         area_side=_getfloat(sc, "area_side_m"),
@@ -143,8 +155,8 @@ def load_config(path: str | None = None, overrides=()) -> ExperimentConfig:
                          _getfloat(sc, "elev_diff_max_m")),
         total_power=_getfloat(sc, "total_power_w"),
         total_bandwidth=_getfloat(sc, "total_bandwidth_hz"),
-        noise_psd=dbm_per_hz_to_w(_getfloat(sc, "noise_psd_dbm_hz")),
-        seed=_getint(sc, "seed"),
+        noise_psd=_getdbm(sc, "noise_psd_dbm_hz"),
+        seed=_getint(ex, "base_seed"),
     )
     an = parser["antenna"]
     params = AntennaParams(
@@ -168,12 +180,11 @@ def load_config(path: str | None = None, overrides=()) -> ExperimentConfig:
     )
     qs = parser["qos"]
     qos = QosConfig(
-        min_rx_psd=dbm_per_hz_to_w(_getfloat(qs, "min_rx_psd_dbm_hz")),
+        min_rx_psd=_getdbm(qs, "min_rx_psd_dbm_hz"),
         coherence_gap_db=_getfloat(qs, "coherence_gap_db"),
         min_cluster_avg_rate=_getfloat(qs, "min_cluster_avg_rate_bps"),
     )
     cl = parser["clustering"]
-    ex = parser["experiment"]
     sweep_values = tuple(_number(v, "experiment.sweep_values") for v in
                          ex.get("sweep_values").split(",") if v.strip())
     output = ex.get("output").strip() or None
@@ -185,6 +196,6 @@ def load_config(path: str | None = None, overrides=()) -> ExperimentConfig:
         precoder=ex.get("precoder").strip(),
         allocator=ex.get("allocator").strip(),
         trials=_getint(ex, "trials"),
-        base_seed=_getint(ex, "base_seed"),
+        base_seed=scenario.seed,
         output=output, workers=_getint(ex, "workers"),
     )

@@ -38,7 +38,9 @@ CSV_HEADER = ("sweep_value", "trial", "seed", "allocator", "clustering",
 class ExperimentConfig:
     """The one configuration type: the scenario template, radio model,
     optimiser knobs, and the sweep.  ``load_config`` builds it from INI;
-    every CLI command runs it."""
+    every CLI command runs it.  ``load_config`` sets ``scenario.seed`` from
+    ``base_seed``, so the template is trial 0's drop; no command reads it,
+    each takes its trial's seed from ``trial_cell``."""
 
     scenario: ScenarioConfig
     params: AntennaParams
@@ -115,30 +117,20 @@ def check_drop(config: ExperimentConfig, sc_cfg: ScenarioConfig,
                          f"{exc}; use precoder mrt or clustering") from exc
 
 
-def trial_rng(config: ExperimentConfig, trial: int) -> np.random.Generator:
-    """The optimiser stream of one trial.  ``lwcf simulate`` and ``cluster``
-    take trial 0's but draw their drop from ``scenario.seed``, so they
-    reproduce sweep trial 0 only when that equals ``base_seed``; with
-    ``--trial t`` they run ``trial_scenario`` and this stream."""
-    seq = np.random.SeedSequence((config.base_seed, trial))
-    return np.random.default_rng(seq)
-
-
-def trial_scenario(config: ExperimentConfig, trial: int) -> ScenarioConfig:
-    """The drop of one trial: the scenario template drawn from the geometry
-    seed ``base_seed + trial``."""
+def trial_cell(config: ExperimentConfig, value: float, trial: int
+               ) -> tuple[ScenarioConfig, np.random.Generator]:
+    """The (sweep value, trial) cell: the scenario template with its sweep
+    dimension set to ``value`` and the geometry seed ``base_seed + trial``,
+    and the optimiser stream ``SeedSequence((base_seed, trial))``.  The one
+    place a trial gets its drop and stream, for sweep trials, the sweep
+    check and every single run (trial 0 without ``--trial``)."""
     if trial < 0:
         raise ValueError(f"trial must be >= 0, got {trial}")
-    return replace(config.scenario, seed=config.base_seed + trial)
-
-
-def sweep_scenario(config: ExperimentConfig, value: float,
-                   trial: int) -> ScenarioConfig:
-    """The drop of one trial at the sweep point ``value``: the one place a
-    sweep point becomes a scenario, for the trials and the sweep check."""
-    return replace(trial_scenario(config, trial), **{
+    sc_cfg = replace(config.scenario, seed=config.base_seed + trial, **{
         config.sweep: (int(value) if config.sweep != "total_bandwidth"
                        else float(value))})
+    seq = np.random.SeedSequence((config.base_seed, trial))
+    return sc_cfg, np.random.default_rng(seq)
 
 
 def equal_tiles(num_tiles: int, band: tuple[float, float],
@@ -216,8 +208,7 @@ def _trial_rate(config: ExperimentConfig, value: float,
                 trial: int) -> tuple[float | None, str]:
     """Run one (sweep value, trial) cell; returns (rate or None, status)."""
     try:
-        plan = run_trial(config, sweep_scenario(config, value, trial),
-                         trial_rng(config, trial))
+        plan = run_trial(config, *trial_cell(config, value, trial))
     except InfeasibleBand:
         return None, "infeasible_band"
     except SingularChannel:
@@ -233,10 +224,6 @@ def _run_cell(args) -> tuple[int, int, float | None, str, float]:
     return value_idx, trial, rate, status, wall_ms
 
 
-def _fmt_sweep_value(value: float) -> str:
-    return str(int(value))
-
-
 def run_experiment(config: ExperimentConfig) -> str:
     """Execute the sweep and return the CSV text; the CLI writes it.
 
@@ -248,7 +235,7 @@ def run_experiment(config: ExperimentConfig) -> str:
     self-consistent.  ``check_drop`` vets every sweep point first.
     """
     for value in config.sweep_values:
-        check_drop(config, sweep_scenario(config, value, 0),
+        check_drop(config, trial_cell(config, value, 0)[0],
                    f"sweep point {config.sweep}={value:g}")
     jobs = [(config, vi, t)
             for vi in range(len(config.sweep_values))
@@ -271,7 +258,7 @@ def run_experiment(config: ExperimentConfig) -> str:
             rate_str = "" if rate is None else format(rate, ".6g")
             if rate is not None:
                 shown_rates.append(float(rate_str))
-            writer.writerow([_fmt_sweep_value(value), t,
+            writer.writerow([str(int(value)), t,
                              config.base_seed + t, config.allocator,
                              config.clustering, config.precoder, rate_str,
                              "", format(wall, ".3f"), status])
@@ -281,7 +268,7 @@ def run_experiment(config: ExperimentConfig) -> str:
         if len(shown_rates) >= 2:
             stderr = float(np.std(shown_rates, ddof=1) / np.sqrt(len(shown_rates)))
             stderr_str = format(stderr, ".6g")
-        writer.writerow([_fmt_sweep_value(value), "summary", "",
+        writer.writerow([str(int(value)), "summary", "",
                          config.allocator, config.clustering, config.precoder,
                          mean_str, stderr_str, "", ""])
     return buf.getvalue()

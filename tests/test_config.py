@@ -58,17 +58,18 @@ def test_config_file_overrides(tmp_path):
     ini.write_text(
         "[scenario]\n"
         "num_aps = 8\n"
-        "seed = 9\n"
         "[antenna]\n"
         "cutoff_frequency_hz = 200e9\n"
         "band_upper_hz = 300e9\n"
         "[experiment]\n"
         "sweep_values = 8, 16\n"
-        "trials = 2\n",
+        "trials = 2\n"
+        "base_seed = 9\n",
         encoding="utf-8")
     app = load_config(str(ini))
     assert app.scenario.num_aps == 8
-    assert app.scenario.seed == 9
+    # the scenario template is trial 0's drop
+    assert app.scenario.seed == app.base_seed == 9
     assert app.band == (200e9, 300e9)
     assert app.sweep_values == (8.0, 16.0)
     assert app.trials == 2
@@ -85,6 +86,38 @@ def test_unknown_section_and_key_rejected(tmp_path):
     bad_key.write_text("[scenario]\nnum_antennas = 4\n", encoding="utf-8")
     with pytest.raises(ValueError, match="num_antennas"):
         load_config(str(bad_key))
+
+
+def test_scenario_seed_is_an_unknown_key(tmp_path, capsys):
+    """A drop's geometry seed comes from ``experiment.base_seed`` alone;
+    ``scenario.seed`` is refused, as an override and in a file."""
+    ini = tmp_path / "seed.ini"
+    ini.write_text("[scenario]\nseed = 1\n", encoding="utf-8")
+    for args in (["--set", "scenario.seed=1"], ["--config", str(ini)]):
+        code, out, err = run_cli(["simulate"] + args, capsys)
+        assert (code, out) == (2, "")
+        assert "unknown key scenario.seed" in err
+
+
+MALFORMED_INI = {
+    "no-section-header": "num_aps = 4\n",
+    "repeated-option": "[scenario]\nnum_aps = 4\nnum_aps = 5\n",
+    "repeated-section": "[scenario]\nnum_aps = 4\n[scenario]\nnum_ues = 2\n",
+    "key-without-equals": "[scenario]\nnum_aps\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_INI.values(), ids=MALFORMED_INI)
+def test_malformed_ini_is_refused_naming_the_file(text, tmp_path, capsys):
+    """An INI file that configparser cannot read is a ValueError naming
+    the file, so the CLI exits 2 with an error line, not a traceback."""
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(str(ini))):
+        load_config(str(ini))
+    code, out, err = run_cli(["simulate", "--config", str(ini)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {ini}: ")
 
 
 def test_override_parsing_errors():
@@ -148,7 +181,7 @@ def test_cli_baseline_is_the_unclustered_equal_bandwidth_simulate(extra,
                                                                  capsys):
     """``baseline`` runs the ``simulate`` trial with the equal-bandwidth
     allocator and no clustering, whatever those two keys say; the plan is
-    the ``equal_bandwidth_baseline`` of the ``scenario.seed`` drop."""
+    the ``equal_bandwidth_baseline`` of trial 0's drop, the template."""
     sets = ["scenario.num_aps=4", "scenario.num_ues=2", *extra]
     args = [a for ov in sets for a in ("--set", ov)]
     code, out, err = run_cli(["baseline"] + args, capsys)
@@ -247,7 +280,7 @@ def test_cli_writes_experiment_output(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", [
-    "scenario.num_aps", "scenario.num_ues", "scenario.seed",
+    "scenario.num_aps", "scenario.num_ues",
     "ce.num_samples", "ce.num_elites", "ce.max_iterations",
     "ce.max_components", "ce.num_subchannels", "clustering.num_clusters",
     "experiment.trials", "experiment.base_seed", "experiment.workers",
@@ -280,6 +313,17 @@ def test_numbers_reject_malformed_and_non_finite_values(override, capsys):
     with pytest.raises(ValueError, match=re.escape(key)):
         load_config(None, [override])
     code, out, err = run_cli(["simulate", "--set", override], capsys)
+    assert code == 2 and out == "" and key in err
+
+
+@pytest.mark.parametrize("key", ["scenario.noise_psd_dbm_hz",
+                                 "qos.min_rx_psd_dbm_hz"])
+def test_dbm_keys_reject_values_that_overflow_in_watts(key, capsys):
+    """A finite dBm/Hz value whose W/Hz does not fit a float is rejected by
+    its key when the configuration loads, and the CLI exits 2 naming it."""
+    with pytest.raises(ValueError, match=re.escape(key)):
+        load_config(None, [f"{key}=1e300"])
+    code, out, err = run_cli(["simulate", "--set", f"{key}=1e300"], capsys)
     assert code == 2 and out == "" and key in err
 
 
@@ -354,8 +398,8 @@ def test_cli_hierarchical_clustering_uses_configured_precoder(
 def test_cli_simulate_reproduces_sweep_trial_zero(mode, allocator, capsys):
     """Same geometry seed, optimiser stream and sweep point: ``simulate``
     and trial 0 of ``sweep`` run the same trial."""
-    sets = FAST_OVERRIDES + ["scenario.seed=7", "experiment.base_seed=7",
-                             "experiment.trials=2", f"clustering.mode={mode}",
+    sets = FAST_OVERRIDES + ["experiment.base_seed=7", "experiment.trials=2",
+                             f"clustering.mode={mode}",
                              f"experiment.allocator={allocator}"]
     args = [a for ov in sets for a in ("--set", ov)]
     code, _, err = run_cli(["simulate"] + args, capsys)
@@ -373,8 +417,8 @@ def test_cli_simulate_reproduces_sweep_trial_zero(mode, allocator, capsys):
 def test_cli_simulate_trial_reproduces_sweep_rows(mode, capsys):
     """``simulate --trial t`` takes trial t's drop (geometry seed
     ``base_seed + t``) and optimiser stream, so with a nonzero base seed it
-    gives the sweep's rows for trials 0 and 1; without ``--trial`` the drop
-    comes from ``scenario.seed``, here 0, and trial 0's row differs."""
+    gives the sweep's rows for trials 0 and 1; without ``--trial`` it runs
+    trial 0."""
     sets = FAST_OVERRIDES + ["experiment.base_seed=3", "experiment.trials=2",
                              f"clustering.mode={mode}"]
     args = [a for ov in sets for a in ("--set", ov)]
@@ -392,7 +436,7 @@ def test_cli_simulate_trial_reproduces_sweep_rows(mode, capsys):
         simulated[trial] = err.split("total_rate_bps=")[1].split()[0]
     for t in ("0", "1"):
         assert rows[t][9] == "ok" and rows[t][6] == simulated[t]
-    assert simulated[None] != simulated["0"]
+    assert simulated[None] == simulated["0"]
 
 
 def test_cli_simulate_rejects_a_negative_trial(capsys):
@@ -469,7 +513,7 @@ def test_cli_cluster_trial_is_the_clustering_of_that_trial(monkeypatch, mode,
                                                            capsys):
     """``cluster --trial t`` writes the clustering that ``run_trial``
     builds for sweep trial t (trial t's drop and optimiser stream); without
-    ``--trial`` the drop comes from ``scenario.seed`` and differs."""
+    ``--trial`` it is trial 0's and differs."""
     import lwcf.harness
     sets = ["scenario.num_aps=8", "scenario.num_ues=4",
             "experiment.base_seed=3", "experiment.allocator=equal_bandwidth",
@@ -482,8 +526,8 @@ def test_cli_cluster_trial_is_the_clustering_of_that_trial(monkeypatch, mode,
     monkeypatch.setattr(lwcf.harness, "build_clustering",
                         lambda *a: built.append(real(*a)) or built[-1])
     config = load_config(None, sets)
-    lwcf.harness.run_trial(config, lwcf.harness.trial_scenario(config, 1),
-                           lwcf.harness.trial_rng(config, 1))
+    lwcf.harness.run_trial(config, *lwcf.harness.trial_cell(
+        config, config.scenario.num_aps, 1))
     expected = io.StringIO()
     write_clustering_csv(built[0], expected)
     assert out == expected.getvalue()
@@ -496,10 +540,32 @@ def test_cli_seed_changes_plan(tmp_path, capsys):
     for seed in ("0", "1"):
         out_file = tmp_path / f"plan{seed}.csv"
         args = ["simulate", "--output", str(out_file),
-                "--set", f"scenario.seed={seed}"]
+                "--set", f"experiment.base_seed={seed}"]
         for ov in FAST_OVERRIDES:
             args += ["--set", ov]
         code, _, _ = run_cli(args, capsys)
         assert code == 0
         outputs.append(out_file.read_text(encoding="utf-8"))
     assert outputs[0] != outputs[1]
+
+
+@pytest.mark.parametrize("command", ["simulate", "baseline"])
+def test_cli_single_run_takes_the_base_seed_drop(command, capsys):
+    """Without ``--trial`` a single run is trial 0 of the sweep: its drop
+    is drawn from ``experiment.base_seed``, so at base seed 5 it prints the
+    rate of the sweep's trial-0 row, which differs from base seed 0's."""
+    sets = FAST_OVERRIDES + ["experiment.allocator=equal_bandwidth"]
+    rates = {}
+    for seed in ("0", "5"):
+        args = [a for ov in sets + [f"experiment.base_seed={seed}"]
+                for a in ("--set", ov)]
+        code, out, _ = run_cli(["sweep"] + args, capsys)
+        assert code == 0
+        (row,) = [r for r in (line.split(",")
+                              for line in out.strip().split("\n")[1:])
+                  if r[:3] == ["4", "0", seed]]
+        code, _, err = run_cli([command] + args, capsys)
+        assert code == 0 and row[9] == "ok"
+        assert err == f"total_rate_bps={row[6]}\n"
+        rates[seed] = row[6]
+    assert rates["0"] != rates["5"]

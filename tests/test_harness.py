@@ -16,7 +16,7 @@ from lwcf.harness import (
     equal_tiles,
     run_experiment,
     run_trial,
-    trial_rng,
+    trial_cell,
     write_plan_csv,
 )
 from lwcf.mimo import rate_density
@@ -284,7 +284,7 @@ def test_clustered_equal_bandwidth_trial_with_more_ues_than_aps(clustering):
     so network-wide zero forcing, impossible with K > M, is never tried."""
     config = fast_experiment(clustering=clustering,
                              scenario=scenario_template(num_aps=3, num_ues=6))
-    plan = run_trial(config, config.scenario, trial_rng(config, 0))
+    plan = run_trial(config, *trial_cell(config, config.scenario.num_ues, 0))
     assert isinstance(plan, ClusterPlan)
     assert sorted(cw for subs in plan.subchannels for cw in subs) == list(
         equal_tiles(config.hyper.num_subchannels, BAND, 10e9))
