@@ -91,16 +91,22 @@ class CeHyperparams:
     num_subchannels: int = 4
 
     def __post_init__(self):
-        if self.num_samples < 1 or self.num_elites < 1:
-            raise ValueError("num_samples and num_elites must be >= 1")
+        if self.num_samples < 1:
+            raise ValueError("num_samples must be >= 1")
+        if self.num_elites < 1:
+            raise ValueError("num_elites must be >= 1")
         if self.num_elites > self.num_samples:
             raise ValueError("num_elites cannot exceed num_samples")
-        if self.max_iterations < 1 or self.max_components < 1:
-            raise ValueError("max_iterations and max_components must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if self.max_components < 1:
+            raise ValueError("max_components must be >= 1")
         if not 0.0 < self.smoothing <= 1.0:
             raise ValueError("smoothing must lie in (0, 1]")
-        if self.grid_step <= 0.0 or self.num_subchannels < 1:
-            raise ValueError("grid_step and num_subchannels must be positive")
+        if self.grid_step <= 0.0:
+            raise ValueError("grid_step must be positive")
+        if self.num_subchannels < 1:
+            raise ValueError("num_subchannels must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -110,8 +116,10 @@ class QosConfig:
     min_cluster_avg_rate: float = 50e6   # bit/s per UE, cluster admission target
 
     def __post_init__(self):
-        if self.min_rx_psd < 0.0 or self.coherence_gap_db <= 0.0:
-            raise ValueError("min_rx_psd must be >= 0 and coherence_gap_db > 0")
+        if self.min_rx_psd < 0.0:
+            raise ValueError("min_rx_psd must be >= 0")
+        if self.coherence_gap_db <= 0.0:
+            raise ValueError("coherence_gap_db must be positive")
         if self.min_cluster_avg_rate < 0.0:
             raise ValueError("min_cluster_avg_rate must be nonnegative")
 
@@ -311,11 +319,13 @@ class _EdgeCheck:
     the coherence limit.
 
     ``ok`` decides in tiers, each on the intervals the one before leaves
-    unsure; the callers look each step up in ``certified`` first:
+    unsure; the callers first decide the cell pairs of their steps by
+    ``certifies`` (a search's walk) or ``certified`` (a shrink's steps):
 
-    * ``certified`` bounds each cell by the min and max of its edge values
+    * ``certifies`` bounds each cell by the min and max of its edge values
       minus and plus the remainder (``lower_r``, ``upper``) and certifies
-      a pair of cells at once by the good rule;
+      a pair of cells at once by the good rule, for every interval with
+      an edge in each;
     * ``interpolated`` bounds each interval edge by the interpolant minus
       and plus the remainder and proves an interval good or bad;
     * the envelope PSDs of the interval edges, when the envelope decides,
@@ -359,23 +369,26 @@ class _EdgeCheck:
         k -= 1
         return k
 
+    def certifies(self, i, j) -> np.ndarray:
+        """True for each pair of cells ``(i[n], j[n])`` whose bounds
+        certify every interval with an edge in each: the one pair rule of
+        ``certified`` and of the walk of ``bandwidth_searches``."""
+        up, low = self.upper, self.lower_r
+        return ((up.take(i, axis=0) < low.take(j, axis=0))
+                & (up.take(j, axis=0) < low.take(i, axis=0))).all(axis=1)
+
     def certified(self, lo, hi) -> np.ndarray:
         """True for each interval the cells of its two edges certify good.
 
         A certificate depends only on the cell pair, so each run of equal
-        consecutive pairs (the steps of one search stay ~8 steps on a
-        pair) is decided once and its answer repeated."""
+        consecutive pairs is decided once and its answer repeated."""
         i = self._cells(np.asarray(lo, dtype=float))
         j = self._cells(np.asarray(hi, dtype=float))
         # +1 makes the cells -1 .. C non-negative digits of the pair key
         key = (i + 1) * (self.edges.size + 1) + (j + 1)
         new = np.ones(key.size, dtype=bool)
         np.not_equal(key[1:], key[:-1], out=new[1:])
-        i, j = i[new], j[new]
-        up, low = self.upper, self.lower_r
-        ok = ((up.take(i, axis=0) < low.take(j, axis=0))
-              & (up.take(j, axis=0) < low.take(i, axis=0))).all(axis=1)
-        return ok[np.cumsum(new) - 1]
+        return self.certifies(i[new], j[new])[np.cumsum(new) - 1]
 
     def _verdict(self, low, up) -> tuple[np.ndarray, np.ndarray]:
         """(good, bad) per interval from lower and upper bounds (2N, K) on
@@ -509,7 +522,11 @@ EDGE_BLOCKS = (8, 32)
 # envelope and exact PSDs, of the unsure steps alone, are chunked at
 # ``STACK_POINTS`` by ``received_strength_psd``) and ``certified`` calls
 TIER_BATCH = 1024
-LOOKUP_BATCH = 4096
+# the fewest stored cell edges each edge of a search may cross in one
+# window of steps of ``_walk``, and the crossings per chunk of a window,
+# which bound the temporaries that find them
+WALK_CELLS = 24
+WALK_BATCH = 4096
 
 
 def _advance(interval, start, max_steps, blocks, batch, check) -> None:
@@ -539,10 +556,108 @@ def _advance(interval, start, max_steps, blocks, batch, check) -> None:
         live = np.concatenate(still)
 
 
+def _walk(c, max_steps, grid_step: float, check: _EdgeCheck) -> np.ndarray:
+    """Tier 1 of ``bandwidth_searches``: per search, its first step that
+    ``check.certified`` does not certify, ``max_steps + 1`` if none, each
+    cell pair decided once by ``check.certifies``.
+
+    Step s has the edges c -/+ s * grid_step / 2.0, the bits the search
+    grows.  Float subtraction and addition are monotone, so as s grows the
+    cell of the lower edge never rises and that of the upper edge never
+    falls: the pair changes only at a step where an edge crosses a stored
+    cell edge e, the first with c + half > e (upper) or c - half <= e
+    (lower).  Each such step is estimated on the grid and moved by one
+    where the computed edge says the rounding put it off, as ``_cells``
+    corrects its cell.  Merged in step order, the crossings so far count
+    the cells each edge has moved, so the pair of a step is the one
+    ``_cells`` gives it, and a step wider than a cell lands on one pair.
+    Then, in rounds, every search decides its next pair, until its first
+    pair that fails.
+
+    The searches go in windows of steps in which each edge of n live
+    searches crosses at most ``WALK_CELLS`` stored edges, or
+    ``WALK_BATCH / 4n`` when that is more, so that a few searches walk
+    far in one window and many go in narrower ones; the crossings are
+    found in chunks of about ``WALK_BATCH``.  A window's first pair, when
+    its search certified it last, is not decided again."""
+    start = np.ones(c.size, dtype=int)
+    last = np.full((2, c.size), -2)   # the pair each search certified last
+    narrow = np.diff(check.edges).min()
+
+    def landed(x, s0, s1, i0, j0, k):
+        """(i, j, step, count): the pairs the steps s0 .. s1 of each search
+        at x land on, in step order, and how many each search has; (i0, j0)
+        is the pair of step s0."""
+        # the steps at which the edges cross the next stored edges; fences
+        # past the table are infinite, so their steps fall past the window
+        xc, first, end = x[:, None], (s0 + 1.0)[:, None], (s1 + 1.0)[:, None]
+        e = check.fences.take(j0[:, None] + 2 + k, mode="clip")
+        up = np.floor((e - xc) * (2.0 / grid_step)) + 1.0
+        np.clip(up, first, end, out=up)
+        up -= xc + (up - 1.0) * grid_step / 2.0 > e
+        up += xc + up * grid_step / 2.0 <= e
+        e = check.fences.take(i0[:, None] + 1 - k, mode="clip")
+        down = np.ceil((xc - e) * (2.0 / grid_step))
+        np.clip(down, first, end, out=down)
+        down -= xc - (down - 1.0) * grid_step / 2.0 <= e
+        down += xc - down * grid_step / 2.0 > e
+        # the window's first step and the crossing steps in walk order, an
+        # upper crossing half a step late so that the fractions count the
+        # upper crossings; a step's pair is the one after its last crossing
+        key = np.concatenate([first - 1.0, up + 0.5, down], axis=1)
+        key.sort(axis=1)
+        step = np.floor(key)
+        ups = ((key - step) * 2.0).astype(int)
+        np.cumsum(ups.ravel(), out=ups.ravel())
+        ups -= ups[:, :1]
+        kept = step <= s1[:, None]
+        kept[:, :-1] &= step[:, :-1] != step[:, 1:]
+        row, col = np.nonzero(kept)
+        ups = ups[kept]
+        return (i0[row] - (col - ups), j0[row] + ups,
+                step[kept].astype(int), np.count_nonzero(kept, axis=1))
+
+    live = np.flatnonzero(max_steps >= 1)
+    while live.size:
+        # in a window of ``span`` steps an edge moves at most (cols - 2)
+        # cells of the narrowest width, so it crosses fewer than ``cols``
+        cols = max(WALK_CELLS, WALK_BATCH // (4 * live.size),
+                   int(grid_step / (2.0 * narrow)) + 3)
+        span = 1 + int((cols - 2) * 2.0 * narrow / grid_step)
+        chunk, k = max(1, WALK_BATCH // (2 * cols + 1)), np.arange(cols)
+        x, s0 = c[live], start[live]
+        s1 = np.minimum(max_steps[live], s0 + (span - 1))
+        half = s0 * grid_step / 2.0
+        i0, j0 = check._cells(x - half), check._cells(x + half)
+        i, j, step, counts = map(np.concatenate, zip(*(
+            landed(x[g:g + chunk], s0[g:g + chunk], s1[g:g + chunk],
+                   i0[g:g + chunk], j0[g:g + chunk], k)
+            for g in range(0, live.size, chunk))))
+        heads = np.cumsum(counts) - counts
+        tails = heads + counts - 1
+        more = np.ones(step.size, dtype=bool)
+        more[tails] = False
+        same = (i[heads] == last[0, live]) & (j[heads] == last[1, live])
+        pos = (heads + same)[~same | more[heads]]
+        ok = np.ones(step.size, dtype=bool)
+        while pos.size:
+            ok[pos] = good = check.certifies(i[pos], j[pos])
+            pos = pos[good & more[pos]] + 1
+        # each search's first failed pair, or the step past its window
+        miss = np.minimum.reduceat(np.where(ok, step.size,
+                                            np.arange(step.size)), heads)
+        failed = miss < step.size
+        last[:, live] = i[tails], j[tails]
+        start[live] = np.where(failed, step[np.minimum(miss, tails)], s1 + 1)
+        live = live[~failed & (s1 < max_steps[live])]
+    return start
+
+
 def bandwidth_searches(centers, check: _EdgeCheck, grid_step: float,
                        max_bandwidth: float | None = None) -> np.ndarray:
     """Widest symmetric bandwidth around each of the 1-D ``centers`` that
-    keeps the edges valid, all searches grown together by ``_advance``.
+    keeps the edges valid, all searches grown together, by ``_walk`` and
+    then ``_advance``.
 
     A search grows in ``grid_step`` increments and stops at the first grid
     step whose edges leave the band, violate the access threshold, or open
@@ -552,11 +667,13 @@ def bandwidth_searches(centers, check: _EdgeCheck, grid_step: float,
 
     Steps are decided in blocks, which is equivalent to stepwise growth
     because each search still stops at its first violating step, in
-    tiers.  (1) Cell pairs: ``check.certified`` looks steps up in chunks
-    that double from 64, up to each search's first step it does not
-    certify; a certified step is good under the exact checks, as the
-    bounds of its edge cells hold for the envelope at every edge in them
-    and pass the good rule of ``_EdgeCheck``.  From there ``check.ok``
+    tiers.  (1) Cell pairs: ``_walk`` finds the steps at which an edge
+    crosses a cell edge and decides each pair of edge cells a search
+    lands on once, by ``check.certifies``, up to the search's first pair
+    that does not certify; a certified step is good under the exact
+    checks, as the bounds of its edge cells hold for the envelope at every
+    edge in them and pass the good rule of ``_EdgeCheck``.  From there
+    ``check.ok``
     takes blocks of 8, then 32 steps (``EDGE_BLOCKS``), in shared calls of
     up to ``TIER_BATCH`` steps: its bounds decide a step (2) from the
     interpolant in ``interpolated`` and (3) from the envelope PSDs of the
@@ -575,14 +692,12 @@ def bandwidth_searches(centers, check: _EdgeCheck, grid_step: float,
     # absolute fudge well under FREQ_TOL so float noise cannot add a step
     # that would push an edge onto the cutoff itself
     max_steps = np.floor((limit + FREQ_TOL / 2.0) / grid_step).astype(int)
-    start = np.ones(c.size, dtype=int)
 
     def grown(ids, steps):
         half = steps * grid_step / 2.0
         return c[ids] - half, c[ids] + half
 
-    _advance(grown, start, max_steps, (64 << r for r in itertools.count()),
-             LOOKUP_BATCH, check.certified)
+    start = _walk(c, max_steps, grid_step, check)
     _advance(grown, start, max_steps, itertools.chain(
         EDGE_BLOCKS[:1], itertools.repeat(EDGE_BLOCKS[1])), TIER_BATCH,
         check.ok)

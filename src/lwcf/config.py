@@ -66,6 +66,37 @@ DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 
+# The INI key of each field whose range a configuration dataclass checks;
+# each check's message starts with the name of the one field it checks.
+FIELD_KEYS = {
+    "area_side": "scenario.area_side_m",
+    "num_aps": "scenario.num_aps",
+    "num_ues": "scenario.num_ues",
+    "elev_diff_range[0]": "scenario.elev_diff_min_m",
+    "elev_diff_range[1]": "scenario.elev_diff_max_m",
+    "total_power": "scenario.total_power_w",
+    "total_bandwidth": "scenario.total_bandwidth_hz",
+    "noise_psd": "scenario.noise_psd_dbm_hz",
+    "radiation_efficiency": "antenna.radiation_efficiency",
+    "aperture_length": "antenna.aperture_length_m",
+    "attenuation": "antenna.attenuation_per_m",
+    "cutoff_frequency": "antenna.cutoff_frequency_hz",
+    "num_samples": "ce.num_samples",
+    "num_elites": "ce.num_elites",
+    "max_iterations": "ce.max_iterations",
+    "max_components": "ce.max_components",
+    "smoothing": "ce.smoothing",
+    "grid_step": "ce.grid_step_hz",
+    "num_subchannels": "ce.num_subchannels",
+    "min_rx_psd": "qos.min_rx_psd_dbm_hz",
+    "coherence_gap_db": "qos.coherence_gap_db",
+    "min_cluster_avg_rate": "qos.min_cluster_avg_rate_bps",
+    "sweep_values": "experiment.sweep_values",
+    "trials": "experiment.trials",
+    "workers": "experiment.workers",
+}
+
+
 def dbm_per_hz_to_w(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
@@ -131,7 +162,9 @@ def apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
 def load_config(path: str | None = None, overrides=()) -> ExperimentConfig:
     """Defaults, then the optional INI file, then overrides; the returned
     ExperimentConfig validates itself.  Its scenario template takes the
-    geometry seed ``experiment.base_seed``, trial 0's."""
+    geometry seed ``experiment.base_seed``, trial 0's.  A dataclass range
+    check that fails is re-raised as ``section.key: <its message>``, the
+    key ``FIELD_KEYS`` gives the field its message names."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(DEFAULTS)
     if path is not None:
@@ -144,7 +177,17 @@ def load_config(path: str | None = None, overrides=()) -> ExperimentConfig:
         _reject_unknown(loaded, path)
         parser.read_dict({s: dict(loaded.items(s)) for s in loaded.sections()})
     apply_overrides(parser, overrides)
+    try:
+        return _build(parser)
+    except ValueError as exc:
+        key = FIELD_KEYS.get(str(exc).partition(" ")[0])
+        if key is None:
+            raise
+        raise ValueError(f"{key}: {exc}") from exc
 
+
+def _build(parser: configparser.ConfigParser) -> ExperimentConfig:
+    """The ExperimentConfig of the parsed defaults, file and overrides."""
     ex = parser["experiment"]
     sc = parser["scenario"]
     scenario = ScenarioConfig(
@@ -167,7 +210,8 @@ def load_config(path: str | None = None, overrides=()) -> ExperimentConfig:
     )
     band = (params.cutoff_frequency, _getfloat(an, "band_upper_hz"))
     if band[1] <= band[0]:
-        raise ValueError("band_upper_hz must exceed cutoff_frequency_hz")
+        raise ValueError("antenna.band_upper_hz must exceed "
+                         "antenna.cutoff_frequency_hz")
     ce = parser["ce"]
     hyper = CeHyperparams(
         num_samples=_getint(ce, "num_samples"),

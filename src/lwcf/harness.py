@@ -70,9 +70,9 @@ class ExperimentConfig:
             raise ValueError("sweep_values must be nonempty")
         vals = tuple(float(v) for v in self.sweep_values)
         if any(v <= 0 for v in vals):
-            raise ValueError("sweep values must be positive")
+            raise ValueError("sweep_values must be positive")
         if list(vals) != sorted(vals):
-            raise ValueError("sweep values must be sorted ascending")
+            raise ValueError("sweep_values must be sorted ascending")
         fractional = [v for v in vals if not v.is_integer()]
         if self.sweep != "total_bandwidth" and fractional:
             raise ValueError(f"experiment.sweep_values: {self.sweep} takes "

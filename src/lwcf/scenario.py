@@ -31,13 +31,19 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.area_side <= 0.0:
             raise ValueError("area_side must be positive")
-        if self.num_aps < 1 or self.num_ues < 1:
-            raise ValueError("need at least one AP and one UE")
+        if self.num_aps < 1:
+            raise ValueError("num_aps must be >= 1")
+        if self.num_ues < 1:
+            raise ValueError("num_ues must be >= 1")
         lo, hi = self.elev_diff_range
-        if not 0.0 < lo <= hi:
-            raise ValueError("elev_diff_range must satisfy 0 < low <= high")
-        if self.total_power <= 0.0 or self.total_bandwidth <= 0.0:
-            raise ValueError("total_power and total_bandwidth must be positive")
+        if not 0.0 < lo:
+            raise ValueError("elev_diff_range[0] must be positive")
+        if not lo <= hi:
+            raise ValueError("elev_diff_range[1] must be >= elev_diff_range[0]")
+        if self.total_power <= 0.0:
+            raise ValueError("total_power must be positive")
+        if self.total_bandwidth <= 0.0:
+            raise ValueError("total_bandwidth must be positive")
         if self.noise_psd <= 0.0:
             raise ValueError("noise_psd must be positive")
 

@@ -36,7 +36,10 @@ sub-scenario, retrying under maximum ratio where the precoder fails; the
 rewards of ``cluster_alloc.greedy_assign`` must match it bit for bit.
 ``certified_per_interval`` decides every interval's table certificate on
 its own; ``cegmm._EdgeCheck.certified``, which decides each run of equal
-cell pairs once, must match it.  ``cell_free_check`` is an edge check with
+cell pairs once, must match it.  ``per_step_searches`` is
+``cegmm.bandwidth_searches`` with a first tier that looks every step up in
+``certified``; the walk over cell pairs must leave each search at the same
+step and give the same widths.  ``cell_free_check`` is an edge check with
 no usable table cell, so its ``ok`` decides every step by the envelope
 PSDs, then the exact ones; a check whose cells certify steps must give
 the same widths and plans.  The tests take the exact predicate
@@ -55,13 +58,15 @@ log-likelihood; the lean ``cegmm.em_fit`` and the BIC that reuses a
 converged fit's log-likelihood must match them bit for bit.
 """
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 
 import lwcf.mimo
 from lwcf.antenna import gain, peak_frequency
-from lwcf.cegmm import FREQ_TOL, TABLE_CELL, Gmm, _edge_table, _edges_ok
+from lwcf.cegmm import (EDGE_BLOCKS, FREQ_TOL, TABLE_CELL, TIER_BATCH, Gmm,
+                        _advance, _edge_table, _edges_ok)
 from lwcf.clustering import SCORE_CHUNK, _eval_frequency, rss_matrix
 from lwcf.mimo import (SingularChannel, build_channel,
                        cluster_subchannel_reward, precoder_rows, rate_density,
@@ -338,6 +343,34 @@ def certified_per_interval(check, lo, hi):
     j = np.searchsorted(check.edges, hi) - 1
     up, low = check.upper, check.lower_r
     return ((up[i] < low[j]).all(axis=1) & (up[j] < low[i]).all(axis=1))
+
+
+def per_step_searches(centers, check, grid_step, max_bandwidth=None):
+    """``cegmm.bandwidth_searches`` with a per-step tier 1: every step up to
+    a search's first uncertified one looked up in ``check.certified``, in
+    lock-step chunks that double from 64 steps, in shared calls of at most
+    4,096 intervals.  Returns each search's last step, its first step the
+    lookups leave undecided, and its width."""
+    band, c = check.band, np.asarray(centers, dtype=float)
+    room = np.minimum(np.minimum(c - band[0], band[1] - c),
+                      c - check.params.cutoff_frequency - 2.0 * FREQ_TOL)
+    limit = 2.0 * room
+    if max_bandwidth is not None:
+        limit = np.minimum(limit, max_bandwidth)
+    max_steps = np.floor((limit + FREQ_TOL / 2.0) / grid_step).astype(int)
+    start = np.ones(c.size, dtype=int)
+
+    def grown(ids, steps):
+        half = steps * grid_step / 2.0
+        return c[ids] - half, c[ids] + half
+
+    _advance(grown, start, max_steps, (64 << r for r in itertools.count()),
+             4096, check.certified)
+    looked_up = start.copy()
+    _advance(grown, start, max_steps, itertools.chain(
+        EDGE_BLOCKS[:1], itertools.repeat(EDGE_BLOCKS[1])), TIER_BATCH,
+        check.ok)
+    return max_steps, looked_up, (start - 1) * grid_step
 
 
 def cell_free_check(scenario, params, band, qos):

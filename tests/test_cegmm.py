@@ -38,12 +38,13 @@ from lwcf.cegmm import (
     validate_plan,
 )
 from lwcf.cegmm import (TABLE_CELL, TIER_BATCH, _edge_table, _edges_ok,
-                        _quantile_init, _revalidate, _smooth, _truncate)
+                        _quantile_init, _revalidate, _smooth, _truncate,
+                        _walk)
 from lwcf.mimo import SingularChannel, received_strength_psd
 from lwcf.scenario import ScenarioConfig, generate_scenario
 from oracles import (bic_reference, cell_free_check, certified_per_interval,
-                     em_fit_reference, resolve_overlaps_scalar,
-                     stepwise_shrink)
+                     em_fit_reference, per_step_searches,
+                     resolve_overlaps_scalar, stepwise_shrink)
 
 PARAMS = AntennaParams(1.0, 0.15, 130.0, 100e9)
 BAND = (100e9, 200e9)
@@ -1265,6 +1266,131 @@ def test_lockstep_widths_equal_one_center_searches_and_the_stepwise_scan(
                                          centers[:-3] + step / 2.0).sum())
         zero += want.count(0.0)
     assert certified >= 60 and zero >= 3 * 3 + 5
+
+
+WEAK = AntennaParams(1.0, 0.15, 13.0, 100e9)   # weak leakage, 13 rad/m
+
+
+def walk_centers(sc, step, rng, n):
+    """``n`` seeded centers across the band, centers whose edges land on
+    the stored cell edges of ``sc``'s tables at steps 1, 7 and 40 and
+    centers on cell edges, centers whose upper edge rounds onto a cell
+    edge, centers within 50 MHz of cutoff, at the band top and out of
+    band."""
+    cutoff = PARAMS.cutoff_frequency
+    table = _edge_table(sc, PARAMS, BAND, QOS).edges
+    edges = table[np.searchsorted(table, [130e9, 150e9, 175e9])]
+    steps = np.array([1.0, 7.0, 40.0])
+    on_edges = edges[:, None] + steps * step / 2.0
+    # in [2^37, 2^38) Hz whole-Hz values add and subtract exactly
+    assert np.all(on_edges - steps * step / 2.0 == edges[:, None])
+    # just below 2^37 Hz the spacing is 2^-16 Hz, above it 2^-15 Hz: at
+    # steps 7 and 40 the upper edge of these centers lies 2^-16 Hz above
+    # the first cell edge past 2^37 and rounds (to even) onto it, so it
+    # crosses that edge one step after the grid estimate
+    edge = table[np.searchsorted(table, 2.0 ** 37)]
+    rounded = edge - steps[1:] * step / 2.0 + 2.0 ** -16
+    assert np.all(rounded < 2.0 ** 37)
+    assert np.all(rounded + steps[1:] * step / 2.0 == edge)
+    return np.concatenate([
+        rng.uniform(BAND[0], BAND[1], n), on_edges.ravel(), edges, rounded,
+        cutoff + np.array([3.0 * FREQ_TOL, 2e6, 5e6, 20e6, 50e6]),
+        BAND[1] - np.array([0.0, 5e6, 30e6, 200e6]),
+        [cutoff, BAND[0] - 1e9, BAND[1] + 1e9]])
+
+
+WALK_SETTINGS = ((PARAMS, QOS), (PARAMS, QosConfig(0.0, 0.5)),
+                 (PARAMS, QosConfig(0.0, 40.0)), (WEAK, QosConfig(0.0, 1.5)),
+                 (WEAK, QosConfig(0.0, 0.5)))
+
+
+@pytest.mark.parametrize("step", [10e6, 7e6, 170e6])
+def test_walk_leaves_each_search_where_per_step_lookups_do(step):
+    """The walk over cell pairs (``_walk``, the first tier of
+    ``bandwidth_searches``) leaves every search at the step where the
+    per-step ``certified`` lookups of ``per_step_searches`` leave it, and
+    the widths are bit-equal: on the centers of ``walk_centers`` (300
+    seeded ones, more than one chunk of searches), under no cap and under
+    10 GHz, 1 GHz and 100 MHz budgets, with the tables of the access
+    threshold, a 0.5 dB and a 40 dB gap, the tables of an antenna with
+    weak leakage (13 rad/m) at 1.5 and 0.5 dB, and with the cell-free
+    check.  7 MHz does not divide the 80 MHz cell, and a 170 MHz step
+    moves each edge more than a cell, so the walk skips cells."""
+    sc = make_scenario(seed=5, num_aps=8, num_ues=4)
+    rng = np.random.default_rng(int(step))
+    certified = 0
+    for params, qos in WALK_SETTINGS:
+        table = _edge_table(sc, params, BAND, qos)
+        centers = walk_centers(sc, step, rng, 300)
+        cell_free = cell_free_check(sc, params, BAND, qos)
+        for check, caps in ((table, (None, 10e9, 1e9, 100e6)),
+                            (cell_free, (1e9,))):
+            # without a usable cell every step goes to the later tiers
+            cs = centers if np.isfinite(check.rem).any() else centers[280:]
+            for cap in caps:
+                max_steps, looked_up, widths = per_step_searches(
+                    cs, check, step, cap)
+                assert np.array_equal(_walk(cs, max_steps, step, check),
+                                      looked_up)
+                assert np.array_equal(
+                    bandwidth_searches(cs, check, step, cap), widths)
+                certified += int(np.sum(looked_up - 1))
+    assert certified > 0
+
+
+def walked_pairs(center, check, step, max_steps):
+    """The cell pairs one search's steps 1 .. ``max_steps`` land on, by
+    ``searchsorted``, in step order and each once, up to and including the
+    first that ``certified_per_interval`` does not certify."""
+    steps = np.arange(1, max_steps + 1)
+    lo, hi = center - steps * step / 2.0, center + steps * step / 2.0
+    i = np.searchsorted(check.edges, lo) - 1
+    j = np.searchsorted(check.edges, hi) - 1
+    new = np.ones(steps.size, dtype=bool)
+    new[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
+    good = certified_per_interval(check, lo, hi)[new]
+    pairs = list(zip(i[new].tolist(), j[new].tolist()))
+    stop = np.flatnonzero(~good)
+    return pairs[:stop[0] + 1] if stop.size else pairs
+
+
+@pytest.mark.parametrize("step", [10e6, 7e6, 170e6])
+def test_walk_decides_each_pair_once_up_to_the_first_failure(monkeypatch,
+                                                             step):
+    """Spying on the pair rule ``_EdgeCheck.certifies``: a search alone
+    decides exactly the pairs its steps land on, in step order, each once,
+    up to its first uncertified pair and none past it.  A batch of
+    searches, whose walks at a 40 dB gap run over several of its narrower
+    windows, decides the union of what each decides alone."""
+    import lwcf.cegmm
+    decided = []
+    real = lwcf.cegmm._EdgeCheck.certifies
+
+    def spy(self, i, j):
+        decided.extend(zip(np.asarray(i).tolist(), np.asarray(j).tolist()))
+        return real(self, i, j)
+
+    monkeypatch.setattr(lwcf.cegmm._EdgeCheck, "certifies", spy)
+    sc = make_scenario(seed=6, num_aps=8, num_ues=4)
+    rng = np.random.default_rng(int(step) + 1)
+    longest = 0
+    for params, qos in WALK_SETTINGS[:4]:
+        table = _edge_table(sc, params, BAND, qos)
+        centers = walk_centers(sc, step, rng, 20)
+        for cap in (None, 1e9):
+            max_steps = per_step_searches(centers, table, step, cap)[0]
+            want = []
+            for center, steps in zip(centers, max_steps):
+                walk = walked_pairs(center, table, step, steps)
+                decided.clear()
+                bandwidth_searches([center], table, step, cap)
+                assert decided == walk
+                want += walk
+                longest = max(longest, len(walk))
+            decided.clear()
+            bandwidth_searches(centers, table, step, cap)
+            assert sorted(decided) == sorted(want)
+    assert longest > 2 * lwcf.cegmm.WALK_CELLS
 
 
 def test_lockstep_candidates_equal_one_candidate_evaluations():

@@ -327,6 +327,35 @@ def test_dbm_keys_reject_values_that_overflow_in_watts(key, capsys):
     assert code == 2 and out == "" and key in err
 
 
+# one value out of range per range-checked key; qos.min_rx_psd_dbm_hz has
+# none, as every dBm/Hz value is a nonnegative W/Hz
+OUT_OF_RANGE = [
+    "scenario.area_side_m=0", "scenario.num_aps=0", "scenario.num_ues=0",
+    "scenario.elev_diff_min_m=0", "scenario.elev_diff_max_m=1",
+    "scenario.total_power_w=-1", "scenario.total_bandwidth_hz=0",
+    "scenario.noise_psd_dbm_hz=-1e300", "antenna.radiation_efficiency=1.5",
+    "antenna.aperture_length_m=0", "antenna.attenuation_per_m=-1",
+    "antenna.cutoff_frequency_hz=0", "antenna.band_upper_hz=50e9",
+    "ce.num_samples=0", "ce.num_elites=0", "ce.num_elites=60",
+    "ce.max_iterations=0", "ce.max_components=0", "ce.smoothing=2",
+    "ce.grid_step_hz=0", "ce.num_subchannels=0", "qos.coherence_gap_db=-1",
+    "qos.min_cluster_avg_rate_bps=-1", "experiment.sweep_values=",
+    "experiment.sweep_values=-16", "experiment.sweep_values=32,16",
+    "experiment.trials=0", "experiment.workers=0"]
+
+
+@pytest.mark.parametrize("override", OUT_OF_RANGE)
+def test_range_checks_name_the_key(override, capsys):
+    """A value out of its key's range is rejected when the configuration
+    loads, naming the INI key a user wrote ahead of the check's message,
+    and the CLI exits 2 with the key on stderr."""
+    key = override.partition("=")[0]
+    with pytest.raises(ValueError, match=f"^{re.escape(key)}[: ]"):
+        load_config(None, [override])
+    code, out, err = run_cli(["simulate", "--set", override], capsys)
+    assert code == 2 and out == "" and err.startswith(f"error: {key}")
+
+
 def test_cli_cluster_modes(capsys):
     for mode in ("kmeans", "hierarchical"):
         code, out, err = run_cli(
