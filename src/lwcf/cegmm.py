@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antenna import SPEED_OF_LIGHT, AntennaParams, envelope_ratio
-from .mimo import (SingularChannel, rate_densities, received_strength_psd,
-                   require_zf_shape)
+from .mimo import (SingularChannel, link_gains, rate_densities,
+                   received_strength_psd, require_zf_shape)
 from .scenario import Scenario
 
 # sub-Hz slack for interval comparisons on ~1e11 Hz magnitudes
@@ -159,17 +159,21 @@ def sample_gmm(gmm: Gmm, n: int, rng: np.random.Generator,
 
     Rejection is capped (1000 rounds) and any stragglers are clipped to the
     band, so sampling terminates even for mixtures with negligible in-band
-    mass.
+    mass.  Components are drawn by the rule of ``rng.choice(k, size,
+    p=weights)`` past its validation, which ``Gmm`` already makes: one
+    uniform per draw, placed on the normalised CDF of the weights, so the
+    draws and the generator state are those of ``choice``.
     """
-    weights = gmm.weights / gmm.weights.sum()
-    comp = rng.choice(gmm.num_components, size=n, p=weights)
+    cdf = (gmm.weights / gmm.weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    comp = cdf.searchsorted(rng.random(n), side="right")
     x = rng.normal(gmm.means[comp], np.sqrt(gmm.variances[comp]))
     lo, hi = band
     for _ in range(1000):
         bad = (x < lo) | (x > hi)
         if not np.any(bad):
             break
-        comp = rng.choice(gmm.num_components, size=int(bad.sum()), p=weights)
+        comp = cdf.searchsorted(rng.random(int(bad.sum())), side="right")
         x[bad] = rng.normal(gmm.means[comp], np.sqrt(gmm.variances[comp]))
     return np.clip(x, lo, hi)
 
@@ -247,7 +251,9 @@ def bic(gmm: Gmm, values, log_likelihood: float | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 # Slack of the envelope bounds of ``_EdgeCheck``: relative on PSDs and
-# absolute on dB gaps, far above the ~1e-15 rounding of either gain kernel.
+# absolute on dB gaps, far above the ~1e-15 by which the computed envelope
+# and exact PSDs, from two kernels that share no rounding, can step out of
+# their bracket.
 ENVELOPE_REL_TOL = 1e-12
 ENVELOPE_DB_TOL = 1e-9
 
@@ -301,12 +307,18 @@ class _EdgeCheck:
     the computed envelope in it may be off by more than eps / 4: the
     rounding of a is relatively at most ~pi L u f (1/n + 4) / (c b), u the
     unit roundoff, so it grows without bound at cutoff (3-11 MHz above it
-    at the defaults).
+    at the defaults).  The envelope kernel of ``received_strength_psd``
+    takes a with the bits ``antenna.gain`` has before its scaling by L/2,
+    so the bound holds for it.
 
     The bound rule.  The received PSD lies in the sin-free envelope
     bracket env <= psd <= rho env UE by UE (``received_strength_psd``),
-    rho = ``envelope_ratio``.  With eps = ``ENVELOPE_REL_TOL`` and the dB
-    slack s = 10 log10 rho + ``ENVELOPE_DB_TOL`` covering rounding, lower
+    rho = ``envelope_ratio``.  The envelope PSD has its own kernel, which
+    shares no rounding with the gain kernel of the exact PSD, so the
+    computed values keep the bracket only to a few units in the last
+    place (6.2e-16 relative off the per-link envelopes on the default
+    table).  With eps = ``ENVELOPE_REL_TOL`` and the dB slack s = 10
+    log10 rho + ``ENVELOPE_DB_TOL`` covering that rounding, lower
     and upper bounds on every UE's envelope PSD at an interval's two edges
     prove it good when the lower bounds times (1 - eps) reach the access
     threshold and each edge's upper bound stays below the other's lower
@@ -950,26 +962,38 @@ def refit_proposal(previous: Gmm, elite_values: np.ndarray,
 
 def evaluate_candidates(batch, check: _EdgeCheck, grid_step: float,
                         total_bandwidth: float,
-                        ) -> list[tuple[list[tuple[float, float]], bool]]:
+                        ) -> tuple[list, tuple[np.ndarray, np.ndarray]]:
     """Complete each list of sampled centers in ``batch`` into a disjoint
     feasible subchannel list, with a flag telling whether at least one
     center met the access threshold (for band feasibility accounting).
+    Returns ``(evaluated, known)``: ``evaluated`` holds the (list, flag)
+    pair of each candidate, and ``known`` is ``(keys, gains)``, the
+    ascending in-band centers and their ``link_gains`` stack (F, K, M),
+    which the scorer takes so that it computes no gain twice.
 
-    One received-PSD call checks the access of every in-band center of the
-    batch, one ``bandwidth_searches`` grows the accessible ones, and the
-    parts of ``resolve_overlaps`` complete the lists: ``_truncate`` each,
-    its RSS cache seeded with the UE sums of the access PSDs, then one
+    One ``link_gains`` call and one received-PSD call on its stack check
+    the access of every in-band center of the batch, one
+    ``bandwidth_searches`` grows the accessible ones, and the parts of
+    ``resolve_overlaps`` complete the lists: ``_truncate`` each, its RSS
+    cache seeded with the UE sums of the access PSDs, then one
     ``_revalidate`` all.  A provisional interval's midpoint is its center,
     bit for bit in nearly every draw, so only truncated intervals (and the
-    rare midpoint that rounds off its center) are priced again.  ``check``
-    is the ``_EdgeCheck`` of the search.
+    rare midpoint that rounds off its center) are priced again, and only
+    their rates take fresh gains.  ``check`` is the ``_EdgeCheck`` of the
+    search.
     """
     scenario, params = check.scenario, check.params
-    lists = [np.sort(np.asarray(cands, dtype=float)) for cands in batch]
+    lists = [np.asarray(cands, dtype=float) for cands in batch]
     owners = np.repeat(np.arange(len(lists)), [c.size for c in lists])
     centers = np.concatenate([np.empty(0), *lists])
+    # one stable sort: each list's centers stay ascending, and the
+    # in-band ones are the ascending keys of the gain stack
+    order = np.argsort(centers, kind="stable")
+    owners, centers = owners[order], centers[order]
     ok = _in_band(centers, centers, check.band, params.cutoff_frequency)
-    psd = received_strength_psd(scenario, params, centers[ok])
+    keys = centers[ok]
+    gains = link_gains(scenario, params, keys)
+    psd = received_strength_psd(scenario, params, keys, gains=gains)
     accessible = ~np.any(psd < check.qos.min_rx_psd, axis=1)
     ok[ok] = accessible
     owners, centers = owners[ok], centers[ok]
@@ -984,7 +1008,7 @@ def evaluate_candidates(batch, check: _EdgeCheck, grid_step: float,
                                  total_bandwidth, rss))
         accessed.append(bool(mine.any()))
     plans = _revalidate(records, check, grid_step)
-    return list(zip(plans, accessed))
+    return list(zip(plans, accessed)), (keys, gains)
 
 
 def evaluate_candidate(centers, scenario: Scenario, params: AntennaParams,
@@ -995,16 +1019,19 @@ def evaluate_candidate(centers, scenario: Scenario, params: AntennaParams,
     ``_edge_table``."""
     return evaluate_candidates(
         [centers], _edge_table(scenario, params, band, qos), grid_step,
-        total_bandwidth)[0]
+        total_bandwidth)[0][0]
 
 
 def score_batch(batch, scenario: Scenario, params: AntennaParams,
-                method: str) -> list[SubchannelPlan | None]:
+                method: str, known=None) -> list[SubchannelPlan | None]:
     """The plan of each subchannel list in ``batch``, each subchannel rated
     at its center, or None where the precoder failed at one of its centers.
-    Every distinct center is rated once, by one ``rate_densities`` call."""
+    Every distinct center is rated once, by one ``rate_densities`` call,
+    which takes the gain rows of ``known`` (``evaluate_candidates``) it
+    holds."""
     centers = np.unique([c for subchannels in batch for c, _ in subchannels])
-    density, failed = rate_densities(scenario, params, centers, method)
+    density, failed = rate_densities(scenario, params, centers, method,
+                                     known)
     plans = []
     for subchannels in batch:
         at = np.searchsorted(centers, [c for c, _ in subchannels])
@@ -1027,12 +1054,14 @@ def ce_search(score, scenario: Scenario, params: AntennaParams,
     Each iteration draws all its candidate centers from the proposal,
     completes them in lock-step through ``evaluate_candidates`` with the
     search's one ``_EdgeCheck``, built here, and scores the iteration with
-    ``score(batch)``: for each subchannel list a plan, with ``feasible``
-    and ``total_rate``, or None where the precoder failed.  It ranks the
-    candidates by rate, ties by centers; the elites' centers and the
-    previous best centers refit the proposal for the next iteration, so
-    ``max_iterations`` iterations make ``max_iterations - 1`` refits (the
-    refit draws no random numbers).  Returns the plan with the strictly
+    ``score(batch, known)``: for each subchannel list a plan, with
+    ``feasible`` and ``total_rate``, or None where the precoder failed;
+    ``known`` is the access check's gain stack, whose rows the scorer
+    reuses.  It ranks the candidates by rate, ties by centers; the
+    elites' centers and the previous best centers refit the proposal for
+    the next iteration, so ``max_iterations`` iterations make
+    ``max_iterations - 1`` refits (the refit draws no random numbers).
+    Returns the plan with the strictly
     greatest ``(feasible, total_rate)``, earliest in rank order.  A
     candidate scored None ranks last.  Raises as ``allocate`` documents.
     """
@@ -1051,11 +1080,12 @@ def ce_search(score, scenario: Scenario, params: AntennaParams,
         batch = [np.sort(sample_gmm(proposal, hyper.num_subchannels, rng,
                                     band=band))
                  for _ in range(hyper.num_samples)]
-        evaluated = evaluate_candidates(batch, check, hyper.grid_step,
-                                        total_bandwidth)
+        evaluated, known = evaluate_candidates(batch, check, hyper.grid_step,
+                                               total_bandwidth)
         num_accessible += sum(accessible for _, accessible in evaluated)
         scored = []
-        for centers, plan in zip(batch, score([s for s, _ in evaluated])):
+        for centers, plan in zip(batch, score([s for s, _ in evaluated],
+                                              known)):
             if plan is None:
                 key = (False, -np.inf)
                 num_singular += 1
@@ -1102,5 +1132,6 @@ def allocate(scenario: Scenario, params: AntennaParams,
     if method == "zf":
         require_zf_shape(scenario.num_ues, scenario.num_aps)
     return ce_search(
-        lambda batch: score_batch(batch, scenario, params, method),
+        lambda batch, known: score_batch(batch, scenario, params, method,
+                                         known),
         scenario, params, band, method, hyper, qos, rng, total_bandwidth)

@@ -51,16 +51,17 @@ def cluster_ue_sets(clustering: Clustering) -> list[list[int]]:
 
 
 def cluster_rewards(batch, clustering: Clustering, scenario: Scenario,
-                    params: AntennaParams, method: str) -> list:
+                    params: AntennaParams, method: str, known=None) -> list:
     """Reward matrix (n, Z) of each (center, width) list in ``batch``: entry
     (i, z) is width i times cluster z's rate density at center i, zero for
     a zero width or a user-less cluster; None for a list with a center where
     a cluster's maximum-ratio column collapsed.
 
     The batch's distinct live centers are built once, as one
-    ``build_channels`` stack, and each cluster rates its C-contiguous
-    ``np.ix_`` slice under ``mimo.fallback_sinrs``, so every density is the
-    bits of a lone center's on the cluster's sub-drop.  A collapsed column
+    ``build_channels`` stack that takes the gain rows of ``known``
+    (``cegmm.evaluate_candidates``) it holds, and each cluster rates its
+    C-contiguous ``np.ix_`` slice under ``mimo.fallback_sinrs``, so every
+    density is the bits of a lone center's on the cluster's sub-drop.  A collapsed column
     flags its slice alone and fails only the lists that hold its center.
     """
     ue_sets = cluster_ue_sets(clustering)
@@ -69,7 +70,7 @@ def cluster_rewards(batch, clustering: Clustering, scenario: Scenario,
     density = np.zeros((centers.size, len(ue_sets)))
     collapsed = np.zeros(centers.size, dtype=bool)
     if centers.size:
-        h = build_channels(scenario, params, centers)
+        h = build_channels(scenario, params, centers, known)
         every = np.arange(centers.size)
         for z, ues in enumerate(ue_sets):
             if ues:
@@ -162,12 +163,12 @@ def allocate_clustered(scenario: Scenario, params: AntennaParams,
     collapsed maximum-ratio column scores None.  The best plan ever seen
     wins, feasible plans strictly before infeasible ones.
     """
-    def score(batch):
+    def score(batch, known):
         return [None if rewards is None else
                 assign_greedily(subchannels, rewards, clustering,
                                 qos.min_cluster_avg_rate)
                 for subchannels, rewards in zip(batch, cluster_rewards(
-                    batch, clustering, scenario, params, method))]
+                    batch, clustering, scenario, params, method, known))]
 
     return ce_search(score, scenario, params, band, method, hyper, qos, rng,
                      total_bandwidth)

@@ -51,7 +51,16 @@ lock-step ``cegmm._revalidate`` must keep the same step.
 received-PSD call per interval it compares and ``stepwise_shrink`` for
 each moved interval; the batched RSS pricing and the lock-step shrinks
 with the edge check's lookups must give the same plans.
-``envelope_peak`` is the largest value of a link's gain envelope.
+``kernel_grid`` holds the frequencies and angles the gain kernels are
+checked on.  ``gain_envelope`` is the sin-free envelope of ``antenna.gain``, link by
+link, with every operation of the gain kernel but the sin^2 a term, so it
+never exceeds the computed gain; the fused kernel of
+``mimo.received_strength_psd(..., envelope=True)`` must stay within
+rounding of its AP sum.  ``envelope_peak`` is the largest value of a
+link's gain envelope.
+``sample_gmm_choice`` is ``cegmm.sample_gmm`` drawing its components by
+``Generator.choice``; the sampler's own draw on the CDF must give the same
+values and leave the generator in the same state.
 ``em_fit_reference`` is EM through the ``np.sum``/``np.max`` wrappers with
 a fresh log density per iteration, and ``bic_reference`` recomputes the
 log-likelihood; the lean ``cegmm.em_fit`` and the BIC that reuses a
@@ -64,7 +73,7 @@ from dataclasses import replace
 import numpy as np
 
 import lwcf.mimo
-from lwcf.antenna import gain, peak_frequency
+from lwcf.antenna import gain, peak_frequency, wavenumbers
 from lwcf.cegmm import (EDGE_BLOCKS, FREQ_TOL, TABLE_CELL, TIER_BATCH, Gmm,
                         _advance, _edge_table, _edges_ok)
 from lwcf.clustering import SCORE_CHUNK, _eval_frequency, rss_matrix
@@ -87,6 +96,35 @@ def link_rss(tx_psd, params, angle, channel_power, band_upper):
     # keep strictly above cutoff so the gain stays defined at broadside
     f_eval = min(max(f_star, params.cutoff_frequency * (1.0 + 1e-9)), band_upper)
     return tx_psd * gain(params, f_eval, angle) * channel_power
+
+
+def kernel_grid(cutoff):
+    """Seeded frequencies over the band up to 200 GHz (cutoff edge
+    included) against angles from near endfire to broadside: a (64, 1)
+    and a (1, 64) array."""
+    rng = np.random.default_rng(2024)
+    freqs = np.concatenate([[cutoff * (1.0 + 1e-9), cutoff * (1.0 + 1e-6),
+                             200e9], rng.uniform(cutoff, 200e9, 61)])
+    angles = np.concatenate([[1e-6, 1e-3, 0.01, np.pi / 2 - 1e-9,
+                              np.pi / 2 - 1e-4, np.pi / 2],
+                             rng.uniform(0.0, np.pi / 2, 58)])
+    return freqs[:, None], angles[None, :]
+
+
+def gain_envelope(params, frequency, angle):
+    """e = eta L sqrt(sinh^2 b / (a^2 + b^2)) per link, a and b as in
+    ``antenna.gain`` and computed by its operations, so that e <= gain
+    holds for the computed values.  Needs positive attenuation."""
+    if params.attenuation == 0.0:
+        raise ValueError("the gain envelope needs positive attenuation")
+    k0, beta, cos = wavenumbers(params, frequency, angle)
+    half = params.aperture_length / 2.0
+    a = beta - k0 * cos
+    a *= half
+    b = params.attenuation * half
+    e = np.sqrt(np.sinh(b) ** 2 / (a * a + b * b))
+    e *= params.radiation_efficiency * params.aperture_length
+    return e
 
 
 def envelope_peak(params):
@@ -470,6 +508,25 @@ def resolve_overlaps_scalar(candidates, scenario, params, band, qos,
             lo, hi = fixed
         out.append(((lo + hi) / 2.0, hi - lo))
     return sorted(out, key=lambda cw: cw[0])
+
+
+def sample_gmm_choice(gmm, n, rng, band):
+    """``cegmm.sample_gmm`` with ``rng.choice(k, size, p=weights)`` for
+    every component draw.  Returns the values and the number of rounds
+    that redrew out-of-band values."""
+    weights = gmm.weights / gmm.weights.sum()
+    comp = rng.choice(gmm.num_components, size=n, p=weights)
+    x = rng.normal(gmm.means[comp], np.sqrt(gmm.variances[comp]))
+    lo, hi = band
+    rounds = 0
+    for _ in range(1000):
+        bad = (x < lo) | (x > hi)
+        if not np.any(bad):
+            break
+        rounds += 1
+        comp = rng.choice(gmm.num_components, size=int(bad.sum()), p=weights)
+        x[bad] = rng.normal(gmm.means[comp], np.sqrt(gmm.variances[comp]))
+    return np.clip(x, lo, hi), rounds
 
 
 def _component_log_density(weights, means, variances, values):

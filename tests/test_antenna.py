@@ -10,7 +10,7 @@ from lwcf.antenna import (
     gain,
     peak_frequency,
 )
-from oracles import envelope_peak, link_rss
+from oracles import envelope_peak, gain_envelope, kernel_grid, link_rss
 
 DEFAULT = AntennaParams(
     radiation_efficiency=1.0,
@@ -157,21 +157,8 @@ def _oracle_gain(p, f, theta):
     return p.radiation_efficiency * p.aperture_length * np.abs(_complex_sinc(z))
 
 
-def _kernel_grid():
-    """Seeded frequencies over the band up to 200 GHz (cutoff edge included)
-    against angles from near endfire to broadside."""
-    rng = np.random.default_rng(2024)
-    cutoff = DEFAULT.cutoff_frequency
-    freqs = np.concatenate([[cutoff * (1.0 + 1e-9), cutoff * (1.0 + 1e-6), 200e9],
-                            rng.uniform(cutoff, 200e9, 61)])
-    angles = np.concatenate([[1e-6, 1e-3, 0.01, np.pi / 2 - 1e-9,
-                              np.pi / 2 - 1e-4, np.pi / 2],
-                             rng.uniform(0.0, np.pi / 2, 58)])
-    return freqs[:, None], angles[None, :]
-
-
 def test_gain_matches_complex_oracle():
-    freqs, angles = _kernel_grid()
+    freqs, angles = kernel_grid(DEFAULT.cutoff_frequency)
     for eta, alpha in ((1.0, 130.0), (0.6, 1.0), (0.9, 400.0)):
         p = AntennaParams(eta, 0.15, alpha, DEFAULT.cutoff_frequency)
         got = gain(p, freqs, angles)
@@ -193,7 +180,7 @@ def test_gain_lossless_beam_peak_is_exact():
 
 
 def test_gain_grid_raises_no_floating_point_error():
-    freqs, angles = _kernel_grid()
+    freqs, angles = kernel_grid(DEFAULT.cutoff_frequency)
     lossless = AntennaParams(1.0, 0.15, 0.0, 100e9)
     peak_angles = np.linspace(0.3, 1.5, 25)
     with np.errstate(all="raise"):
@@ -205,12 +192,13 @@ def test_gain_grid_raises_no_floating_point_error():
 
 def test_gain_envelope_brackets_gain():
     """e <= g exactly and g <= rho e to rounding, from just above cutoff to
-    the 200 GHz band edge and from near endfire to broadside."""
-    freqs, angles = _kernel_grid()
+    the 200 GHz band edge and from near endfire to broadside; e is the
+    per-link envelope of ``oracles.gain_envelope``."""
+    freqs, angles = kernel_grid(DEFAULT.cutoff_frequency)
     for alpha in (1.0, 3.0, 10.0, 130.0, 500.0):
         p = AntennaParams(0.9, 0.15, alpha, DEFAULT.cutoff_frequency)
         g = gain(p, freqs, angles)
-        e = gain(p, freqs, angles, envelope=True)
+        e = gain_envelope(p, freqs, angles)
         rho = envelope_ratio(p)
         b = alpha * p.aperture_length / 2.0
         assert rho == pytest.approx(1.0 / np.tanh(b), rel=1e-14)
@@ -225,12 +213,14 @@ def test_gain_envelope_brackets_gain():
 
 
 def test_gain_envelope_needs_attenuation():
+    """Without attenuation the bracket is infinite and the envelope, which
+    the envelope PSD evaluates, is refused."""
     lossless = AntennaParams(1.0, 0.15, 0.0, 100e9)
     assert envelope_ratio(lossless) == np.inf
     with pytest.raises(ValueError, match="positive attenuation"):
-        gain(lossless, 150e9, 0.8, envelope=True)
+        gain_envelope(lossless, 150e9, 0.8)
     with pytest.raises(ValueError, match="positive attenuation"):
-        gain(lossless, np.array([120e9, 150e9]), 0.8, envelope=True)
+        gain_envelope(lossless, np.array([120e9, 150e9]), 0.8)
 
 
 def test_gain_envelope_is_unimodal_in_frequency():
@@ -244,7 +234,7 @@ def test_gain_envelope_is_unimodal_in_frequency():
     freqs = np.linspace(DEFAULT.cutoff_frequency + 20e6, 400e9, 20001)
     for alpha in (3.0, 130.0, 500.0):
         p = AntennaParams(0.9, 0.15, alpha, DEFAULT.cutoff_frequency)
-        e = gain(p, freqs[:, None], angles[None, :], envelope=True)
+        e = gain_envelope(p, freqs[:, None], angles[None, :])
         peak = peak_frequency(p.cutoff_frequency, angles)[None, :]
         step = np.diff(e, axis=0)
         tol = 1e-13 * e[1:]
@@ -257,8 +247,9 @@ def test_gain_envelope_is_unimodal_in_frequency():
         top = envelope_peak(p)
         assert np.all(e <= top * (1.0 + 1e-15))
         inner = angles < np.pi / 2.0
-        at_peak = gain(p, peak_frequency(p.cutoff_frequency, angles[inner]),
-                       angles[inner], envelope=True)
+        at_peak = gain_envelope(
+            p, peak_frequency(p.cutoff_frequency, angles[inner]),
+            angles[inner])
         assert np.allclose(at_peak, top, rtol=1e-14, atol=0.0)
     with pytest.raises(ValueError, match="positive attenuation"):
         envelope_peak(AntennaParams(1.0, 0.15, 0.0, 100e9))

@@ -44,7 +44,8 @@ from lwcf.mimo import SingularChannel, received_strength_psd
 from lwcf.scenario import ScenarioConfig, generate_scenario
 from oracles import (bic_reference, cell_free_check, certified_per_interval,
                      em_fit_reference, per_step_searches,
-                     resolve_overlaps_scalar, stepwise_shrink)
+                     resolve_overlaps_scalar, sample_gmm_choice,
+                     stepwise_shrink)
 
 PARAMS = AntennaParams(1.0, 0.15, 130.0, 100e9)
 BAND = (100e9, 200e9)
@@ -104,6 +105,37 @@ def test_gmm_from_lists_samples_as_from_arrays():
         Gmm([0.6, 0.6], [0.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         Gmm([1.0], [0.0], [0])
+
+
+def test_sample_gmm_draws_components_as_choice_does():
+    """On 3,000 seeded mixtures of 1-6 components, some of zero weight and
+    some centered outside the band, ``sample_gmm`` gives the bits of the
+    ``rng.choice`` form and leaves the generator in its state, through
+    rejection rounds; the last two mixtures have no in-band mass, so
+    their stragglers are clipped after 1,000 rounds."""
+    cases = np.random.default_rng(31)
+    zero_weight = redrawn = 0
+    for seed in range(3000):
+        k = int(cases.integers(1, 7))
+        weights = cases.random(k) * (cases.random(k) > 0.3)
+        if not weights.any():
+            weights[cases.integers(k)] = 1.0
+        means = cases.uniform(90e9, 210e9, k)
+        if seed >= 2998:
+            means = np.full(k, 1e9 if seed % 2 else 1e12)
+        gmm = Gmm(weights / weights.sum(), means,
+                  cases.uniform(1e8, 2e10, k) ** 2)
+        n = int(cases.integers(1, 9))
+        got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+        got = sample_gmm(gmm, n, got_rng, BAND)
+        want, rounds = sample_gmm_choice(gmm, n, want_rng, BAND)
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        zero_weight += bool((gmm.weights == 0.0).any())
+        redrawn += rounds > 0
+        if seed >= 2998:
+            assert rounds == 1000 and np.all(got == BAND[seed % 2 - 1])
+    assert zero_weight > 1500 and redrawn > 1000
 
 
 def test_sample_gmm_deterministic_and_in_band():
@@ -629,10 +661,10 @@ def test_seeded_rss_equals_the_pricing_of_rss_of(monkeypatch):
         seen.append(args)
         return real_truncate(*args)
 
-    def psd_spy(scenario, params, frequency, envelope=False):
+    def psd_spy(scenario, params, frequency, envelope=False, gains=None):
         if priced["on"] and not envelope:
             priced["freqs"] += np.size(frequency)
-        return real_psd(scenario, params, frequency, envelope)
+        return real_psd(scenario, params, frequency, envelope, gains)
 
     def shrink_spy(*args):
         # edge checks of re-validated intervals are not RSS pricing
@@ -759,11 +791,11 @@ def spy_edge_psds(monkeypatch, frequencies=None):
     real = lwcf.cegmm.received_strength_psd
     calls = []
 
-    def spy(scenario, params, frequency, envelope=False):
+    def spy(scenario, params, frequency, envelope=False, gains=None):
         calls.append((envelope, int(np.size(frequency))))
         if frequencies is not None:
             frequencies.append(np.array(frequency, dtype=float))
-        return real(scenario, params, frequency, envelope)
+        return real(scenario, params, frequency, envelope, gains)
 
     monkeypatch.setattr(lwcf.cegmm, "received_strength_psd", spy)
     return calls
@@ -1407,7 +1439,7 @@ def test_lockstep_candidates_equal_one_candidate_evaluations():
              for c in batch]
     for t in (_edge_table(sc, PARAMS, BAND, QOS),
               cell_free_check(sc, PARAMS, BAND, QOS)):
-        got = evaluate_candidates(batch, t, 50e6, 2e9)
+        got, _ = evaluate_candidates(batch, t, 50e6, 2e9)
         assert got == alone
     assert got[-1] == ([], False)
     assert sum(accessible for _, accessible in got) >= 15
@@ -1424,14 +1456,14 @@ def test_a_failed_subchannel_fails_only_its_own_candidate(monkeypatch):
     rng = np.random.default_rng(3)
     batch = [subs for subs, _ in evaluate_candidates(
         [rng.uniform(110e9, 190e9, 3) for _ in range(12)],
-        _edge_table(sc, PARAMS, BAND, QOS), 10e6, 10e9)]
+        _edge_table(sc, PARAMS, BAND, QOS), 10e6, 10e9)[0]]
     want = [score_batch([subs], sc, PARAMS, "zf")[0] for subs in batch]
     bad = batch[0][0][0]
     real = lwcf.cegmm.rate_densities
     failing = set()
 
-    def flagged(scenario, params, frequencies, method):
-        density, failed = real(scenario, params, frequencies, method)
+    def flagged(scenario, params, frequencies, method, known=None):
+        density, failed = real(scenario, params, frequencies, method, known)
         return density, failed | np.isin(frequencies, list(failing))
 
     monkeypatch.setattr(lwcf.cegmm, "rate_densities", flagged)
@@ -1447,13 +1479,13 @@ def test_a_failed_subchannel_fails_only_its_own_candidate(monkeypatch):
     accessible = []
 
     def spy(*args):
-        out = evaluate(*args)
+        out, known = evaluate(*args)
         failing.clear()
         failing.update(subs[0][0] for subs, _ in out if subs)
         accessible.extend(acc for _, acc in out)
         assert all(subs or not acc for subs, acc in out)
         assert any(len(subs) > 1 for subs, _ in out)
-        return out
+        return out, known
 
     monkeypatch.setattr(lwcf.cegmm, "evaluate_candidates", spy)
     hyper = CeHyperparams(num_samples=10, num_elites=3, max_iterations=2,
@@ -1468,7 +1500,8 @@ def test_a_failed_subchannel_fails_only_its_own_candidate(monkeypatch):
 def test_edge_table_build_is_chunked(monkeypatch):
     """Building the table for the default drop (32 APs, 10 UEs) keeps its
     temporaries to the ``STACK_POINTS`` chunks of its one envelope PSD
-    call; in one piece they take ~12 MB."""
+    call; in one piece the envelope kernel's buffer alone, 1,250 edges
+    times 320 links, takes ~3 MB."""
     import tracemalloc
 
     import lwcf.mimo
@@ -1487,9 +1520,10 @@ def test_edge_table_build_is_chunked(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    assert peak_mb() < 4.0
+    chunked = peak_mb()
+    assert chunked < 1.0
     monkeypatch.setattr(lwcf.mimo, "STACK_POINTS", 10 ** 9)
-    assert peak_mb() > 4.0
+    assert peak_mb() > chunked + 2.5
 
 
 # ---------------------------------------------------------------------------
@@ -1527,7 +1561,8 @@ def test_evaluate_candidate_filters_and_flags():
     sc = make_scenario(seed=1)
     table = _edge_table(sc, PARAMS, BAND, QOS)
     centers = [90e9, 150e9, 210e9]
-    [(subs, accessible)] = evaluate_candidates([centers], table, 50e6, 10e9)
+    [(subs, accessible)], _ = evaluate_candidates([centers], table, 50e6,
+                                                   10e9)
     assert accessible
     for c, w in subs:
         assert BAND[0] < c < BAND[1] and w > 0.0
@@ -1537,7 +1572,8 @@ def test_evaluate_candidate_filters_and_flags():
     strict = QosConfig(min_rx_psd=1.0, coherence_gap_db=0.5)
     for t in (_edge_table(sc, PARAMS, BAND, strict),
               cell_free_check(sc, PARAMS, BAND, strict)):
-        [(subs, accessible)] = evaluate_candidates([[150e9]], t, 50e6, 10e9)
+        [(subs, accessible)], _ = evaluate_candidates([[150e9]], t, 50e6,
+                                                       10e9)
         assert subs == [] and not accessible
     assert evaluate_candidate([150e9], sc, PARAMS, BAND, strict, 50e6,
                               10e9) == ([], False)
@@ -1558,10 +1594,11 @@ def test_straggler_clipped_onto_the_cutoff_is_skipped():
                               10e9) == ([], False)
     for t in (_edge_table(sc, PARAMS, BAND, QOS),
               cell_free_check(sc, PARAMS, BAND, QOS)):
-        assert evaluate_candidates([centers], t, 50e6, 10e9) == [([], False)]
+        assert evaluate_candidates([centers], t, 50e6,
+                                   10e9)[0] == [([], False)]
         # next to an accessible center the straggler changes nothing
-        assert (evaluate_candidates([mixed], t, 50e6, 10e9)
-                == evaluate_candidates([[150e9]], t, 50e6, 10e9))
+        assert (evaluate_candidates([mixed], t, 50e6, 10e9)[0]
+                == evaluate_candidates([[150e9]], t, 50e6, 10e9)[0])
 
 
 def test_allocate_deterministic_and_valid():
@@ -1772,6 +1809,75 @@ def test_allocate_counts_zf_failures_at_every_candidate(monkeypatch):
     with pytest.raises(SingularChannel,
                        match=r"zf precoder failed on all \d+ candidates"):
         allocate(sc, PARAMS, BAND, "zf", hyper, QOS, rng())
+
+
+def test_only_the_access_check_keeps_gain_rows(monkeypatch):
+    """Each ``evaluate_candidates`` call makes one ``link_gains`` call, for
+    its access check, whose one received-PSD call takes that stack, and
+    ``ce_search`` hands the stack to the scorer of the same iteration.
+    The exact tier ``_edges_ok`` and ``_truncate``'s RSS pricing take and
+    keep no gain rows: their received-PSD calls get none, and they make
+    no ``link_gains`` call.  With an infinite envelope ratio every edge
+    decision of the search is exact."""
+    import lwcf.cegmm
+    monkeypatch.setattr(lwcf.cegmm, "envelope_ratio", lambda params: np.inf)
+    phase = ["search"]
+    psd_calls, stacks, handed, scored = [], [], [], []
+
+    def in_phase(name, real):
+        def spy(*args, **kwargs):
+            phase.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                phase.pop()
+        return spy
+
+    real_psd = lwcf.cegmm.received_strength_psd
+    real_gains = lwcf.cegmm.link_gains
+    real_evaluate = lwcf.cegmm.evaluate_candidates
+    real_score = lwcf.cegmm.score_batch
+
+    def psd_spy(scenario, params, frequency, envelope=False, gains=None):
+        psd_calls.append((phase[-1], gains is not None))
+        return real_psd(scenario, params, frequency, envelope, gains)
+
+    def gains_spy(*args):
+        stacks.append((phase[-1], real_gains(*args)))
+        return stacks[-1][1]
+
+    def evaluate_spy(*args):
+        out = in_phase("access", real_evaluate)(*args)
+        handed.append(out[1])
+        return out
+
+    def score_spy(batch, scenario, params, method, known=None):
+        scored.append(known)
+        return real_score(batch, scenario, params, method, known)
+
+    monkeypatch.setattr(lwcf.cegmm, "received_strength_psd", psd_spy)
+    monkeypatch.setattr(lwcf.cegmm, "link_gains", gains_spy)
+    monkeypatch.setattr(lwcf.cegmm, "evaluate_candidates", evaluate_spy)
+    monkeypatch.setattr(lwcf.cegmm, "score_batch", score_spy)
+    monkeypatch.setattr(lwcf.cegmm, "_edges_ok",
+                        in_phase("exact", lwcf.cegmm._edges_ok))
+    monkeypatch.setattr(lwcf.cegmm, "_truncate",
+                        in_phase("pricing", lwcf.cegmm._truncate))
+    sc = make_scenario(num_aps=8, num_ues=4, seed=3)
+    hyper = CeHyperparams(num_samples=10, num_elites=3, max_iterations=3,
+                          grid_step=10e6, num_subchannels=4)
+    allocate(sc, PARAMS, BAND, "zf", hyper, QOS,
+             np.random.default_rng(np.random.SeedSequence((3, 0))),
+             total_bandwidth=2e9)
+    assert len(handed) == len(scored) == 3
+    assert all(a is b for a, b in zip(handed, scored))
+    assert [p for p, _ in stacks] == ["access"] * 3
+    assert all(s is k[1] for (_, s), k in zip(stacks, handed))
+    assert [p for p, given in psd_calls if given] == ["access"] * 3
+    exact = [given for p, given in psd_calls if p == "exact"]
+    pricing = [given for p, given in psd_calls if p == "pricing"]
+    assert len(exact) > 10 and len(pricing) > 0
+    assert not any(exact) and not any(pricing)
 
 
 def test_allocate_zf_with_more_ues_than_aps_fails_before_searching(

@@ -255,8 +255,8 @@ def test_greedy_raises_on_a_collapsed_mrt_column(monkeypatch, method):
     dead_center, dead_ue = cands[2][0], sc.ue_positions[1]
     real = lwcf.mimo.build_channels
 
-    def dead_link(scenario, params, frequencies):
-        out = real(scenario, params, frequencies)
+    def dead_link(scenario, params, frequencies, known=None):
+        out = real(scenario, params, frequencies, known)
         ue = np.all(scenario.ue_positions == dead_ue, axis=1)
         out[np.ix_(np.asarray(frequencies) == dead_center, ue)] = 0.0
         return out
@@ -337,8 +337,8 @@ def test_lockstep_collapse_fails_only_the_candidates_holding_it(
     batch[4][3] = batch[2][1]
     real = lwcf.mimo.build_channels
 
-    def dead_link(scenario, params, frequencies):
-        out = real(scenario, params, frequencies)
+    def dead_link(scenario, params, frequencies, known=None):
+        out = real(scenario, params, frequencies, known)
         ue = np.all(scenario.ue_positions == dead_ue, axis=1)
         out[np.ix_(np.asarray(frequencies) == dead_center, ue)] = 0.0
         return out
@@ -352,6 +352,77 @@ def test_lockstep_collapse_fails_only_the_candidates_holding_it(
                                                      0.0, sc, PARAMS, method)
     with pytest.raises(SingularChannel, match="collapsed"):
         greedy_assign(batch[4], clustering, 0.0, sc, PARAMS, method)
+
+
+@pytest.mark.parametrize("method", ["zf", "mrt"])
+def test_handed_gains_keep_the_scores_bit_for_bit(monkeypatch, method):
+    """``score_batch`` and ``cluster_rewards`` give the same bits with the
+    access check's gain stack (``evaluate_candidates``' ``known``) as
+    without it, and compute gains only at the centers the stack lacks.
+    On seeded crowded batches, whose truncated intervals are rated at
+    midpoints off the stack, plus a list whose
+    midpoint rounds off its stacked center; and again with UE 1's links
+    dead at one stacked center (its maximum-ratio column collapses), the
+    stack then taken under the same dead links."""
+    import lwcf.mimo
+    from lwcf.cegmm import _edge_table, evaluate_candidates, score_batch
+
+    real_gain = lwcf.mimo.gain
+    points, dead = [0], [None]
+
+    def gain_spy(params, frequency, angle):
+        out = real_gain(params, frequency, angle)
+        points[0] += out.size
+        if dead[0] is not None:
+            out[np.asarray(frequency).ravel() == dead[0], 1] = 0.0
+        return out
+
+    def scores(sc, clustering, batch, known):
+        """Both scorers' outputs, as bits, and the gain points they took."""
+        points[0] = 0
+        plans = score_batch(batch, sc, PARAMS, method, known)
+        rewards = cluster_rewards(batch, clustering, sc, PARAMS, method,
+                                  known)
+        return ([None if p is None else (p.subchannels, p.achieved_rate,
+                                         p.subchannel_rates) for p in plans],
+                [None if r is None else r.tobytes() for r in rewards],
+                points[0])
+
+    monkeypatch.setattr(lwcf.mimo, "gain", gain_spy)
+    collapsed = 0
+    for seed in range(3):
+        sc = make_scenario(num_aps=8, num_ues=4, seed=seed)
+        clustering = kmeans_clustering(sc, PARAMS, BAND[1], 2,
+                                       np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        evaluated, known = evaluate_candidates(
+            [np.sort(rng.uniform(125e9, 140e9, 4)) for _ in range(12)],
+            _edge_table(sc, PARAMS, BAND, QOS), 50e6, 10e9)
+        keys = known[0]
+        batch = [subs for subs, _ in evaluated if subs]
+        # an interval whose upper edge crosses 2^37 Hz, where the spacing
+        # of doubles doubles: its midpoint can round off its center
+        lo, hi = next(
+            (c - w / 2.0, c + w / 2.0) for c in keys[keys < 2.0 ** 37]
+            for w in 2.0 * (2.0 ** 37 - c) + rng.uniform(0.0, 1e9, 100)
+            if (c - w / 2.0 + (c + w / 2.0)) / 2.0 != c)
+        batch.append([((lo + hi) / 2.0, hi - lo)])
+        centers = np.unique([c for subs in batch for c, _ in subs])
+        off = np.setdiff1d(centers, keys)
+        assert off.size >= 10 and (lo + hi) / 2.0 in off
+        links = sc.distances.size
+        for dead[0] in (None, batch[0][0][0]):
+            if dead[0] is not None:
+                known = (keys, lwcf.mimo.link_gains(sc, PARAMS, keys))
+            plain = scores(sc, clustering, batch, None)
+            handed = scores(sc, clustering, batch, known)
+            assert handed[:2] == plain[:2]
+            assert plain[2] == 2 * centers.size * links
+            assert handed[2] == 2 * off.size * links
+            if dead[0] is not None:
+                assert plain[0][0] is None and plain[1][0] is None
+                collapsed += 1
+    assert collapsed == 3
 
 
 def test_allocate_clustered_single_cluster_reduces_to_plain():

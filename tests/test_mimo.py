@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from lwcf.antenna import SPEED_OF_LIGHT, AntennaParams, gain
+from dataclasses import replace
+
+from lwcf.antenna import SPEED_OF_LIGHT, AntennaParams, envelope_ratio, gain
 from lwcf.mimo import (
     SingularChannel,
     build_channel,
@@ -21,7 +23,7 @@ from lwcf.mimo import (
     zf_closed_form,
 )
 from lwcf.scenario import ScenarioConfig, generate_scenario
-from oracles import plan_rate, precode_2d, sinr_2d
+from oracles import gain_envelope, kernel_grid, plan_rate, precode_2d, sinr_2d
 
 PARAMS = AntennaParams(1.0, 0.15, 130.0, 100e9)
 
@@ -371,8 +373,8 @@ def test_stacked_rate_densities_equal_per_frequency_rates(monkeypatch):
 
     real = lwcf.mimo.build_channels
 
-    def dead_ue(scenario, params, frequencies):
-        out = real(scenario, params, frequencies)
+    def dead_ue(scenario, params, frequencies, known=None):
+        out = real(scenario, params, frequencies, known)
         out[np.asarray(frequencies) == freqs[3], 1] = 0.0
         return out
 
@@ -399,6 +401,43 @@ def test_scalar_psd_is_the_one_frequency_case(monkeypatch):
         for f, row in zip(freqs, rows):
             psd = received_strength_psd(sc, PARAMS, f, envelope)
             assert psd.shape == (sc.num_ues,) and np.array_equal(psd, row)
+
+
+def test_envelope_psd_is_the_sum_of_the_per_link_envelopes(monkeypatch):
+    """The fused envelope kernel of ``received_strength_psd`` stays within
+    1e-14 relative of the AP sum of the per-link envelopes of
+    ``oracles.gain_envelope``, and brackets the exact PSD as env <= psd
+    <= rho env to 1e-14, on the antenna kernel grid: its 64 frequencies
+    against seeded 8 x 8 drops whose link angles are the grid's 64, at
+    1-500 rad/m.  Chunks that reuse one buffer give the bits of one
+    piece, and a lossless aperture has no envelope."""
+    import lwcf.mimo
+    freqs, angles = kernel_grid(PARAMS.cutoff_frequency)
+    freqs = freqs.ravel()
+    rel = 1e-14
+    for seed, alpha in enumerate((1.0, 3.0, 10.0, 130.0, 500.0)):
+        p = AntennaParams(0.9, 0.15, alpha, PARAMS.cutoff_frequency)
+        sc = make_scenario(num_aps=8, num_ues=8, seed=seed)
+        order = np.random.default_rng(seed).permutation(angles.size)
+        sc = replace(sc, angles=angles.ravel()[order].reshape(8, 8).copy())
+        env = received_strength_psd(sc, p, freqs, envelope=True)
+        free2 = (SPEED_OF_LIGHT / (4.0 * np.pi * freqs)) ** 2
+        links = gain_envelope(p, freqs[:, None, None], sc.angles)
+        want = (sc.tx_psd * free2[:, None]) * np.sum(
+            links * sc.distances ** -2.0, axis=2)
+        assert np.all(want > 0.0)
+        assert np.max(np.abs(env - want) / want) <= rel
+        psd = received_strength_psd(sc, p, freqs)
+        assert np.all(env <= psd * (1.0 + rel))
+        assert np.all(psd <= envelope_ratio(p) * env * (1.0 + rel))
+        with monkeypatch.context() as patch:
+            patch.setattr(lwcf.mimo, "STACK_POINTS", 5 * sc.distances.size)
+            chunked = received_strength_psd(sc, p, freqs, envelope=True)
+        assert np.array_equal(chunked, env)
+    lossless = AntennaParams(1.0, 0.15, 0.0, 100e9)
+    for f in (150e9, np.array([120e9, 150e9])):
+        with pytest.raises(ValueError, match="positive attenuation"):
+            received_strength_psd(sc, lossless, f, envelope=True)
 
 
 def test_unknown_method_rejected():

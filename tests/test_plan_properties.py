@@ -94,8 +94,8 @@ def test_broadside_links_and_band_edge_centers_hold_the_invariants(seed):
              for _ in range(40)] + [np.array(edges)]
     for check in (_edge_table(sc, PARAMS, BAND, QOS),
                   cell_free_check(sc, PARAMS, BAND, QOS)):
-        evaluated = evaluate_candidates(batch, check, APP.hyper.grid_step,
-                                        BUDGET)
+        evaluated, _ = evaluate_candidates(batch, check,
+                                           APP.hyper.grid_step, BUDGET)
         assert sum(bool(subs) for subs, _ in evaluated) >= 20
         for subs, _ in evaluated:
             assert_valid(subs, sc)
